@@ -32,9 +32,8 @@ from .encounters import (
 )
 from .evaluation import (
     Equipage,
+    _report,
     _run_batch,
-    estimate_metrics,
-    is_estimate,
     risk_ratio,
     run_indexed_encounter,
 )
@@ -233,12 +232,22 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     eq = _equipage(cfg)
     n = int(cfg["evaluation"]["n"])
     proposal_path = cfg["paths"]["proposal_file"]
+    proposal = None
     if proposal_path is not None:
         if not Path(proposal_path).exists():
             raise CliError(E_MODEL_NOT_FOUND, f"proposal file not found: {proposal_path}")
-        report = is_estimate(model, read_model_file(proposal_path), eq, n, seed, workers)
+        proposal = read_model_file(proposal_path)
+    equipages = [eq]
+    compare = cfg["evaluation"]["compare_unequipped"] and proposal is None
+    if compare:
+        equipages.append(Equipage(pilot=eq.pilot))
+    # Every encounter is built once; the equipped logic and the unequipped
+    # baseline fly over the same built encounter.
+    if proposal is None:
+        outcomes = _run_batch(model, equipages, n, seed, workers, nominal=None)
     else:
-        report = estimate_metrics(model, eq, n, seed, workers)
+        outcomes = _run_batch(proposal, equipages, n, seed, workers, nominal=model)
+    report = _report(outcomes[0], weighted=proposal is not None)
     payload = {
         "schema_version": 1,
         "equipage": list(cfg["evaluation"]["equipage"]),
@@ -251,8 +260,8 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
         "crossing_rate": report.crossing_rate,
         "effective_sample_size": report.effective_sample_size,
     }
-    if cfg["evaluation"]["compare_unequipped"] and proposal_path is None:
-        baseline = estimate_metrics(model, Equipage(pilot=eq.pilot), n, seed, workers)
+    if compare:
+        baseline = _report(outcomes[1], weighted=False)
         payload["baseline_p_nmac"] = baseline.p_nmac
         payload["baseline_p_nmac_se"] = baseline.p_nmac_se
         if baseline.p_nmac > 0:
@@ -261,18 +270,13 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
             payload["risk_ratio_se"] = ratio.se
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if cfg["evaluation"]["per_encounter_csv"]:
-        proposal = read_model_file(proposal_path) if proposal_path else None
-        outcomes = _run_batch(
-            proposal if proposal is not None else model, eq, n, seed, workers,
-            nominal=model if proposal is not None else None,
-        )
         with open(out_dir / "per_encounter.csv", "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(
                 ["index", "nmac", "alert", "strengthen", "reversal", "crossing",
                  "severity", "log_weight"]
             )
-            for i, o in enumerate(outcomes):
+            for i, o in enumerate(outcomes[0]):
                 writer.writerow(
                     [i, int(o.nmac), int(o.alert), int(o.strengthen), int(o.reversal),
                      int(o.crossing), repr(o.severity), repr(o.log_weight)]

@@ -92,6 +92,32 @@ def step_vertical(
     return z + 0.5 * (vz + vz_new) * dt, vz_new
 
 
+def step_complying_many(
+    z: np.ndarray,
+    vz: np.ndarray,
+    target: np.ndarray,
+    sense: np.ndarray,
+    pilot: PilotModel,
+    dt: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Array form of step_vertical for complying pilots, bit for bit.
+
+    target and sense hold each element's band edge (ft/s) and sense (+1 or
+    -1).  The min/max tie rules of step_vertical are kept, so every element
+    equals the scalar result.
+    """
+    step = pilot.acceleration * dt
+    up, down = vz + step, vz - step
+    toward = np.where(
+        target > vz,
+        np.where(target < up, target, up),
+        np.where(target > down, target, down),
+    )
+    inside = np.where(sense > 0, vz >= target, vz <= target)
+    vz_new = np.where(inside, vz, toward)
+    return z + 0.5 * (vz + vz_new) * dt, vz_new
+
+
 def sample_response_delay(pilot: PilotModel, rng: np.random.Generator) -> int:
     """Draw a geometric response delay in whole steps, support {0, 1, ...}."""
     p = pilot.response_probability

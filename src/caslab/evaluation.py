@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bayesnet import fit_cpts
 from .core import (
+    ADVISORIES,
     EVENT_CROSSING,
     EVENT_NMAC,
     EVENT_RA,
@@ -31,11 +32,10 @@ from .core import (
     AircraftTrack,
     EncounterTrace,
     horizontal_tau_xy,
-    is_nmac,
     is_reversal,
     is_strengthening,
 )
-from .dynamics import PilotModel, sample_response_delay, step_vertical
+from .dynamics import PilotModel, sample_response_delay, step_complying_many
 from .encounters import (
     SEPARATION_THRESHOLD_FT,
     EncounterModel,
@@ -48,10 +48,9 @@ from .runtime import (
     DEFAULT_BELIEF_PARTICLES,
     DEFAULT_BELIEF_SIGMA_H_FT,
     DEFAULT_BELIEF_SIGMA_RATE_FPS,
+    CoordinationConstraint,
     OnlineContext,
-    apply_online_costs,
-    coordinate,
-    select_action,
+    apply_online_costs_many,
     weighted_particle_values,
 )
 from .tcas import TcasConfig, TcasTracker, Threat
@@ -92,7 +91,12 @@ class Equipage:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Estimated event probabilities with standard errors."""
+    """Estimated event probabilities with standard errors.
+
+    A weighted report holds unnormalized importance-sampling estimates
+    (sum of w * flag over n): unbiased, but on a finite sample a rate can
+    exceed 1, so only finiteness and sign are checked for it.
+    """
 
     n: int
     p_nmac: float
@@ -102,11 +106,15 @@ class MetricsReport:
     reversal_rate: float
     crossing_rate: float
     effective_sample_size: float
+    weighted: bool = False
 
     def __post_init__(self) -> None:
         for name in ("p_nmac", "alert_rate", "strengthen_rate", "reversal_rate", "crossing_rate"):
             v = getattr(self, name)
-            if not (-1e-9 <= v <= 1.0 + 1e-9):
+            if self.weighted:
+                if not (math.isfinite(v) and v >= 0.0):
+                    raise ValueError(f"{name} must be finite and >= 0, got {v}")
+            elif not (-1e-9 <= v <= 1.0 + 1e-9):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.p_nmac_se < 0 or self.effective_sample_size < 0:
             raise ValueError("standard error and ESS must be >= 0")
@@ -118,13 +126,237 @@ class RiskRatio:
     se: float
 
 
-@dataclass
-class _Side:
-    logic: str
-    advisory: Advisory = Advisory.COC
-    complying: bool = False
-    delay_remaining: int = 0
-    tracker: Optional[TcasTracker] = None
+# Per-step event bits of the lockstep simulator, in EncounterTrace label terms.
+_EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROSSING, EVENT_NMAC)
+_BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
+
+# Encounters advanced together in one lockstep chunk.  A table lookup then
+# gathers chunk x particles x 16 corners x 7 advisories x 8 bytes: 1.1 MB
+# at the default 20 particles.
+CHUNK_ENCOUNTERS = 64
+
+# Lockstep state holds advisories as indices into ADVISORIES.
+_COC = ADVISORIES.index(Advisory.COC)
+_ADV_INDEX = {a: i for i, a in enumerate(ADVISORIES)}
+_SENSE = np.array([a.sense for a in ADVISORIES])
+_TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
+_STRENGTHENS = np.array([[is_strengthening(p, q) for q in ADVISORIES] for p in ADVISORIES])
+_REVERSES = np.array([[is_reversal(p, q) for q in ADVISORIES] for p in ADVISORIES])
+
+
+def _quantized_tau(rel_pos, rel_vel, tau_max: int) -> float:
+    tau = horizontal_tau_xy(rel_pos, rel_vel, SEPARATION_THRESHOLD_FT)
+    return float(tau_max) if tau is None else float(min(round(tau), tau_max))
+
+
+def _fly(
+    encs: Sequence[SampledEncounter],
+    eq: Equipage,
+    rngs: Sequence[np.random.Generator],
+) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    """Fly B encounters together, one step at a time, under one equipage.
+
+    Returns each encounter's event bits ORed over its steps, its severity
+    (minimum NMAC-scaled separation over its steps) and the per-step
+    record an EncounterTrace is built from: x, y, z and vz of shape
+    (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
+    (B, n+1, 2) and event bits (B, n+1).
+
+    rngs[b] is encounter b's simulation stream, split into pilot and belief
+    streams exactly as for a lone encounter, so every encounter's result is
+    the same in any chunk.  Equipped aircraft re-evaluate their logic every
+    step; advisories override the nominal vertical command once the
+    (geometric) pilot delay elapses.  Unequipped aircraft replay the nominal
+    commands exactly.  Each table-equipped side makes one lookup per step
+    over all B beliefs.
+    """
+    n_enc = len(encs)
+    n, dt = encs[0].n_steps, encs[0].dt
+    if any(e.n_steps != n or e.dt != dt for e in encs):
+        raise ValueError("a lockstep chunk must share n_steps and dt")
+    logics = (eq.own, eq.intruder)
+    equipped = [i for i in (0, 1) if logics[i] != LOGIC_NONE]
+    table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
+    if table_sides and dt != 1.0:
+        raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
+    streams = [rng.spawn(2) for rng in rngs]
+    pilot_rngs = [pilot for pilot, _ in streams]
+
+    # Open-loop horizontal tracks, (B, aircraft, n+1), evaluated as
+    # pos0 + v * k * dt like the per-step states.
+    vel = np.array([
+        [(e.own_speed * math.cos(e.own_heading), e.own_speed * math.sin(e.own_heading)),
+         (e.int_speed * math.cos(e.int_heading), e.int_speed * math.sin(e.int_heading))]
+        for e in encs
+    ])
+    pos0 = np.array([[e.own_pos0, e.int_pos0] for e in encs])
+    ks = np.arange(n + 1)
+    x = pos0[:, :, 0, None] + vel[:, :, 0, None] * ks * dt
+    y = pos0[:, :, 1, None] + vel[:, :, 1, None] * ks * dt
+    dx, dy = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    # The NMAC test uses math.hypot, which np.hypot does not always match.
+    near = np.array(
+        [math.hypot(a, b) for a, b in zip(dx.ravel().tolist(), dy.ravel().tolist())]
+    ).reshape(n_enc, n + 1) < NMAC_HORIZONTAL_FT
+    # Severity is measured like trace_severity: np.hypot on the trace's
+    # track arrays, pos0 + v * (k * dt).
+    t = ks * dt
+    x_trace = pos0[:, :, 0, None] + vel[:, :, 0, None] * t
+    y_trace = pos0[:, :, 1, None] + vel[:, :, 1, None] * t
+    sep_xy = np.hypot(
+        x_trace[:, 1] - x_trace[:, 0], y_trace[:, 1] - y_trace[:, 0]
+    ) / NMAC_HORIZONTAL_FT
+
+    z = np.array([[e.own_alt0, e.int_alt0] for e in encs], dtype=float)
+    cmds = np.array([[e.own_vrate, e.int_vrate] for e in encs], dtype=float)
+    vz = cmds[:, :, 0].copy()
+    adv = np.full((n_enc, 2), _COC)
+    complying = np.zeros((n_enc, 2), dtype=bool)
+    delay = np.zeros((n_enc, 2), dtype=int)
+
+    trackers = {
+        i: [TcasTracker(eq.tcas) for _ in encs] for i in (0, 1) if logics[i] == LOGIC_TCAS
+    }
+    vl = vel.tolist()
+
+    table = eq.table
+    if table_sides:
+        grid = table.grid
+        n_p = eq.belief_particles
+        weights = np.full(n_p, 1.0 / n_p)
+        to_table = np.array([
+            grid.advisory_index(a) if a in grid.advisories else -1 for a in ADVISORIES
+        ])
+        from_table = np.array([_ADV_INDEX[a] for a in grid.advisories])
+        # Relative geometry is antisymmetric between the sides, so both see
+        # the same tau (every term of horizontal_tau_xy is sign-invariant).
+        dvx, dvy = (vel[:, 1, 0] - vel[:, 0, 0]).tolist(), (vel[:, 1, 1] - vel[:, 0, 1]).tolist()
+        tau_q = np.array([
+            [_quantized_tau((px, py), (dvx[b], dvy[b]), grid.tau_max)
+             for px, py in zip(dx[b, :n].tolist(), dy[b, :n].tolist())]
+            for b in range(n_enc)
+        ])
+        # Each encounter's belief noise for all steps in one block, in the
+        # order the steps consume it: step, then table side, then particle.
+        if eq.belief_sigma_h == 0.0 and eq.belief_sigma_rate == 0.0:
+            noise = None
+            zero_noise = np.zeros((n_enc, n_p, 3))
+        else:
+            noise = np.stack([
+                belief.normal(0.0, 1.0, size=(n, len(table_sides), n_p, 3))
+                for _, belief in streams
+            ])
+            noise[..., 0] *= eq.belief_sigma_h
+            noise[..., 1] *= eq.belief_sigma_rate
+            noise[..., 2] *= eq.belief_sigma_rate
+        both_table = len(table_sides) == 2
+        ctx = eq.context
+        base_climb = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_CLIMB
+        base_descend = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_DESCEND
+
+    zs = np.empty((n_enc, 2, n + 1))
+    vzs = np.empty((n_enc, 2, n + 1))
+    adv_hist = np.empty((n_enc, n + 1, 2), dtype=int)
+    events = np.zeros((n_enc, n + 1), dtype=int)
+
+    for k in range(n):
+        step_events = events[:, k]
+        prev = adv.copy()
+        if trackers:
+            xl, yl, zl, vzl = x[:, :, k].tolist(), y[:, :, k].tolist(), z.tolist(), vz.tolist()
+        for i in equipped:
+            o = 1 - i
+            if logics[i] == LOGIC_TCAS:
+                chosen = []
+                for b, tracker in enumerate(trackers[i]):
+                    me = AircraftState(xl[b][i], yl[b][i], zl[b][i], vl[b][i][0], vl[b][i][1], vzl[b][i])
+                    other = AircraftState(xl[b][o], yl[b][o], zl[b][o], vl[b][o][0], vl[b][o][1], vzl[b][o])
+                    a, threat = tracker.step(me, other)
+                    chosen.append(_ADV_INDEX[a])
+                    if threat is Threat.TA:
+                        step_events[b] |= _BIT[EVENT_TA]
+                selected = np.array(chosen)
+            else:
+                # Array form of synthesize_belief followed by
+                # belief_action_values (same noise stream, same weights).
+                nz = zero_noise if noise is None else noise[:, k, table_sides.index(i)]
+                values = weighted_particle_values(
+                    table,
+                    (z[:, o] - z[:, i])[:, None] + nz[..., 0],
+                    vz[:, i, None] + nz[..., 1],
+                    vz[:, o, None] + nz[..., 2],
+                    np.repeat(tau_q[:, k, None], n_p, axis=1),
+                    np.repeat(to_table[adv[:, i]][:, None], n_p, axis=1),
+                    weights,
+                )
+                if both_table and i == 1:
+                    no_climb, no_descend = leader_sense > 0, leader_sense < 0
+                else:
+                    no_climb = np.full(n_enc, base_climb)
+                    no_descend = np.full(n_enc, base_descend)
+                values = apply_online_costs_many(
+                    values, z[:, i] < ctx.inhibit_altitude, no_climb, no_descend,
+                    ctx.cost_magnitude, grid.advisories,
+                )
+                if not np.all(np.isfinite(values)):
+                    raise ValueError("action values must be finite")
+                # argmax keeps the first maximum: the canonical tie-break.
+                selected = from_table[np.argmax(values, axis=1)]
+                if both_table and i == 0:
+                    # coordinate(): the leader's sense forbids the same sense.
+                    leader_sense = _SENSE[selected]
+
+            changed = selected != adv[:, i]
+            if changed.any():
+                adv[:, i] = selected
+                for b in np.flatnonzero(changed & (selected != _COC)).tolist():
+                    delay[b, i] = sample_response_delay(eq.pilot, pilot_rngs[b])
+                complying[changed, i] = False
+            waiting = (adv[:, i] != _COC) & ~complying[:, i]
+            if waiting.any():
+                ready = waiting & (delay[:, i] == 0)
+                complying[ready, i] = True
+                delay[waiting & ~ready, i] -= 1
+
+        for i in equipped:
+            p, q = prev[:, i], adv[:, i]
+            changed = p != q
+            if changed.any():
+                step_events[changed & (p == _COC) & (q != _COC)] |= _BIT[EVENT_RA]
+                step_events[changed & _STRENGTHENS[p, q]] |= _BIT[EVENT_STRENGTHEN]
+                step_events[changed & _REVERSES[p, q]] |= _BIT[EVENT_REVERSAL]
+
+        # Record sample k, then advance kinematics over [k, k+1).
+        active = (adv != _COC) & complying
+        cmd = cmds[:, :, k]
+        zs[:, :, k] = z
+        vzs[:, :, k] = np.where(active, vz, cmd)
+        adv_hist[:, k] = adv
+        if active.any():
+            z_comply, vz_comply = step_complying_many(
+                z, vz, _TARGET_FPS[adv], _SENSE[adv], eq.pilot, dt
+            )
+            z = np.where(active, z_comply, z + cmd * dt)
+            vz = np.where(active, vz_comply, cmd)
+        else:
+            z = z + cmd * dt
+            vz = cmd
+
+    # Terminal sample.
+    zs[:, :, n] = z
+    vzs[:, :, n] = vz
+    adv_hist[:, n] = adv
+
+    # Separation events from the recorded altitudes: NMAC at any sample,
+    # and a crossing over step k while an advisory is active.
+    h = zs[:, 1] - zs[:, 0]
+    dz = np.abs(h)
+    events[(dz < NMAC_VERTICAL_FT) & near] |= _BIT[EVENT_NMAC]
+    ra_active = (adv_hist[:, :n] != _COC).any(axis=2)
+    events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= _BIT[EVENT_CROSSING]
+    severity = np.maximum(dz / NMAC_VERTICAL_FT, sep_xy).min(axis=1)
+    flags = np.bitwise_or.reduce(events, axis=1)
+    return flags, severity, (x_trace, y_trace, vel, zs, vzs, adv_hist, events)
 
 
 def simulate_encounter(
@@ -132,193 +364,22 @@ def simulate_encounter(
 ) -> EncounterTrace:
     """Run both aircraft through the encounter under their equipped logic.
 
-    Equipped aircraft re-evaluate their logic every step; advisories
-    override the nominal vertical command once the (geometric) pilot delay
-    elapses.  Unequipped aircraft replay the nominal commands exactly.
+    This is the lockstep simulator at B=1.
     """
-    if LOGIC_TABLE in (eq.own, eq.intruder) and enc.dt != 1.0:
-        raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
-    n = enc.n_steps
-    dt = enc.dt
-    pilot_rng, belief_rng = rng.spawn(2)
-
-    headings = (enc.own_heading, enc.int_heading)
-    speeds = (enc.own_speed, enc.int_speed)
-    pos0 = (enc.own_pos0, enc.int_pos0)
-    vxvy = [
-        (speeds[i] * math.cos(headings[i]), speeds[i] * math.sin(headings[i]))
-        for i in range(2)
+    _, _, (x, y, vel, z, vz, adv, events) = _fly([enc], eq, [rng])
+    n = enc.n_steps + 1
+    tracks = [
+        AircraftTrack(dt=enc.dt, x=x[0, i], y=y[0, i], z=z[0, i],
+                      vx=np.full(n, vel[0, i, 0]), vy=np.full(n, vel[0, i, 1]), vz=vz[0, i])
+        for i in (0, 1)
     ]
-    cmds = (enc.own_vrate, enc.int_vrate)
-
-    sides = []
-    for logic in (eq.own, eq.intruder):
-        tracker = TcasTracker(eq.tcas) if logic == LOGIC_TCAS else None
-        sides.append(_Side(logic=logic, tracker=tracker))
-
-    z = [enc.own_alt0, enc.int_alt0]
-    vz = [float(cmds[0][0]), float(cmds[1][0])]
-
-    zs = [np.empty(n + 1), np.empty(n + 1)]
-    vzs = [np.empty(n + 1), np.empty(n + 1)]
-    advisories: List[Tuple[Advisory, Advisory]] = []
-    events: List[frozenset] = []
-
-    both_table = eq.own == LOGIC_TABLE and eq.intruder == LOGIC_TABLE
-
-    for k in range(n):
-        states = [
-            AircraftState(
-                x=pos0[i][0] + vxvy[i][0] * k * dt,
-                y=pos0[i][1] + vxvy[i][1] * k * dt,
-                z=z[i],
-                vx=vxvy[i][0],
-                vy=vxvy[i][1],
-                vz=vz[i],
-            )
-            for i in range(2)
-        ]
-        step_events = set()
-        prev_advisories = [sides[i].advisory for i in range(2)]
-
-        constraint = None
-        for i in (0, 1):
-            side = sides[i]
-            me, other = states[i], states[1 - i]
-            if side.logic == LOGIC_NONE:
-                selected = Advisory.COC
-            elif side.logic == LOGIC_TCAS:
-                selected, threat = side.tracker.step(me, other)
-                if threat is Threat.TA:
-                    step_events.add(EVENT_TA)
-            else:
-                table = eq.table
-                tau = horizontal_tau_xy(
-                    (other.x - me.x, other.y - me.y),
-                    (other.vx - me.vx, other.vy - me.vy),
-                    SEPARATION_THRESHOLD_FT,
-                )
-                tau_q = (
-                    float(table.grid.tau_max)
-                    if tau is None
-                    else float(min(round(tau), table.grid.tau_max))
-                )
-                # Array-form equivalent of synthesize_belief followed by
-                # belief_action_values (same noise stream, same weights).
-                n_p = eq.belief_particles
-                if eq.belief_sigma_h == 0.0 and eq.belief_sigma_rate == 0.0:
-                    noise = np.zeros((n_p, 3))
-                else:
-                    noise = belief_rng.normal(0.0, 1.0, size=(n_p, 3))
-                    noise[:, 0] *= eq.belief_sigma_h
-                    noise[:, 1] *= eq.belief_sigma_rate
-                    noise[:, 2] *= eq.belief_sigma_rate
-                values = weighted_particle_values(
-                    table,
-                    (other.z - me.z) + noise[:, 0],
-                    me.vz + noise[:, 1],
-                    other.vz + noise[:, 2],
-                    np.full(n_p, tau_q),
-                    np.full(n_p, table.grid.advisory_index(side.advisory)),
-                    np.full(n_p, 1.0 / n_p),
-                )
-                ctx = replace(
-                    eq.context,
-                    own_altitude_agl=me.z,
-                    coordination_constraint=constraint if (both_table and i == 1) else
-                    eq.context.coordination_constraint,
-                )
-                values = apply_online_costs(values, ctx, table.grid.advisories)
-                selected = select_action(values, side.advisory, table.grid.advisories)
-                if both_table and i == 0:
-                    msg = coordinate(selected, (0, 1))
-                    constraint = msg.constraint if msg else None
-
-            if selected is not side.advisory:
-                side.advisory = selected
-                if selected is not Advisory.COC:
-                    side.delay_remaining = sample_response_delay(eq.pilot, pilot_rng)
-                side.complying = False
-            if side.advisory is not Advisory.COC and not side.complying:
-                if side.delay_remaining == 0:
-                    side.complying = True
-                else:
-                    side.delay_remaining -= 1
-
-        for i in (0, 1):
-            new = sides[i].advisory
-            prev = prev_advisories[i]
-            if new is not prev:
-                if prev is Advisory.COC and new is not Advisory.COC:
-                    step_events.add(EVENT_RA)
-                if is_strengthening(prev, new):
-                    step_events.add(EVENT_STRENGTHEN)
-                if is_reversal(prev, new):
-                    step_events.add(EVENT_REVERSAL)
-
-        # Record sample k, then advance kinematics over [k, k+1).
-        h_before = z[1] - z[0]
-        for i in (0, 1):
-            side = sides[i]
-            if side.advisory is not Advisory.COC and side.complying:
-                zs[i][k] = z[i]
-                vzs[i][k] = vz[i]
-                z[i], vz[i] = step_vertical(z[i], vz[i], side.advisory, True, eq.pilot, dt)
-            else:
-                vz[i] = float(cmds[i][k])
-                zs[i][k] = z[i]
-                vzs[i][k] = vz[i]
-                z[i] = z[i] + vz[i] * dt
-
-        dz = abs(zs[1][k] - zs[0][k])
-        dxy = math.hypot(
-            (pos0[1][0] + vxvy[1][0] * k * dt) - (pos0[0][0] + vxvy[0][0] * k * dt),
-            (pos0[1][1] + vxvy[1][1] * k * dt) - (pos0[0][1] + vxvy[0][1] * k * dt),
-        )
-        if is_nmac(dz, dxy):
-            step_events.add(EVENT_NMAC)
-        h_after = z[1] - z[0]
-        ra_active = any(s.advisory is not Advisory.COC for s in sides)
-        if ra_active and h_before * h_after < 0:
-            step_events.add(EVENT_CROSSING)
-
-        advisories.append((sides[0].advisory, sides[1].advisory))
-        events.append(frozenset(step_events))
-
-    # Terminal sample.
-    for i in (0, 1):
-        zs[i][n] = z[i]
-        vzs[i][n] = vz[i]
-    dz = abs(z[1] - z[0])
-    dxy = math.hypot(
-        (pos0[1][0] + vxvy[1][0] * n * dt) - (pos0[0][0] + vxvy[0][0] * n * dt),
-        (pos0[1][1] + vxvy[1][1] * n * dt) - (pos0[0][1] + vxvy[0][1] * n * dt),
-    )
-    final_events = set()
-    if is_nmac(dz, dxy):
-        final_events.add(EVENT_NMAC)
-    advisories.append(advisories[-1])
-    events.append(frozenset(final_events))
-
-    tracks = []
-    for i in (0, 1):
-        t = np.arange(n + 1) * dt
-        tracks.append(
-            AircraftTrack(
-                dt=dt,
-                x=pos0[i][0] + vxvy[i][0] * t,
-                y=pos0[i][1] + vxvy[i][1] * t,
-                z=zs[i],
-                vx=np.full(n + 1, vxvy[i][0]),
-                vy=np.full(n + 1, vxvy[i][1]),
-                vz=vzs[i],
-            )
-        )
     return EncounterTrace(
         ownship=tracks[0],
         intruder=tracks[1],
-        advisories=tuple(advisories),
-        events=tuple(events),
+        advisories=tuple((ADVISORIES[a0], ADVISORIES[a1]) for a0, a1 in adv[0].tolist()),
+        events=tuple(
+            frozenset(f for f in _EVENT_FLAGS if bits & _BIT[f]) for bits in events[0].tolist()
+        ),
     )
 
 
@@ -358,6 +419,25 @@ def _outcome_of(trace: EncounterTrace, log_weight: float) -> EncounterOutcome:
     )
 
 
+def _outcome_of_flags(flags: int, severity: float, log_weight: float) -> EncounterOutcome:
+    return EncounterOutcome(
+        nmac=bool(flags & _BIT[EVENT_NMAC]),
+        alert=bool(flags & _BIT[EVENT_RA]),
+        strengthen=bool(flags & _BIT[EVENT_STRENGTHEN]),
+        reversal=bool(flags & _BIT[EVENT_REVERSAL]),
+        crossing=bool(flags & _BIT[EVENT_CROSSING]),
+        severity=severity,
+        log_weight=log_weight,
+    )
+
+
+def _log_weight(model: EncounterModel, nominal: Optional[EncounterModel],
+                enc: SampledEncounter) -> float:
+    if nominal is None:
+        return 0.0
+    return trace_log_likelihood(nominal, enc) - trace_log_likelihood(model, enc)
+
+
 def run_indexed_encounter(
     model: EncounterModel,
     eq: Equipage,
@@ -372,41 +452,81 @@ def run_indexed_encounter(
     enc = build_encounter(model, enc_rng)
     sim_rng = np.random.default_rng([seed, sim_stream, index])
     trace = simulate_encounter(enc, eq, sim_rng)
-    if nominal is None:
-        logw = 0.0
-    else:
-        logw = trace_log_likelihood(nominal, enc) - trace_log_likelihood(model, enc)
-    return enc, trace, _outcome_of(trace, logw)
+    return enc, trace, _outcome_of(trace, _log_weight(model, nominal, enc))
+
+
+def _run_chunk(
+    model: EncounterModel,
+    equipages: Sequence[Equipage],
+    seed: int,
+    indices: Sequence[int],
+    nominal: Optional[EncounterModel] = None,
+    enc_stream: int = STREAM_ENCOUNTER,
+    sim_stream: int = STREAM_SIMULATE,
+) -> Tuple[List[SampledEncounter], List[List[EncounterOutcome]]]:
+    """Build each indexed encounter once and fly every equipage over it.
+
+    Returns the encounters and, per equipage, their outcomes in index order;
+    each equals run_indexed_encounter's outcome for the same index.
+    """
+    encs = [build_encounter(model, np.random.default_rng([seed, enc_stream, i])) for i in indices]
+    log_weights = [_log_weight(model, nominal, enc) for enc in encs]
+    outcomes = []
+    for eq in equipages:
+        rngs = [np.random.default_rng([seed, sim_stream, i]) for i in indices]
+        flags, severity, _ = _fly(encs, eq, rngs)
+        outcomes.append([
+            _outcome_of_flags(f, s, w)
+            for f, s, w in zip(flags.tolist(), severity.tolist(), log_weights)
+        ])
+    return encs, outcomes
+
+
+def _chunks(start: int, stop: int, size: int) -> List[range]:
+    return [range(i, min(i + size, stop)) for i in range(start, stop, size)]
 
 
 _POOL_CONTEXT: dict = {}
 
 
-def _pool_init(model, eq, seed, nominal):
-    _POOL_CONTEXT["args"] = (model, eq, seed, nominal)
+def _pool_init(model, equipages, seed, nominal):
+    _POOL_CONTEXT["args"] = (model, equipages, seed, nominal)
 
 
-def _pool_run(index: int) -> EncounterOutcome:
-    model, eq, seed, nominal = _POOL_CONTEXT["args"]
-    return run_indexed_encounter(model, eq, seed, index, nominal)[2]
+def _pool_run(indices: range) -> List[List[EncounterOutcome]]:
+    model, equipages, seed, nominal = _POOL_CONTEXT["args"]
+    return _run_chunk(model, equipages, seed, indices, nominal)[1]
 
 
 def _run_batch(
     model: EncounterModel,
-    eq: Equipage,
+    equipages: Sequence[Equipage],
     n: int,
     seed: int,
     workers: int,
     nominal: Optional[EncounterModel],
-) -> List[EncounterOutcome]:
+) -> List[List[EncounterOutcome]]:
+    """Outcomes of encounters 0..n-1 for every equipage, in index order.
+
+    Each encounter is built once and all equipages fly over it; with a
+    nominal model, sampling runs under ``model`` as the IS proposal.
+    Workers take whole chunks, and the result is the same for any count.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if nominal is not None:
+        _check_shared_structure(nominal, model)
+    size = min(CHUNK_ENCOUNTERS, -(-n // max(workers, 1)))
+    chunks = _chunks(0, n, size)
     if workers <= 1:
-        return [run_indexed_encounter(model, eq, seed, i, nominal)[2] for i in range(n)]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_pool_init, initargs=(model, eq, seed, nominal)
-    ) as pool:
-        return list(pool.map(_pool_run, range(n), chunksize=max(1, n // (workers * 8))))
+        results = [_run_chunk(model, equipages, seed, c, nominal)[1] for c in chunks]
+    else:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_pool_init,
+            initargs=(model, equipages, seed, nominal),
+        ) as pool:
+            results = list(pool.map(_pool_run, chunks))
+    return [[o for chunk in results for o in chunk[j]] for j in range(len(equipages))]
 
 
 def _report(outcomes: Sequence[EncounterOutcome], weighted: bool) -> MetricsReport:
@@ -440,6 +560,7 @@ def _report(outcomes: Sequence[EncounterOutcome], weighted: bool) -> MetricsRepo
         reversal_rate=est["reversal"],
         crossing_rate=est["crossing"],
         effective_sample_size=ess,
+        weighted=weighted,
     )
 
 
@@ -447,7 +568,7 @@ def estimate_metrics(
     model: EncounterModel, eq: Equipage, n: int, seed: int, workers: int = 1
 ) -> MetricsReport:
     """Plain Monte Carlo estimate over n independent encounters."""
-    return _report(_run_batch(model, eq, n, seed, workers, nominal=None), weighted=False)
+    return _report(_run_batch(model, [eq], n, seed, workers, nominal=None)[0], weighted=False)
 
 
 def risk_ratio(equipped: MetricsReport, unequipped: MetricsReport) -> RiskRatio:
@@ -481,8 +602,7 @@ def is_estimate(
     Requires the proposal to share bins and structure with the nominal model
     so bin-level likelihood ratios are exact.
     """
-    _check_shared_structure(nominal, proposal)
-    outcomes = _run_batch(proposal, eq, n, seed, workers, nominal=nominal)
+    outcomes = _run_batch(proposal, [eq], n, seed, workers, nominal=nominal)[0]
     return _report(outcomes, weighted=True)
 
 
@@ -524,22 +644,18 @@ def cross_entropy_adapt(
     current = proposal
     for it in range(iterations):
         encs: List[SampledEncounter] = []
-        keys: List[Tuple[float, float]] = []
-        for i in range(n_per_iter):
-            enc, trace, outcome = run_indexed_encounter(
-                current,
-                eq,
-                seed,
-                it * n_per_iter + i,
-                nominal=nominal,
-                enc_stream=STREAM_CE_ENCOUNTER,
-                sim_stream=STREAM_CE_SIMULATE,
+        outcomes: List[EncounterOutcome] = []
+        for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS):
+            chunk_encs, (chunk_outcomes,) = _run_chunk(
+                current, [eq], seed, indices, nominal=nominal,
+                enc_stream=STREAM_CE_ENCOUNTER, sim_stream=STREAM_CE_SIMULATE,
             )
-            encs.append(enc)
-            if outcome.nmac:
-                keys.append((0.0, -math.exp(outcome.log_weight)))
-            else:
-                keys.append((1.0, outcome.severity))
+            encs += chunk_encs
+            outcomes += chunk_outcomes
+        keys = [
+            (0.0, -math.exp(o.log_weight)) if o.nmac else (1.0, o.severity)
+            for o in outcomes
+        ]
         order = sorted(range(n_per_iter), key=lambda j: keys[j])
         elite = [encs[j] for j in order[:n_elite]]
         initial_data = np.vstack(

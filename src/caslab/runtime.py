@@ -142,8 +142,17 @@ def weighted_particle_values(
     ia_prev: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """Weight-averaged interpolated action values over particle arrays."""
-    return weights @ interpolate_many(table, h, hdot0, hdot1, tau, ia_prev)
+    """Weight-averaged interpolated action values over particle arrays.
+
+    The particle axis is the last one.  Leading axes (a batch of beliefs)
+    are kept: inputs of one shape (..., P) give (..., n_advisories), all
+    from one interpolate_many call.  The average is a matmul, which
+    reproduces the single-belief result bit for bit; einsum does not.
+    """
+    shape = np.shape(h)
+    flat = [np.ravel(x) for x in (h, hdot0, hdot1, tau, ia_prev)]
+    values = interpolate_many(table, *flat)
+    return weights @ values.reshape(shape + values.shape[-1:])
 
 
 def belief_action_values(table: LogicTable, belief: BeliefState) -> np.ndarray:
@@ -171,16 +180,37 @@ def apply_online_costs(values: np.ndarray, ctx: OnlineContext,
     DoNotClimb forbids up-sense and DoNotDescend forbids down-sense.  COC is
     never penalized.
     """
+    constraint = ctx.coordination_constraint
+    return apply_online_costs_many(
+        np.asarray(values, dtype=float)[None, :],
+        np.array([ctx.own_altitude_agl < ctx.inhibit_altitude]),
+        np.array([constraint is CoordinationConstraint.DO_NOT_CLIMB]),
+        np.array([constraint is CoordinationConstraint.DO_NOT_DESCEND]),
+        ctx.cost_magnitude,
+        advisories,
+    )[0]
+
+
+def apply_online_costs_many(
+    values: np.ndarray,
+    below_floor: np.ndarray,
+    no_climb: np.ndarray,
+    no_descend: np.ndarray,
+    cost_magnitude: float,
+    advisories: Sequence[Advisory] = ADVISORIES,
+) -> np.ndarray:
+    """Row-wise apply_online_costs over values of shape (B, n_advisories).
+
+    below_floor, no_climb and no_descend are per-row masks.  Penalties that
+    meet on one advisory are added one after another (low-altitude inhibit,
+    then the coordination constraint), never as one multiple, so every row
+    equals its own single-row result bit for bit.
+    """
     out = np.array(values, dtype=float)
-    for i, a in enumerate(advisories):
-        if a is Advisory.COC:
-            continue
-        if ctx.own_altitude_agl < ctx.inhibit_altitude and a.sense < 0:
-            out[i] += ctx.cost_magnitude
-        if ctx.coordination_constraint is CoordinationConstraint.DO_NOT_CLIMB and a.sense > 0:
-            out[i] += ctx.cost_magnitude
-        if ctx.coordination_constraint is CoordinationConstraint.DO_NOT_DESCEND and a.sense < 0:
-            out[i] += ctx.cost_magnitude
+    for mask, sense in ((below_floor, -1), (no_climb, 1), (no_descend, -1)):
+        if mask.any():
+            cols = [i for i, a in enumerate(advisories) if a.sense == sense]
+            out[np.ix_(mask, cols)] += cost_magnitude
     return out
 
 

@@ -5,7 +5,12 @@ import numpy as np
 from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, dump_config, load_config
 from caslab.core import ADVISORIES
-from caslab.encounters import default_structure, read_model_file
+from caslab.encounters import (
+    default_structure,
+    read_model_file,
+    toy_two_bin_model,
+    write_model_file,
+)
 from caslab.tablefile import read_table
 
 
@@ -101,6 +106,28 @@ class TestEvaluate:
             rows = list(csv.reader(f))
         assert len(rows) == 21
         assert rows[0][0] == "index"
+        # the rows are the outcomes metrics.json was computed from
+        p_nmac = json.loads((out / "metrics.json").read_text())["p_nmac"]
+        assert sum(int(r[1]) for r in rows[1:]) / 20 == p_nmac
+
+    def test_weighted_rate_above_one_is_reported(self, tmp_path):
+        # TCAS alerts on every toy encounter and a non-conflict draw weighs
+        # 0.95 / 0.5 = 1.9, so the unnormalized IS alert rate sum(w * alert) / n
+        # exceeds 1 when most draws miss the conflict bin, as at this seed.
+        write_model_file(toy_two_bin_model(0.05), tmp_path / "nominal.json")
+        write_model_file(toy_two_bin_model(0.5), tmp_path / "proposal.json")
+        cfg = small_grid_config(
+            tmp_path,
+            paths={"model_file": str(tmp_path / "nominal.json"),
+                   "proposal_file": str(tmp_path / "proposal.json")},
+            evaluation={"n": 10, "equipage": ["tcas", "none"], "per_encounter_csv": True},
+        )
+        out = tmp_path / "is"
+        assert main(["evaluate", "--config", str(cfg), "--seed", "0", "--out", str(out)]) == 0
+        m = json.loads((out / "metrics.json").read_text())
+        assert m["alert_rate"] > 1.0
+        with open(out / "per_encounter.csv") as f:
+            assert len(list(csv.reader(f))) == 11
 
 
 class TestErrors:

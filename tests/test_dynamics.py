@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from caslab.core import Advisory
+from caslab.core import ADVISORIES, Advisory
 from caslab.dynamics import (
     IntruderModel,
     PilotModel,
     project_template,
     sample_response_delay,
+    step_complying_many,
     step_vertical,
 )
 
@@ -59,6 +60,28 @@ class TestStepVertical:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             step_vertical(0.0, 0.0, None, False, pilot(), 0.0)
+
+    def test_array_form_matches_scalar_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        bands = [a for a in ADVISORIES if a is not Advisory.COC]
+        band = [bands[i] for i in rng.integers(0, len(bands), 400)]
+        rates = rng.uniform(-60.0, 60.0, 400).tolist()
+        # rates on each band edge and exactly one acceleration step from it
+        for a in bands:
+            for offset in (-8.0, -4.0, 0.0, 4.0, 8.0):
+                band.append(a)
+                rates.append(a.target_rate_fps + offset)
+        vz = np.array(rates)
+        z = rng.uniform(-5000.0, 5000.0, vz.size)
+        for dt in (1.0, 0.5):
+            zn, vzn = step_complying_many(
+                z, vz, np.array([a.target_rate_fps for a in band]),
+                np.array([a.sense for a in band]), pilot(), dt,
+            )
+            expected = [step_vertical(a, b, c, True, pilot(), dt)
+                        for a, b, c in zip(z.tolist(), vz.tolist(), band)]
+            assert zn.tolist() == [e[0] for e in expected]
+            assert vzn.tolist() == [e[1] for e in expected]
 
 
 class TestSampleResponseDelay:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from caslab.encounters import (
 from caslab.evaluation import (
     Equipage,
     MetricsReport,
+    _run_chunk,
     cross_entropy_adapt,
     estimate_metrics,
     is_estimate,
@@ -22,7 +24,12 @@ from caslab.evaluation import (
     simulate_encounter,
     trace_severity,
 )
-from caslab.runtime import belief_action_values, synthesize_belief, weighted_particle_values
+from caslab.runtime import (
+    belief_action_values,
+    interpolate_many,
+    synthesize_belief,
+    weighted_particle_values,
+)
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
@@ -125,6 +132,64 @@ class TestSimulateEncounter:
         np.testing.assert_array_equal(via_public, via_arrays)
 
 
+class TestLockstep:
+    """A lockstep chunk flies each encounter exactly as a lone encounter."""
+
+    N = 12
+
+    @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"),
+                                       ("table", "none"), ("table", "table")])
+    @pytest.mark.parametrize("sigma_h", [0.0, 25.0])
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0])
+    def test_batch_invariance(self, default_table, sides, sigma_h, p):
+        model = default_correlated_model()
+        eq = Equipage(
+            own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p),
+            table=default_table, belief_sigma_h=sigma_h,
+            belief_sigma_rate=2.0 if sigma_h else 0.0,
+        )
+        # run_indexed_encounter is _outcome_of(simulate_encounter(...)).
+        traced = [run_indexed_encounter(model, eq, 61, i)[2] for i in range(self.N)]
+        for size in (1, 7, self.N):
+            chunked = []
+            for start in range(0, self.N, size):
+                indices = range(start, min(start + size, self.N))
+                chunked += _run_chunk(model, [eq], 61, indices)[1][0]
+            assert chunked == traced, f"chunk size {size}"
+
+    def test_equipages_share_one_build(self, default_table):
+        model = default_correlated_model()
+        eqs = [Equipage(own="table", pilot=det_pilot(), table=default_table),
+               Equipage(pilot=det_pilot())]
+        encs, (table_out, none_out) = _run_chunk(model, eqs, 8, range(5))
+        assert len(encs) == 5
+        assert table_out == [run_indexed_encounter(model, eqs[0], 8, i)[2] for i in range(5)]
+        assert none_out == [run_indexed_encounter(model, eqs[1], 8, i)[2] for i in range(5)]
+
+    def test_particle_average_is_per_belief_matmul(self, default_table):
+        # the batched belief average must equal each belief's own
+        # weights @ values bit for bit (an einsum over the batch does not)
+        rng = np.random.default_rng(5)
+        b, n_p = 9, 20
+        h = rng.uniform(-900.0, 900.0, (b, n_p))
+        v0 = rng.uniform(-30.0, 30.0, (b, n_p))
+        v1 = rng.uniform(-30.0, 30.0, (b, n_p))
+        tau = np.repeat(rng.integers(0, 40, (b, 1)).astype(float), n_p, axis=1)
+        ia = np.repeat(rng.integers(0, 7, (b, 1)), n_p, axis=1)
+        w = np.full(n_p, 1.0 / n_p)
+        batched = weighted_particle_values(default_table, h, v0, v1, tau, ia, w)
+        per_belief = np.stack([
+            weighted_particle_values(default_table, h[j], v0[j], v1[j], tau[j], ia[j], w)
+            for j in range(b)
+        ])
+        np.testing.assert_array_equal(batched, per_belief)
+        rows = interpolate_many(
+            default_table, h.ravel(), v0.ravel(), v1.ravel(), tau.ravel(), ia.ravel()
+        )
+        np.testing.assert_array_equal(rows[:n_p], interpolate_many(
+            default_table, h[0], v0[0], v1[0], tau[0], ia[0]))
+
+
 class TestPairedSeeds:
     def test_intruder_trace_isolated_from_ownship_equipage(self, default_table):
         model = default_correlated_model()
@@ -191,14 +256,17 @@ class TestEstimateMetrics:
         rep = estimate_metrics(toy, Equipage(), 10_000, seed=17)
         assert abs(rep.p_nmac - 0.05) <= 3.0 * max(rep.p_nmac_se, 1e-9)
 
-    def test_workers_match_serial(self):
+    def test_workers_match_serial(self, small_table):
         toy = toy_two_bin_model(p_conflict=0.3)
-        serial = estimate_metrics(toy, Equipage(), 40, seed=13, workers=1)
-        try:
-            parallel = estimate_metrics(toy, Equipage(), 40, seed=13, workers=2)
-        except OSError:
-            pytest.skip("process pool unavailable in sandbox")
-        assert serial == parallel
+        # belief noise on (the defaults) and a geometric pilot delay
+        table_eq = Equipage(own="table", pilot=PilotModel(), table=small_table)
+        for eq in (Equipage(), table_eq):
+            serial = estimate_metrics(toy, eq, 40, seed=13, workers=1)
+            try:
+                parallel = estimate_metrics(toy, eq, 40, seed=13, workers=2)
+            except OSError:
+                pytest.skip("process pool unavailable in sandbox")
+            assert serial == parallel
 
 
 class TestRiskRatio:
@@ -233,6 +301,19 @@ class TestRiskRatio:
 
 
 class TestImportanceSampling:
+    def test_weighted_report_may_exceed_one(self):
+        rep = MetricsReport(
+            n=10, p_nmac=0.2, p_nmac_se=0.1, alert_rate=1.3, strengthen_rate=0.0,
+            reversal_rate=0.0, crossing_rate=0.0, effective_sample_size=6.0, weighted=True,
+        )
+        assert rep.alert_rate == 1.3
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, alert_rate=1.3, weighted=False)
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, alert_rate=math.inf)
+        with pytest.raises(ValueError):
+            dataclasses.replace(rep, alert_rate=-0.1)
+
     def test_identity_proposal_equals_plain_mc(self):
         toy = toy_two_bin_model(p_conflict=0.2)
         plain = estimate_metrics(toy, Equipage(), 500, seed=21)

@@ -21,6 +21,7 @@ from .encounters import (
     EncounterModel,
     SampledEncounter,
     build_encounter,
+    build_encounters,
     default_correlated_model,
     default_uncorrelated_model,
     read_model_file,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,8 +104,28 @@ class DiscreteBayesNet:
             row = row * self.n_bins(p) + int(bins[p])
         return row
 
+    def parent_rows(self, i: int, bins: np.ndarray) -> np.ndarray:
+        """parent_row_index over the last axis of an integer bin array."""
+        row = np.zeros(bins.shape[:-1], dtype=int)
+        for p in self.parents[i]:
+            row = row * self.n_bins(p) + bins[..., p]
+        return row
+
     def node_index(self, name: str) -> int:
         return self.nodes.index(name)
+
+    @cached_property
+    def cum_cpt(self) -> Tuple[np.ndarray, ...]:
+        """Row-wise cumulative CPTs, as _draw_bin accumulates them."""
+        return tuple(np.cumsum(table, axis=1) for table in self.cpt)
+
+    @cached_property
+    def log_cpt(self) -> Tuple[np.ndarray, ...]:
+        """math.log of every CPT entry (as log_prob_bins takes it), -inf for 0."""
+        return tuple(
+            np.array([[math.log(p) if p > 0.0 else -math.inf for p in row] for row in table.tolist()])
+            for table in self.cpt
+        )
 
 
 def fit_cpts(
@@ -134,10 +155,7 @@ def fit_cpts(
         rows = structure.parent_row_count(i)
         counts = np.zeros((rows, nb))
         if data.shape[0]:
-            row_idx = np.zeros(data.shape[0], dtype=int)
-            for p in structure.parents[i]:
-                row_idx = row_idx * structure.n_bins(p) + data[:, p]
-            np.add.at(counts, (row_idx, data[:, i]), 1.0)
+            np.add.at(counts, (structure.parent_rows(i, data), data[:, i]), 1.0)
         totals = counts.sum(axis=1, keepdims=True)
         denom = totals + prior_count * nb
         table = np.where(denom > 0, (counts + prior_count) / np.maximum(denom, 1e-300), 1.0 / nb)
@@ -183,6 +201,40 @@ def ancestral_sample(
         lo, hi = net.bins[i][b], net.bins[i][b + 1]
         values[i] = rng.uniform(lo, hi) if hi > lo else lo
     return Assignment(bins=bins, values=values)
+
+
+def ancestral_sample_many(
+    net: DiscreteBayesNet,
+    u: np.ndarray,
+    cursor: np.ndarray,
+    bins: np.ndarray,
+    values: np.ndarray,
+    nodes: Optional[Sequence[int]] = None,
+) -> None:
+    """ancestral_sample for a batch, one row per generator, drawing from blocks.
+
+    u[b] holds generator b's next uniforms and cursor[b] the first unused
+    one; like ancestral_sample, each node takes one uniform for its bin and
+    one more for its value only if the bin has width, so row b reproduces
+    ancestral_sample on a generator whose random() calls return u[b] in
+    order.  Only ``nodes`` are drawn (default: all); the other columns of
+    ``bins`` are clamped inputs.  Writes ``bins`` and ``values`` of shape
+    (B, nodes) in place and advances ``cursor``.
+    """
+    if not net.is_fitted:
+        raise ValueError("network has no fitted CPTs")
+    flat, start = u.ravel(), np.arange(0, u.size, u.shape[1])
+    for i in range(len(net.nodes)) if nodes is None else nodes:
+        # The count of cumulative probabilities <= u is _draw_bin's
+        # searchsorted(side="right"), clamped the same way.
+        cum = net.cum_cpt[i][net.parent_rows(i, bins)]
+        at = start + cursor
+        b = np.minimum((cum <= flat[at, None]).sum(axis=1), net.n_bins(i) - 1)
+        lo, hi = net.bins[i][b], net.bins[i][b + 1]
+        wide = hi > lo
+        values[:, i] = np.where(wide, lo + (hi - lo) * flat[at + 1], lo)
+        cursor += 1 + wide
+        bins[:, i] = b
 
 
 def log_prob_bins(

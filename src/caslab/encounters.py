@@ -13,19 +13,20 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .bayesnet import (
     Assignment,
     DiscreteBayesNet,
-    _draw_bin,
+    ancestral_sample,
+    ancestral_sample_many,
     log_prob_bins,
     net_from_dict,
     net_to_dict,
 )
-from .core import NMAC_HORIZONTAL_FT, AircraftTrack, horizontal_tau_xy
+from .core import NMAC_HORIZONTAL_FT, AircraftTrack
 
 NEXT_SUFFIX = "_next"
 
@@ -40,11 +41,8 @@ VAR_CLOSURE = "closure"
 VAR_TAU0 = "tau0"
 REQUIRED_VARS = (VAR_ALT, VAR_OWN_VRATE, VAR_INT_VRATE, VAR_CLOSURE, VAR_TAU0)
 
-# Loss-of-separation threshold tying encounter geometry to the grid's tau,
-# and the tau ceiling the uncorrelated placement must reach.
+# Loss-of-separation threshold tying encounter geometry to the grid's tau.
 SEPARATION_THRESHOLD_FT = NMAC_HORIZONTAL_FT
-PLACEMENT_TAU_MAX_S = 40.0
-PLACEMENT_MAX_RETRIES = 100
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -119,17 +117,15 @@ class DrawRecord:
 class SampledEncounter:
     """Kinematic commands and initial geometry for one sampled encounter.
 
-    Vertical-rate commands are piecewise constant over each step; turn-rate
-    commands are carried for interface completeness and are zero under the
-    bundled models.  log_probability accumulates the log of every CPT draw.
+    Vertical-rate commands are piecewise constant over each step; both
+    aircraft fly straight.  log_probability accumulates the log of every
+    CPT draw.
     """
 
     dt: float
     n_steps: int
     own_vrate: np.ndarray
     int_vrate: np.ndarray
-    own_turn: np.ndarray
-    int_turn: np.ndarray
     own_speed: float
     int_speed: float
     own_pos0: Tuple[float, float]
@@ -145,184 +141,190 @@ class SampledEncounter:
     def __post_init__(self) -> None:
         if not math.isfinite(self.log_probability):
             raise ValueError("sample log-probability must be finite")
-        for name in ("own_vrate", "int_vrate", "own_turn", "int_turn"):
+        for name in ("own_vrate", "int_vrate"):
             if len(getattr(self, name)) != self.n_steps:
                 raise ValueError("command series length must equal duration/dt")
 
 
 def sample_initial(model: EncounterModel, rng: np.random.Generator) -> Assignment:
     """Ancestral draw of the initial-state network."""
-    asn, _ = _sample_with_logp(model.initial_net, rng)
-    return asn
+    return ancestral_sample(model.initial_net, rng)
 
 
 def sample_transition(
     model: EncounterModel, current: Assignment, rng: np.random.Generator
 ) -> Assignment:
     """Propagate an assignment one step through the dynamic network."""
-    nxt, _, _ = _transition_with_logp(model, current, rng)
-    return nxt
-
-
-def _sample_with_logp(
-    net: DiscreteBayesNet,
-    rng: np.random.Generator,
-    given_bins: Optional[Dict[int, int]] = None,
-) -> Tuple[Assignment, float]:
-    """Ancestral sampling that accumulates the log-probability of its draws."""
-    if not net.is_fitted:
-        raise ValueError("network has no fitted CPTs")
-    given_bins = given_bins or {}
-    n = len(net.nodes)
-    bins = np.zeros(n, dtype=int)
-    values = np.full(n, np.nan)
-    logp = 0.0
-    for i in range(n):
-        if i in given_bins:
-            bins[i] = given_bins[i]
-            continue
-        row = net.parent_row_index(i, bins)
-        probs = net.cpt[i][row]
-        b = _draw_bin(probs, rng)
-        bins[i] = b
-        logp += math.log(probs[b])
-        lo, hi = net.bins[i][b], net.bins[i][b + 1]
-        values[i] = rng.uniform(lo, hi) if hi > lo else lo
-    return Assignment(bins=bins, values=values), logp
-
-
-def _transition_with_logp(
-    model: EncounterModel, current: Assignment, rng: np.random.Generator
-) -> Tuple[Assignment, float, np.ndarray]:
-    """One dynamic-net step; returns (next assignment, logp, full bin row)."""
     n = len(model.initial_net.nodes)
-    given = {i: int(current.bins[i]) for i in range(n)}
-    asn, logp = _sample_with_logp(model.transition_net, rng, given)
+    asn = ancestral_sample(model.transition_net, rng, {i: int(current.bins[i]) for i in range(n)})
     bins = current.bins.copy()
     values = current.values.copy()
     for j, base in model.next_node_map:
         bins[base] = asn.bins[j]
         values[base] = asn.values[j]
-    return Assignment(bins=bins, values=values), logp, asn.bins.copy()
+    return Assignment(bins=bins, values=values)
 
 
-def _sample_trajectory(
-    model: EncounterModel, rng: np.random.Generator
-) -> Tuple[Assignment, DrawRecord, float, np.ndarray, np.ndarray]:
-    """Sample one full trajectory: initial state plus a command chain."""
-    init, logp = _sample_with_logp(model.initial_net, rng)
-    own_idx = model.initial_net.node_index(VAR_OWN_VRATE)
-    int_idx = model.initial_net.node_index(VAR_INT_VRATE)
-    n_steps = model.n_steps
-    own_cmd = np.empty(n_steps)
-    int_cmd = np.empty(n_steps)
-    own_cmd[0] = init.values[own_idx]
-    int_cmd[0] = init.values[int_idx]
-    rows = np.zeros((n_steps - 1, len(model.transition_net.nodes)), dtype=int)
-    current = init
+def _sample_trajectories(
+    model: EncounterModel, u: np.ndarray, cursor: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One trajectory (initial state plus command chain) per row of u.
+
+    Each step is sample_transition over the batch.  Returns the initial
+    bins and values (B, n), the transition-net bin rows (B, n_steps - 1,
+    n_transition) and the own and intruder rate commands (B, 2, n_steps).
+    """
+    init_net, trans_net = model.initial_net, model.transition_net
+    batch, n, n_steps = len(u), len(init_net.nodes), model.n_steps
+    bins = np.zeros((batch, n), dtype=int)
+    values = np.full((batch, n), np.nan)
+    ancestral_sample_many(init_net, u, cursor, bins, values)
+    init_bins, init_values = bins.copy(), values.copy()
+    rates = [init_net.node_index(VAR_OWN_VRATE), init_net.node_index(VAR_INT_VRATE)]
+    cmds = np.empty((batch, 2, n_steps))
+    cmds[:, :, 0] = values[:, rates]
+    nxt = [j for j, _ in model.next_node_map]
+    base = [i for _, i in model.next_node_map]
+    rows = np.zeros((batch, n_steps - 1, len(trans_net.nodes)), dtype=int)
+    next_values = np.full((batch, len(trans_net.nodes)), np.nan)
     for k in range(1, n_steps):
-        current, lp, row = _transition_with_logp(model, current, rng)
-        logp += lp
-        rows[k - 1] = row
-        own_cmd[k] = current.values[own_idx]
-        int_cmd[k] = current.values[int_idx]
-    record = DrawRecord(initial_bins=init.bins.copy(), transition_rows=rows)
-    return init, record, logp, own_cmd, int_cmd
+        row = rows[:, k - 1]
+        row[:, :n] = bins
+        ancestral_sample_many(trans_net, u, cursor, row, next_values, nxt)
+        bins[:, base] = row[:, nxt]
+        values[:, base] = next_values[:, nxt]
+        cmds[:, :, k] = values[:, rates]
+    return init_bins, init_values, rows, cmds
 
 
-def build_encounter(model: EncounterModel, rng: np.random.Generator) -> SampledEncounter:
-    """Sample a complete encounter.
+def _log_likelihoods(
+    model: EncounterModel, initial_bins: np.ndarray, transition_rows: np.ndarray
+) -> np.ndarray:
+    """Log-likelihood of each row of a batch of draw records.
+
+    initial_bins is (B, n) and transition_rows (B, n_steps - 1,
+    n_transition).  Terms are added in trace_log_likelihood's order: the
+    initial nodes one by one, then one (0.0 + each next node) term per step.
+    """
+    init_net, trans_net = model.initial_net, model.transition_net
+    terms = [
+        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[:, i]]
+        for i in range(len(init_net.nodes))
+    ]
+    step = np.zeros(transition_rows.shape[:2])
+    for j, _ in model.next_node_map:
+        step = step + trans_net.log_cpt[j][trans_net.parent_rows(j, transition_rows),
+                                           transition_rows[..., j]]
+    # cumsum adds left to right, as the scalar loops do; np.sum would not.
+    return np.cumsum(np.column_stack(terms + [step]), axis=1)[:, -1]
+
+
+def build_encounters(
+    model: EncounterModel, rngs: Sequence[np.random.Generator]
+) -> List[SampledEncounter]:
+    """Sample one encounter from each generator, the whole chunk at once.
 
     Correlated mode draws one joint trajectory pair on a head-on collision
     course whose separation is lost at the sampled tau0.  Uncorrelated mode
-    draws two independent trajectories and translates the intruder so the
-    minimum horizontal range in the window hits a uniformly drawn miss
-    distance at a uniformly drawn time.
+    draws two independent trajectories and translates the intruder so its
+    straight relative track passes a uniformly drawn miss distance (< 500
+    ft) from the ownship at a uniformly drawn time in the run.
+
+    Every draw is a random() for a bin and lo + (hi - lo) * random() for a
+    value in a bin with width, so each generator first gives one block of
+    the most uniforms its encounter can use and is then left exactly as
+    far advanced as the uniforms the encounter used.  The encounter drawn
+    from a generator does not depend on the rest of the chunk.
     """
     for name in REQUIRED_VARS:
         if name not in model.initial_net.nodes:
             raise EncounterError(f"model is missing required variable {name!r}")
-    n_steps = model.n_steps
-    zeros = np.zeros(n_steps)
-    if model.mode == CORRELATED:
-        init, record, logp, own_cmd, int_cmd = _sample_trajectory(model, rng)
-        vals = init.values
-        closure = float(vals[model.initial_net.node_index(VAR_CLOSURE)])
-        tau0 = float(vals[model.initial_net.node_index(VAR_TAU0)])
-        alt = float(vals[model.initial_net.node_index(VAR_ALT)])
-        r0 = SEPARATION_THRESHOLD_FT + closure * tau0
-        return SampledEncounter(
+    correlated = model.mode == CORRELATED
+    # At most a bin and a value uniform per draw, plus two for placement.
+    n_init = len(model.initial_net.nodes)
+    n_next = len(model.transition_net.nodes) - n_init
+    per_trajectory = 2 * n_init + 2 * n_next * (model.n_steps - 1)
+    width = per_trajectory if correlated else 2 * per_trajectory + 2
+    states = [rng.bit_generator.state for rng in rngs]
+    u = np.array([rng.random(width) for rng in rngs]).reshape(len(rngs), width)
+    cursor = np.zeros(len(rngs), dtype=int)
+    trajectories = [_sample_trajectories(model, u, cursor) for _ in range(1 if correlated else 2)]
+    if not correlated:
+        batch = np.arange(len(rngs))
+        placement = zip(u[batch, cursor].tolist(), u[batch, cursor + 1].tolist())
+        cursor += 2
+    for rng, state, used in zip(rngs, states, cursor.tolist()):
+        if used < width:
+            rng.bit_generator.state = state
+            rng.random(used)
+
+    log_p = 0.0
+    for init_bins, _, rows, _ in trajectories:
+        log_p = log_p + _log_likelihoods(model, init_bins, rows)
+    log_p = log_p.tolist()
+    # Ownship variables from the first trajectory, intruder variables from
+    # the last (the same one in correlated mode).
+    _, own_values, _, own_cmds = trajectories[0]
+    _, int_values, _, int_cmds = trajectories[-1]
+    index = model.initial_net.node_index
+    closure, tau0, alt = index(VAR_CLOSURE), index(VAR_TAU0), index(VAR_ALT)
+    encs = []
+    for b, (own, intr) in enumerate(zip(own_values.tolist(), int_values.tolist())):
+        own_speed, int_speed = own[closure] / 2.0, intr[closure] / 2.0
+        if correlated:
+            int_pos0 = (SEPARATION_THRESHOLD_FT + own[closure] * own[tau0], 0.0)
+        else:
+            t_u, miss_u = next(placement)
+            vr = (-int_speed - own_speed, 0.0)
+            speed = math.hypot(*vr)
+            # uniform(0, duration) and uniform(0, 500 ft).
+            t_star = model.duration * t_u
+            miss = NMAC_HORIZONTAL_FT * miss_u
+            if speed > 0.0:
+                ux, uy = vr[0] / speed, vr[1] / speed
+                nhat = (-uy, ux)
+            else:
+                nhat = (1.0, 0.0)
+            int_pos0 = (nhat[0] * miss - vr[0] * t_star, nhat[1] * miss - vr[1] * t_star)
+        # Each encounter gets its own arrays: a view would keep the whole
+        # chunk alive for as long as any one encounter of it is kept.
+        encs.append(SampledEncounter(
             dt=model.dt,
-            n_steps=n_steps,
-            own_vrate=own_cmd,
-            int_vrate=int_cmd,
-            own_turn=zeros,
-            int_turn=zeros.copy(),
-            own_speed=closure / 2.0,
-            int_speed=closure / 2.0,
+            n_steps=model.n_steps,
+            own_vrate=own_cmds[b, 0].copy(),
+            int_vrate=int_cmds[b, 1].copy(),
+            own_speed=own_speed,
+            int_speed=int_speed,
             own_pos0=(0.0, 0.0),
-            int_pos0=(r0, 0.0),
+            int_pos0=int_pos0,
             own_heading=0.0,
             int_heading=math.pi,
-            own_alt0=alt,
-            int_alt0=alt,
-            log_probability=logp,
+            own_alt0=own[alt],
+            int_alt0=intr[alt],
+            log_probability=log_p[b],
             mode=model.mode,
-            draws=(record,),
-        )
+            draws=tuple(
+                DrawRecord(initial_bins=bins[b].copy(), transition_rows=rows[b].copy())
+                for bins, _, rows, _ in trajectories
+            ),
+        ))
+    return encs
 
-    # Uncorrelated: ownship variables from draw A, intruder variables from an
-    # independent draw B, then horizontal placement.
-    initA, recA, lpA, own_cmd, _ = _sample_trajectory(model, rng)
-    initB, recB, lpB, _, int_cmd = _sample_trajectory(model, rng)
-    own_speed = float(initA.values[model.initial_net.node_index(VAR_CLOSURE)]) / 2.0
-    int_speed = float(initB.values[model.initial_net.node_index(VAR_CLOSURE)]) / 2.0
-    own_alt = float(initA.values[model.initial_net.node_index(VAR_ALT)])
-    int_alt = float(initB.values[model.initial_net.node_index(VAR_ALT)])
-    int_heading = math.pi
-    vr = (-int_speed - own_speed, 0.0)
-    speed = math.hypot(*vr)
-    for _ in range(PLACEMENT_MAX_RETRIES):
-        t_star = rng.uniform(0.0, model.duration)
-        miss = rng.uniform(0.0, NMAC_HORIZONTAL_FT)
-        if speed > 0.0:
-            ux, uy = vr[0] / speed, vr[1] / speed
-            nhat = (-uy, ux)
-        else:
-            nhat = (1.0, 0.0)
-        rel0 = (nhat[0] * miss - vr[0] * t_star, nhat[1] * miss - vr[1] * t_star)
-        ok = False
-        for k in range(n_steps + 1):
-            t = k * model.dt
-            tau = horizontal_tau_xy(
-                (rel0[0] + vr[0] * t, rel0[1] + vr[1] * t), vr, SEPARATION_THRESHOLD_FT
-            )
-            if tau is not None and tau <= PLACEMENT_TAU_MAX_S:
-                ok = True
-                break
-        if ok:
-            return SampledEncounter(
-                dt=model.dt,
-                n_steps=n_steps,
-                own_vrate=own_cmd,
-                int_vrate=int_cmd,
-                own_turn=zeros,
-                int_turn=zeros.copy(),
-                own_speed=own_speed,
-                int_speed=int_speed,
-                own_pos0=(0.0, 0.0),
-                int_pos0=rel0,
-                own_heading=0.0,
-                int_heading=int_heading,
-                own_alt0=own_alt,
-                int_alt0=int_alt,
-                log_probability=lpA + lpB,
-                mode=model.mode,
-                draws=(recA, recB),
-            )
-    raise EncounterError(
-        f"uncorrelated placement failed after {PLACEMENT_MAX_RETRIES} retries"
-    )
+
+def build_encounter(model: EncounterModel, rng: np.random.Generator) -> SampledEncounter:
+    """Sample a complete encounter: build_encounters on a chunk of one."""
+    return build_encounters(model, [rng])[0]
+
+
+def _check_records(model: EncounterModel, enc: SampledEncounter) -> None:
+    expected_records = 1 if model.mode == CORRELATED else 2
+    if len(enc.draws) != expected_records:
+        raise ValueError("encounter draw records do not match the model mode")
+    if enc.n_steps != model.n_steps:
+        raise ValueError("encounter length does not match the model duration")
+    shape = (model.n_steps - 1, len(model.transition_net.nodes))
+    if any(record.transition_rows.shape != shape for record in enc.draws):
+        raise ValueError("transition rows do not match the model networks")
 
 
 def trace_log_likelihood(model: EncounterModel, enc: SampledEncounter) -> float:
@@ -332,19 +334,10 @@ def trace_log_likelihood(model: EncounterModel, enc: SampledEncounter) -> float:
     same bins, so only CPT bin probabilities are scored.  A zero-probability
     bin yields -inf and raises LikelihoodSupportWarning.
     """
-    expected_records = 1 if model.mode == CORRELATED else 2
-    if len(enc.draws) != expected_records:
-        raise ValueError("encounter draw records do not match the model mode")
-    if enc.n_steps != model.n_steps:
-        raise ValueError("encounter length does not match the model duration")
+    _check_records(model, enc)
     next_nodes = [j for j, _ in model.next_node_map]
     total = 0.0
     for record in enc.draws:
-        if record.transition_rows.shape != (
-            model.n_steps - 1,
-            len(model.transition_net.nodes),
-        ):
-            raise ValueError("transition rows do not match the model networks")
         lp = log_prob_bins(model.initial_net, record.initial_bins)
         for row in record.transition_rows:
             if not math.isfinite(lp):
@@ -357,6 +350,26 @@ def trace_log_likelihood(model: EncounterModel, enc: SampledEncounter) -> float:
             )
             return -math.inf
         total += lp
+    return total
+
+
+def trace_log_likelihoods(
+    model: EncounterModel, encs: Sequence[SampledEncounter]
+) -> np.ndarray:
+    """trace_log_likelihood of each encounter of a chunk, bit for bit.
+
+    A zero-probability bin yields -inf without a warning: callers report
+    the zero weight in their own output.
+    """
+    for enc in encs:
+        _check_records(model, enc)
+    total = 0.0
+    for r in range(1 if model.mode == CORRELATED else 2):
+        total = total + _log_likelihoods(
+            model,
+            np.stack([enc.draws[r].initial_bins for enc in encs]),
+            np.stack([enc.draws[r].transition_rows for enc in encs]),
+        )
     return total
 
 

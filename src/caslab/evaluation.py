@@ -41,7 +41,9 @@ from .encounters import (
     EncounterModel,
     SampledEncounter,
     build_encounter,
+    build_encounters,
     trace_log_likelihood,
+    trace_log_likelihoods,
 )
 from .optimizer import LogicTable
 from .runtime import (
@@ -469,8 +471,14 @@ def _run_chunk(
     Returns the encounters and, per equipage, their outcomes in index order;
     each equals run_indexed_encounter's outcome for the same index.
     """
-    encs = [build_encounter(model, np.random.default_rng([seed, enc_stream, i])) for i in indices]
-    log_weights = [_log_weight(model, nominal, enc) for enc in encs]
+    encs = build_encounters(model, [np.random.default_rng([seed, enc_stream, i]) for i in indices])
+    if nominal is None:
+        log_weights = [0.0] * len(encs)
+    else:
+        # trace_log_likelihood(model, enc) is enc.log_probability bit for bit.
+        log_weights = (
+            trace_log_likelihoods(nominal, encs) - np.array([e.log_probability for e in encs])
+        ).tolist()
     outcomes = []
     for eq in equipages:
         rngs = [np.random.default_rng([seed, sim_stream, i]) for i in indices]

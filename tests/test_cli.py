@@ -1,16 +1,23 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import caslab
 import numpy as np
 from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, dump_config, load_config
 from caslab.core import ADVISORIES
 from caslab.encounters import (
     default_structure,
+    default_uncorrelated_model,
     read_model_file,
     toy_two_bin_model,
     write_model_file,
 )
+from caslab.evaluation import Equipage, cross_entropy_adapt
 from caslab.tablefile import read_table
 
 
@@ -128,6 +135,37 @@ class TestEvaluate:
         assert m["alert_rate"] > 1.0
         with open(out / "per_encounter.csv") as f:
             assert len(list(csv.reader(f))) == 11
+
+    def test_zero_weights_leave_stderr_empty(self, tmp_path):
+        # This CE proposal leaves the nominal's support on some draws: their
+        # IS weight is 0 (log_weight -inf in per_encounter.csv), and the run
+        # must not print anything beside its outputs.
+        nominal = default_uncorrelated_model()
+        proposal = cross_entropy_adapt(
+            nominal, nominal, Equipage(own="tcas", intruder="none"), 2, 150, 0.3, seed=1
+        )
+        write_model_file(proposal, tmp_path / "proposal.json")
+        cfg = small_grid_config(
+            tmp_path,
+            paths={"proposal_file": str(tmp_path / "proposal.json")},
+            encounter={"mode": "uncorrelated"},
+            evaluation={"n": 200, "equipage": ["none", "none"], "per_encounter_csv": True},
+        )
+        out = tmp_path / "is"
+        env = dict(os.environ)
+        src = str(Path(caslab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "caslab", "evaluate", "--config", str(cfg),
+             "--seed", "1", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        with open(out / "per_encounter.csv") as f:
+            log_weights = [float(r["log_weight"]) for r in csv.DictReader(f)]
+        assert len(log_weights) == 200
+        assert "-inf" in {repr(w) for w in log_weights}
 
 
 class TestErrors:

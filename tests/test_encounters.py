@@ -1,15 +1,20 @@
+import dataclasses
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from caslab.bayesnet import DiscreteBayesNet
+from caslab.bayesnet import DiscreteBayesNet, ancestral_sample, ancestral_sample_many
+from caslab.core import horizontal_tau_xy
 from caslab.encounters import (
     CORRELATED,
     UNCORRELATED,
     EncounterModel,
     LikelihoodSupportWarning,
     build_encounter,
+    build_encounters,
     default_correlated_model,
     default_structure,
     default_uncorrelated_model,
@@ -21,8 +26,10 @@ from caslab.encounters import (
     sample_transition,
     toy_two_bin_model,
     trace_log_likelihood,
+    trace_log_likelihoods,
     write_model_file,
 )
+from caslab.evaluation import Equipage, _run_chunk, cross_entropy_adapt
 
 ONE = np.array([[1.0]])
 
@@ -326,3 +333,156 @@ class TestModelFile:
         d["schema_version"] = 99
         with pytest.raises(ValueError):
             model_from_dict(d)
+
+
+# sha256 over every field of encounters 0..199 built from the generators
+# default_rng([11, 0, i]), recorded from the per-encounter sampler that
+# build_encounters replaced.  A change here changes every seeded result.
+PINNED_DIGESTS = {
+    "correlated": "1f72683fda2a19487d7c5c038fd015b09980f729995f78f11f76ae60a9ab4aaf",
+    "uncorrelated": "174c1791e34c3a4f3e04d395190c63e3cc20e5f5e6b901e581b24c8ddacf46ad",
+    "toy": "978ff6f100c80db55de7f7f51961f32c9105c59c564a0ae1785480bc7ef637c2",
+    "uncorrelated_dt05": "63a666662d7f54f759ed44bc5c35a4091ed33a16d8711ff20b752d24c8a3bcc4",
+    "uncorrelated_dt2": "b6258b39daa5d58fd36173aaaa51d77361c17fc0f4c294ac5a3ad310e49f2bc2",
+    "ce_proposal": "b112835afebffbe26683b1b4eb016373353f723755a67f26220dd6a461ef17ce",
+}
+
+
+def ce_proposal():
+    nominal = default_uncorrelated_model()
+    return cross_entropy_adapt(
+        nominal, nominal, Equipage(own="tcas", intruder="none"), 2, 150, 0.3, seed=1
+    )
+
+
+PINNED_MODELS = {
+    "correlated": default_correlated_model,
+    "uncorrelated": default_uncorrelated_model,
+    "toy": toy_two_bin_model,
+    "uncorrelated_dt05": lambda: default_uncorrelated_model(dt=0.5),
+    "uncorrelated_dt2": lambda: default_uncorrelated_model(dt=2.0),
+    "ce_proposal": ce_proposal,
+}
+
+
+def encounter_digest(encs):
+    h = hashlib.sha256()
+    for e in encs:
+        h.update(e.mode.encode())
+        h.update(np.array([e.dt, e.n_steps], dtype=np.float64).tobytes())
+        h.update(np.asarray(e.own_vrate, dtype=np.float64).tobytes())
+        h.update(np.asarray(e.int_vrate, dtype=np.float64).tobytes())
+        h.update(np.array([e.own_speed, e.int_speed, *e.own_pos0, *e.int_pos0,
+                           e.own_heading, e.int_heading, e.own_alt0, e.int_alt0,
+                           e.log_probability], dtype=np.float64).tobytes())
+        for r in e.draws:
+            h.update(np.asarray(r.initial_bins, dtype=np.int64).tobytes())
+            h.update(np.asarray(r.transition_rows, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def seeded_rngs(indices, seed=11):
+    return [np.random.default_rng([seed, 0, i]) for i in indices]
+
+
+def build_in_chunks(model, n, size):
+    encs = []
+    for start in range(0, n, size):
+        encs += build_encounters(model, seeded_rngs(range(start, min(start + size, n))))
+    return encs
+
+
+class TestBatchedSampler:
+    @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+    def test_seed_to_encounter_map_pinned(self, name):
+        model = PINNED_MODELS[name]()
+        encs = build_encounters(model, seeded_rngs(range(200)))
+        assert encounter_digest(encs) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("make", [default_correlated_model, default_uncorrelated_model,
+                                      toy_two_bin_model])
+    def test_chunk_invariance(self, make):
+        model = make()
+        digests = {size: encounter_digest(build_in_chunks(model, 70, size)) for size in (1, 7, 64)}
+        assert len(set(digests.values())) == 1
+
+    @pytest.mark.parametrize("make", [default_correlated_model, toy_two_bin_model])
+    def test_initial_net_matches_ancestral_sample(self, make):
+        net = make().initial_net
+        n = len(net.nodes)
+        for seed in range(20):
+            asn = ancestral_sample(net, np.random.default_rng(seed))
+            u = np.random.default_rng(seed).random((1, 2 * n))
+            cursor = np.zeros(1, dtype=int)
+            bins = np.zeros((1, n), dtype=int)
+            values = np.full((1, n), np.nan)
+            ancestral_sample_many(net, u, cursor, bins, values)
+            assert bins[0].tolist() == asn.bins.tolist()
+            assert values[0].tolist() == asn.values.tolist()
+
+    @pytest.mark.parametrize("make", [default_correlated_model, toy_two_bin_model])
+    def test_trajectory_matches_scalar_chain(self, make):
+        # The toy model's altitude bin has no width, so its draws use fewer
+        # uniforms than the block holds: the generator must still end where
+        # the scalar chain leaves it.
+        model = make()
+        own, intr = model.initial_net.node_index("own_vrate"), model.initial_net.node_index("int_vrate")
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            enc = build_encounter(model, rng)
+            ref = np.random.default_rng(seed)
+            current = sample_initial(model, ref)
+            assert enc.draws[0].initial_bins.tolist() == current.bins.tolist()
+            rates = [(current.values[own], current.values[intr])]
+            for _ in range(model.n_steps - 1):
+                current = sample_transition(model, current, ref)
+                rates.append((current.values[own], current.values[intr]))
+            assert list(zip(enc.own_vrate.tolist(), enc.int_vrate.tolist())) == rates
+            assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
+    def test_log_probability_is_trace_log_likelihood(self, name):
+        model = PINNED_MODELS[name]()
+        encs = build_encounters(model, seeded_rngs(range(40), seed=5))
+        scalar = [trace_log_likelihood(model, e) for e in encs]
+        assert [e.log_probability for e in encs] == scalar
+        assert trace_log_likelihoods(model, encs).tolist() == scalar
+
+    def test_chunk_log_weights_match_scalar(self):
+        nominal = default_uncorrelated_model()
+        hard_zero = hard_zero_toy()
+        for proposal, nom, n in ((ce_proposal(), nominal, 200),
+                                 (toy_two_bin_model(p_conflict=0.5), hard_zero, 40)):
+            encs, (outcomes,) = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", LikelihoodSupportWarning)
+                expected = [trace_log_likelihood(nom, e) - trace_log_likelihood(proposal, e)
+                            for e in encs]
+            assert [o.log_weight for o in outcomes] == expected
+            assert -math.inf in expected
+
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("make", [default_uncorrelated_model, toy_two_bin_model])
+    def test_placement_reaches_separation_within_a_step(self, make, dt):
+        # The relative track passes within 500 ft at t_star, so at the last
+        # step before t_star the pair is at most one step from losing
+        # separation: placement never needs a retry.
+        model = dataclasses.replace(make(dt=dt), mode=UNCORRELATED)
+        for enc in build_encounters(model, seeded_rngs(range(200), seed=21)):
+            vr = (-enc.int_speed - enc.own_speed, 0.0)
+            taus = [
+                horizontal_tau_xy((enc.int_pos0[0] + vr[0] * k * dt, enc.int_pos0[1] + vr[1] * k * dt),
+                                  vr, 500.0)
+                for k in range(enc.n_steps + 1)
+            ]
+            assert min(t for t in taus if t is not None) <= dt + 1e-9
+
+
+def hard_zero_toy():
+    """The toy model with tau0's first bin at probability 0."""
+    toy = toy_two_bin_model(p_conflict=1e-12)
+    cpt = list(toy.initial_net.cpt)
+    cpt[4] = np.array([[0.0, 1.0]])
+    return dataclasses.replace(
+        toy, initial_net=dataclasses.replace(toy.initial_net, cpt=tuple(cpt))
+    )

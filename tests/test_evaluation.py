@@ -33,14 +33,11 @@ from caslab.runtime import (
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
-    zeros = np.zeros(n_steps)
     return SampledEncounter(
         dt=dt,
         n_steps=n_steps,
         own_vrate=np.full(n_steps, own_vr),
         int_vrate=np.full(n_steps, int_vr),
-        own_turn=zeros,
-        int_turn=zeros.copy(),
         own_speed=closure / 2,
         int_speed=closure / 2,
         own_pos0=(0.0, 0.0),

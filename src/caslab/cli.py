@@ -31,11 +31,14 @@ from .encounters import (
     write_model_file,
 )
 from .evaluation import (
+    CHUNK_ENCOUNTERS,
     Equipage,
+    _chunks,
     _report,
     _run_batch,
     risk_ratio,
     run_indexed_encounter,
+    run_indexed_traces,
 )
 from .optimizer import backward_induction, policy_slice
 from .tablefile import TableFormatError, read_table, write_table
@@ -202,9 +205,9 @@ def _cmd_sample(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = Equipage()
-    for i in range(int(cfg["sample"]["count"])):
-        _, trace, _ = run_indexed_encounter(model, eq, seed, i)
-        write_trace_csv(trace, out_dir / f"encounter_{i:04d}.csv")
+    for indices in _chunks(0, int(cfg["sample"]["count"]), CHUNK_ENCOUNTERS):
+        for i, trace in zip(indices, run_indexed_traces(model, eq, seed, indices)):
+            write_trace_csv(trace, out_dir / f"encounter_{i:04d}.csv")
 
 
 def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:

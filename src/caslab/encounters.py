@@ -234,8 +234,11 @@ def build_encounters(
     value in a bin with width, so each generator first gives one block of
     the most uniforms its encounter can use and is then left exactly as
     far advanced as the uniforms the encounter used.  The encounter drawn
-    from a generator does not depend on the rest of the chunk.
+    from a generator does not depend on the rest of the chunk.  The
+    generators must be distinct objects.
     """
+    if len({id(rng) for rng in rngs}) != len(rngs):
+        raise ValueError("each encounter of a chunk needs its own generator")
     for name in REQUIRED_VARS:
         if name not in model.initial_net.nodes:
             raise EncounterError(f"model is missing required variable {name!r}")

@@ -42,7 +42,6 @@ from .encounters import (
     SampledEncounter,
     build_encounter,
     build_encounters,
-    trace_log_likelihood,
     trace_log_likelihoods,
 )
 from .optimizer import LogicTable
@@ -361,6 +360,34 @@ def _fly(
     return flags, severity, (x_trace, y_trace, vel, zs, vzs, adv_hist, events)
 
 
+def simulate_encounters(
+    encs: Sequence[SampledEncounter], eq: Equipage, rngs: Sequence[np.random.Generator]
+) -> List[EncounterTrace]:
+    """Run a chunk of encounters in lockstep and build each one's trace.
+
+    rngs[b] is encounter b's simulation stream; each trace equals
+    simulate_encounter(encs[b], eq, rngs[b]).
+    """
+    _, _, (x, y, vel, z, vz, adv, events) = _fly(encs, eq, rngs)
+    traces = []
+    for b, enc in enumerate(encs):
+        n = enc.n_steps + 1
+        tracks = [
+            AircraftTrack(dt=enc.dt, x=x[b, i], y=y[b, i], z=z[b, i],
+                          vx=np.full(n, vel[b, i, 0]), vy=np.full(n, vel[b, i, 1]), vz=vz[b, i])
+            for i in (0, 1)
+        ]
+        traces.append(EncounterTrace(
+            ownship=tracks[0],
+            intruder=tracks[1],
+            advisories=tuple((ADVISORIES[a0], ADVISORIES[a1]) for a0, a1 in adv[b].tolist()),
+            events=tuple(
+                frozenset(f for f in _EVENT_FLAGS if bits & _BIT[f]) for bits in events[b].tolist()
+            ),
+        ))
+    return traces
+
+
 def simulate_encounter(
     enc: SampledEncounter, eq: Equipage, rng: np.random.Generator
 ) -> EncounterTrace:
@@ -368,21 +395,7 @@ def simulate_encounter(
 
     This is the lockstep simulator at B=1.
     """
-    _, _, (x, y, vel, z, vz, adv, events) = _fly([enc], eq, [rng])
-    n = enc.n_steps + 1
-    tracks = [
-        AircraftTrack(dt=enc.dt, x=x[0, i], y=y[0, i], z=z[0, i],
-                      vx=np.full(n, vel[0, i, 0]), vy=np.full(n, vel[0, i, 1]), vz=vz[0, i])
-        for i in (0, 1)
-    ]
-    return EncounterTrace(
-        ownship=tracks[0],
-        intruder=tracks[1],
-        advisories=tuple((ADVISORIES[a0], ADVISORIES[a1]) for a0, a1 in adv[0].tolist()),
-        events=tuple(
-            frozenset(f for f in _EVENT_FLAGS if bits & _BIT[f]) for bits in events[0].tolist()
-        ),
-    )
+    return simulate_encounters([enc], eq, [rng])[0]
 
 
 def trace_severity(trace: EncounterTrace) -> float:
@@ -433,19 +446,11 @@ def _outcome_of_flags(flags: int, severity: float, log_weight: float) -> Encount
     )
 
 
-def _log_weight(model: EncounterModel, nominal: Optional[EncounterModel],
-                enc: SampledEncounter) -> float:
-    if nominal is None:
-        return 0.0
-    return trace_log_likelihood(nominal, enc) - trace_log_likelihood(model, enc)
-
-
 def run_indexed_encounter(
     model: EncounterModel,
     eq: Equipage,
     seed: int,
     index: int,
-    nominal: Optional[EncounterModel] = None,
     enc_stream: int = STREAM_ENCOUNTER,
     sim_stream: int = STREAM_SIMULATE,
 ) -> Tuple[SampledEncounter, EncounterTrace, EncounterOutcome]:
@@ -454,7 +459,24 @@ def run_indexed_encounter(
     enc = build_encounter(model, enc_rng)
     sim_rng = np.random.default_rng([seed, sim_stream, index])
     trace = simulate_encounter(enc, eq, sim_rng)
-    return enc, trace, _outcome_of(trace, _log_weight(model, nominal, enc))
+    return enc, trace, _outcome_of(trace, 0.0)
+
+
+def run_indexed_traces(
+    model: EncounterModel,
+    eq: Equipage,
+    seed: int,
+    indices: Sequence[int],
+    enc_stream: int = STREAM_ENCOUNTER,
+    sim_stream: int = STREAM_SIMULATE,
+) -> List[EncounterTrace]:
+    """Traces of the indexed encounters, built and flown as one chunk.
+
+    Each equals run_indexed_encounter's trace for the same index.
+    """
+    encs = build_encounters(model, [np.random.default_rng([seed, enc_stream, i]) for i in indices])
+    rngs = [np.random.default_rng([seed, sim_stream, i]) for i in indices]
+    return simulate_encounters(encs, eq, rngs)
 
 
 def _run_chunk(
@@ -469,7 +491,9 @@ def _run_chunk(
     """Build each indexed encounter once and fly every equipage over it.
 
     Returns the encounters and, per equipage, their outcomes in index order;
-    each equals run_indexed_encounter's outcome for the same index.
+    each equals run_indexed_encounter's outcome for the same index, except
+    that a nominal model gives it the IS log-weight of the nominal model
+    against model.
     """
     encs = build_encounters(model, [np.random.default_rng([seed, enc_stream, i]) for i in indices])
     if nominal is None:

@@ -461,13 +461,14 @@ class TestBatchedSampler:
             assert [o.log_weight for o in outcomes] == expected
             assert -math.inf in expected
 
-    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("duration,dt", [(50.0, 0.5), (50.0, 1.0), (50.0, 2.0), (80.0, 40.0)])
     @pytest.mark.parametrize("make", [default_uncorrelated_model, toy_two_bin_model])
-    def test_placement_reaches_separation_within_a_step(self, make, dt):
+    def test_placement_reaches_separation_within_a_step(self, make, duration, dt):
         # The relative track passes within 500 ft at t_star, so at the last
-        # step before t_star the pair is at most one step from losing
-        # separation: placement never needs a retry.
-        model = dataclasses.replace(make(dt=dt), mode=UNCORRELATED)
+        # step before t_star the pair is less than one step from losing
+        # separation.  A placement with tau <= 40 s at some step was never
+        # re-drawn, so up to dt = 40 s placement never needed a retry.
+        model = dataclasses.replace(make(duration=duration, dt=dt), mode=UNCORRELATED)
         for enc in build_encounters(model, seeded_rngs(range(200), seed=21)):
             vr = (-enc.int_speed - enc.own_speed, 0.0)
             taus = [
@@ -476,6 +477,11 @@ class TestBatchedSampler:
                 for k in range(enc.n_steps + 1)
             ]
             assert min(t for t in taus if t is not None) <= dt + 1e-9
+
+    def test_shared_generator_rejected(self):
+        rng = np.random.default_rng(1)
+        with pytest.raises(ValueError, match="own generator"):
+            build_encounters(default_correlated_model(), [rng, rng])
 
 
 def hard_zero_toy():

@@ -21,6 +21,7 @@ from caslab.evaluation import (
     is_estimate,
     risk_ratio,
     run_indexed_encounter,
+    run_indexed_traces,
     simulate_encounter,
     trace_severity,
 )
@@ -153,6 +154,20 @@ class TestLockstep:
                 indices = range(start, min(start + size, self.N))
                 chunked += _run_chunk(model, [eq], 61, indices)[1][0]
             assert chunked == traced, f"chunk size {size}"
+
+    @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
+    def test_chunk_traces_match_lone_traces(self, default_table, sides):
+        model = default_correlated_model()
+        eq = Equipage(own=sides[0], intruder=sides[1], table=default_table,
+                      belief_sigma_h=25.0, belief_sigma_rate=2.0)
+        chunked = run_indexed_traces(model, eq, 62, range(self.N))
+        for i, trace in enumerate(chunked):
+            lone = run_indexed_encounter(model, eq, 62, i)[1]
+            for a, b in ((trace.ownship, lone.ownship), (trace.intruder, lone.intruder)):
+                for field in ("x", "y", "z", "vx", "vy", "vz"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (i, field)
+            assert trace.advisories == lone.advisories
+            assert trace.events == lone.events
 
     def test_equipages_share_one_build(self, default_table):
         model = default_correlated_model()

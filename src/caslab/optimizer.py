@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from .core import ADVISORIES, Advisory, VerticalState, is_reversal, is_strengthening
 from .dynamics import IntruderModel, PilotModel, step_vertical
@@ -50,9 +49,10 @@ DEFAULT_RATE_CUTS = np.array(
 class Grid:
     """Discretization of the vertical conflict state space.
 
-    Cut points are strictly increasing; h cut points must be symmetric about
-    zero.  The tau axis runs 0..tau_max in unit steps and the advisory axis
-    is the canonical advisory tuple.
+    Cut points are finite and strictly increasing; h cut points must be
+    symmetric about zero.  The tau axis runs 0..tau_max in unit steps and the
+    advisory axis (the canonical advisory tuple by default) lists distinct
+    advisories, COC among them.
     """
 
     h_cuts: np.ndarray = field(default_factory=lambda: DEFAULT_H_CUTS.copy())
@@ -66,6 +66,8 @@ class Grid:
             cuts = np.asarray(getattr(self, name), dtype=float)
             if cuts.ndim != 1 or len(cuts) < 2:
                 raise ValueError(f"{name} needs at least two cut points")
+            if not np.all(np.isfinite(cuts)):
+                raise ValueError(f"{name} must be finite")
             if np.any(np.diff(cuts) <= 0):
                 raise ValueError(f"{name} must be strictly increasing")
             cuts = cuts.copy()
@@ -77,6 +79,8 @@ class Grid:
             raise ValueError("tau_max must be >= 0")
         if Advisory.COC not in self.advisories:
             raise ValueError("advisory axis must include COC")
+        if len(set(self.advisories)) != len(self.advisories):
+            raise ValueError("advisory axis must not repeat an advisory")
 
     @property
     def shape(self) -> Tuple[int, int, int, int, int]:
@@ -263,18 +267,19 @@ def _action_operator(
     grid: Grid,
     pilot: PilotModel,
     intruder: IntruderModel,
-) -> sparse.csr_matrix:
-    """Sparse one-step operator over the continuous sub-grid for action a.
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Fixed-width one-step operator over the continuous sub-grid for action a.
 
-    Row m holds the successor distribution (over continuous vertices) of the
-    m-th (h, hdot0, hdot1) vertex; tau and a_prev advance deterministically
-    and are handled by the DP loop.
+    Returns (idx, w), both of shape (max row entries, m).  Column j holds
+    operator row j, the successor distribution (over continuous vertices) of
+    the j-th (h, hdot0, hdot1) vertex: targets in ascending order, duplicate
+    targets summed in the order they arise, padding slots with weight 0.0.
+    tau and a_prev advance deterministically and are handled by the DP loop.
     """
     nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     H, V0, V1 = np.meshgrid(grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, indexing="ij")
     H, V0, V1 = H.ravel(), V0.ravel(), V1.ravel()
     m = H.size
-    src_all: List[np.ndarray] = []
     tgt_all: List[np.ndarray] = []
     w_all: List[np.ndarray] = []
     p = pilot.response_probability
@@ -282,6 +287,8 @@ def _action_operator(
     if p < 1.0:
         pilot_branches.append((False, 1.0 - p))
     target = a.target_rate_fps
+    # corner offsets (bh, b0, b1) of the enclosing cell, bh slowest
+    bh, b0, b1 = (np.array([0, 1]).reshape(shape) for shape in ((2, 1, 1, 1), (2, 1, 1), (2, 1)))
     for complying, w_pilot in pilot_branches:
         if complying and a is not Advisory.COC:
             step = pilot.acceleration * 1.0
@@ -299,27 +306,30 @@ def _action_operator(
             hp = H + dz1 - dz0
             ih, fh = _locate_many(hp, grid.h_cuts)
             i1, f1 = _locate_many(vz1p, grid.hdot1_cuts)
-            w_branch = w_pilot * w_sig
-            src = np.arange(m)
-            for bh in (0, 1):
-                wh = fh if bh else 1.0 - fh
-                for b0 in (0, 1):
-                    w0 = f0 if b0 else 1.0 - f0
-                    for b1 in (0, 1):
-                        w1 = f1 if b1 else 1.0 - f1
-                        w = w_branch * wh * w0 * w1
-                        mask = w > 0.0
-                        if not np.any(mask):
-                            continue
-                        tgt = ((ih + bh) * n0 + (i0 + b0)) * n1 + (i1 + b1)
-                        src_all.append(src[mask])
-                        tgt_all.append(tgt[mask])
-                        w_all.append(w[mask])
-    mat = sparse.coo_matrix(
-        (np.concatenate(w_all), (np.concatenate(src_all), np.concatenate(tgt_all))),
-        shape=(m, m),
-    )
-    return mat.tocsr()
+            w = (
+                w_pilot * w_sig
+                * np.where(bh, fh, 1.0 - fh)
+                * np.where(b0, f0, 1.0 - f0)
+                * np.where(b1, f1, 1.0 - f1)
+            )
+            tgt = ((ih + bh) * n0 + (i0 + b0)) * n1 + (i1 + b1)
+            w_all.append(w.reshape(8, m))
+            tgt_all.append(tgt.reshape(8, m))
+    # entries in arrival order: branch, then corner, then source vertex
+    weights = np.concatenate(w_all)
+    mask = weights > 0.0
+    keys = (np.arange(m) * m + np.concatenate(tgt_all))[mask]
+    keys, inverse = np.unique(keys, return_inverse=True)
+    summed = np.zeros(len(keys))
+    np.add.at(summed, inverse, weights[mask])  # sequential, in arrival order
+    rows, cols = np.divmod(keys, m)
+    counts = np.bincount(rows, minlength=m)
+    slot = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+    idx = np.zeros((counts.max(), m), dtype=np.intp)
+    w = np.zeros((counts.max(), m))
+    idx[slot, rows] = cols
+    w[slot, rows] = summed
+    return idx, w
 
 
 def backward_induction(
@@ -332,7 +342,8 @@ def backward_induction(
 
     Works backward from tau=0 (terminal rewards) to tau_max; within a tau
     layer every state depends only on the previous layer, so each layer is
-    evaluated in one vectorized pass per action.
+    evaluated in one vectorized pass over all actions and written straight
+    into the table's (h, hdot0, hdot1, tau, a_prev, action) layout.
     """
     nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     na = len(grid.advisories)
@@ -344,27 +355,46 @@ def backward_induction(
         (np.abs(grid.h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
     )
 
-    operators = [
-        _action_operator(a, grid, pilot, intruder) for a in grid.advisories
-    ]
+    # Stack the operators side by side: column ia*m + j is vertex j under
+    # action ia, and its flat indices address best (below) raveled.  Columns
+    # are ordered longest first, so slot k touches only the prefix of columns
+    # that have a k-th entry; each column still sums its slots in order.
+    operators = [_action_operator(a, grid, pilot, intruder) for a in grid.advisories]
+    width = max(len(idx) for idx, _ in operators)
+    flat = np.zeros((width, na * m), dtype=np.intp)
+    weight = np.zeros((width, na * m))
+    for ia, (idx, w) in enumerate(operators):
+        flat[: len(idx), ia * m : (ia + 1) * m] = idx + ia * m
+        weight[: len(w), ia * m : (ia + 1) * m] = w
+    entries = np.count_nonzero(weight, axis=0)
+    order = np.argsort(-entries, kind="stable")
+    unorder = np.argsort(order)
+    lengths = np.count_nonzero(entries[:, None] > np.arange(width), axis=0)
+    slots = [(flat[k, order[:n]], weight[k, order[:n]]) for k, n in enumerate(lengths)]
 
-    # layer[itau] has axes (a_prev, m, action)
-    values = np.empty((ntau, na, m, na))
-    values[0] = cost[:, None, :] + collision[None, :, None]
+    # values[m, tau, a_prev, action]: the table layout with (h, hdot0, hdot1) raveled
+    values = np.empty((m, ntau, na, na))
+    values[:, 0] = collision[:, None, None] + cost
+    # best[a_prev, m]: the layer's best value over actions
+    best = np.ascontiguousarray(values[:, 0].max(axis=2).T)
+    acc = np.empty(na * m)
+    term = np.empty(na * m)
     for itau in range(1, ntau):
-        prev = values[itau - 1]
-        layer = np.empty((na, m, na))
-        for ia in range(na):
-            best_next = prev[ia].max(axis=1)
-            expected = operators[ia].dot(best_next)
-            layer[:, :, ia] = cost[:, ia, None] + expected[None, :]
-        values[itau] = layer
-        if not np.all(np.isfinite(layer)):
+        acc.fill(0.0)
+        for idx, w in slots:
+            n = len(idx)
+            np.take(best, idx, out=term[:n], mode="clip")
+            term[:n] *= w
+            acc[:n] += term[:n]
+        expected = acc[unorder].reshape(na, m)
+        values[:, itau] = expected.T[:, None, :] + cost
+        best = cost[:, 0, None] + expected[0]
+        for ia in range(1, na):
+            np.maximum(best, cost[:, ia, None] + expected[ia], out=best)
+        if not np.all(np.isfinite(values[:, itau])):
             raise OverflowError(f"non-finite values at tau={itau}")
 
-    # (tau, a_prev, m, action) -> (h, hdot0, hdot1, tau, a_prev, action)
-    table = values.reshape(ntau, na, nh, n0, n1, na).transpose(2, 3, 4, 0, 1, 5)
-    return LogicTable(grid=grid, values=np.ascontiguousarray(table))
+    return LogicTable(grid=grid, values=values.reshape(nh, n0, n1, ntau, na, na))
 
 
 def policy_slice(

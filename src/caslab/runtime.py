@@ -216,14 +216,9 @@ def apply_online_costs_many(
 
 def select_action(
     values: np.ndarray,
-    a_prev: Optional[Advisory] = None,
     advisories: Sequence[Advisory] = ADVISORIES,
 ) -> Advisory:
-    """Argmax advisory; ties break toward the canonical advisory order.
-
-    a_prev is accepted for interface symmetry with the table lookup chain
-    but does not affect the tie-break.
-    """
+    """Argmax advisory; ties break toward the canonical advisory order."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(advisories),):
         raise ValueError("value vector must match the advisory axis")

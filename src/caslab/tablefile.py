@@ -57,7 +57,8 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
         name = adv.value.encode("utf-8")
         f.write(struct.pack("<I", len(name)))
         f.write(name)
-    f.write(np.ascontiguousarray(table.values, dtype="<f4").tobytes())
+    for slab in table.values:  # one h cut at a time: no whole-table f32 copy
+        f.write(np.ascontiguousarray(slab, dtype="<f4"))
 
 
 def read_table(path) -> LogicTable:
@@ -82,24 +83,36 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     advisories = []
     for _ in range(adv_count):
         (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-        advisories.append(Advisory(_read_exact(f, name_len).decode("utf-8")))
+        name = _read_exact(f, name_len)
+        try:
+            advisories.append(Advisory(name.decode("utf-8")))
+        except ValueError:
+            raise TableFormatError(f"unknown advisory name {name!r}") from None
     tau_cuts = dims[3]
     if len(tau_cuts) < 1 or not np.array_equal(tau_cuts, np.arange(len(tau_cuts))):
         raise TableFormatError("tau axis must be 0..tau_max in unit steps")
-    grid = Grid(
-        h_cuts=dims[0],
-        hdot0_cuts=dims[1],
-        hdot1_cuts=dims[2],
-        tau_max=len(tau_cuts) - 1,
-        advisories=tuple(advisories),
-    )
-    shape = grid.shape + (adv_count,)
-    n_values = int(np.prod(shape))
-    raw = _read_exact(f, 4 * n_values)
+    try:
+        grid = Grid(
+            h_cuts=dims[0],
+            hdot0_cuts=dims[1],
+            hdot1_cuts=dims[2],
+            tau_max=len(tau_cuts) - 1,
+            advisories=tuple(advisories),
+        )
+    except ValueError as err:
+        raise TableFormatError(f"invalid grid: {err}") from None
+    values = np.empty(grid.shape + (adv_count,))
+    slab = np.empty(values.shape[1:], dtype="<f4")
+    for ih in range(len(values)):
+        if f.readinto(slab) != slab.nbytes:
+            raise TableFormatError("truncated table file")
+        values[ih] = slab
     if f.read(1):
         raise TableFormatError("trailing bytes after value array")
-    values = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
-    return LogicTable(grid=grid, values=values)
+    try:
+        return LogicTable(grid=grid, values=values)
+    except ValueError as err:  # non-finite values
+        raise TableFormatError(str(err)) from None
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:

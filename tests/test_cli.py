@@ -1,12 +1,14 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import caslab
 import numpy as np
+import pytest
 from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, dump_config, load_config
 from caslab.core import ADVISORIES
@@ -18,7 +20,7 @@ from caslab.encounters import (
     write_model_file,
 )
 from caslab.evaluation import Equipage, cross_entropy_adapt
-from caslab.tablefile import read_table
+from caslab.tablefile import read_table, write_table
 
 
 def small_grid_config(tmp_path, **overrides):
@@ -197,6 +199,91 @@ class TestErrors:
         code = main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("E_TABLE_NOT_FOUND:")
+
+
+def _advisory_field(name):
+    return struct.pack("<I", len(name)) + name
+
+
+def _cut_offset(grid, axis, i):
+    """Byte offset of cut point i on axis 0 (h) or 1 (hdot0) of an ACXT file."""
+    offset = 16  # magic, version, dim_count, h cut count
+    if axis == 1:
+        offset += 8 * len(grid.h_cuts) + 4
+    return offset + 8 * i
+
+
+def _with_cut(raw, offset, value):
+    return raw[:offset] + struct.pack("<d", value) + raw[offset + 8:]
+
+
+MALFORMED_TABLES = {
+    "unknown_advisory": (
+        lambda raw, grid: raw.replace(_advisory_field(b"DNC"), _advisory_field(b"XXX"), 1),
+        "unknown advisory",
+    ),
+    "duplicate_advisory": (
+        lambda raw, grid: raw.replace(_advisory_field(b"DNC"), _advisory_field(b"DND"), 1),
+        "repeat",
+    ),
+    "non_finite_value": (
+        lambda raw, grid: raw[:-4] + struct.pack("<f", float("nan")),
+        "finite",
+    ),
+    "asymmetric_h_cuts": (
+        lambda raw, grid: _with_cut(raw, _cut_offset(grid, 0, 0), -999.0),
+        "symmetric",
+    ),
+    "non_increasing_cuts": (
+        lambda raw, grid: _with_cut(raw, _cut_offset(grid, 1, 1), 30.0),
+        "increasing",
+    ),
+}
+
+
+class TestTableContract:
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+    def test_slice_rejects_malformed_table(self, case, small_table, tmp_path, capsys):
+        mutate, fragment = MALFORMED_TABLES[case]
+        path = tmp_path / "table.acxt"
+        write_table(small_table, path)
+        raw = path.read_bytes()
+        bad = mutate(raw, small_table.grid)
+        assert len(bad) == len(raw) and bad != raw
+        path.write_bytes(bad)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_TABLE_INVALID:")
+        assert err.count("\n") == 1
+        assert fragment in err
+
+    def test_no_command_imports_scipy(self, small_table, tmp_path):
+        # importing scipy costs every caslab process ~0.24 s; numpy suffices
+        path = tmp_path / "table.acxt"
+        write_table(small_table, path)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        script = (
+            "import runpy, sys\n"
+            "import caslab\n"
+            "assert 'scipy' not in sys.modules, 'import caslab loaded scipy'\n"
+            "sys.argv = ['caslab', 'slice', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "try:\n"
+            "    runpy.run_module('caslab', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    assert done.code == 0, done.code\n"
+            "assert 'scipy' not in sys.modules, 'caslab slice loaded scipy'\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(caslab.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "out" / "slice.csv").exists()
 
 
 class TestConfigRoundTrip:

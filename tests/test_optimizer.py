@@ -1,4 +1,5 @@
 import functools
+import hashlib
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from caslab.optimizer import (
     Grid,
     LogicTable,
     RewardParams,
+    _action_operator,
     backward_induction,
     policy_slice,
     reward,
     transition_distribution,
 )
+from caslab.tablefile import write_table
 from conftest import micro_grid
 
 MIRROR = {
@@ -71,6 +74,14 @@ class TestGridValidation:
     def test_cuts_strictly_increasing(self):
         with pytest.raises(ValueError):
             Grid(h_cuts=np.array([-100.0, 0.0, 0.0, 100.0]))
+
+    def test_cuts_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(hdot0_cuts=np.array([-25.0, 0.0, np.nan]))
+
+    def test_advisories_must_be_distinct(self):
+        with pytest.raises(ValueError, match="repeat"):
+            Grid(advisories=(Advisory.COC, Advisory.DND, Advisory.DND))
 
     def test_state_index_matches_values_layout(self, small_table):
         grid = small_table.grid
@@ -252,6 +263,66 @@ class TestBackwardInduction:
         lower = params.collision_cost + small_table.grid.tau_max * min(per_step_costs)
         assert np.all(small_table.values >= lower - 1e-12)
         assert np.all(small_table.values <= 1e-12)
+
+
+class TestActionOperator:
+    @pytest.mark.parametrize("p", [0.4, 1.0])
+    def test_rows_match_transition_distribution(self, p):
+        grid = micro_grid()
+        pilot = PilotModel(response_probability=p, acceleration=8.0)
+        intr = IntruderModel(sigma_accel=6.0)
+        vertices = (len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts))
+        for a in grid.advisories:
+            idx, w = _action_operator(a, grid, pilot, intr)
+            assert idx.shape == w.shape and idx.shape[1] == np.prod(vertices)
+            for row in range(idx.shape[1]):
+                ih, i0, i1 = np.unravel_index(row, vertices)
+                s = VerticalState(
+                    h=float(grid.h_cuts[ih]),
+                    hdot0=float(grid.hdot0_cuts[i0]),
+                    hdot1=float(grid.hdot1_cuts[i1]),
+                    a_prev=Advisory.COC,
+                    tau=1.0,
+                )
+                dist = transition_distribution(s, a, pilot, intr, grid)
+                targets = [
+                    np.ravel_multi_index(np.unravel_index(j, grid.shape)[:3], vertices)
+                    for j, _ in dist
+                ]
+                k = len(dist)
+                assert idx[:k, row].tolist() == targets
+                assert np.all(np.diff(idx[:k, row]) > 0)
+                np.testing.assert_allclose(
+                    w[:k, row], [wt for _, wt in dist], rtol=0, atol=1e-15
+                )
+                assert np.all(w[k:, row] == 0.0)
+
+
+# sha256 of the ACXT file of the default-grid table, recorded from the
+# sparse-matrix solver that the fixed-width operators replaced.  A change
+# here changes every table the optimizer writes.
+PINNED_TABLE_DIGESTS = {
+    "default": "886c03febcaa610e8e81704669aa8400f15628e76f721da49d3c60ab787da3da",
+    "p1": "ad943cf831e21ef3cf51dede655c897d81ed7674f8c15dd9651a02473e87d13b",
+    "jittered": "6bf1b18edf05d6f61eeddc78720ccd60b1f9e445460b139348a4c0249b89ea95",
+}
+
+PINNED_TABLE_INPUTS = {
+    "default": (PilotModel(), RewardParams()),
+    "p1": (PilotModel(response_probability=1.0), RewardParams()),
+    "jittered": (
+        PilotModel(),
+        RewardParams(alert_cost=-0.0137, strengthen_cost=-0.0031, reversal_cost=-0.0352),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLE_DIGESTS))
+def test_default_grid_table_bytes_pinned(name, tmp_path):
+    pilot, params = PINNED_TABLE_INPUTS[name]
+    path = tmp_path / "table.acxt"
+    write_table(backward_induction(Grid(), pilot, IntruderModel(), params), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TABLE_DIGESTS[name]
 
 
 class TestPolicySlice:

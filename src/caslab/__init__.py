@@ -7,12 +7,9 @@ from .core import (
     AircraftTrack,
     BeliefState,
     EncounterTrace,
-    HorizontalGeometry,
     VerticalState,
-    horizontal_tau,
     is_nmac,
     read_trace_csv,
-    vertical_state_of,
     write_trace_csv,
 )
 from .bayesnet import DiscreteBayesNet, fit_cpts

@@ -11,7 +11,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +42,7 @@ from .evaluation import (
     run_indexed_traces,
 )
 from .optimizer import backward_induction, policy_slice
+from .runtime import OnlineContext
 from .tablefile import TableFormatError, read_table, write_table
 
 E_CONFIG_NOT_FOUND = "E_CONFIG_NOT_FOUND"
@@ -129,7 +131,8 @@ def _load_model(cfg: dict) -> EncounterModel:
     if not enc["use_default_model"]:
         raise CliError(E_MODEL_NOT_FOUND, "no model_file configured and default model disabled")
     factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
-    return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
+    with _config_values():
+        return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
 
 
 def _load_table(cfg: dict):
@@ -143,24 +146,44 @@ def _load_table(cfg: dict):
 
 
 def _equipage(cfg: dict) -> Equipage:
-    own, intruder = cfg["evaluation"]["equipage"]
-    table = _load_table(cfg) if "table" in (own, intruder) else None
-    pilot = configmod.pilot_from_config(cfg)
-    p_override = cfg["evaluation"]["pilot_response_probability"]
-    if p_override is not None:
-        pilot = replace(pilot, response_probability=float(p_override))
+    kinds = cfg["evaluation"]["equipage"]
+    if not isinstance(kinds, list) or len(kinds) != 2:
+        raise CliError(E_CONFIG_INVALID, f"evaluation.equipage must list two logic kinds, got {kinds!r}")
+    own, intruder = kinds
+    table = _load_table(cfg) if "table" in kinds else None
+    # The online block holds OnlineContext fields and Equipage belief fields.
+    context_fields = {f.name for f in fields(OnlineContext)}
     online = cfg["online"]
-    return Equipage(
-        own=own,
-        intruder=intruder,
-        pilot=pilot,
-        table=table,
-        tcas=configmod.tcas_from_config(cfg, pilot),
-        context=configmod.context_from_config(cfg),
-        belief_sigma_h=float(online["belief_sigma_h"]),
-        belief_sigma_rate=float(online["belief_sigma_rate"]),
-        belief_particles=int(online["belief_particles"]),
-    )
+    with _config_values():
+        pilot = configmod.pilot_from_config(cfg)
+        p_override = cfg["evaluation"]["pilot_response_probability"]
+        if p_override is not None:
+            pilot = replace(pilot, response_probability=float(p_override))
+        return Equipage(
+            own=own,
+            intruder=intruder,
+            pilot=pilot,
+            table=table,
+            tcas=configmod.tcas_from_config(cfg, pilot),
+            context=OnlineContext(**{k: v for k, v in online.items() if k in context_fields}),
+            **{k: v for k, v in online.items() if k not in context_fields},
+        )
+
+
+@contextmanager
+def _config_values():
+    """Report a value a config object rejects as E_CONFIG_INVALID."""
+    try:
+        yield
+    except ValueError as err:
+        raise CliError(E_CONFIG_INVALID, str(err)) from None
+
+
+def _config_int(cfg: dict, block: str, key: str, minimum: int) -> int:
+    value = cfg[block][key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise CliError(E_CONFIG_INVALID, f"{block}.{key} must be an integer >= {minimum}, got {value!r}")
+    return value
 
 
 def _read_binned_csv(path: Optional[str], nodes) -> np.ndarray:
@@ -205,18 +228,18 @@ def _cmd_sample(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = Equipage()
-    for indices in _chunks(0, int(cfg["sample"]["count"]), CHUNK_ENCOUNTERS):
+    for indices in _chunks(0, _config_int(cfg, "sample", "count", 0), CHUNK_ENCOUNTERS):
         for i, trace in zip(indices, run_indexed_traces(model, eq, seed, indices)):
             write_trace_csv(trace, out_dir / f"encounter_{i:04d}.csv")
 
 
 def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
-    table = backward_induction(
-        configmod.grid_from_config(cfg),
-        configmod.pilot_from_config(cfg),
-        configmod.intruder_from_config(cfg),
-        configmod.rewards_from_config(cfg),
-    )
+    with _config_values():
+        grid = configmod.grid_from_config(cfg)
+        pilot = configmod.pilot_from_config(cfg)
+        intruder = configmod.intruder_from_config(cfg)
+        rewards = configmod.rewards_from_config(cfg)
+    table = backward_induction(grid, pilot, intruder, rewards)
     write_table(table, out_dir / "table.acxt")
 
 
@@ -224,7 +247,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = _equipage(cfg)
-    index = int(cfg["simulate"]["index"])
+    index = _config_int(cfg, "simulate", "index", 0)
     _, trace, _ = run_indexed_encounter(model, eq, seed, index)
     write_trace_csv(trace, out_dir / "trace.csv")
 
@@ -233,7 +256,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = _equipage(cfg)
-    n = int(cfg["evaluation"]["n"])
+    n = _config_int(cfg, "evaluation", "n", 1)
     proposal_path = cfg["paths"]["proposal_file"]
     proposal = None
     if proposal_path is not None:
@@ -288,11 +311,8 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
 
 def _cmd_slice(cfg: dict, out_dir: Path, seed, workers) -> None:
     table = _load_table(cfg)
-    fixed = configmod.slice_fixed_from_config(cfg)
-    try:
-        matrix = policy_slice(table, fixed)
-    except ValueError as err:
-        raise CliError(E_CONFIG_INVALID, str(err))
+    with _config_values():
+        matrix = policy_slice(table, configmod.slice_fixed_from_config(cfg))
     grid = table.grid
     with open(out_dir / "slice.csv", "w", newline="") as f:
         writer = csv.writer(f)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 from typing import Optional
 
@@ -16,12 +17,24 @@ import numpy as np
 
 from .core import Advisory
 from .dynamics import IntruderModel, PilotModel
+from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S
+from .evaluation import Equipage
 from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams
 from .runtime import OnlineContext
 from .tcas import TcasConfig
 
 CONFIG_SCHEMA_VERSION = 1
 
+
+def _defaults(obj, names=None) -> dict:
+    """The named fields of a dataclass instance (every field when names is None)."""
+    names = [f.name for f in fields(obj)] if names is None else names
+    return {name: getattr(obj, name) for name in names}
+
+
+# A block with an owning dataclass holds that dataclass's defaults, so each
+# default has one definition.  The online block feeds two objects: the
+# OnlineContext costs and the Equipage belief settings.
 DEFAULT_CONFIG = {
     "schema_version": CONFIG_SCHEMA_VERSION,
     "paths": {
@@ -33,40 +46,22 @@ DEFAULT_CONFIG = {
         "transition_samples_csv": None,
     },
     "grid": {
-        "h_cuts": [float(v) for v in DEFAULT_H_CUTS],
-        "hdot_cuts": [float(v) for v in DEFAULT_RATE_CUTS],
-        "tau_max": 40,
+        "h_cuts": DEFAULT_H_CUTS.tolist(),
+        "hdot_cuts": DEFAULT_RATE_CUTS.tolist(),
+        "tau_max": Grid.tau_max,
     },
-    "rewards": {
-        "collision_cost": -1.0,
-        "alert_cost": -0.01,
-        "strengthen_cost": -0.005,
-        "reversal_cost": -0.02,
-        "nmac_vertical": 100.0,
-    },
-    "pilot": {
-        "response_probability": 1.0 / 6.0,
-        "acceleration": 8.05,
-        "deterministic_delay": 5.0,
-    },
-    "intruder": {"sigma_accel": 8.0},
-    "tcas": {
-        "ta_tau": 40.0,
-        "ra_tau": 25.0,
-        "miss_distance_threshold": 7291.338,
-        "alim": 400.0,
-    },
+    "rewards": _defaults(RewardParams()),
+    "pilot": _defaults(PilotModel()),
+    "intruder": _defaults(IntruderModel()),
+    "tcas": {k: v for k, v in _defaults(TcasConfig()).items() if k != "pilot"},
     "online": {
-        "inhibit_altitude": 1000.0,
-        "cost_magnitude": -1.0e6,
-        "belief_sigma_h": 25.0,
-        "belief_sigma_rate": 2.0,
-        "belief_particles": 20,
+        **_defaults(OnlineContext(), ["inhibit_altitude", "cost_magnitude"]),
+        **_defaults(Equipage(), ["belief_sigma_h", "belief_sigma_rate", "belief_particles"]),
     },
     "encounter": {
-        "mode": "correlated",
-        "duration": 50.0,
-        "dt": 1.0,
+        "mode": CORRELATED,
+        "duration": DEFAULT_DURATION_S,
+        "dt": DEFAULT_DT_S,
         "use_default_model": True,
     },
     "slice": {"hdot0": 0.0, "hdot1": 0.0, "a_prev": "COC"},
@@ -146,14 +141,6 @@ def intruder_from_config(cfg: dict) -> IntruderModel:
 
 def tcas_from_config(cfg: dict, pilot: PilotModel) -> TcasConfig:
     return TcasConfig(pilot=pilot, **cfg["tcas"])
-
-
-def context_from_config(cfg: dict) -> OnlineContext:
-    o = cfg["online"]
-    return OnlineContext(
-        inhibit_altitude=float(o["inhibit_altitude"]),
-        cost_magnitude=float(o["cost_magnitude"]),
-    )
 
 
 def slice_fixed_from_config(cfg: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Shared airspace domain types, relative geometry, and safety-event predicates.
+"""Shared airspace domain types, horizontal tau, and safety-event predicates.
 
 Internal units are feet and feet/second throughout; advisory rate targets are
 expressed in feet/minute at the interface (the conventional cockpit unit) and
@@ -123,14 +123,6 @@ def is_reversal(prev: Advisory, new: Advisory) -> bool:
     return prev.sense != 0 and new.sense != 0 and new.sense == -prev.sense
 
 
-def normalize_angle(a: float) -> float:
-    """Wrap an angle in radians to (-pi, pi]."""
-    w = a % (2.0 * math.pi)
-    if w > math.pi:
-        w -= 2.0 * math.pi
-    return w
-
-
 @dataclass(frozen=True)
 class VerticalState:
     """State of one pairwise vertical conflict.
@@ -152,36 +144,6 @@ class VerticalState:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
         if not isinstance(self.a_prev, Advisory):
             raise TypeError("a_prev must be an Advisory")
-
-
-@dataclass(frozen=True)
-class HorizontalGeometry:
-    """Own-frame horizontal geometry of a pair of aircraft.
-
-    r is range (ft), theta the bearing of the intruder from the ownship
-    heading, psi the intruder heading relative to the ownship heading
-    (both radians, wrapped to (-pi, pi]), v0/v1 ground speeds (ft/s).
-    """
-
-    r: float
-    theta: float
-    psi: float
-    v0: float
-    v1: float
-
-    def __post_init__(self) -> None:
-        if self.r < 0:
-            raise ValueError("range must be >= 0")
-        if self.v0 < 0 or self.v1 < 0:
-            raise ValueError("speeds must be >= 0")
-        object.__setattr__(self, "theta", normalize_angle(self.theta))
-        object.__setattr__(self, "psi", normalize_angle(self.psi))
-
-    def relative_position(self) -> Tuple[float, float]:
-        return (self.r * math.cos(self.theta), self.r * math.sin(self.theta))
-
-    def relative_velocity(self) -> Tuple[float, float]:
-        return (self.v1 * math.cos(self.psi) - self.v0, self.v1 * math.sin(self.psi))
 
 
 @dataclass(frozen=True)
@@ -312,73 +274,11 @@ def horizontal_tau_xy(
     return t
 
 
-def horizontal_tau(g: HorizontalGeometry, separation_threshold: float) -> Optional[float]:
-    """Time to loss of horizontal separation under constant velocity.
-
-    Degenerate zero-closure geometry yields None unless the pair is already
-    inside the threshold, in which case the result is 0.
-    """
-    if separation_threshold < 0:
-        raise ValueError("separation threshold must be >= 0")
-    return horizontal_tau_xy(g.relative_position(), g.relative_velocity(), separation_threshold)
-
-
 def is_nmac(dz: float, dxy: float) -> bool:
     """NMAC predicate on absolute vertical/horizontal separations (ft)."""
     if dz < 0 or dxy < 0:
         raise ValueError("separations must be absolute (>= 0)")
     return dz < NMAC_VERTICAL_FT and dxy < NMAC_HORIZONTAL_FT
-
-
-def geometry_from_states(own: AircraftState, intr: AircraftState) -> HorizontalGeometry:
-    """Assemble own-frame horizontal geometry from two Cartesian states.
-
-    A stationary ownship is assigned heading +x so bearings stay defined.
-    """
-    dx = intr.x - own.x
-    dy = intr.y - own.y
-    r = math.hypot(dx, dy)
-    v0 = math.hypot(own.vx, own.vy)
-    v1 = math.hypot(intr.vx, intr.vy)
-    own_heading = math.atan2(own.vy, own.vx) if v0 > 0 else 0.0
-    intr_heading = math.atan2(intr.vy, intr.vx) if v1 > 0 else 0.0
-    theta = math.atan2(dy, dx) - own_heading if r > 0 else 0.0
-    psi = intr_heading - own_heading
-    return HorizontalGeometry(r=r, theta=theta, psi=psi, v0=v0, v1=v1)
-
-
-def vertical_state_of(
-    trace: EncounterTrace,
-    step: int,
-    a_prev: Advisory,
-    separation_threshold: float,
-    tau_max: float = 40.0,
-) -> VerticalState:
-    """Assemble the vertical conflict state at one trace step.
-
-    tau is quantized to whole seconds; a never-converging geometry maps to
-    tau_max (beyond-horizon threats are the least-urgent grid state).
-    """
-    if step < 0 or step >= len(trace):
-        raise IndexError(f"step {step} out of range for trace of length {len(trace)}")
-    own = trace.ownship.state(step)
-    intr = trace.intruder.state(step)
-    tau = horizontal_tau_xy(
-        (intr.x - own.x, intr.y - own.y),
-        (intr.vx - own.vx, intr.vy - own.vy),
-        separation_threshold,
-    )
-    if tau is None:
-        tau_q = float(tau_max)
-    else:
-        tau_q = float(min(round(tau), tau_max))
-    return VerticalState(
-        h=intr.z - own.z,
-        hdot0=own.vz,
-        hdot1=intr.vz,
-        a_prev=a_prev,
-        tau=tau_q,
-    )
 
 
 # ---------------------------------------------------------------------------

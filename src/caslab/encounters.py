@@ -44,6 +44,10 @@ REQUIRED_VARS = (VAR_ALT, VAR_OWN_VRATE, VAR_INT_VRATE, VAR_CLOSURE, VAR_TAU0)
 # Loss-of-separation threshold tying encounter geometry to the grid's tau.
 SEPARATION_THRESHOLD_FT = NMAC_HORIZONTAL_FT
 
+# Run geometry of the bundled default models (s).
+DEFAULT_DURATION_S = 50.0
+DEFAULT_DT_S = 1.0
+
 MODEL_SCHEMA_VERSION = 1
 
 
@@ -460,7 +464,9 @@ def default_structure() -> Tuple[DiscreteBayesNet, DiscreteBayesNet]:
     return initial, transition
 
 
-def default_correlated_model(duration: float = 50.0, dt: float = 1.0) -> EncounterModel:
+def default_correlated_model(
+    duration: float = DEFAULT_DURATION_S, dt: float = DEFAULT_DT_S
+) -> EncounterModel:
     """Hand-parameterized conflict-forced correlated model.
 
     Both aircraft start coaltitude on a head-on course losing horizontal
@@ -510,7 +516,9 @@ def default_correlated_model(duration: float = 50.0, dt: float = 1.0) -> Encount
     )
 
 
-def default_uncorrelated_model(duration: float = 50.0, dt: float = 1.0) -> EncounterModel:
+def default_uncorrelated_model(
+    duration: float = DEFAULT_DURATION_S, dt: float = DEFAULT_DT_S
+) -> EncounterModel:
     base = default_correlated_model(duration=duration, dt=dt)
     return EncounterModel(
         initial_net=base.initial_net,

@@ -88,6 +88,12 @@ class Equipage:
                 raise ValueError(f"unknown logic kind {side!r}")
         if LOGIC_TABLE in (self.own, self.intruder) and self.table is None:
             raise ValueError("table equipage requires a LogicTable")
+        for name in ("belief_sigma_h", "belief_sigma_rate"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        n_p = self.belief_particles
+        if isinstance(n_p, bool) or not isinstance(n_p, (int, np.integer)) or n_p < 1:
+            raise ValueError(f"belief_particles must be an integer >= 1, got {n_p!r}")
 
 
 @dataclass(frozen=True)
@@ -146,6 +152,11 @@ _REVERSES = np.array([[is_reversal(p, q) for q in ADVISORIES] for p in ADVISORIE
 
 
 def _quantized_tau(rel_pos, rel_vel, tau_max: int) -> float:
+    """Time to loss of horizontal separation, rounded to whole seconds, capped at tau_max.
+
+    A never-converging geometry maps to tau_max: a beyond-horizon threat is
+    the least urgent grid state.
+    """
     tau = horizontal_tau_xy(rel_pos, rel_vel, SEPARATION_THRESHOLD_FT)
     return float(tau_max) if tau is None else float(min(round(tau), tau_max))
 

@@ -18,6 +18,8 @@ cycle is byte-stable.
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -101,8 +103,16 @@ def _read_stream(f: BinaryIO) -> LogicTable:
         )
     except ValueError as err:
         raise TableFormatError(f"invalid grid: {err}") from None
-    values = np.empty(grid.shape + (adv_count,))
-    slab = np.empty(values.shape[1:], dtype="<f4")
+    shape = grid.shape + (adv_count,)
+    # Check the declared value count against the stream before allocating:
+    # a short file must not make the reader allocate a table it cannot fill.
+    here = f.tell()
+    available = f.seek(0, io.SEEK_END) - here
+    f.seek(here)
+    if available < 4 * math.prod(shape):
+        raise TableFormatError("truncated table file")
+    values = np.empty(shape)
+    slab = np.empty(shape[1:], dtype="<f4")
     for ih in range(len(values)):
         if f.readinto(slab) != slab.nbytes:
             raise TableFormatError("truncated table file")

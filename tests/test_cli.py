@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import struct
@@ -20,7 +21,7 @@ from caslab.encounters import (
     write_model_file,
 )
 from caslab.evaluation import Equipage, cross_entropy_adapt
-from caslab.tablefile import read_table, write_table
+from caslab.tablefile import MAGIC, read_table, write_table
 
 
 def small_grid_config(tmp_path, **overrides):
@@ -201,6 +202,36 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("E_TABLE_NOT_FOUND:")
 
 
+INVALID_CONFIGS = {
+    "belief_particles": (
+        {"online": {"belief_particles": 0}, "evaluation": {"n": 5, "equipage": ["table", "none"]}},
+        "belief_particles",
+    ),
+    "one_element_equipage": ({"evaluation": {"n": 5, "equipage": ["none"]}}, "evaluation.equipage"),
+    "negative_sigma": (
+        {"online": {"belief_sigma_h": -5}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "belief_sigma_h",
+    ),
+    "non_integer_n": ({"evaluation": {"n": 5.5, "equipage": ["none", "none"]}}, "evaluation.n"),
+}
+
+
+class TestConfigContract:
+    @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
+    def test_invalid_value_names_its_key(self, case, small_table, tmp_path, capsys):
+        doc, key = INVALID_CONFIGS[case]
+        table = tmp_path / "table.acxt"
+        write_table(small_table, table)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "paths": {"table_file": str(table)}, **doc}))
+        code = main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG_INVALID:")
+        assert err.count("\n") == 1
+        assert key in err
+
+
 def _advisory_field(name):
     return struct.pack("<I", len(name)) + name
 
@@ -215,6 +246,20 @@ def _cut_offset(grid, axis, i):
 
 def _with_cut(raw, offset, value):
     return raw[:offset] + struct.pack("<d", value) + raw[offset + 8:]
+
+
+def _oversized_header(raw, grid):
+    """A valid header declaring 300 cuts per axis, zero-padded to len(raw).
+
+    Its values would need 6.6e9 floats; the file holds a few thousand.
+    """
+    cuts = np.arange(-150, 150) + 0.5
+    header = MAGIC + struct.pack("<II", 1, 4)
+    for axis in (cuts, cuts, cuts, np.arange(grid.tau_max + 1.0)):
+        header += struct.pack("<I", len(axis)) + axis.astype("<f8").tobytes()
+    header += struct.pack("<I", len(grid.advisories))
+    header += b"".join(_advisory_field(a.value.encode()) for a in grid.advisories)
+    return header + bytes(len(raw) - len(header))
 
 
 MALFORMED_TABLES = {
@@ -238,6 +283,7 @@ MALFORMED_TABLES = {
         lambda raw, grid: _with_cut(raw, _cut_offset(grid, 1, 1), 30.0),
         "increasing",
     ),
+    "header_declares_more_values_than_file": (_oversized_header, "truncated"),
 }
 
 
@@ -286,7 +332,16 @@ class TestTableContract:
         assert (tmp_path / "out" / "slice.csv").exists()
 
 
+# sha256 of dump_config(DEFAULT_CONFIG), recorded while the defaults were
+# still literals in config.py.  A change here changes every default run.
+PINNED_DEFAULT_CONFIG_DIGEST = "3a87b151b284cd1f8f3040c472242da4e2bc4b471a961e75cea991b01d543f61"
+
+
 class TestConfigRoundTrip:
+    def test_default_config_pinned(self):
+        digest = hashlib.sha256(dump_config(DEFAULT_CONFIG).encode()).hexdigest()
+        assert digest == PINNED_DEFAULT_CONFIG_DIGEST
+
     def test_effective_config_reloads_identically(self, tmp_path):
         cfg = small_grid_config(tmp_path)
         out = tmp_path / "run"

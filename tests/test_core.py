@@ -1,31 +1,20 @@
-import math
-
 import numpy as np
 import pytest
 
 from caslab.core import (
     ADVISORIES,
     Advisory,
-    AircraftState,
     AircraftTrack,
     BeliefState,
     EncounterTrace,
-    HorizontalGeometry,
     VerticalState,
-    geometry_from_states,
-    horizontal_tau,
     horizontal_tau_xy,
     is_nmac,
     is_reversal,
     is_strengthening,
     read_trace_csv,
-    vertical_state_of,
     write_trace_csv,
 )
-
-
-def head_on(r=1000.0, closure=100.0):
-    return HorizontalGeometry(r=r, theta=0.0, psi=math.pi, v0=closure / 2, v1=closure / 2)
 
 
 class TestAdvisory:
@@ -62,18 +51,16 @@ class TestAdvisory:
 
 class TestHorizontalTau:
     def test_head_on_threshold_zero(self):
-        assert horizontal_tau(head_on(), 0.0) == pytest.approx(10.0, abs=1e-12)
+        assert horizontal_tau_xy((1000.0, 0.0), (-100.0, 0.0), 0.0) == pytest.approx(10.0, abs=1e-12)
 
     def test_diverging_is_none(self):
-        g = HorizontalGeometry(r=1000.0, theta=0.0, psi=0.0, v0=100.0, v1=200.0)
-        assert horizontal_tau(g, 500.0) is None
+        assert horizontal_tau_xy((1000.0, 0.0), (100.0, 0.0), 500.0) is None
 
     def test_already_inside_is_zero(self):
-        assert horizontal_tau(head_on(r=300.0), 500.0) == 0.0
+        assert horizontal_tau_xy((300.0, 0.0), (-100.0, 0.0), 500.0) == 0.0
 
     def test_zero_closure_is_none(self):
-        g = HorizontalGeometry(r=1000.0, theta=0.0, psi=0.0, v0=100.0, v1=100.0)
-        assert horizontal_tau(g, 500.0) is None
+        assert horizontal_tau_xy((1000.0, 0.0), (0.0, 0.0), 500.0) is None
 
     def test_translation_invariance(self):
         # translating both aircraft by a common offset leaves tau unchanged
@@ -81,15 +68,10 @@ class TestHorizontalTau:
         for _ in range(200):
             own_p = rng.uniform(-5000, 5000, 2)
             intr_p = rng.uniform(-5000, 5000, 2)
-            own_v = rng.uniform(-300, 300, 2)
-            intr_v = rng.uniform(-300, 300, 2)
+            rel_v = tuple(rng.uniform(-300, 300, 2) - rng.uniform(-300, 300, 2))
             shift = rng.uniform(-10000, 10000, 2)
-            own = AircraftState(own_p[0], own_p[1], 0, own_v[0], own_v[1], 0)
-            intr = AircraftState(intr_p[0], intr_p[1], 0, intr_v[0], intr_v[1], 0)
-            own_s = AircraftState(own_p[0] + shift[0], own_p[1] + shift[1], 0, own_v[0], own_v[1], 0)
-            intr_s = AircraftState(intr_p[0] + shift[0], intr_p[1] + shift[1], 0, intr_v[0], intr_v[1], 0)
-            t1 = horizontal_tau(geometry_from_states(own, intr), 500.0)
-            t2 = horizontal_tau(geometry_from_states(own_s, intr_s), 500.0)
+            t1 = horizontal_tau_xy(tuple(intr_p - own_p), rel_v, 500.0)
+            t2 = horizontal_tau_xy(tuple((intr_p + shift) - (own_p + shift)), rel_v, 500.0)
             assert (t1 is None) == (t2 is None)
             if t1 is not None:
                 assert t1 == pytest.approx(t2, abs=1e-6)
@@ -107,7 +89,7 @@ class TestHorizontalTau:
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
-            horizontal_tau(head_on(), -1.0)
+            horizontal_tau_xy((1000.0, 0.0), (-100.0, 0.0), -1.0)
 
 
 class TestIsNmac:
@@ -154,38 +136,6 @@ def level_pair_trace(h=0.0, vz1=0.0, diverging=False):
     return EncounterTrace(ownship=own, intruder=intr, advisories=advisories, events=events)
 
 
-class TestVerticalStateOf:
-    def test_coaltitude_level_pair(self):
-        s = vertical_state_of(level_pair_trace(), 0, Advisory.COC, 500.0)
-        assert s.h == 0.0 and s.hdot0 == 0.0 and s.hdot1 == 0.0
-
-    def test_intruder_above_climbing(self):
-        s = vertical_state_of(level_pair_trace(h=500.0, vz1=8.33), 0, Advisory.COC, 500.0)
-        assert s.h == 500.0
-        assert s.hdot1 == pytest.approx(8.33)
-
-    def test_diverging_maps_to_tau_max(self):
-        trace = level_pair_trace(diverging=True)
-        own = trace.ownship.state(0)
-        intr = trace.intruder.state(0)
-        assert (
-            horizontal_tau_xy(
-                (intr.x - own.x, intr.y - own.y), (intr.vx - own.vx, intr.vy - own.vy), 500.0
-            )
-            is None
-        )
-        s = vertical_state_of(trace, 0, Advisory.COC, 500.0, tau_max=40.0)
-        assert s.tau == 40.0
-
-    def test_out_of_range_step(self):
-        with pytest.raises(IndexError):
-            vertical_state_of(level_pair_trace(), 99, Advisory.COC, 500.0)
-
-    def test_tau_quantized_to_whole_seconds(self):
-        s = vertical_state_of(level_pair_trace(), 0, Advisory.COC, 500.0)
-        assert s.tau == round(s.tau)
-
-
 class TestBeliefState:
     def test_weights_must_normalize(self):
         s = VerticalState(0.0, 0.0, 0.0, Advisory.COC, 10.0)
@@ -210,16 +160,6 @@ class TestVerticalState:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             VerticalState(0.0, 0.0, 0.0, Advisory.COC, -1.0)
-
-
-class TestGeometryFromStates:
-    def test_angles_normalized(self):
-        g = geometry_from_states(
-            AircraftState(0, 0, 0, 100, 0, 0), AircraftState(1000, -1000, 0, -100, 0, 0)
-        )
-        assert -math.pi < g.theta <= math.pi
-        assert -math.pi < g.psi <= math.pi
-        assert g.r == pytest.approx(math.hypot(1000, 1000))
 
 
 class TestTraceCsv:

@@ -15,6 +15,7 @@ from caslab.encounters import (
 from caslab.evaluation import (
     Equipage,
     MetricsReport,
+    _quantized_tau,
     _run_chunk,
     cross_entropy_adapt,
     estimate_metrics,
@@ -128,6 +129,22 @@ class TestSimulateEncounter:
             np.full(20, 1 / 20),
         )
         np.testing.assert_array_equal(via_public, via_arrays)
+
+
+class TestQuantizedTau:
+    """The simulator's one tau convention (separation threshold 500 ft)."""
+
+    def test_diverging_maps_to_tau_max(self):
+        assert _quantized_tau((5000.0, 0.0), (100.0, 0.0), 40) == 40.0
+
+    def test_rounds_to_whole_seconds(self):
+        # (1730 - 500) / 100 = 12.3 s and (1760 - 500) / 100 = 12.6 s
+        assert _quantized_tau((1730.0, 0.0), (-100.0, 0.0), 40) == 12.0
+        assert _quantized_tau((1760.0, 0.0), (-100.0, 0.0), 40) == 13.0
+
+    def test_capped_at_tau_max(self):
+        # (5000 - 500) / 100 = 45 s lies beyond the 40 s horizon
+        assert _quantized_tau((5000.0, 0.0), (-100.0, 0.0), 40) == 40.0
 
 
 class TestLockstep:

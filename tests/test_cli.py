@@ -355,6 +355,72 @@ class TestConfigRoundTrip:
         assert load_config(path) == DEFAULT_CONFIG
 
 
+# sha256 of each output file of the runs in command_outputs, recorded before
+# the closed-loop outcomes became arrays end to end.  A change here changes
+# what evaluate, simulate or sample write at a fixed seed.
+PINNED_OUTPUT_DIGESTS = {
+    "is/metrics.json": "ad1c3e89437421fcfba042624caffdbf5ef76938d305c3d011b1c6c07c80e618",
+    "is/per_encounter.csv": "7ba2fe83f5be9e8e56193da042049a2a2da6fe6318eee518debf8a4588fc33d9",
+    "sample/encounter_0000.csv": "84cd1c64ccbd9e95259e2b325ba0f9c866536fe57219908c66540a63aef9875f",
+    "sample/encounter_0001.csv": "218597008f9b76e9dafd0ef5b0b50b8ef2425f2bf8b94f1ceb776e8aa8a52d52",
+    "sample/encounter_0002.csv": "db116690c5954be6f3c45d4bc245680d65a86637e444b7cdeb2b1151d9ffb884",
+    "simulate/trace.csv": "5619138fd502b9ba585a93ab8e1bd768f8e5c85015bc3502d0e706d0ce2bf70f",
+    "table/metrics.json": "d0e9995050edf588bef1d7386790c4dac7fcd74923ebe00d083a7d5057698fba",
+    "table/per_encounter.csv": "f6fac9ade073fcfd6bc7e9c5e6a260325d097c5ff5e5163debfc32c5b4ada861",
+    "tcas_workers/metrics.json": "2e70bdfe28086f3cecda13bc6a676d424aa985856771750f0584248b38b4f94b",
+    "tcas_workers/per_encounter.csv": "59a8866311613414a4e7ef228689d4bbcd697ccde7b8baf1392b4129f11cc466",
+}
+
+
+@pytest.fixture(scope="module")
+def command_outputs(tmp_path_factory):
+    """Run each command once on the small grid; map output name -> sha256."""
+    tmp = tmp_path_factory.mktemp("digests")
+    table = tmp / "opt" / "table.acxt"
+    write_model_file(toy_two_bin_model(0.05), tmp / "nominal.json")
+    write_model_file(toy_two_bin_model(0.5), tmp / "proposal.json")
+    runs = {
+        # table vs unequipped over two chunks, so risk_ratio is present
+        "table": (["evaluate", "--seed", "1"], {
+            "paths": {"table_file": str(table)},
+            "evaluation": {"n": 100, "equipage": ["table", "none"], "per_encounter_csv": True},
+        }),
+        "tcas_workers": (["evaluate", "--seed", "2", "--workers", "2"], {
+            "encounter": {"mode": "uncorrelated"},
+            "evaluation": {"n": 50, "equipage": ["tcas", "none"], "per_encounter_csv": True},
+        }),
+        "is": (["evaluate", "--seed", "3"], {
+            "paths": {"model_file": str(tmp / "nominal.json"),
+                      "proposal_file": str(tmp / "proposal.json")},
+            "evaluation": {"n": 40, "equipage": ["tcas", "none"], "per_encounter_csv": True},
+        }),
+        "simulate": (["simulate", "--seed", "4"], {
+            "paths": {"table_file": str(table)},
+            "simulate": {"index": 3},
+            "evaluation": {"equipage": ["table", "tcas"]},
+        }),
+        "sample": (["sample", "--seed", "5"], {"sample": {"count": 3}}),
+    }
+    assert main(["optimize", "--config", str(small_grid_config(tmp)), "--out", str(tmp / "opt")]) == 0
+    digests = {}
+    for name, (argv, doc) in runs.items():
+        cfg = small_grid_config(tmp, **doc)
+        assert main(argv + ["--config", str(cfg), "--out", str(tmp / name)]) == 0, name
+        for path in sorted((tmp / name).glob("*.csv")) + [tmp / name / "metrics.json"]:
+            if path.is_file():
+                digests[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+class TestOutputDigests:
+    def test_every_output_is_pinned(self, command_outputs):
+        assert sorted(command_outputs) == sorted(PINNED_OUTPUT_DIGESTS)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUT_DIGESTS))
+    def test_output_bytes_pinned(self, command_outputs, name):
+        assert command_outputs[name] == PINNED_OUTPUT_DIGESTS[name]
+
+
 class TestFitAndSample:
     def test_fit_writes_loadable_model(self, tmp_path):
         initial_s, transition_s = default_structure()

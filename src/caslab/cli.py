@@ -37,8 +37,8 @@ from .evaluation import (
     _chunks,
     _report,
     _run_batch,
+    outcome_columns,
     risk_ratio,
-    run_indexed_encounter,
     run_indexed_traces,
 )
 from .optimizer import backward_induction, policy_slice
@@ -180,8 +180,9 @@ def _config_values():
 
 
 def _config_int(cfg: dict, block: str, key: str, minimum: int) -> int:
+    """A count from the config; load_config already made it an integer."""
     value = cfg[block][key]
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+    if value < minimum:
         raise CliError(E_CONFIG_INVALID, f"{block}.{key} must be an integer >= {minimum}, got {value!r}")
     return value
 
@@ -248,7 +249,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     model = _load_model(cfg)
     eq = _equipage(cfg)
     index = _config_int(cfg, "simulate", "index", 0)
-    _, trace, _ = run_indexed_encounter(model, eq, seed, index)
+    (trace,) = run_indexed_traces(model, eq, seed, [index])
     write_trace_csv(trace, out_dir / "trace.csv")
 
 
@@ -269,11 +270,9 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
         equipages.append(Equipage(pilot=eq.pilot))
     # Every encounter is built once; the equipped logic and the unequipped
     # baseline fly over the same built encounter.
-    if proposal is None:
-        outcomes = _run_batch(model, equipages, n, seed, workers, nominal=None)
-    else:
-        outcomes = _run_batch(proposal, equipages, n, seed, workers, nominal=model)
-    report = _report(outcomes[0], weighted=proposal is not None)
+    sampler, nominal = (model, None) if proposal is None else (proposal, model)
+    flags, severity, log_weight = _run_batch(sampler, equipages, n, seed, workers, nominal)
+    report = _report(flags[0], log_weight, weighted=proposal is not None)
     payload = {
         "schema_version": 1,
         "equipage": list(cfg["evaluation"]["equipage"]),
@@ -287,7 +286,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
         "effective_sample_size": report.effective_sample_size,
     }
     if compare:
-        baseline = _report(outcomes[1], weighted=False)
+        baseline = _report(flags[1], log_weight, weighted=False)
         payload["baseline_p_nmac"] = baseline.p_nmac
         payload["baseline_p_nmac_se"] = baseline.p_nmac_se
         if baseline.p_nmac > 0:
@@ -298,15 +297,12 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     if cfg["evaluation"]["per_encounter_csv"]:
         with open(out_dir / "per_encounter.csv", "w", newline="") as f:
             writer = csv.writer(f)
-            writer.writerow(
-                ["index", "nmac", "alert", "strengthen", "reversal", "crossing",
-                 "severity", "log_weight"]
-            )
-            for i, o in enumerate(outcomes[0]):
-                writer.writerow(
-                    [i, int(o.nmac), int(o.alert), int(o.strengthen), int(o.reversal),
-                     int(o.crossing), repr(o.severity), repr(o.log_weight)]
-                )
+            columns = outcome_columns(flags[0])
+            writer.writerow(["index", *columns, "severity", "log_weight"])
+            rows = zip(*(c.tolist() for c in columns.values()), severity[0].tolist(), log_weight.tolist())
+            for i, (*bits, sev, w) in enumerate(rows):
+                # repr of a Python float, not of an np.float64
+                writer.writerow([i, *bits, repr(sev), repr(w)])
 
 
 def _cmd_slice(cfg: dict, out_dir: Path, seed, workers) -> None:

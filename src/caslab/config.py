@@ -82,13 +82,30 @@ class ConfigError(ValueError):
     pass
 
 
+def _json_type(value) -> Optional[str]:
+    for name, types in (("a boolean", bool), ("an integer", int), ("a number", float),
+                        ("a string", str), ("an array", list), ("an object", dict)):
+        if isinstance(value, types):
+            return name
+    return None
+
+
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
+    """Merge override over base; each value must have its default's JSON type.
+
+    An integer passes where the default is a number, and anything passes
+    where the default is null.
+    """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        expected = _json_type(base[key])
+        accepted = {expected, "an integer"} if expected == "a number" else {expected}
+        if base[key] is not None and _json_type(value) not in accepted:
+            raise ConfigError(f"{where} must be {expected}, got {value!r}")
+        if isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
@@ -123,7 +140,7 @@ def grid_from_config(cfg: dict) -> Grid:
         h_cuts=np.asarray(g["h_cuts"], dtype=float),
         hdot0_cuts=np.asarray(g["hdot_cuts"], dtype=float),
         hdot1_cuts=np.asarray(g["hdot_cuts"], dtype=float),
-        tau_max=int(g["tau_max"]),
+        tau_max=g["tau_max"],
     )
 
 

@@ -187,12 +187,6 @@ class AircraftTrack:
     def __len__(self) -> int:
         return len(self.x)
 
-    def state(self, step: int) -> AircraftState:
-        return AircraftState(
-            float(self.x[step]), float(self.y[step]), float(self.z[step]),
-            float(self.vx[step]), float(self.vy[step]), float(self.vz[step]),
-        )
-
 
 @dataclass(frozen=True)
 class EncounterTrace:

@@ -40,7 +40,7 @@ from .encounters import (
     SEPARATION_THRESHOLD_FT,
     EncounterModel,
     SampledEncounter,
-    build_encounter,
+    build_encounter,  # unused here; the benchmark's traced pass wraps this name
     build_encounters,
     trace_log_likelihoods,
 )
@@ -422,55 +422,9 @@ def trace_severity(trace: EncounterTrace) -> float:
     return float(np.min(np.maximum(dz, dxy)))
 
 
-@dataclass(frozen=True)
-class EncounterOutcome:
-    nmac: bool
-    alert: bool
-    strengthen: bool
-    reversal: bool
-    crossing: bool
-    severity: float
-    log_weight: float
-
-
-def _outcome_of(trace: EncounterTrace, log_weight: float) -> EncounterOutcome:
-    return EncounterOutcome(
-        nmac=trace.has_event(EVENT_NMAC),
-        alert=trace.has_event(EVENT_RA),
-        strengthen=trace.has_event(EVENT_STRENGTHEN),
-        reversal=trace.has_event(EVENT_REVERSAL),
-        crossing=trace.has_event(EVENT_CROSSING),
-        severity=trace_severity(trace),
-        log_weight=log_weight,
-    )
-
-
-def _outcome_of_flags(flags: int, severity: float, log_weight: float) -> EncounterOutcome:
-    return EncounterOutcome(
-        nmac=bool(flags & _BIT[EVENT_NMAC]),
-        alert=bool(flags & _BIT[EVENT_RA]),
-        strengthen=bool(flags & _BIT[EVENT_STRENGTHEN]),
-        reversal=bool(flags & _BIT[EVENT_REVERSAL]),
-        crossing=bool(flags & _BIT[EVENT_CROSSING]),
-        severity=severity,
-        log_weight=log_weight,
-    )
-
-
-def run_indexed_encounter(
-    model: EncounterModel,
-    eq: Equipage,
-    seed: int,
-    index: int,
-    enc_stream: int = STREAM_ENCOUNTER,
-    sim_stream: int = STREAM_SIMULATE,
-) -> Tuple[SampledEncounter, EncounterTrace, EncounterOutcome]:
-    """Build and simulate the index-th encounter under the seed discipline."""
-    enc_rng = np.random.default_rng([seed, enc_stream, index])
-    enc = build_encounter(model, enc_rng)
-    sim_rng = np.random.default_rng([seed, sim_stream, index])
-    trace = simulate_encounter(enc, eq, sim_rng)
-    return enc, trace, _outcome_of(trace, 0.0)
+def _rngs(seed: int, stream: int, indices: Sequence[int]) -> List[np.random.Generator]:
+    """One generator per encounter index: default_rng([seed, stream, index])."""
+    return [np.random.default_rng([seed, stream, i]) for i in indices]
 
 
 def run_indexed_traces(
@@ -483,11 +437,10 @@ def run_indexed_traces(
 ) -> List[EncounterTrace]:
     """Traces of the indexed encounters, built and flown as one chunk.
 
-    Each equals run_indexed_encounter's trace for the same index.
+    Each trace is the same in any chunk, a chunk of one included.
     """
-    encs = build_encounters(model, [np.random.default_rng([seed, enc_stream, i]) for i in indices])
-    rngs = [np.random.default_rng([seed, sim_stream, i]) for i in indices]
-    return simulate_encounters(encs, eq, rngs)
+    encs = build_encounters(model, _rngs(seed, enc_stream, indices))
+    return simulate_encounters(encs, eq, _rngs(seed, sim_stream, indices))
 
 
 def _run_chunk(
@@ -498,31 +451,23 @@ def _run_chunk(
     nominal: Optional[EncounterModel] = None,
     enc_stream: int = STREAM_ENCOUNTER,
     sim_stream: int = STREAM_SIMULATE,
-) -> Tuple[List[SampledEncounter], List[List[EncounterOutcome]]]:
+) -> Tuple[List[SampledEncounter], np.ndarray, np.ndarray, np.ndarray]:
     """Build each indexed encounter once and fly every equipage over it.
 
-    Returns the encounters and, per equipage, their outcomes in index order;
-    each equals run_indexed_encounter's outcome for the same index, except
-    that a nominal model gives it the IS log-weight of the nominal model
-    against model.
+    Returns the encounters, their event bits and severities of shape
+    (equipages, encounters), and their log-weights of shape (encounters,):
+    zeros without a nominal model, else the IS log-weight of the nominal
+    model against model, which every equipage shares.
     """
-    encs = build_encounters(model, [np.random.default_rng([seed, enc_stream, i]) for i in indices])
+    encs = build_encounters(model, _rngs(seed, enc_stream, indices))
     if nominal is None:
-        log_weights = [0.0] * len(encs)
+        log_weight = np.zeros(len(encs))
     else:
         # trace_log_likelihood(model, enc) is enc.log_probability bit for bit.
-        log_weights = (
-            trace_log_likelihoods(nominal, encs) - np.array([e.log_probability for e in encs])
-        ).tolist()
-    outcomes = []
-    for eq in equipages:
-        rngs = [np.random.default_rng([seed, sim_stream, i]) for i in indices]
-        flags, severity, _ = _fly(encs, eq, rngs)
-        outcomes.append([
-            _outcome_of_flags(f, s, w)
-            for f, s, w in zip(flags.tolist(), severity.tolist(), log_weights)
-        ])
-    return encs, outcomes
+        log_weight = trace_log_likelihoods(nominal, encs) - np.array([e.log_probability for e in encs])
+    flown = [_fly(encs, eq, _rngs(seed, sim_stream, indices))[:2] for eq in equipages]
+    flags, severity = (np.array(a) for a in zip(*flown))
+    return encs, flags, severity, log_weight
 
 
 def _chunks(start: int, stop: int, size: int) -> List[range]:
@@ -536,9 +481,9 @@ def _pool_init(model, equipages, seed, nominal):
     _POOL_CONTEXT["args"] = (model, equipages, seed, nominal)
 
 
-def _pool_run(indices: range) -> List[List[EncounterOutcome]]:
+def _pool_run(indices: range) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     model, equipages, seed, nominal = _POOL_CONTEXT["args"]
-    return _run_chunk(model, equipages, seed, indices, nominal)[1]
+    return _run_chunk(model, equipages, seed, indices, nominal)[1:]
 
 
 def _run_batch(
@@ -548,12 +493,13 @@ def _run_batch(
     seed: int,
     workers: int,
     nominal: Optional[EncounterModel],
-) -> List[List[EncounterOutcome]]:
-    """Outcomes of encounters 0..n-1 for every equipage, in index order.
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Event bits, severities and log-weights of encounters 0..n-1.
 
-    Each encounter is built once and all equipages fly over it; with a
-    nominal model, sampling runs under ``model`` as the IS proposal.
-    Workers take whole chunks, and the result is the same for any count.
+    Shapes as for _run_chunk, in index order.  Each encounter is built
+    once and all equipages fly over it; with a nominal model, sampling runs
+    under ``model`` as the IS proposal.  Workers take whole chunks, and the
+    result is the same for any count.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -562,35 +508,45 @@ def _run_batch(
     size = min(CHUNK_ENCOUNTERS, -(-n // max(workers, 1)))
     chunks = _chunks(0, n, size)
     if workers <= 1:
-        results = [_run_chunk(model, equipages, seed, c, nominal)[1] for c in chunks]
+        results = [_run_chunk(model, equipages, seed, c, nominal)[1:] for c in chunks]
     else:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init,
             initargs=(model, equipages, seed, nominal),
         ) as pool:
             results = list(pool.map(_pool_run, chunks))
-    return [[o for chunk in results for o in chunk[j]] for j in range(len(equipages))]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*results))
 
 
-def _report(outcomes: Sequence[EncounterOutcome], weighted: bool) -> MetricsReport:
-    n = len(outcomes)
-    w = np.array([math.exp(o.log_weight) for o in outcomes])
-    flags = {
-        "nmac": np.array([o.nmac for o in outcomes], dtype=float),
-        "alert": np.array([o.alert for o in outcomes], dtype=float),
-        "strengthen": np.array([o.strengthen for o in outcomes], dtype=float),
-        "reversal": np.array([o.reversal for o in outcomes], dtype=float),
-        "crossing": np.array([o.crossing for o in outcomes], dtype=float),
-    }
+# Outcomes a report rates and per_encounter.csv lists, with the event each counts.
+_OUTCOME_EVENTS = {
+    "nmac": EVENT_NMAC,
+    "alert": EVENT_RA,
+    "strengthen": EVENT_STRENGTHEN,
+    "reversal": EVENT_REVERSAL,
+    "crossing": EVENT_CROSSING,
+}
+
+
+def outcome_columns(flags: np.ndarray) -> dict:
+    """Each outcome's 0/1 indicator over one equipage's event bits."""
+    return {name: ((flags & _BIT[event]) != 0).astype(int) for name, event in _OUTCOME_EVENTS.items()}
+
+
+def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> MetricsReport:
+    """Rates over one equipage's event bits, weighted by exp(log_weight) if weighted."""
+    n = len(flags)
+    columns = {k: v.astype(float) for k, v in outcome_columns(flags).items()}
     if weighted:
+        w = np.array([math.exp(lw) for lw in log_weight.tolist()])
         # Unnormalized importance-sampling estimator (divide by n, not sum w).
-        est = {k: float(np.sum(w * v) / n) for k, v in flags.items()}
-        wi = w * flags["nmac"]
+        est = {k: float(np.sum(w * v) / n) for k, v in columns.items()}
+        wi = w * columns["nmac"]
         se = float(np.std(wi, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         sw2 = float(np.sum(w * w))
         ess = float(np.sum(w) ** 2 / sw2) if sw2 > 0 else 0.0
     else:
-        est = {k: float(np.mean(v)) for k, v in flags.items()}
+        est = {k: float(np.mean(v)) for k, v in columns.items()}
         p = est["nmac"]
         se = math.sqrt(p * (1.0 - p) / n)
         ess = float(n)
@@ -611,7 +567,8 @@ def estimate_metrics(
     model: EncounterModel, eq: Equipage, n: int, seed: int, workers: int = 1
 ) -> MetricsReport:
     """Plain Monte Carlo estimate over n independent encounters."""
-    return _report(_run_batch(model, [eq], n, seed, workers, nominal=None)[0], weighted=False)
+    flags, _, log_weight = _run_batch(model, [eq], n, seed, workers, nominal=None)
+    return _report(flags[0], log_weight, weighted=False)
 
 
 def risk_ratio(equipped: MetricsReport, unequipped: MetricsReport) -> RiskRatio:
@@ -645,8 +602,8 @@ def is_estimate(
     Requires the proposal to share bins and structure with the nominal model
     so bin-level likelihood ratios are exact.
     """
-    outcomes = _run_batch(proposal, [eq], n, seed, workers, nominal=nominal)[0]
-    return _report(outcomes, weighted=True)
+    flags, _, log_weight = _run_batch(proposal, [eq], n, seed, workers, nominal=nominal)
+    return _report(flags[0], log_weight, weighted=True)
 
 
 def _check_shared_structure(nominal: EncounterModel, proposal: EncounterModel) -> None:
@@ -687,18 +644,17 @@ def cross_entropy_adapt(
     current = proposal
     for it in range(iterations):
         encs: List[SampledEncounter] = []
-        outcomes: List[EncounterOutcome] = []
+        keys = []
         for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS):
-            chunk_encs, (chunk_outcomes,) = _run_chunk(
+            chunk_encs, flags, severity, log_weight = _run_chunk(
                 current, [eq], seed, indices, nominal=nominal,
                 enc_stream=STREAM_CE_ENCOUNTER, sim_stream=STREAM_CE_SIMULATE,
             )
             encs += chunk_encs
-            outcomes += chunk_outcomes
-        keys = [
-            (0.0, -math.exp(o.log_weight)) if o.nmac else (1.0, o.severity)
-            for o in outcomes
-        ]
+            keys += [
+                (0.0, -math.exp(w)) if f & _BIT[EVENT_NMAC] else (1.0, sev)
+                for f, sev, w in zip(flags[0].tolist(), severity[0].tolist(), log_weight.tolist())
+            ]
         order = sorted(range(n_per_iter), key=lambda j: keys[j])
         elite = [encs[j] for j in order[:n_elite]]
         initial_data = np.vstack(

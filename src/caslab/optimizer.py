@@ -100,16 +100,6 @@ class Grid:
         """Flat state index; axes (h, hdot0, hdot1, tau, a_prev), C order."""
         return int(np.ravel_multi_index((ih, i0, i1, itau, ia_prev), self.shape))
 
-    def state_of_index(self, index: int) -> VerticalState:
-        ih, i0, i1, itau, ia = np.unravel_index(index, self.shape)
-        return VerticalState(
-            h=float(self.h_cuts[ih]),
-            hdot0=float(self.hdot0_cuts[i0]),
-            hdot1=float(self.hdot1_cuts[i1]),
-            a_prev=self.advisories[ia],
-            tau=float(itau),
-        )
-
     def advisory_index(self, a: Advisory) -> int:
         return self.advisories.index(a)
 
@@ -254,12 +244,17 @@ def transition_distribution(
 
 
 def _locate_many(x: np.ndarray, cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized _locate with hull clamping."""
-    x = np.clip(x, cuts[0], cuts[-1])
+    """Vectorized _locate with hull clamping: lower cell index and fraction.
+
+    The DP and the table lookup both locate through here.  Clamping uses
+    np.minimum/np.maximum, which give np.clip's result with less overhead
+    per call.
+    """
+    x = np.minimum(np.maximum(np.asarray(x, dtype=float), cuts[0]), cuts[-1])
     i = np.searchsorted(cuts, x, side="right") - 1
-    i = np.clip(i, 0, len(cuts) - 2)
+    i = np.minimum(np.maximum(i, 0), len(cuts) - 2)
     frac = (x - cuts[i]) / (cuts[i + 1] - cuts[i])
-    return i, np.clip(frac, 0.0, 1.0)
+    return i, np.minimum(np.maximum(frac, 0.0), 1.0)
 
 
 def _action_operator(

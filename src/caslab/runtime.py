@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ADVISORIES, Advisory, BeliefState, VerticalState
-from .optimizer import LogicTable
+from .optimizer import LogicTable, _locate_many
 
 DEFAULT_COST_MAGNITUDE = -1.0e6
 DEFAULT_INHIBIT_ALTITUDE_FT = 1000.0
@@ -93,18 +93,8 @@ def interpolate_many(
     axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts,
             np.arange(grid.tau_max + 1, dtype=float))
     coords = (h, hdot0, hdot1, tau)
-    idx = []
-    lo_w = []
-    hi_w = []
-    for cuts, x in zip(axes, coords):
-        x = np.minimum(np.maximum(np.asarray(x, dtype=float), cuts[0]), cuts[-1])
-        i = np.searchsorted(cuts, x, side="right") - 1
-        i = np.minimum(np.maximum(i, 0), len(cuts) - 2)
-        f = (x - cuts[i]) / (cuts[i + 1] - cuts[i])
-        f = np.minimum(np.maximum(f, 0.0), 1.0)
-        idx.append(i)
-        lo_w.append(1.0 - f)
-        hi_w.append(f)
+    idx, hi_w = zip(*(_locate_many(x, cuts) for cuts, x in zip(axes, coords)))
+    lo_w = [1.0 - f for f in hi_w]
     n = len(idx[0])
     na = len(grid.advisories)
     # State strides with axes (h, hdot0, hdot1, tau, a_prev).

@@ -11,7 +11,7 @@ import caslab
 import numpy as np
 import pytest
 from caslab.cli import main
-from caslab.config import DEFAULT_CONFIG, dump_config, load_config
+from caslab.config import DEFAULT_CONFIG, ConfigError, dump_config, load_config
 from caslab.core import ADVISORIES
 from caslab.encounters import (
     default_structure,
@@ -213,6 +213,11 @@ INVALID_CONFIGS = {
         "belief_sigma_h",
     ),
     "non_integer_n": ({"evaluation": {"n": 5.5, "equipage": ["none", "none"]}}, "evaluation.n"),
+    "string_sigma": (
+        {"online": {"belief_sigma_h": "abc"}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "online.belief_sigma_h",
+    ),
+    "non_integer_tau_max": ({"grid": {"tau_max": 2.7}}, "grid.tau_max"),
 }
 
 
@@ -230,6 +235,18 @@ class TestConfigContract:
         assert err.startswith("E_CONFIG_INVALID:")
         assert err.count("\n") == 1
         assert key in err
+
+    def test_value_types_follow_the_defaults(self, tmp_path):
+        path = tmp_path / "config.json"
+        accepted = {"tcas": {"alim": 350}, "evaluation": {"seed": 3, "pilot_response_probability": 1}}
+        path.write_text(json.dumps({"schema_version": 1, **accepted}))
+        cfg = load_config(path)
+        assert cfg["tcas"]["alim"] == 350 and cfg["evaluation"]["seed"] == 3
+        for doc in ({"sample": {"count": True}}, {"encounter": {"use_default_model": 1}},
+                    {"grid": {"h_cuts": 5.0}}, {"pilot": None}, {"slice": {"a_prev": 0}}):
+            path.write_text(json.dumps({"schema_version": 1, **doc}))
+            with pytest.raises(ConfigError, match=next(iter(doc))):
+                load_config(path)
 
 
 def _advisory_field(name):

@@ -15,13 +15,13 @@ from caslab.encounters import (
 from caslab.evaluation import (
     Equipage,
     MetricsReport,
+    _BIT,
     _quantized_tau,
     _run_chunk,
     cross_entropy_adapt,
     estimate_metrics,
     is_estimate,
     risk_ratio,
-    run_indexed_encounter,
     run_indexed_traces,
     simulate_encounter,
     trace_severity,
@@ -56,6 +56,11 @@ def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0,
 
 def det_pilot():
     return PilotModel(response_probability=1.0)
+
+
+def trace_outcome(trace):
+    """A trace's event bits ORed over its steps, and its severity."""
+    return sum(_BIT[f] for f in frozenset().union(*trace.events)), trace_severity(trace)
 
 
 class TestSimulateEncounter:
@@ -163,13 +168,15 @@ class TestLockstep:
             table=default_table, belief_sigma_h=sigma_h,
             belief_sigma_rate=2.0 if sigma_h else 0.0,
         )
-        # run_indexed_encounter is _outcome_of(simulate_encounter(...)).
-        traced = [run_indexed_encounter(model, eq, 61, i)[2] for i in range(self.N)]
+        # The reference is each encounter's lone trace, reduced to its outcome.
+        traced = [trace_outcome(run_indexed_traces(model, eq, 61, [i])[0]) for i in range(self.N)]
         for size in (1, 7, self.N):
             chunked = []
             for start in range(0, self.N, size):
                 indices = range(start, min(start + size, self.N))
-                chunked += _run_chunk(model, [eq], 61, indices)[1][0]
+                _, flags, severity, log_weight = _run_chunk(model, [eq], 61, indices)
+                assert not log_weight.any()
+                chunked += zip(flags[0].tolist(), severity[0].tolist())
             assert chunked == traced, f"chunk size {size}"
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
@@ -179,7 +186,7 @@ class TestLockstep:
                       belief_sigma_h=25.0, belief_sigma_rate=2.0)
         chunked = run_indexed_traces(model, eq, 62, range(self.N))
         for i, trace in enumerate(chunked):
-            lone = run_indexed_encounter(model, eq, 62, i)[1]
+            (lone,) = run_indexed_traces(model, eq, 62, [i])
             for a, b in ((trace.ownship, lone.ownship), (trace.intruder, lone.intruder)):
                 for field in ("x", "y", "z", "vx", "vy", "vz"):
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (i, field)
@@ -190,10 +197,12 @@ class TestLockstep:
         model = default_correlated_model()
         eqs = [Equipage(own="table", pilot=det_pilot(), table=default_table),
                Equipage(pilot=det_pilot())]
-        encs, (table_out, none_out) = _run_chunk(model, eqs, 8, range(5))
+        encs, flags, severity, log_weight = _run_chunk(model, eqs, 8, range(5))
         assert len(encs) == 5
-        assert table_out == [run_indexed_encounter(model, eqs[0], 8, i)[2] for i in range(5)]
-        assert none_out == [run_indexed_encounter(model, eqs[1], 8, i)[2] for i in range(5)]
+        assert flags.shape == severity.shape == (2, 5) and log_weight.shape == (5,)
+        for j, eq in enumerate(eqs):
+            lone = [trace_outcome(run_indexed_traces(model, eq, 8, [i])[0]) for i in range(5)]
+            assert list(zip(flags[j].tolist(), severity[j].tolist())) == lone
 
     def test_particle_average_is_per_belief_matmul(self, default_table):
         # the batched belief average must equal each belief's own
@@ -225,8 +234,8 @@ class TestPairedSeeds:
         eq_none = Equipage(pilot=det_pilot())
         eq_table = Equipage(own="table", pilot=det_pilot(), table=default_table)
         for idx in range(5):
-            _, trace_none, _ = run_indexed_encounter(model, eq_none, 99, idx)
-            _, trace_tab, _ = run_indexed_encounter(model, eq_table, 99, idx)
+            (trace_none,) = run_indexed_traces(model, eq_none, 99, [idx])
+            (trace_tab,) = run_indexed_traces(model, eq_table, 99, [idx])
             np.testing.assert_array_equal(
                 trace_none.intruder.z, trace_tab.intruder.z
             )
@@ -271,7 +280,8 @@ class TestEstimateMetrics:
         # bootstrap the binomial SE from the indicator draws themselves
         rng = np.random.default_rng(0)
         flags = np.array(
-            [run_indexed_encounter(toy, Equipage(), 11, i)[2].nmac for i in range(200)],
+            [run_indexed_traces(toy, Equipage(), 11, [i])[0].has_event(EVENT_NMAC)
+             for i in range(200)],
             dtype=float,
         )
         assert np.mean(flags) == rep.p_nmac
@@ -411,5 +421,5 @@ class TestSeverity:
     def test_nmac_iff_severity_below_one(self):
         model = default_correlated_model()
         for idx in range(30):
-            _, trace, outcome = run_indexed_encounter(model, Equipage(), 31, idx)
-            assert outcome.nmac == (trace_severity(trace) < 1.0)
+            (trace,) = run_indexed_traces(model, Equipage(), 31, [idx])
+            assert trace.has_event(EVENT_NMAC) == (trace_severity(trace) < 1.0)

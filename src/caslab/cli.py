@@ -81,9 +81,11 @@ def main(argv: Optional[list] = None) -> int:
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg["evaluation"]["seed"]
+        if args.seed is not None:
+            cfg["evaluation"]["seed"] = args.seed
+        seed = cfg["evaluation"]["seed"]
         if seed is not None:
-            cfg["evaluation"]["seed"] = int(seed)
+            _config_int(cfg, "evaluation", "seed", 0)
         handler = {
             "fit": _cmd_fit,
             "sample": _cmd_sample,
@@ -118,7 +120,7 @@ def _load_config(path: Optional[str]) -> dict:
 def _require_seed(seed) -> int:
     if seed is None:
         raise CliError(E_SEED_REQUIRED, "stochastic commands require --seed (or evaluation.seed)")
-    return int(seed)
+    return seed
 
 
 def _load_model(cfg: dict) -> EncounterModel:

@@ -78,6 +78,14 @@ DEFAULT_CONFIG = {
 }
 
 
+# The JSON type of each key whose default is null; null stays accepted there.
+NULLABLE_TYPES = {
+    **{f"paths.{key}": "a string" for key in DEFAULT_CONFIG["paths"]},
+    "evaluation.seed": "an integer",
+    "evaluation.pilot_response_probability": "a number",
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -93,18 +101,20 @@ def _json_type(value) -> Optional[str]:
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     """Merge override over base; each value must have its default's JSON type.
 
-    An integer passes where the default is a number, and anything passes
-    where the default is null.
+    An integer passes where the default is a number.  Where the default is
+    null, the value is null or of the type NULLABLE_TYPES declares.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key: {where}")
-        expected = _json_type(base[key])
+        nullable = base[key] is None
+        expected = NULLABLE_TYPES[where] if nullable else _json_type(base[key])
         accepted = {expected, "an integer"} if expected == "a number" else {expected}
-        if base[key] is not None and _json_type(value) not in accepted:
-            raise ConfigError(f"{where} must be {expected}, got {value!r}")
+        if not (nullable and value is None) and _json_type(value) not in accepted:
+            or_null = " or null" if nullable else ""
+            raise ConfigError(f"{where} must be {expected}{or_null}, got {value!r}")
         if isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
         else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -116,6 +116,76 @@ def step_complying_many(
     inside = np.where(sense > 0, vz >= target, vz <= target)
     vz_new = np.where(inside, vz, toward)
     return z + 0.5 * (vz + vz_new) * dt, vz_new
+
+
+def project_template_many(
+    own: Tuple[np.ndarray, np.ndarray],
+    intr: Tuple[np.ndarray, np.ndarray],
+    advisories: Sequence[Advisory],
+    pilot: PilotModel,
+    horizon: np.ndarray,
+    dt: float = 1.0,
+) -> np.ndarray:
+    """Array form of project_template over rows x advisories, bit for bit.
+
+    own and intr hold each row's (altitude, vertical rate) arrays and
+    horizon each row's horizon; returns the (rows, advisories) projected
+    separations.  Rates run in the sense-normalized frame u = sense * vz,
+    where the band edge is a floor: u' = max(u, min(u + a * step, edge)).
+    Negation is exact and rounding symmetric, so the frame changes no bit;
+    COC's edge is -inf, so its rate holds.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    horizon = np.asarray(horizon, dtype=float)
+    if np.any(horizon < 0):
+        raise ValueError("horizon must be >= 0")
+    sense = np.array([a.sense or 1 for a in advisories], dtype=float)
+    edge = np.array([-np.inf if a is Advisory.COC else a.sense * a.target_rate_fps
+                     for a in advisories])
+    order = np.argsort(-horizon, kind="stable")
+    h = horizon[order]
+    z0, vz0 = (np.asarray(v, dtype=float)[order] for v in own)
+    t = np.minimum(pilot.deterministic_delay, h)
+    w = (z0 + vz0 * t)[:, None] * sense
+    u = vz0[:, None] * sense
+    stop = h - 1e-12
+    # Full steps.  Every row whose horizon outlasts the delay starts on one
+    # clock, so the rows with a full step left are a prefix of the
+    # horizon-sorted rows that shrinks as the clock runs.  A row leaves it
+    # with the clock's time (rows inside the delay are past their stop).
+    clock, rise = pilot.deterministic_delay, pilot.acceleration * dt
+    hl, stopl = h.tolist(), stop.tolist()
+    m = len(hl)
+    while True:
+        while m and not (clock < stopl[m - 1] and hl[m - 1] - clock >= dt):
+            m -= 1
+            t[m] = clock
+        if not m:
+            break
+        um = u[:m]
+        u_new = um + rise
+        np.minimum(u_new, edge, out=u_new)
+        np.maximum(um, u_new, out=u_new)
+        um += u_new
+        um *= 0.5
+        um *= dt
+        w[:m] += um
+        um[...] = u_new
+        clock += dt
+    # Each row's last, partial step (more only if rounding leaves a sliver);
+    # a row that is done steps by 0, which changes nothing.
+    live = t < stop
+    while live.any():
+        step = np.where(live, np.minimum(dt, h - t), 0.0)
+        u_new = np.maximum(u, np.minimum(u + (pilot.acceleration * step)[:, None], edge))
+        w += 0.5 * (u + u_new) * step[:, None]
+        u, t = u_new, t + step
+        live = t < stop
+    z1, vz1 = (np.asarray(v, dtype=float)[order] for v in intr)
+    sep = np.empty_like(w)
+    sep[order] = np.abs((z1 + vz1 * h)[:, None] - w * sense)
+    return sep
 
 
 def sample_response_delay(pilot: PilotModel, rng: np.random.Generator) -> int:

@@ -28,7 +28,6 @@ from .core import (
     NMAC_HORIZONTAL_FT,
     NMAC_VERTICAL_FT,
     Advisory,
-    AircraftState,
     AircraftTrack,
     EncounterTrace,
     horizontal_tau_xy,
@@ -54,7 +53,7 @@ from .runtime import (
     apply_online_costs_many,
     weighted_particle_values,
 )
-from .tcas import TcasConfig, TcasTracker, Threat
+from .tcas import TcasConfig, assess_threat_many, closest_approach_many, tracker_step_many
 
 LOGIC_NONE = "none"
 LOGIC_TCAS = "tcas"
@@ -144,7 +143,6 @@ CHUNK_ENCOUNTERS = 64
 
 # Lockstep state holds advisories as indices into ADVISORIES.
 _COC = ADVISORIES.index(Advisory.COC)
-_ADV_INDEX = {a: i for i, a in enumerate(ADVISORIES)}
 _SENSE = np.array([a.sense for a in ADVISORIES])
 _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 _STRENGTHENS = np.array([[is_strengthening(p, q) for q in ADVISORIES] for p in ADVISORIES])
@@ -180,7 +178,7 @@ def _fly(
     step; advisories override the nominal vertical command once the
     (geometric) pilot delay elapses.  Unequipped aircraft replay the nominal
     commands exactly.  Each table-equipped side makes one lookup per step
-    over all B beliefs.
+    over all B beliefs, and each TCAS side one tracker_step_many.
     """
     n_enc = len(encs)
     n, dt = encs[0].n_steps, encs[0].dt
@@ -206,6 +204,7 @@ def _fly(
     x = pos0[:, :, 0, None] + vel[:, :, 0, None] * ks * dt
     y = pos0[:, :, 1, None] + vel[:, :, 1, None] * ks * dt
     dx, dy = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
+    dvx, dvy = vel[:, 1, 0] - vel[:, 0, 0], vel[:, 1, 1] - vel[:, 0, 1]
     # The NMAC test uses math.hypot, which np.hypot does not always match.
     near = np.array(
         [math.hypot(a, b) for a, b in zip(dx.ravel().tolist(), dy.ravel().tolist())]
@@ -226,10 +225,19 @@ def _fly(
     complying = np.zeros((n_enc, 2), dtype=bool)
     delay = np.zeros((n_enc, 2), dtype=int)
 
-    trackers = {
-        i: [TcasTracker(eq.tcas) for _ in encs] for i in (0, 1) if logics[i] == LOGIC_TCAS
-    }
-    vl = vel.tolist()
+    zs = np.empty((n_enc, 2, n + 1))
+    vzs = np.empty((n_enc, 2, n + 1))
+    adv_hist = np.empty((n_enc, n + 1, 2), dtype=int)
+    events = np.zeros((n_enc, n + 1), dtype=int)
+
+    if LOGIC_TCAS in logics:
+        # Horizontal tracks are open-loop, so every step's threat is known up
+        # front.  Both sides see the same one: each term of closest_approach
+        # is invariant under swapping own and intruder.
+        t_cpa, miss = closest_approach_many(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None])
+        ta, ra = assess_threat_many(t_cpa, miss, eq.tcas)
+        events[:, :n][ta] |= _BIT[EVENT_TA]
+        streak = np.zeros((n_enc, 2), dtype=int)
 
     table = eq.table
     if table_sides:
@@ -239,12 +247,12 @@ def _fly(
         to_table = np.array([
             grid.advisory_index(a) if a in grid.advisories else -1 for a in ADVISORIES
         ])
-        from_table = np.array([_ADV_INDEX[a] for a in grid.advisories])
+        from_table = np.array([ADVISORIES.index(a) for a in grid.advisories])
         # Relative geometry is antisymmetric between the sides, so both see
         # the same tau (every term of horizontal_tau_xy is sign-invariant).
-        dvx, dvy = (vel[:, 1, 0] - vel[:, 0, 0]).tolist(), (vel[:, 1, 1] - vel[:, 0, 1]).tolist()
+        dvxl, dvyl = dvx.tolist(), dvy.tolist()
         tau_q = np.array([
-            [_quantized_tau((px, py), (dvx[b], dvy[b]), grid.tau_max)
+            [_quantized_tau((px, py), (dvxl[b], dvyl[b]), grid.tau_max)
              for px, py in zip(dx[b, :n].tolist(), dy[b, :n].tolist())]
             for b in range(n_enc)
         ])
@@ -266,28 +274,16 @@ def _fly(
         base_climb = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_CLIMB
         base_descend = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_DESCEND
 
-    zs = np.empty((n_enc, 2, n + 1))
-    vzs = np.empty((n_enc, 2, n + 1))
-    adv_hist = np.empty((n_enc, n + 1, 2), dtype=int)
-    events = np.zeros((n_enc, n + 1), dtype=int)
-
     for k in range(n):
         step_events = events[:, k]
         prev = adv.copy()
-        if trackers:
-            xl, yl, zl, vzl = x[:, :, k].tolist(), y[:, :, k].tolist(), z.tolist(), vz.tolist()
         for i in equipped:
             o = 1 - i
             if logics[i] == LOGIC_TCAS:
-                chosen = []
-                for b, tracker in enumerate(trackers[i]):
-                    me = AircraftState(xl[b][i], yl[b][i], zl[b][i], vl[b][i][0], vl[b][i][1], vzl[b][i])
-                    other = AircraftState(xl[b][o], yl[b][o], zl[b][o], vl[b][o][0], vl[b][o][1], vzl[b][o])
-                    a, threat = tracker.step(me, other)
-                    chosen.append(_ADV_INDEX[a])
-                    if threat is Threat.TA:
-                        step_events[b] |= _BIT[EVENT_TA]
-                selected = np.array(chosen)
+                selected, streak[:, i] = tracker_step_many(
+                    adv[:, i], streak[:, i], ra[:, k], t_cpa[:, k],
+                    (z[:, i], vz[:, i]), (z[:, o], vz[:, o]), eq.tcas,
+                )
             else:
                 # Array form of synthesize_belief followed by
                 # belief_action_values (same noise stream, same weights).

@@ -6,6 +6,10 @@ distance.  RA selection is the classic two-step scheme: pick the vertical
 sense whose standard-maneuver projection separates most at closest
 approach, then pick the weakest advisory of that sense projected to achieve
 the required separation (ALIM).
+
+The scalar functions and TcasTracker are the reference; the *_many
+functions are their array twins, bit for bit, which the lockstep simulator
+flies over a whole chunk of encounters at once.
 """
 
 from __future__ import annotations
@@ -15,7 +19,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Tuple
 
+import numpy as np
+
 from .core import (
+    ADVISORIES,
     DOWN,
     DOWN_ADVISORIES,
     FT_PER_NMI,
@@ -24,7 +31,7 @@ from .core import (
     Advisory,
     AircraftState,
 )
-from .dynamics import PilotModel, project_template
+from .dynamics import PilotModel, project_template, project_template_many
 
 
 class Threat(Enum):
@@ -179,3 +186,86 @@ class TcasTracker:
         else:
             self._pending_streak = 0
         return self.current, threat
+
+
+# The array twins hold advisories as indices into ADVISORIES and project the
+# six advisories with a band, in axis order, as one block of templates.
+_COC = ADVISORIES.index(Advisory.COC)
+_TEMPLATES = tuple(a for a in ADVISORIES if a is not Advisory.COC)
+_TEMPLATE_ADVISORY = np.array([ADVISORIES.index(a) for a in _TEMPLATES])
+_UP_COLUMNS = np.array([_TEMPLATES.index(a) for a in UP_ADVISORIES])
+_DOWN_COLUMNS = np.array([_TEMPLATES.index(a) for a in DOWN_ADVISORIES])
+_CL1500 = _TEMPLATES.index(Advisory.CL1500)
+_DES1500 = _TEMPLATES.index(Advisory.DES1500)
+
+
+def closest_approach_many(px, py, vx, vy) -> Tuple[np.ndarray, np.ndarray]:
+    """Array form of closest_approach over broadcast relative positions and velocities.
+
+    Returns (time to CPA, miss distance); the time is NaN where
+    closest_approach gives None, so it fails every threshold compare.  The
+    miss distance uses math.hypot, as closest_approach does.
+    """
+    vv = vx * vx + vy * vy
+    num = -(px * vx + py * vy)
+    t = np.divide(num, vv, out=np.zeros_like(num), where=vv != 0.0)
+    closing = t >= 0.0
+    t = np.where(closing, t, 0.0)
+    mx, my = px + vx * t, py + vy * t
+    miss = np.array(
+        [math.hypot(a, b) for a, b in zip(mx.ravel().tolist(), my.ravel().tolist())]
+    ).reshape(mx.shape)
+    return np.where(closing, t, np.nan), miss
+
+
+def assess_threat_many(
+    t_cpa: np.ndarray, miss: np.ndarray, cfg: TcasConfig
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Array form of assess_threat: the (TA, RA) masks of closest_approach_many's output."""
+    gated = miss < cfg.miss_distance_threshold
+    ra = gated & (t_cpa < cfg.ra_tau)
+    return gated & ~ra & (t_cpa < cfg.ta_tau), ra
+
+
+def select_advisory_many(own, intr, horizon: np.ndarray, cfg: TcasConfig) -> np.ndarray:
+    """select_sense then select_strength per row, as indices into ADVISORIES.
+
+    own and intr hold each row's (altitude, vertical rate) arrays and
+    horizon its time to CPA.  One projection of the six templates serves
+    both steps.
+    """
+    sep = project_template_many(own, intr, _TEMPLATES, cfg.pilot, horizon)
+    up = sep[:, _CL1500] > sep[:, _DES1500]
+    columns = np.where(up[:, None], _UP_COLUMNS, _DOWN_COLUMNS)
+    achieves = np.take_along_axis(sep, columns, axis=1) >= cfg.alim
+    # pick_min_strength: the first achieving candidate, else the strongest.
+    pick = np.where(achieves.any(axis=1), achieves.argmax(axis=1), columns.shape[1] - 1)
+    return _TEMPLATE_ADVISORY[columns[np.arange(len(columns)), pick]]
+
+
+def tracker_step_many(
+    current: np.ndarray,
+    streak: np.ndarray,
+    ra: np.ndarray,
+    horizon: np.ndarray,
+    own,
+    intr,
+    cfg: TcasConfig,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """TcasTracker.step over rows: the new (current advisory, pending streak).
+
+    current holds each row's active advisory as an index into ADVISORIES
+    and streak its tracker's pending streak; ra marks the rows whose threat
+    is an RA, horizon their time to CPA, and own and intr the (altitude,
+    vertical rate) arrays.
+    """
+    selected = np.full(len(current), _COC)
+    rows = np.flatnonzero(ra)
+    if rows.size:
+        selected[rows] = select_advisory_many(
+            tuple(v[rows] for v in own), tuple(v[rows] for v in intr), horizon[rows], cfg
+        )
+    fresh = current == _COC
+    streak = np.where(fresh | (selected == current), 0, streak + 1)
+    switch = fresh | (streak >= 2)
+    return np.where(switch, selected, current), np.where(switch, 0, streak)

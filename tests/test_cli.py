@@ -11,7 +11,7 @@ import caslab
 import numpy as np
 import pytest
 from caslab.cli import main
-from caslab.config import DEFAULT_CONFIG, ConfigError, dump_config, load_config
+from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
 from caslab.core import ADVISORIES
 from caslab.encounters import (
     default_structure,
@@ -218,6 +218,17 @@ INVALID_CONFIGS = {
         "online.belief_sigma_h",
     ),
     "non_integer_tau_max": ({"grid": {"tau_max": 2.7}}, "grid.tau_max"),
+    "non_integer_seed": (
+        {"evaluation": {"seed": 2.7, "n": 5, "equipage": ["none", "none"]}}, "evaluation.seed",
+    ),
+    "numeric_table_file": (
+        {"paths": {"table_file": 5}, "evaluation": {"n": 5, "equipage": ["table", "none"]}},
+        "paths.table_file",
+    ),
+    "string_response_probability": (
+        {"evaluation": {"pilot_response_probability": "1", "n": 5, "equipage": ["none", "none"]}},
+        "evaluation.pilot_response_probability",
+    ),
 }
 
 
@@ -236,12 +247,33 @@ class TestConfigContract:
         assert err.count("\n") == 1
         assert key in err
 
+    @pytest.mark.parametrize("where", ["--seed", "config"])
+    def test_negative_seed_names_its_key(self, where, tmp_path, capsys):
+        evaluation = {"n": 5, "equipage": ["none", "none"]}
+        if where == "config":
+            evaluation["seed"] = -1
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "evaluation": evaluation}))
+        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = main(argv + (["--seed", "-1"] if where == "--seed" else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG_INVALID:") and err.count("\n") == 1
+        assert "evaluation.seed" in err
+
+    def test_every_null_default_declares_its_type(self):
+        nulls = {f"{block}.{key}" for block, values in DEFAULT_CONFIG.items()
+                 if isinstance(values, dict) for key, value in values.items() if value is None}
+        assert nulls == set(NULLABLE_TYPES)
+
     def test_value_types_follow_the_defaults(self, tmp_path):
         path = tmp_path / "config.json"
-        accepted = {"tcas": {"alim": 350}, "evaluation": {"seed": 3, "pilot_response_probability": 1}}
+        accepted = {"tcas": {"alim": 350}, "evaluation": {"seed": 3, "pilot_response_probability": 1},
+                    "paths": {"model_file": None, "table_file": "table.acxt"}}
         path.write_text(json.dumps({"schema_version": 1, **accepted}))
         cfg = load_config(path)
         assert cfg["tcas"]["alim"] == 350 and cfg["evaluation"]["seed"] == 3
+        assert cfg["paths"]["table_file"] == "table.acxt" and cfg["paths"]["model_file"] is None
         for doc in ({"sample": {"count": True}}, {"encounter": {"use_default_model": 1}},
                     {"grid": {"h_cuts": 5.0}}, {"pilot": None}, {"slice": {"a_prev": 0}}):
             path.write_text(json.dumps({"schema_version": 1, **doc}))

@@ -6,6 +6,7 @@ from caslab.dynamics import (
     IntruderModel,
     PilotModel,
     project_template,
+    project_template_many,
     sample_response_delay,
     step_complying_many,
     step_vertical,
@@ -144,6 +145,34 @@ class TestProjectTemplate:
     def test_negative_horizon_rejected(self):
         with pytest.raises(ValueError):
             project_template((0.0, 0.0), (100.0, 0.0), Advisory.COC, pilot(), -1.0)
+
+    @pytest.mark.parametrize("model", [pilot(), PilotModel()])
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    def test_many_matches_scalar_bit_for_bit(self, model, dt):
+        # Horizons: zero, inside the 5 s delay, exactly at it, past it by less
+        # than the 1e-12 loop guard, whole, with a final partial step, and
+        # just under 25 s.
+        horizons = [0.0, 2.5, 5.0, 5.0 + 1e-13, 17.0, 17.3, 24.999]
+        # Rates inside and outside every band, on each edge, and less than
+        # one acceleration step from it.
+        offsets = (-30.0, -3.0, 0.0, 3.0, 30.0)
+        rates = sorted({a.target_rate_fps + d for a in ADVISORIES[1:] for d in offsets})
+        rows = [(h, r) for h in horizons for r in rates]
+        rng = np.random.default_rng(7)
+        z0 = rng.uniform(-600.0, 600.0, len(rows))
+        z1, vz1 = rng.uniform(-600.0, 600.0, len(rows)), rng.uniform(-40.0, 40.0, len(rows))
+        horizon, vz0 = (np.array(c) for c in zip(*rows))
+        got = project_template_many((z0, vz0), (z1, vz1), ADVISORIES, model, horizon, dt)
+        columns = (c.tolist() for c in (z0, vz0, z1, vz1, horizon))
+        expected = [
+            [project_template((a, b), (c, d), adv, model, h, dt) for adv in ADVISORIES]
+            for a, b, c, d, h in zip(*columns)
+        ]
+        assert got.tolist() == expected
+
+    def test_many_rejects_negative_horizon(self):
+        with pytest.raises(ValueError):
+            project_template_many(([0.0], [0.0]), ([100.0], [0.0]), ADVISORIES, pilot(), [-1.0])
 
 
 class TestModelValidation:

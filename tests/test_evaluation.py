@@ -4,19 +4,35 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import EVENT_NMAC, EVENT_RA, Advisory, VerticalState
-from caslab.dynamics import PilotModel
+from caslab.core import (
+    EVENT_NMAC,
+    EVENT_RA,
+    EVENT_REVERSAL,
+    EVENT_STRENGTHEN,
+    EVENT_TA,
+    Advisory,
+    AircraftState,
+    VerticalState,
+    is_reversal,
+    is_strengthening,
+)
+from caslab.dynamics import PilotModel, sample_response_delay, step_vertical
 from caslab.encounters import (
     SampledEncounter,
+    build_encounters,
     default_correlated_model,
+    default_uncorrelated_model,
     nominal_tracks,
     toy_two_bin_model,
 )
 from caslab.evaluation import (
+    STREAM_ENCOUNTER,
+    STREAM_SIMULATE,
     Equipage,
     MetricsReport,
     _BIT,
     _quantized_tau,
+    _rngs,
     _run_chunk,
     cross_entropy_adapt,
     estimate_metrics,
@@ -32,6 +48,7 @@ from caslab.runtime import (
     synthesize_belief,
     weighted_particle_values,
 )
+from caslab.tcas import TcasTracker, Threat
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
@@ -61,6 +78,69 @@ def det_pilot():
 def trace_outcome(trace):
     """A trace's event bits ORed over its steps, and its severity."""
     return sum(_BIT[f] for f in frozenset().union(*trace.events)), trace_severity(trace)
+
+
+ADVISORY_EVENTS = frozenset({EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL})
+
+
+def tracker_flight(enc, eq, rng):
+    """Reference TCAS closed loop: one TcasTracker per TCAS side, scalar kinematics.
+
+    Flies one encounter with the simulator's conventions (pilot stream,
+    response delays, nominal commands when not complying) and returns each
+    sample's (own, intruder) advisories, its TA/RA/strengthen/reversal
+    labels and both altitudes.
+    """
+    pilot_rng, _ = rng.spawn(2)
+    n, dt = enc.n_steps, enc.dt
+    vel = [(enc.own_speed * math.cos(enc.own_heading), enc.own_speed * math.sin(enc.own_heading)),
+           (enc.int_speed * math.cos(enc.int_heading), enc.int_speed * math.sin(enc.int_heading))]
+    pos0 = (enc.own_pos0, enc.int_pos0)
+    cmds = (enc.own_vrate.tolist(), enc.int_vrate.tolist())
+    z, vz = [enc.own_alt0, enc.int_alt0], [cmds[0][0], cmds[1][0]]
+    trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in (eq.own, eq.intruder)]
+    adv, complying, delay = [Advisory.COC] * 2, [False] * 2, [0, 0]
+    advisories, labels, altitudes = [], [], []
+    for k in range(n):
+        states = [
+            AircraftState(pos0[i][0] + vel[i][0] * k * dt, pos0[i][1] + vel[i][1] * k * dt,
+                          z[i], vel[i][0], vel[i][1], vz[i])
+            for i in (0, 1)
+        ]
+        step_labels = set()
+        for i, tracker in enumerate(trackers):
+            if tracker is None:
+                continue
+            a, threat = tracker.step(states[i], states[1 - i])
+            if threat is Threat.TA:
+                step_labels.add(EVENT_TA)
+            if a is not adv[i]:
+                if adv[i] is Advisory.COC:
+                    step_labels.add(EVENT_RA)
+                if is_strengthening(adv[i], a):
+                    step_labels.add(EVENT_STRENGTHEN)
+                if is_reversal(adv[i], a):
+                    step_labels.add(EVENT_REVERSAL)
+                adv[i], complying[i] = a, False
+                if a is not Advisory.COC:
+                    delay[i] = sample_response_delay(eq.pilot, pilot_rng)
+            if adv[i] is not Advisory.COC and not complying[i]:
+                if delay[i] == 0:
+                    complying[i] = True
+                else:
+                    delay[i] -= 1
+        advisories.append(tuple(adv))
+        labels.append(frozenset(step_labels))
+        altitudes.append(tuple(z))
+        for i in (0, 1):
+            if adv[i] is not Advisory.COC and complying[i]:
+                z[i], vz[i] = step_vertical(z[i], vz[i], adv[i], True, eq.pilot, dt)
+            else:
+                z[i], vz[i] = z[i] + cmds[i][k] * dt, cmds[i][k]
+    advisories.append(tuple(adv))
+    labels.append(frozenset())
+    altitudes.append(tuple(z))
+    return advisories, labels, altitudes
 
 
 class TestSimulateEncounter:
@@ -178,6 +258,25 @@ class TestLockstep:
                 assert not log_weight.any()
                 chunked += zip(flags[0].tolist(), severity[0].tolist())
             assert chunked == traced, f"chunk size {size}"
+
+    @pytest.mark.parametrize("factory", [default_correlated_model, default_uncorrelated_model])
+    @pytest.mark.parametrize("sides", [("tcas", "none"), ("none", "tcas"), ("tcas", "tcas")])
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0])
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 2.0])
+    def test_tcas_arrays_match_scalar_tracker(self, factory, sides, p, dt):
+        # A whole chunk flown by tracker_step_many against one TcasTracker
+        # per encounter and side; dt != 1 makes every time to CPA fractional.
+        model = factory(dt=dt)
+        eq = Equipage(own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p))
+        traces = run_indexed_traces(model, eq, 71, range(self.N))
+        encs = build_encounters(model, _rngs(71, STREAM_ENCOUNTER, range(self.N)))
+        rngs = _rngs(71, STREAM_SIMULATE, range(self.N))
+        for b, (trace, enc, rng) in enumerate(zip(traces, encs, rngs)):
+            advisories, labels, altitudes = tracker_flight(enc, eq, rng)
+            assert list(trace.advisories) == advisories, b
+            assert [e & ADVISORY_EVENTS for e in trace.events] == labels, b
+            assert list(zip(trace.ownship.z.tolist(), trace.intruder.z.tolist())) == altitudes, b
+        assert all(any(EVENT_RA in e for e in trace.events) for trace in traces)
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
     def test_chunk_traces_match_lone_traces(self, default_table, sides):

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from caslab.core import DOWN, UP, Advisory, AircraftState
+from caslab.core import ADVISORIES, DOWN, UP, Advisory, AircraftState
 from caslab.tcas import (
     TcasConfig,
     TcasTracker,
     Threat,
     arbitrate_multithreat,
     assess_threat,
+    assess_threat_many,
     closest_approach,
+    closest_approach_many,
     pick_min_strength,
+    select_advisory_many,
     select_sense,
     select_strength,
+    tracker_step_many,
 )
 
 
@@ -178,3 +182,88 @@ class TestTracker:
         assert second is first
         third, _ = tracker.step(own_far, intr_far)
         assert third is Advisory.COC
+
+
+def random_pairs(rng, n):
+    """Own/intruder states: closing, diverging and equal-velocity geometries."""
+    pairs = []
+    for j in range(n):
+        own = AircraftState(0.0, 0.0, rng.uniform(-500, 500), rng.uniform(-200, 200),
+                            rng.uniform(-200, 200), rng.uniform(-40, 40))
+        if j % 10 == 0:  # no relative motion: closest_approach's vv == 0 branch
+            vx, vy = own.vx, own.vy
+        else:
+            vx, vy = rng.uniform(-200, 200), rng.uniform(-200, 200)
+        intr = AircraftState(rng.uniform(-12000, 12000), rng.uniform(-12000, 12000),
+                             rng.uniform(-800, 800), vx, vy, rng.uniform(-40, 40))
+        pairs.append((own, intr))
+    return pairs
+
+
+def relative(pairs):
+    """Intruder-minus-own position and velocity arrays."""
+    return tuple(np.array([getattr(i, f) - getattr(o, f) for o, i in pairs])
+                 for f in ("x", "y", "vx", "vy"))
+
+
+class TestArrayTwins:
+    """The *_many functions equal the scalar reference bit for bit."""
+
+    def test_closest_approach_and_threat(self):
+        pairs = random_pairs(np.random.default_rng(3), 600)
+        t_cpa, miss = closest_approach_many(*relative(pairs))
+        ta, ra = assess_threat_many(t_cpa, miss, cfg())
+        for j, (own, intr) in enumerate(pairs):
+            t, m = closest_approach(own, intr)
+            assert (t is None and np.isnan(t_cpa[j])) or t == t_cpa[j]
+            assert m == miss[j]
+            threat = assess_threat(own, intr, cfg())
+            assert (threat is Threat.TA, threat is Threat.RA) == (ta[j], ra[j])
+        assert ta.any() and ra.any() and np.isnan(t_cpa).any()
+
+    @pytest.mark.parametrize("alim", [400.0, 650.0])
+    def test_select_advisory(self, alim):
+        rng = np.random.default_rng(4)
+        pairs = []
+        for _ in range(300):  # within 25 s of CPA, so the projections differ
+            own, intr = head_on_pair(r=rng.uniform(600, 7000), own_vz=rng.uniform(-40, 40),
+                                     intr_z=rng.uniform(-900, 900), intr_vz=rng.uniform(-40, 40))
+            pairs.append((own, intr))
+        # level pairs CPA inside the delay: every template projects exactly ALIM
+        pairs += [head_on_pair(r=600.0, own_vz=0.0, intr_z=z, intr_vz=0.0) for z in (alim, -alim)]
+        c = cfg(alim=alim)
+        t_cpa, _ = closest_approach_many(*relative(pairs))
+        own_z, own_vz, intr_z, intr_vz = (
+            np.array([getattr(s, f) for s in states])
+            for states in zip(*pairs) for f in ("z", "vz")
+        )
+        got = select_advisory_many((own_z, own_vz), (intr_z, intr_vz), t_cpa, c)
+        expected = [
+            ADVISORIES.index(select_strength(own, intr, select_sense(own, intr, c), c))
+            for own, intr in pairs
+        ]
+        assert got.tolist() == expected
+        assert len(set(expected)) >= 4
+
+    def test_tracker_step(self):
+        rng = np.random.default_rng(5)
+        rows, steps = 40, 30
+        trackers = [TcasTracker(cfg()) for _ in range(rows)]
+        current, streak = np.zeros(rows, dtype=int), np.zeros(rows, dtype=int)
+        switches = 0
+        for _ in range(steps):
+            # mostly short-range geometry, so RAs come, go and change
+            pairs = [head_on_pair(r=rng.uniform(500, 12000), own_vz=rng.uniform(-40, 40),
+                                  intr_z=rng.uniform(-900, 900), intr_vz=rng.uniform(-40, 40))
+                     for _ in range(rows)]
+            t_cpa, miss = closest_approach_many(*relative(pairs))
+            _, ra = assess_threat_many(t_cpa, miss, cfg())
+            own = tuple(np.array([getattr(o, f) for o, _ in pairs]) for f in ("z", "vz"))
+            intr = tuple(np.array([getattr(i, f) for _, i in pairs]) for f in ("z", "vz"))
+            previous = current
+            current, streak = tracker_step_many(current, streak, ra, t_cpa, own, intr, cfg())
+            expected = [ADVISORIES.index(t.step(o, i)[0]) for t, (o, i) in zip(trackers, pairs)]
+            assert current.tolist() == expected
+            assert streak.tolist() == [t._pending_streak for t in trackers]
+            switches += int(np.sum((previous != current) & (previous != 0)))
+        assert switches > 0

@@ -15,8 +15,8 @@ from .core import (
 from .bayesnet import DiscreteBayesNet, fit_cpts
 from .dynamics import IntruderModel, PilotModel, project_template, sample_response_delay, step_vertical
 from .encounters import (
+    EncounterBatch,
     EncounterModel,
-    SampledEncounter,
     build_encounter,
     build_encounters,
     default_correlated_model,

@@ -3,8 +3,10 @@
 An encounter model pairs an initial-state network with a dynamic (two-slice)
 network.  Correlated models draw both aircraft jointly; uncorrelated models
 draw two independent samples and combine them with a horizontal placement
-rule.  Every CPT draw is recorded so trace likelihoods (and importance
-weights) can be recomputed exactly at the bin level.
+rule.  A sampled chunk is one EncounterBatch of arrays.  Every encounter
+shares one frame: the ownship starts at the origin with heading 0, and the
+intruder flies heading pi.  Every CPT draw is recorded so trace likelihoods
+(and importance weights) can be recomputed exactly at the bin level.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from .bayesnet import (
     net_from_dict,
     net_to_dict,
 )
-from .core import NMAC_HORIZONTAL_FT, AircraftTrack
+from .core import NMAC_HORIZONTAL_FT
 
 NEXT_SUFFIX = "_next"
 
@@ -49,6 +51,11 @@ DEFAULT_DURATION_S = 50.0
 DEFAULT_DT_S = 1.0
 
 MODEL_SCHEMA_VERSION = 1
+
+# The frame every encounter is placed in: ownship start (ft) and the
+# headings (rad) of the ownship and the intruder.
+OWN_POS0 = (0.0, 0.0)
+HEADINGS = (0.0, math.pi)
 
 
 class EncounterError(RuntimeError):
@@ -110,44 +117,42 @@ class EncounterModel:
 
 
 @dataclass(frozen=True)
-class DrawRecord:
-    """Bin indices of every CPT draw made for one trajectory sample."""
+class EncounterBatch:
+    """A chunk of B sampled encounters, as arrays.
 
-    initial_bins: np.ndarray
-    transition_rows: np.ndarray
+    Every encounter has the same frame: the ownship starts at the origin
+    (OWN_POS0) with heading 0 and the intruder flies heading pi (HEADINGS),
+    both straight and level in the horizontal.  On an aircraft axis of
+    length 2, index 0 is the ownship and 1 the intruder.
 
-
-@dataclass(frozen=True)
-class SampledEncounter:
-    """Kinematic commands and initial geometry for one sampled encounter.
-
-    Vertical-rate commands are piecewise constant over each step; both
-    aircraft fly straight.  log_probability accumulates the log of every
-    CPT draw.
+    vrate (B, 2, n_steps) holds the vertical-rate commands, piecewise
+    constant over each step; speed (B, 2) the ground speeds; int_pos0 (B, 2)
+    the intruder's start; alt0 (B, 2) the start altitudes.  log_probability
+    (B,) accumulates the log of every CPT draw.  initial_bins (R, B, n_init)
+    and transition_rows (R, B, n_steps - 1, n_transition) hold the bin
+    indices of those draws, one record per trajectory sample: R is 1 for a
+    correlated model and 2 for an uncorrelated one.
     """
 
     dt: float
     n_steps: int
-    own_vrate: np.ndarray
-    int_vrate: np.ndarray
-    own_speed: float
-    int_speed: float
-    own_pos0: Tuple[float, float]
-    int_pos0: Tuple[float, float]
-    own_heading: float
-    int_heading: float
-    own_alt0: float
-    int_alt0: float
-    log_probability: float
     mode: str
-    draws: Tuple[DrawRecord, ...]
+    vrate: np.ndarray
+    speed: np.ndarray
+    int_pos0: np.ndarray
+    alt0: np.ndarray
+    log_probability: np.ndarray
+    initial_bins: np.ndarray
+    transition_rows: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.log_probability):
+        if not np.all(np.isfinite(self.log_probability)):
             raise ValueError("sample log-probability must be finite")
-        for name in ("own_vrate", "int_vrate"):
-            if len(getattr(self, name)) != self.n_steps:
-                raise ValueError("command series length must equal duration/dt")
+        if self.vrate.shape[-1] != self.n_steps:
+            raise ValueError("command series length must equal duration/dt")
+
+    def __len__(self) -> int:
+        return len(self.log_probability)
 
 
 def sample_initial(model: EncounterModel, rng: np.random.Generator) -> Assignment:
@@ -170,13 +175,14 @@ def sample_transition(
 
 
 def _sample_trajectories(
-    model: EncounterModel, u: np.ndarray, cursor: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    model: EncounterModel, u: np.ndarray, cursor: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trajectory (initial state plus command chain) per row of u.
 
-    Each step is sample_transition over the batch.  Returns the initial
-    bins and values (B, n), the transition-net bin rows (B, n_steps - 1,
-    n_transition) and the own and intruder rate commands (B, 2, n_steps).
+    Each step is sample_transition over the batch, and its transition-net
+    bins go to rows (B, n_steps - 1, n_transition).  Returns the initial
+    bins and values (B, n) and the own and intruder rate commands (B, 2,
+    n_steps).
     """
     init_net, trans_net = model.initial_net, model.transition_net
     batch, n, n_steps = len(u), len(init_net.nodes), model.n_steps
@@ -189,7 +195,6 @@ def _sample_trajectories(
     cmds[:, :, 0] = values[:, rates]
     nxt = [j for j, _ in model.next_node_map]
     base = [i for _, i in model.next_node_map]
-    rows = np.zeros((batch, n_steps - 1, len(trans_net.nodes)), dtype=int)
     next_values = np.full((batch, len(trans_net.nodes)), np.nan)
     for k in range(1, n_steps):
         row = rows[:, k - 1]
@@ -198,34 +203,37 @@ def _sample_trajectories(
         bins[:, base] = row[:, nxt]
         values[:, base] = next_values[:, nxt]
         cmds[:, :, k] = values[:, rates]
-    return init_bins, init_values, rows, cmds
+    return init_bins, init_values, cmds
 
 
 def _log_likelihoods(
     model: EncounterModel, initial_bins: np.ndarray, transition_rows: np.ndarray
 ) -> np.ndarray:
-    """Log-likelihood of each row of a batch of draw records.
+    """Log-likelihood of each encounter of a batch from its draw records.
 
-    initial_bins is (B, n) and transition_rows (B, n_steps - 1,
-    n_transition).  Terms are added in trace_log_likelihood's order: the
-    initial nodes one by one, then one (0.0 + each next node) term per step.
+    initial_bins is (R, B, n) and transition_rows (R, B, n_steps - 1,
+    n_transition).  Terms are added in trace_log_likelihood's order: for
+    each record the initial nodes one by one, then one (0.0 + each next
+    node) term per step; then the records in order.
     """
     init_net, trans_net = model.initial_net, model.transition_net
     terms = [
-        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[:, i]]
+        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[..., i]]
         for i in range(len(init_net.nodes))
     ]
-    step = np.zeros(transition_rows.shape[:2])
+    step = np.zeros(transition_rows.shape[:-1])
     for j, _ in model.next_node_map:
         step = step + trans_net.log_cpt[j][trans_net.parent_rows(j, transition_rows),
                                            transition_rows[..., j]]
     # cumsum adds left to right, as the scalar loops do; np.sum would not.
-    return np.cumsum(np.column_stack(terms + [step]), axis=1)[:, -1]
+    records = np.cumsum(np.concatenate([np.stack(terms, axis=-1), step], axis=-1), axis=-1)
+    total = 0.0
+    for record in records[..., -1]:
+        total = total + record
+    return total
 
 
-def build_encounters(
-    model: EncounterModel, rngs: Sequence[np.random.Generator]
-) -> List[SampledEncounter]:
+def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator]) -> EncounterBatch:
     """Sample one encounter from each generator, the whole chunk at once.
 
     Correlated mode draws one joint trajectory pair on a head-on collision
@@ -255,98 +263,85 @@ def build_encounters(
     states = [rng.bit_generator.state for rng in rngs]
     u = np.array([rng.random(width) for rng in rngs]).reshape(len(rngs), width)
     cursor = np.zeros(len(rngs), dtype=int)
-    trajectories = [_sample_trajectories(model, u, cursor) for _ in range(1 if correlated else 2)]
+    # One record of transition-net rows per trajectory sampled.
+    shape = (1 if correlated else 2, len(rngs), model.n_steps - 1, n_init + n_next)
+    transition_rows = np.zeros(shape, dtype=int)
+    trajectories = [_sample_trajectories(model, u, cursor, rows) for rows in transition_rows]
     if not correlated:
         batch = np.arange(len(rngs))
-        placement = zip(u[batch, cursor].tolist(), u[batch, cursor + 1].tolist())
+        t_u, miss_u = u[batch, cursor], u[batch, cursor + 1]
         cursor += 2
     for rng, state, used in zip(rngs, states, cursor.tolist()):
         if used < width:
             rng.bit_generator.state = state
             rng.random(used)
 
-    log_p = 0.0
-    for init_bins, _, rows, _ in trajectories:
-        log_p = log_p + _log_likelihoods(model, init_bins, rows)
-    log_p = log_p.tolist()
+    initial_bins = np.stack([bins for bins, _, _ in trajectories])
     # Ownship variables from the first trajectory, intruder variables from
     # the last (the same one in correlated mode).
-    _, own_values, _, own_cmds = trajectories[0]
-    _, int_values, _, int_cmds = trajectories[-1]
+    _, own, own_cmds = trajectories[0]
+    _, intr, int_cmds = trajectories[-1]
     index = model.initial_net.node_index
     closure, tau0, alt = index(VAR_CLOSURE), index(VAR_TAU0), index(VAR_ALT)
-    encs = []
-    for b, (own, intr) in enumerate(zip(own_values.tolist(), int_values.tolist())):
-        own_speed, int_speed = own[closure] / 2.0, intr[closure] / 2.0
-        if correlated:
-            int_pos0 = (SEPARATION_THRESHOLD_FT + own[closure] * own[tau0], 0.0)
-        else:
-            t_u, miss_u = next(placement)
-            vr = (-int_speed - own_speed, 0.0)
-            speed = math.hypot(*vr)
-            # uniform(0, duration) and uniform(0, 500 ft).
-            t_star = model.duration * t_u
-            miss = NMAC_HORIZONTAL_FT * miss_u
-            if speed > 0.0:
-                ux, uy = vr[0] / speed, vr[1] / speed
-                nhat = (-uy, ux)
-            else:
-                nhat = (1.0, 0.0)
-            int_pos0 = (nhat[0] * miss - vr[0] * t_star, nhat[1] * miss - vr[1] * t_star)
-        # Each encounter gets its own arrays: a view would keep the whole
-        # chunk alive for as long as any one encounter of it is kept.
-        encs.append(SampledEncounter(
-            dt=model.dt,
-            n_steps=model.n_steps,
-            own_vrate=own_cmds[b, 0].copy(),
-            int_vrate=int_cmds[b, 1].copy(),
-            own_speed=own_speed,
-            int_speed=int_speed,
-            own_pos0=(0.0, 0.0),
-            int_pos0=int_pos0,
-            own_heading=0.0,
-            int_heading=math.pi,
-            own_alt0=own[alt],
-            int_alt0=intr[alt],
-            log_probability=log_p[b],
-            mode=model.mode,
-            draws=tuple(
-                DrawRecord(initial_bins=bins[b].copy(), transition_rows=rows[b].copy())
-                for bins, _, rows, _ in trajectories
-            ),
-        ))
-    return encs
+    own_speed, int_speed = own[:, closure] / 2.0, intr[:, closure] / 2.0
+    if correlated:
+        int_pos0 = np.stack(
+            [SEPARATION_THRESHOLD_FT + own[:, closure] * own[:, tau0], np.zeros(len(rngs))], axis=1
+        )
+    else:
+        # The relative velocity is (vr, 0), so its unit vector is (+-1, 0)
+        # and the normal to the relative track is (-0.0, +-1), or (1, 0)
+        # when the pair does not close.
+        vr = -int_speed - own_speed
+        moving = vr != 0.0
+        nhat_x, nhat_y = np.where(moving, -0.0, 1.0), np.sign(vr)
+        # uniform(0, duration) and uniform(0, 500 ft).
+        t_star = model.duration * t_u
+        miss = NMAC_HORIZONTAL_FT * miss_u
+        int_pos0 = np.stack([nhat_x * miss - vr * t_star, nhat_y * miss], axis=1)
+    return EncounterBatch(
+        dt=model.dt,
+        n_steps=model.n_steps,
+        mode=model.mode,
+        vrate=np.stack([own_cmds[:, 0], int_cmds[:, 1]], axis=1),
+        speed=np.stack([own_speed, int_speed], axis=1),
+        int_pos0=int_pos0,
+        alt0=np.stack([own[:, alt], intr[:, alt]], axis=1),
+        log_probability=_log_likelihoods(model, initial_bins, transition_rows),
+        initial_bins=initial_bins,
+        transition_rows=transition_rows,
+    )
 
 
-def build_encounter(model: EncounterModel, rng: np.random.Generator) -> SampledEncounter:
+def build_encounter(model: EncounterModel, rng: np.random.Generator) -> EncounterBatch:
     """Sample a complete encounter: build_encounters on a chunk of one."""
-    return build_encounters(model, [rng])[0]
+    return build_encounters(model, [rng])
 
 
-def _check_records(model: EncounterModel, enc: SampledEncounter) -> None:
-    expected_records = 1 if model.mode == CORRELATED else 2
-    if len(enc.draws) != expected_records:
+def _check_records(model: EncounterModel, enc: EncounterBatch) -> None:
+    if len(enc.initial_bins) != (1 if model.mode == CORRELATED else 2):
         raise ValueError("encounter draw records do not match the model mode")
     if enc.n_steps != model.n_steps:
         raise ValueError("encounter length does not match the model duration")
-    shape = (model.n_steps - 1, len(model.transition_net.nodes))
-    if any(record.transition_rows.shape != shape for record in enc.draws):
+    if enc.transition_rows.shape[2:] != (model.n_steps - 1, len(model.transition_net.nodes)):
         raise ValueError("transition rows do not match the model networks")
 
 
-def trace_log_likelihood(model: EncounterModel, enc: SampledEncounter) -> float:
-    """Bin-level log-likelihood of a sampled encounter under a model.
+def trace_log_likelihood(model: EncounterModel, enc: EncounterBatch) -> float:
+    """Bin-level log-likelihood of a sampled encounter (a batch of one) under a model.
 
     Within-bin densities are uniform and cancel between models sharing the
     same bins, so only CPT bin probabilities are scored.  A zero-probability
     bin yields -inf and raises LikelihoodSupportWarning.
     """
     _check_records(model, enc)
+    if len(enc) != 1:
+        raise ValueError("trace_log_likelihood scores a batch of one encounter")
     next_nodes = [j for j, _ in model.next_node_map]
     total = 0.0
-    for record in enc.draws:
-        lp = log_prob_bins(model.initial_net, record.initial_bins)
-        for row in record.transition_rows:
+    for initial_bins, transition_rows in zip(enc.initial_bins[:, 0], enc.transition_rows[:, 0]):
+        lp = log_prob_bins(model.initial_net, initial_bins)
+        for row in transition_rows:
             if not math.isfinite(lp):
                 break
             lp += log_prob_bins(model.transition_net, row, nodes=next_nodes)
@@ -360,65 +355,14 @@ def trace_log_likelihood(model: EncounterModel, enc: SampledEncounter) -> float:
     return total
 
 
-def trace_log_likelihoods(
-    model: EncounterModel, encs: Sequence[SampledEncounter]
-) -> np.ndarray:
-    """trace_log_likelihood of each encounter of a chunk, bit for bit.
+def trace_log_likelihoods(model: EncounterModel, enc: EncounterBatch) -> np.ndarray:
+    """trace_log_likelihood of each encounter of a batch, bit for bit.
 
     A zero-probability bin yields -inf without a warning: callers report
     the zero weight in their own output.
     """
-    for enc in encs:
-        _check_records(model, enc)
-    total = 0.0
-    for r in range(1 if model.mode == CORRELATED else 2):
-        total = total + _log_likelihoods(
-            model,
-            np.stack([enc.draws[r].initial_bins for enc in encs]),
-            np.stack([enc.draws[r].transition_rows for enc in encs]),
-        )
-    return total
-
-
-def nominal_tracks(enc: SampledEncounter) -> Tuple[AircraftTrack, AircraftTrack]:
-    """Integrate the nominal (logic-free) kinematics of both aircraft."""
-    return (
-        _integrate_track(
-            enc, enc.own_pos0, enc.own_heading, enc.own_speed, enc.own_alt0, enc.own_vrate
-        ),
-        _integrate_track(
-            enc, enc.int_pos0, enc.int_heading, enc.int_speed, enc.int_alt0, enc.int_vrate
-        ),
-    )
-
-
-def _integrate_track(
-    enc: SampledEncounter,
-    pos0: Tuple[float, float],
-    heading: float,
-    speed: float,
-    alt0: float,
-    vrate: np.ndarray,
-) -> AircraftTrack:
-    n = enc.n_steps
-    t = np.arange(n + 1) * enc.dt
-    vx = speed * math.cos(heading)
-    vy = speed * math.sin(heading)
-    z = np.empty(n + 1)
-    z[0] = alt0
-    z[1:] = alt0 + np.cumsum(vrate * enc.dt)
-    vz = np.empty(n + 1)
-    vz[:n] = vrate
-    vz[n] = vrate[-1]
-    return AircraftTrack(
-        dt=enc.dt,
-        x=pos0[0] + vx * t,
-        y=pos0[1] + vy * t,
-        z=z,
-        vx=np.full(n + 1, vx),
-        vy=np.full(n + 1, vy),
-        vz=vz,
-    )
+    _check_records(model, enc)
+    return _log_likelihoods(model, enc.initial_bins, enc.transition_rows)
 
 
 # ---------------------------------------------------------------------------

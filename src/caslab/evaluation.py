@@ -36,9 +36,11 @@ from .core import (
 )
 from .dynamics import PilotModel, sample_response_delay, step_complying_many
 from .encounters import (
+    HEADINGS,
+    OWN_POS0,
     SEPARATION_THRESHOLD_FT,
+    EncounterBatch,
     EncounterModel,
-    SampledEncounter,
     build_encounter,  # unused here; the benchmark's traced pass wraps this name
     build_encounters,
     trace_log_likelihoods,
@@ -148,6 +150,10 @@ _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 _STRENGTHENS = np.array([[is_strengthening(p, q) for q in ADVISORIES] for p in ADVISORIES])
 _REVERSES = np.array([[is_reversal(p, q) for q in ADVISORIES] for p in ADVISORIES])
 
+# Velocity components per unit speed of (ownship, intruder) in the encounter frame.
+_HEADING_COS = np.array([math.cos(heading) for heading in HEADINGS])
+_HEADING_SIN = np.array([math.sin(heading) for heading in HEADINGS])
+
 
 def _quantized_tau(rel_pos, rel_vel, tau_max: int) -> float:
     """Time to loss of horizontal separation, rounded to whole seconds, capped at tau_max.
@@ -160,7 +166,7 @@ def _quantized_tau(rel_pos, rel_vel, tau_max: int) -> float:
 
 
 def _fly(
-    encs: Sequence[SampledEncounter],
+    enc: EncounterBatch,
     eq: Equipage,
     rngs: Sequence[np.random.Generator],
 ) -> Tuple[np.ndarray, np.ndarray, tuple]:
@@ -180,10 +186,9 @@ def _fly(
     commands exactly.  Each table-equipped side makes one lookup per step
     over all B beliefs, and each TCAS side one tracker_step_many.
     """
-    n_enc = len(encs)
-    n, dt = encs[0].n_steps, encs[0].dt
-    if any(e.n_steps != n or e.dt != dt for e in encs):
-        raise ValueError("a lockstep chunk must share n_steps and dt")
+    n_enc, n, dt = len(enc), enc.n_steps, enc.dt
+    if len(rngs) != n_enc:
+        raise ValueError("each encounter needs its own simulation stream")
     logics = (eq.own, eq.intruder)
     equipped = [i for i in (0, 1) if logics[i] != LOGIC_NONE]
     table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
@@ -194,12 +199,10 @@ def _fly(
 
     # Open-loop horizontal tracks, (B, aircraft, n+1), evaluated as
     # pos0 + v * k * dt like the per-step states.
-    vel = np.array([
-        [(e.own_speed * math.cos(e.own_heading), e.own_speed * math.sin(e.own_heading)),
-         (e.int_speed * math.cos(e.int_heading), e.int_speed * math.sin(e.int_heading))]
-        for e in encs
-    ])
-    pos0 = np.array([[e.own_pos0, e.int_pos0] for e in encs])
+    vel = np.stack([enc.speed * _HEADING_COS, enc.speed * _HEADING_SIN], axis=2)
+    pos0 = np.empty((n_enc, 2, 2))
+    pos0[:, 0] = OWN_POS0
+    pos0[:, 1] = enc.int_pos0
     ks = np.arange(n + 1)
     x = pos0[:, :, 0, None] + vel[:, :, 0, None] * ks * dt
     y = pos0[:, :, 1, None] + vel[:, :, 1, None] * ks * dt
@@ -218,8 +221,8 @@ def _fly(
         x_trace[:, 1] - x_trace[:, 0], y_trace[:, 1] - y_trace[:, 0]
     ) / NMAC_HORIZONTAL_FT
 
-    z = np.array([[e.own_alt0, e.int_alt0] for e in encs], dtype=float)
-    cmds = np.array([[e.own_vrate, e.int_vrate] for e in encs], dtype=float)
+    z = enc.alt0
+    cmds = enc.vrate
     vz = cmds[:, :, 0].copy()
     adv = np.full((n_enc, 2), _COC)
     complying = np.zeros((n_enc, 2), dtype=bool)
@@ -368,17 +371,17 @@ def _fly(
 
 
 def simulate_encounters(
-    encs: Sequence[SampledEncounter], eq: Equipage, rngs: Sequence[np.random.Generator]
+    enc: EncounterBatch, eq: Equipage, rngs: Sequence[np.random.Generator]
 ) -> List[EncounterTrace]:
     """Run a chunk of encounters in lockstep and build each one's trace.
 
-    rngs[b] is encounter b's simulation stream; each trace equals
-    simulate_encounter(encs[b], eq, rngs[b]).
+    rngs[b] is encounter b's simulation stream; each trace equals the one
+    simulate_encounter gives for encounter b built alone, under rngs[b].
     """
-    _, _, (x, y, vel, z, vz, adv, events) = _fly(encs, eq, rngs)
+    _, _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, rngs)
+    n = enc.n_steps + 1
     traces = []
-    for b, enc in enumerate(encs):
-        n = enc.n_steps + 1
+    for b in range(len(enc)):
         tracks = [
             AircraftTrack(dt=enc.dt, x=x[b, i], y=y[b, i], z=z[b, i],
                           vx=np.full(n, vel[b, i, 0]), vy=np.full(n, vel[b, i, 1]), vz=vz[b, i])
@@ -396,13 +399,13 @@ def simulate_encounters(
 
 
 def simulate_encounter(
-    enc: SampledEncounter, eq: Equipage, rng: np.random.Generator
+    enc: EncounterBatch, eq: Equipage, rng: np.random.Generator
 ) -> EncounterTrace:
-    """Run both aircraft through the encounter under their equipped logic.
+    """Run both aircraft of a one-encounter batch under their equipped logic.
 
     This is the lockstep simulator at B=1.
     """
-    return simulate_encounters([enc], eq, [rng])[0]
+    return simulate_encounters(enc, eq, [rng])[0]
 
 
 def trace_severity(trace: EncounterTrace) -> float:
@@ -435,8 +438,8 @@ def run_indexed_traces(
 
     Each trace is the same in any chunk, a chunk of one included.
     """
-    encs = build_encounters(model, _rngs(seed, enc_stream, indices))
-    return simulate_encounters(encs, eq, _rngs(seed, sim_stream, indices))
+    enc = build_encounters(model, _rngs(seed, enc_stream, indices))
+    return simulate_encounters(enc, eq, _rngs(seed, sim_stream, indices))
 
 
 def _run_chunk(
@@ -447,7 +450,7 @@ def _run_chunk(
     nominal: Optional[EncounterModel] = None,
     enc_stream: int = STREAM_ENCOUNTER,
     sim_stream: int = STREAM_SIMULATE,
-) -> Tuple[List[SampledEncounter], np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[EncounterBatch, np.ndarray, np.ndarray, np.ndarray]:
     """Build each indexed encounter once and fly every equipage over it.
 
     Returns the encounters, their event bits and severities of shape
@@ -455,15 +458,15 @@ def _run_chunk(
     zeros without a nominal model, else the IS log-weight of the nominal
     model against model, which every equipage shares.
     """
-    encs = build_encounters(model, _rngs(seed, enc_stream, indices))
+    enc = build_encounters(model, _rngs(seed, enc_stream, indices))
     if nominal is None:
-        log_weight = np.zeros(len(encs))
+        log_weight = np.zeros(len(enc))
     else:
-        # trace_log_likelihood(model, enc) is enc.log_probability bit for bit.
-        log_weight = trace_log_likelihoods(nominal, encs) - np.array([e.log_probability for e in encs])
-    flown = [_fly(encs, eq, _rngs(seed, sim_stream, indices))[:2] for eq in equipages]
+        # trace_log_likelihoods(model, enc) is enc.log_probability bit for bit.
+        log_weight = trace_log_likelihoods(nominal, enc) - enc.log_probability
+    flown = [_fly(enc, eq, _rngs(seed, sim_stream, indices))[:2] for eq in equipages]
     flags, severity = (np.array(a) for a in zip(*flown))
-    return encs, flags, severity, log_weight
+    return enc, flags, severity, log_weight
 
 
 def _chunks(start: int, stop: int, size: int) -> List[range]:
@@ -529,12 +532,17 @@ def outcome_columns(flags: np.ndarray) -> dict:
     return {name: ((flags & _BIT[event]) != 0).astype(int) for name, event in _OUTCOME_EVENTS.items()}
 
 
+def _weights(log_weight: np.ndarray) -> np.ndarray:
+    """exp of each log-weight, by math.exp: np.exp may differ in the last bit."""
+    return np.array([math.exp(lw) for lw in log_weight.tolist()])
+
+
 def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> MetricsReport:
     """Rates over one equipage's event bits, weighted by exp(log_weight) if weighted."""
     n = len(flags)
     columns = {k: v.astype(float) for k, v in outcome_columns(flags).items()}
     if weighted:
-        w = np.array([math.exp(lw) for lw in log_weight.tolist()])
+        w = _weights(log_weight)
         # Unnormalized importance-sampling estimator (divide by n, not sum w).
         est = {k: float(np.sum(w * v) / n) for k, v in columns.items()}
         wi = w * columns["nmac"]
@@ -639,26 +647,25 @@ def cross_entropy_adapt(
         raise ValueError("elite set is empty; raise elite_fraction or n_per_iter")
     current = proposal
     for it in range(iterations):
-        encs: List[SampledEncounter] = []
-        keys = []
-        for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS):
-            chunk_encs, flags, severity, log_weight = _run_chunk(
+        encs, flags, severity, log_weight = zip(*[
+            _run_chunk(
                 current, [eq], seed, indices, nominal=nominal,
                 enc_stream=STREAM_CE_ENCOUNTER, sim_stream=STREAM_CE_SIMULATE,
             )
-            encs += chunk_encs
-            keys += [
-                (0.0, -math.exp(w)) if f & _BIT[EVENT_NMAC] else (1.0, sev)
-                for f, sev, w in zip(flags[0].tolist(), severity[0].tolist(), log_weight.tolist())
-            ]
-        order = sorted(range(n_per_iter), key=lambda j: keys[j])
-        elite = [encs[j] for j in order[:n_elite]]
-        initial_data = np.vstack(
-            [rec.initial_bins for enc in elite for rec in enc.draws]
+            for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS)
+        ])
+        nmac = (np.concatenate(flags, axis=1)[0] & _BIT[EVENT_NMAC]) != 0
+        # NMACs first, the heaviest nominal weight first, then the nearest
+        # misses; lexsort is stable, so ties keep index order.
+        key = np.where(nmac, -_weights(np.concatenate(log_weight)), np.concatenate(severity, axis=1)[0])
+        elite = np.lexsort((key, ~nmac))[:n_elite]
+        # One data row per draw: elite encounter by encounter, records in order.
+        initial_data, transition_data = (
+            np.concatenate([d.swapaxes(0, 1) for d in draws])[elite].reshape(-1, draws[0].shape[-1])
+            for draws in ([e.initial_bins for e in encs], [e.transition_rows for e in encs])
         )
-        transition_data = np.vstack(
-            [rec.transition_rows for enc in elite for rec in enc.draws]
-        )
+        # Free this iteration's chunks before the next one samples its own.
+        del encs
         current = EncounterModel(
             initial_net=fit_cpts(current.initial_net, initial_data, prior_count=1.0),
             transition_net=fit_cpts(current.transition_net, transition_data, prior_count=1.0),

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import math
 import warnings
 
@@ -20,7 +21,6 @@ from caslab.encounters import (
     default_uncorrelated_model,
     model_from_dict,
     model_to_dict,
-    nominal_tracks,
     read_model_file,
     sample_initial,
     sample_transition,
@@ -29,7 +29,8 @@ from caslab.encounters import (
     trace_log_likelihoods,
     write_model_file,
 )
-from caslab.evaluation import Equipage, _run_chunk, cross_entropy_adapt
+from caslab.evaluation import Equipage, _run_chunk, cross_entropy_adapt, simulate_encounter
+from conftest import nominal_tracks
 
 ONE = np.array([[1.0]])
 
@@ -157,7 +158,7 @@ class TestSampleTransition:
         model = drift_model(rows)
         enc = build_encounter(model, np.random.default_rng(3))
         own, _ = nominal_tracks(enc)
-        assert np.all(enc.own_vrate[1:] >= 1000.0 / 60.0)
+        assert np.all(enc.vrate[0, 0, 1:] >= 1000.0 / 60.0)
         assert np.all(np.diff(own.z[1:]) > 0)
 
 
@@ -166,21 +167,20 @@ class TestBuildEncounter:
         model = default_correlated_model(duration=60.0, dt=1.0)
         enc = build_encounter(model, np.random.default_rng(4))
         assert enc.n_steps == 60
-        assert len(enc.own_vrate) == 60
-        assert len(enc.int_vrate) == 60
+        assert enc.vrate.shape == (1, 2, 60)
 
     def test_degenerate_model_identical_encounters(self):
         model = degenerate_model()
         enc1 = build_encounter(model, np.random.default_rng(5))
         enc2 = build_encounter(model, np.random.default_rng(99))
-        np.testing.assert_array_equal(enc1.own_vrate, enc2.own_vrate)
-        assert enc1.int_pos0 == enc2.int_pos0
-        assert enc1.log_probability == enc2.log_probability == 0.0
+        np.testing.assert_array_equal(enc1.vrate, enc2.vrate)
+        np.testing.assert_array_equal(enc1.int_pos0, enc2.int_pos0)
+        assert enc1.log_probability.tolist() == enc2.log_probability.tolist() == [0.0]
 
     def test_correlated_geometry_loses_separation_at_tau0(self):
         # degenerate model: closure 250 ft/s, tau0 10 s, threshold 500 ft
         enc = build_encounter(degenerate_model(), np.random.default_rng(6))
-        assert enc.int_pos0[0] == pytest.approx(500.0 + 250.0 * 10.0)
+        assert enc.int_pos0[0, 0] == pytest.approx(500.0 + 250.0 * 10.0)
         own, intr = nominal_tracks(enc)
         rng_at = lambda k: math.hypot(intr.x[k] - own.x[k], intr.y[k] - own.y[k])
         assert rng_at(10) == pytest.approx(500.0)
@@ -190,9 +190,8 @@ class TestBuildEncounter:
         model = default_correlated_model()
         enc1 = build_encounter(model, np.random.default_rng(7))
         enc2 = build_encounter(model, np.random.default_rng(7))
-        np.testing.assert_array_equal(enc1.own_vrate, enc2.own_vrate)
-        np.testing.assert_array_equal(enc1.int_vrate, enc2.int_vrate)
-        assert enc1.log_probability == enc2.log_probability
+        np.testing.assert_array_equal(enc1.vrate, enc2.vrate)
+        np.testing.assert_array_equal(enc1.log_probability, enc2.log_probability)
 
     def test_log_probability_matches_likelihood_correlated(self):
         # self-consistency oracle: independent recomputation from the draws
@@ -201,7 +200,7 @@ class TestBuildEncounter:
         for _ in range(25):
             enc = build_encounter(model, rng)
             assert trace_log_likelihood(model, enc) == pytest.approx(
-                enc.log_probability, abs=1e-9
+                enc.log_probability[0], abs=1e-9
             )
 
     def test_log_probability_matches_likelihood_uncorrelated(self):
@@ -210,7 +209,7 @@ class TestBuildEncounter:
         for _ in range(25):
             enc = build_encounter(model, rng)
             assert trace_log_likelihood(model, enc) == pytest.approx(
-                enc.log_probability, abs=1e-9
+                enc.log_probability[0], abs=1e-9
             )
 
     def test_own_sample_probability_in_unit_interval(self):
@@ -225,7 +224,7 @@ class TestUncorrelated:
     def test_two_draw_records(self):
         enc = build_encounter(default_uncorrelated_model(), np.random.default_rng(11))
         assert enc.mode == UNCORRELATED
-        assert len(enc.draws) == 2
+        assert len(enc.initial_bins) == len(enc.transition_rows) == 2
 
     def test_ownship_unaffected_by_intruder_cpts(self):
         # fixing the rng stream, changing only the intruder-rate CPTs leaves
@@ -250,27 +249,50 @@ class TestUncorrelated:
         )
         enc_a = build_encounter(base, np.random.default_rng(12))
         enc_b = build_encounter(altered, np.random.default_rng(12))
-        np.testing.assert_array_equal(enc_a.own_vrate, enc_b.own_vrate)
-        assert enc_a.own_speed == enc_b.own_speed
-        assert enc_a.own_alt0 == enc_b.own_alt0
+        np.testing.assert_array_equal(enc_a.vrate[:, 0], enc_b.vrate[:, 0])
+        assert enc_a.speed[0, 0] == enc_b.speed[0, 0]
+        assert enc_a.alt0[0, 0] == enc_b.alt0[0, 0]
 
     def test_placement_minimum_range_within_nmac_radius(self):
         model = default_uncorrelated_model()
         rng = np.random.default_rng(13)
         for _ in range(20):
             enc = build_encounter(model, rng)
-            vr = (
-                enc.int_speed * math.cos(enc.int_heading) - enc.own_speed,
-                enc.int_speed * math.sin(enc.int_heading),
-            )
+            # The ownship starts at the origin on heading 0; the intruder flies heading pi.
+            own_speed, int_speed = enc.speed[0].tolist()
+            vr = (int_speed * math.cos(math.pi) - own_speed, int_speed * math.sin(math.pi))
             speed = math.hypot(*vr)
-            rel0 = enc.int_pos0
+            rel0 = enc.int_pos0[0].tolist()
             if speed > 0:
                 # perpendicular distance of the relative track from the origin
                 min_range = abs(rel0[0] * vr[1] - rel0[1] * vr[0]) / speed
             else:
                 min_range = math.hypot(*rel0)
             assert min_range <= 500.0 + 1e-9
+
+
+MALFORMED_MODEL = default_uncorrelated_model(duration=20.0)
+
+
+# Each check on an encounter batch: the message it raises, and a call on a
+# batch of three uncorrelated 20 s encounters that breaks it.
+MALFORMED = {
+    # Two draw records per encounter, scored by a model that expects one.
+    "record_count": ("draw records", lambda enc: trace_log_likelihoods(
+        dataclasses.replace(MALFORMED_MODEL, mode=CORRELATED), enc)),
+    "n_steps": ("model duration", lambda enc: trace_log_likelihoods(
+        default_uncorrelated_model(duration=30.0), enc)),
+    "row_shape": ("transition rows", lambda enc: trace_log_likelihoods(
+        MALFORMED_MODEL, dataclasses.replace(enc, transition_rows=enc.transition_rows[..., :-1]))),
+    "log_probability": ("log-probability", lambda enc: dataclasses.replace(
+        enc, log_probability=enc.log_probability + [0.0, math.inf, 0.0])),
+    "command_length": ("command series", lambda enc: dataclasses.replace(
+        enc, vrate=enc.vrate[..., :-1])),
+    # The scalar scorer and the lone simulator take a batch of one.
+    "scalar_score": ("batch of one", lambda enc: trace_log_likelihood(MALFORMED_MODEL, enc)),
+    "lone_flight": ("simulation stream", lambda enc: simulate_encounter(
+        enc, Equipage(), np.random.default_rng(0))),
+}
 
 
 class TestLikelihood:
@@ -298,18 +320,19 @@ class TestLikelihood:
         enc = None
         for _ in range(200):
             cand = build_encounter(p_small, rng)
-            if cand.draws[0].initial_bins[4] == 0:
+            if cand.initial_bins[0, 0, 4] == 0:
                 enc = cand
                 break
         assert enc is not None
         with pytest.warns(LikelihoodSupportWarning):
             assert trace_log_likelihood(hard_zero, enc) == -math.inf
 
-    def test_dimension_mismatch_rejected(self):
-        enc = build_encounter(degenerate_model(), np.random.default_rng(15))
-        other = degenerate_model(duration=30.0)
-        with pytest.raises(ValueError):
-            trace_log_likelihood(other, enc)
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_encounter_rejected(self, case):
+        match, call = MALFORMED[case]
+        enc = build_encounters(MALFORMED_MODEL, seeded_rngs(range(3), seed=15))
+        with pytest.raises(ValueError, match=match):
+            call(enc)
 
 
 class TestModelFile:
@@ -326,7 +349,7 @@ class TestModelFile:
         # sampling from the round-tripped model reproduces the original
         enc_a = build_encounter(model, np.random.default_rng(16))
         enc_b = build_encounter(back, np.random.default_rng(16))
-        np.testing.assert_array_equal(enc_a.own_vrate, enc_b.own_vrate)
+        np.testing.assert_array_equal(enc_a.vrate, enc_b.vrate)
 
     def test_schema_version_checked(self):
         d = model_to_dict(default_correlated_model())
@@ -348,11 +371,20 @@ PINNED_DIGESTS = {
 }
 
 
-def ce_proposal():
-    nominal = default_uncorrelated_model()
+def ce_proposal(make=default_uncorrelated_model):
+    nominal = make()
     return cross_entropy_adapt(
         nominal, nominal, Equipage(own="tcas", intruder="none"), 2, 150, 0.3, seed=1
     )
+
+
+# sha256 of the sorted-key JSON of model_to_dict(ce_proposal(make)): the CE
+# refit itself, for one draw record per encounter (correlated) and for two
+# (uncorrelated).
+PINNED_CE_DIGESTS = {
+    "correlated": "e943ac7c0353c3a096e34efa18569760eace66927d1d14d5b07da7e1db13068a",
+    "uncorrelated": "86858cf24155ddb0454f41ff31beb5207bd53116412ca28757fbc03f2a532ec2",
+}
 
 
 PINNED_MODELS = {
@@ -365,19 +397,24 @@ PINNED_MODELS = {
 }
 
 
-def encounter_digest(encs):
+def encounter_digest(batches):
+    """sha256 over each encounter of each batch in turn.
+
+    Each encounter feeds the bytes one record per encounter gave: the
+    ownship's start (0, 0) and heading 0 and the intruder's heading pi are
+    the fixed frame, which the batch does not store.
+    """
     h = hashlib.sha256()
-    for e in encs:
-        h.update(e.mode.encode())
-        h.update(np.array([e.dt, e.n_steps], dtype=np.float64).tobytes())
-        h.update(np.asarray(e.own_vrate, dtype=np.float64).tobytes())
-        h.update(np.asarray(e.int_vrate, dtype=np.float64).tobytes())
-        h.update(np.array([e.own_speed, e.int_speed, *e.own_pos0, *e.int_pos0,
-                           e.own_heading, e.int_heading, e.own_alt0, e.int_alt0,
-                           e.log_probability], dtype=np.float64).tobytes())
-        for r in e.draws:
-            h.update(np.asarray(r.initial_bins, dtype=np.int64).tobytes())
-            h.update(np.asarray(r.transition_rows, dtype=np.int64).tobytes())
+    for enc in batches:
+        for b in range(len(enc)):
+            h.update(enc.mode.encode())
+            h.update(np.array([enc.dt, enc.n_steps], dtype=np.float64).tobytes())
+            h.update(np.asarray(enc.vrate[b], dtype=np.float64).tobytes())
+            h.update(np.array([*enc.speed[b], 0.0, 0.0, *enc.int_pos0[b], 0.0, math.pi,
+                               *enc.alt0[b], enc.log_probability[b]], dtype=np.float64).tobytes())
+            for r in range(len(enc.initial_bins)):
+                h.update(np.asarray(enc.initial_bins[r, b], dtype=np.int64).tobytes())
+                h.update(np.asarray(enc.transition_rows[r, b], dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -386,18 +423,22 @@ def seeded_rngs(indices, seed=11):
 
 
 def build_in_chunks(model, n, size):
-    encs = []
-    for start in range(0, n, size):
-        encs += build_encounters(model, seeded_rngs(range(start, min(start + size, n))))
-    return encs
+    return [build_encounters(model, seeded_rngs(range(start, min(start + size, n))))
+            for start in range(0, n, size)]
 
 
 class TestBatchedSampler:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_seed_to_encounter_map_pinned(self, name):
         model = PINNED_MODELS[name]()
-        encs = build_encounters(model, seeded_rngs(range(200)))
-        assert encounter_digest(encs) == PINNED_DIGESTS[name]
+        enc = build_encounters(model, seeded_rngs(range(200)))
+        assert encounter_digest([enc]) == PINNED_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CE_DIGESTS))
+    def test_ce_refit_pinned(self, name):
+        model = ce_proposal(PINNED_MODELS[name])
+        text = json.dumps(model_to_dict(model), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CE_DIGESTS[name]
 
     @pytest.mark.parametrize("make", [default_correlated_model, default_uncorrelated_model,
                                       toy_two_bin_model])
@@ -432,32 +473,37 @@ class TestBatchedSampler:
             enc = build_encounter(model, rng)
             ref = np.random.default_rng(seed)
             current = sample_initial(model, ref)
-            assert enc.draws[0].initial_bins.tolist() == current.bins.tolist()
+            assert enc.initial_bins[0, 0].tolist() == current.bins.tolist()
             rates = [(current.values[own], current.values[intr])]
             for _ in range(model.n_steps - 1):
                 current = sample_transition(model, current, ref)
                 rates.append((current.values[own], current.values[intr]))
-            assert list(zip(enc.own_vrate.tolist(), enc.int_vrate.tolist())) == rates
+            assert list(zip(*enc.vrate[0].tolist())) == rates
             assert rng.random() == ref.random()
 
     @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
     def test_log_probability_is_trace_log_likelihood(self, name):
         model = PINNED_MODELS[name]()
-        encs = build_encounters(model, seeded_rngs(range(40), seed=5))
-        scalar = [trace_log_likelihood(model, e) for e in encs]
-        assert [e.log_probability for e in encs] == scalar
-        assert trace_log_likelihoods(model, encs).tolist() == scalar
+        # trace_log_likelihood scores chunks of one, which test_chunk_invariance
+        # ties to the chunk of 40.
+        lone = [build_encounters(model, seeded_rngs([i], seed=5)) for i in range(40)]
+        scalar = [trace_log_likelihood(model, e) for e in lone]
+        assert [e.log_probability[0] for e in lone] == scalar
+        enc = build_encounters(model, seeded_rngs(range(40), seed=5))
+        assert enc.log_probability.tolist() == scalar
+        assert trace_log_likelihoods(model, enc).tolist() == scalar
 
     def test_chunk_log_weights_match_scalar(self):
         nominal = default_uncorrelated_model()
         hard_zero = hard_zero_toy()
         for proposal, nom, n in ((ce_proposal(), nominal, 200),
                                  (toy_two_bin_model(p_conflict=0.5), hard_zero, 40)):
-            encs, _, _, log_weight = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)
+            _, _, _, log_weight = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)
+            lone = [build_encounters(proposal, seeded_rngs([i], seed=3)) for i in range(n)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LikelihoodSupportWarning)
                 expected = [trace_log_likelihood(nom, e) - trace_log_likelihood(proposal, e)
-                            for e in encs]
+                            for e in lone]
             assert log_weight.tolist() == expected
             assert -math.inf in expected
 
@@ -469,11 +515,11 @@ class TestBatchedSampler:
         # separation.  A placement with tau <= 40 s at some step was never
         # re-drawn, so up to dt = 40 s placement never needed a retry.
         model = dataclasses.replace(make(duration=duration, dt=dt), mode=UNCORRELATED)
-        for enc in build_encounters(model, seeded_rngs(range(200), seed=21)):
-            vr = (-enc.int_speed - enc.own_speed, 0.0)
+        enc = build_encounters(model, seeded_rngs(range(200), seed=21))
+        for (own_speed, int_speed), (x0, y0) in zip(enc.speed.tolist(), enc.int_pos0.tolist()):
+            vr = (-int_speed - own_speed, 0.0)
             taus = [
-                horizontal_tau_xy((enc.int_pos0[0] + vr[0] * k * dt, enc.int_pos0[1] + vr[1] * k * dt),
-                                  vr, 500.0)
+                horizontal_tau_xy((x0 + vr[0] * k * dt, y0 + vr[1] * k * dt), vr, 500.0)
                 for k in range(enc.n_steps + 1)
             ]
             assert min(t for t in taus if t is not None) <= dt + 1e-9

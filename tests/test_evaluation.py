@@ -18,11 +18,12 @@ from caslab.core import (
 )
 from caslab.dynamics import PilotModel, sample_response_delay, step_vertical
 from caslab.encounters import (
-    SampledEncounter,
+    HEADINGS,
+    OWN_POS0,
+    EncounterBatch,
     build_encounters,
     default_correlated_model,
     default_uncorrelated_model,
-    nominal_tracks,
     toy_two_bin_model,
 )
 from caslab.evaluation import (
@@ -49,25 +50,22 @@ from caslab.runtime import (
     weighted_particle_values,
 )
 from caslab.tcas import TcasTracker, Threat
+from conftest import nominal_tracks
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
-    return SampledEncounter(
+    """A coaltitude head-on encounter with constant rates: a batch of one, without draw records."""
+    return EncounterBatch(
         dt=dt,
         n_steps=n_steps,
-        own_vrate=np.full(n_steps, own_vr),
-        int_vrate=np.full(n_steps, int_vr),
-        own_speed=closure / 2,
-        int_speed=closure / 2,
-        own_pos0=(0.0, 0.0),
-        int_pos0=(500.0 + closure * tau0, 0.0),
-        own_heading=0.0,
-        int_heading=math.pi,
-        own_alt0=5000.0,
-        int_alt0=5000.0,
-        log_probability=0.0,
         mode="correlated",
-        draws=(),
+        vrate=np.array([[np.full(n_steps, own_vr), np.full(n_steps, int_vr)]]),
+        speed=np.array([[closure / 2, closure / 2]]),
+        int_pos0=np.array([[500.0 + closure * tau0, 0.0]]),
+        alt0=np.array([[5000.0, 5000.0]]),
+        log_probability=np.array([0.0]),
+        initial_bins=np.zeros((0, 1, 5), dtype=int),
+        transition_rows=np.zeros((0, 1, n_steps - 1, 7), dtype=int),
     )
 
 
@@ -86,18 +84,19 @@ ADVISORY_EVENTS = frozenset({EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSA
 def tracker_flight(enc, eq, rng):
     """Reference TCAS closed loop: one TcasTracker per TCAS side, scalar kinematics.
 
-    Flies one encounter with the simulator's conventions (pilot stream,
-    response delays, nominal commands when not complying) and returns each
-    sample's (own, intruder) advisories, its TA/RA/strengthen/reversal
-    labels and both altitudes.
+    Flies a batch of one encounter with the simulator's conventions (pilot
+    stream, response delays, nominal commands when not complying) and
+    returns each sample's (own, intruder) advisories, its
+    TA/RA/strengthen/reversal labels and both altitudes.
     """
     pilot_rng, _ = rng.spawn(2)
     n, dt = enc.n_steps, enc.dt
-    vel = [(enc.own_speed * math.cos(enc.own_heading), enc.own_speed * math.sin(enc.own_heading)),
-           (enc.int_speed * math.cos(enc.int_heading), enc.int_speed * math.sin(enc.int_heading))]
-    pos0 = (enc.own_pos0, enc.int_pos0)
-    cmds = (enc.own_vrate.tolist(), enc.int_vrate.tolist())
-    z, vz = [enc.own_alt0, enc.int_alt0], [cmds[0][0], cmds[1][0]]
+    (speed,), (int_pos0,), (alt0,), (cmds,) = (
+        a.tolist() for a in (enc.speed, enc.int_pos0, enc.alt0, enc.vrate)
+    )
+    vel = [(s * math.cos(heading), s * math.sin(heading)) for s, heading in zip(speed, HEADINGS)]
+    pos0 = (OWN_POS0, int_pos0)
+    z, vz = alt0, [cmds[0][0], cmds[1][0]]
     trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in (eq.own, eq.intruder)]
     adv, complying, delay = [Advisory.COC] * 2, [False] * 2, [0, 0]
     advisories, labels, altitudes = [], [], []
@@ -269,7 +268,8 @@ class TestLockstep:
         model = factory(dt=dt)
         eq = Equipage(own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p))
         traces = run_indexed_traces(model, eq, 71, range(self.N))
-        encs = build_encounters(model, _rngs(71, STREAM_ENCOUNTER, range(self.N)))
+        # tracker_flight flies chunks of one, which build as in any chunk.
+        encs = [build_encounters(model, _rngs(71, STREAM_ENCOUNTER, [b])) for b in range(self.N)]
         rngs = _rngs(71, STREAM_SIMULATE, range(self.N))
         for b, (trace, enc, rng) in enumerate(zip(traces, encs, rngs)):
             advisories, labels, altitudes = tracker_flight(enc, eq, rng)

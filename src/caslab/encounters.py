@@ -131,7 +131,8 @@ class EncounterBatch:
     (B,) accumulates the log of every CPT draw.  initial_bins (R, B, n_init)
     and transition_rows (R, B, n_steps - 1, n_transition) hold the bin
     indices of those draws, one record per trajectory sample: R is 1 for a
-    correlated model and 2 for an uncorrelated one.
+    correlated model and 2 for an uncorrelated one.  transition_rows has the
+    narrowest unsigned type that holds the model's bin indices.
     """
 
     dt: float
@@ -263,9 +264,11 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     states = [rng.bit_generator.state for rng in rngs]
     u = np.array([rng.random(width) for rng in rngs]).reshape(len(rngs), width)
     cursor = np.zeros(len(rngs), dtype=int)
-    # One record of transition-net rows per trajectory sampled.
+    # One record of transition-net rows per trajectory sampled, in the
+    # narrowest type that holds every bin index: most of a batch's bytes.
     shape = (1 if correlated else 2, len(rngs), model.n_steps - 1, n_init + n_next)
-    transition_rows = np.zeros(shape, dtype=int)
+    n_bins = max(map(model.transition_net.n_bins, range(n_init + n_next)))
+    transition_rows = np.zeros(shape, dtype=np.min_scalar_type(n_bins - 1))
     trajectories = [_sample_trajectories(model, u, cursor, rows) for rows in transition_rows]
     if not correlated:
         batch = np.arange(len(rngs))

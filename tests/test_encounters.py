@@ -327,6 +327,13 @@ class TestLikelihood:
         with pytest.warns(LikelihoodSupportWarning):
             assert trace_log_likelihood(hard_zero, enc) == -math.inf
 
+    def test_dimension_mismatch_rejected(self):
+        enc = build_encounter(degenerate_model(), np.random.default_rng(15))
+        assert len(enc) == 1
+        other = degenerate_model(duration=30.0)
+        with pytest.raises(ValueError, match="model duration"):
+            trace_log_likelihood(other, enc)
+
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_encounter_rejected(self, case):
         match, call = MALFORMED[case]
@@ -528,6 +535,23 @@ class TestBatchedSampler:
         rng = np.random.default_rng(1)
         with pytest.raises(ValueError, match="own generator"):
             build_encounters(default_correlated_model(), [rng, rng])
+
+    def test_wide_bin_index_kept_in_draw_records(self):
+        # 300 altitude bins, all mass on the last: its index needs 9 bits.
+        base, n = degenerate_model(), 300
+        last = np.zeros((1, n))
+        last[0, -1] = 1.0
+
+        def widen(net):
+            return dataclasses.replace(net, bins=(np.linspace(0.0, 30000.0, n + 1),) + net.bins[1:],
+                                       cpt=(last,) + net.cpt[1:])
+
+        model = dataclasses.replace(base, initial_net=widen(base.initial_net),
+                                    transition_net=widen(base.transition_net))
+        enc = build_encounter(model, np.random.default_rng(16))
+        assert enc.initial_bins[0, 0, 0] == n - 1
+        assert np.all(enc.transition_rows[..., 0] == n - 1)
+        assert trace_log_likelihoods(model, enc).tolist() == [0.0]
 
 
 def hard_zero_toy():

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -275,18 +275,9 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     sampler, nominal = (model, None) if proposal is None else (proposal, model)
     flags, severity, log_weight = _run_batch(sampler, equipages, n, seed, workers, nominal)
     report = _report(flags[0], log_weight, weighted=proposal is not None)
-    payload = {
-        "schema_version": 1,
-        "equipage": list(cfg["evaluation"]["equipage"]),
-        "n": report.n,
-        "p_nmac": report.p_nmac,
-        "p_nmac_se": report.p_nmac_se,
-        "alert_rate": report.alert_rate,
-        "strengthen_rate": report.strengthen_rate,
-        "reversal_rate": report.reversal_rate,
-        "crossing_rate": report.crossing_rate,
-        "effective_sample_size": report.effective_sample_size,
-    }
+    payload = asdict(report)
+    del payload["weighted"]
+    payload.update(schema_version=1, equipage=list(cfg["evaluation"]["equipage"]))
     if compare:
         baseline = _report(flags[1], log_weight, weighted=False)
         payload["baseline_p_nmac"] = baseline.p_nmac

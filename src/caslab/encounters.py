@@ -444,15 +444,7 @@ def default_correlated_model(
         nodes=transition_s.nodes,
         parents=transition_s.parents,
         bins=transition_s.bins,
-        cpt=(
-            np.array([[0.35, 0.45, 0.20]]),
-            rate_rows,
-            rate_rows.copy(),
-            np.array([[0.50, 0.40, 0.10], [0.30, 0.50, 0.20], [0.15, 0.45, 0.40]]),
-            np.array([[0.30, 0.40, 0.30]]),
-            _VRATE_DRIFT,
-            _VRATE_DRIFT.copy(),
-        ),
+        cpt=initial.cpt + (_VRATE_DRIFT, _VRATE_DRIFT),
     )
     return EncounterModel(
         initial_net=initial,
@@ -510,15 +502,7 @@ def toy_two_bin_model(
         nodes=t_nodes,
         parents=t_parents,
         bins=t_bins,
-        cpt=(
-            one,
-            one.copy(),
-            one.copy(),
-            one.copy(),
-            np.array([[p_conflict, 1.0 - p_conflict]]),
-            one.copy(),
-            one.copy(),
-        ),
+        cpt=initial.cpt + (one, one),
     )
     return EncounterModel(
         initial_net=initial,

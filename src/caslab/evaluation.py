@@ -30,7 +30,6 @@ from .core import (
     Advisory,
     AircraftTrack,
     EncounterTrace,
-    horizontal_tau_xy,
     is_reversal,
     is_strengthening,
 )
@@ -155,14 +154,24 @@ _HEADING_COS = np.array([math.cos(heading) for heading in HEADINGS])
 _HEADING_SIN = np.array([math.sin(heading) for heading in HEADINGS])
 
 
-def _quantized_tau(rel_pos, rel_vel, tau_max: int) -> float:
+def _quantized_tau(px, py, vx, vy, tau_max: int) -> np.ndarray:
     """Time to loss of horizontal separation, rounded to whole seconds, capped at tau_max.
 
-    A never-converging geometry maps to tau_max: a beyond-horizon threat is
-    the least urgent grid state.
+    horizontal_tau_xy over arrays, in its order of operations, at the
+    separation threshold.  A never-converging geometry maps to tau_max: a
+    beyond-horizon threat is the least urgent grid state.  np.rint rounds
+    half to even, like round().
     """
-    tau = horizontal_tau_xy(rel_pos, rel_vel, SEPARATION_THRESHOLD_FT)
-    return float(tau_max) if tau is None else float(min(round(tau), tau_max))
+    rr = px * px + py * py
+    thr2 = SEPARATION_THRESHOLD_FT * SEPARATION_THRESHOLD_FT
+    vv = vx * vx + vy * vy
+    pv = px * vx + py * vy
+    disc = pv * pv - vv * (rr - thr2)
+    # Masked below: no relative velocity (0 / 0) and a miss (sqrt of < 0).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (-pv - np.sqrt(disc)) / vv
+    tau = np.where(rr <= thr2, 0.0, np.where((vv == 0.0) | (disc < 0.0) | (t < 0.0), np.inf, t))
+    return np.minimum(np.rint(tau), float(tau_max))
 
 
 def _fly(
@@ -197,29 +206,18 @@ def _fly(
     streams = [rng.spawn(2) for rng in rngs]
     pilot_rngs = [pilot for pilot, _ in streams]
 
-    # Open-loop horizontal tracks, (B, aircraft, n+1), evaluated as
-    # pos0 + v * k * dt like the per-step states.
+    # Open-loop horizontal tracks, (B, aircraft, n+1), as the trace records
+    # them: pos0 + v * (k * dt).  The TCAS threat, the table tau and the
+    # NMAC test all read their relative geometry off these arrays.
     vel = np.stack([enc.speed * _HEADING_COS, enc.speed * _HEADING_SIN], axis=2)
     pos0 = np.empty((n_enc, 2, 2))
     pos0[:, 0] = OWN_POS0
     pos0[:, 1] = enc.int_pos0
-    ks = np.arange(n + 1)
-    x = pos0[:, :, 0, None] + vel[:, :, 0, None] * ks * dt
-    y = pos0[:, :, 1, None] + vel[:, :, 1, None] * ks * dt
+    t = np.arange(n + 1) * dt
+    x = pos0[:, :, 0, None] + vel[:, :, 0, None] * t
+    y = pos0[:, :, 1, None] + vel[:, :, 1, None] * t
     dx, dy = x[:, 1] - x[:, 0], y[:, 1] - y[:, 0]
     dvx, dvy = vel[:, 1, 0] - vel[:, 0, 0], vel[:, 1, 1] - vel[:, 0, 1]
-    # The NMAC test uses math.hypot, which np.hypot does not always match.
-    near = np.array(
-        [math.hypot(a, b) for a, b in zip(dx.ravel().tolist(), dy.ravel().tolist())]
-    ).reshape(n_enc, n + 1) < NMAC_HORIZONTAL_FT
-    # Severity is measured like trace_severity: np.hypot on the trace's
-    # track arrays, pos0 + v * (k * dt).
-    t = ks * dt
-    x_trace = pos0[:, :, 0, None] + vel[:, :, 0, None] * t
-    y_trace = pos0[:, :, 1, None] + vel[:, :, 1, None] * t
-    sep_xy = np.hypot(
-        x_trace[:, 1] - x_trace[:, 0], y_trace[:, 1] - y_trace[:, 0]
-    ) / NMAC_HORIZONTAL_FT
 
     z = enc.alt0
     cmds = enc.vrate
@@ -253,12 +251,7 @@ def _fly(
         from_table = np.array([ADVISORIES.index(a) for a in grid.advisories])
         # Relative geometry is antisymmetric between the sides, so both see
         # the same tau (every term of horizontal_tau_xy is sign-invariant).
-        dvxl, dvyl = dvx.tolist(), dvy.tolist()
-        tau_q = np.array([
-            [_quantized_tau((px, py), (dvxl[b], dvyl[b]), grid.tau_max)
-             for px, py in zip(dx[b, :n].tolist(), dy[b, :n].tolist())]
-            for b in range(n_enc)
-        ])
+        tau_q = _quantized_tau(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None], grid.tau_max)
         # Each encounter's belief noise for all steps in one block, in the
         # order the steps consume it: step, then table side, then particle.
         if eq.belief_sigma_h == 0.0 and eq.belief_sigma_rate == 0.0:
@@ -359,15 +352,16 @@ def _fly(
     adv_hist[:, n] = adv
 
     # Separation events from the recorded altitudes: NMAC at any sample,
-    # and a crossing over step k while an advisory is active.
+    # and a crossing over step k while an advisory is active.  sep is the
+    # NMAC-scaled separation, so NMAC holds exactly where sep < 1 (for
+    # c > 0, d < c exactly when fl(d / c) < 1) and severity is its minimum.
     h = zs[:, 1] - zs[:, 0]
-    dz = np.abs(h)
-    events[(dz < NMAC_VERTICAL_FT) & near] |= _BIT[EVENT_NMAC]
+    sep = np.maximum(np.abs(h) / NMAC_VERTICAL_FT, np.hypot(dx, dy) / NMAC_HORIZONTAL_FT)
+    events[sep < 1.0] |= _BIT[EVENT_NMAC]
     ra_active = (adv_hist[:, :n] != _COC).any(axis=2)
     events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= _BIT[EVENT_CROSSING]
-    severity = np.maximum(dz / NMAC_VERTICAL_FT, sep_xy).min(axis=1)
     flags = np.bitwise_or.reduce(events, axis=1)
-    return flags, severity, (x_trace, y_trace, vel, zs, vzs, adv_hist, events)
+    return flags, sep.min(axis=1), (x, y, vel, zs, vzs, adv_hist, events)
 
 
 def simulate_encounters(

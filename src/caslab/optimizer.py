@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ADVISORIES, Advisory, VerticalState, is_reversal, is_strengthening
+from .core import ADVISORIES, NMAC_VERTICAL_FT, Advisory, VerticalState, is_reversal, is_strengthening
 from .dynamics import IntruderModel, PilotModel, step_vertical
 
 PROB_TOL = 1e-9
@@ -112,7 +112,7 @@ class RewardParams:
     alert_cost: float = -0.01
     strengthen_cost: float = -0.005
     reversal_cost: float = -0.02
-    nmac_vertical: float = 100.0
+    nmac_vertical: float = NMAC_VERTICAL_FT
 
     def __post_init__(self) -> None:
         for name in ("collision_cost", "alert_cost", "strengthen_cost", "reversal_cost"):
@@ -162,20 +162,11 @@ def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
 
 
 def _advisory_cost_matrix(advisories: Sequence[Advisory], params: RewardParams) -> np.ndarray:
-    """cost[a_prev, a]: alert/strengthen/reversal terms of the reward."""
-    na = len(advisories)
-    cost = np.zeros((na, na))
-    for ip, ap in enumerate(advisories):
-        for ia, a in enumerate(advisories):
-            c = 0.0
-            if a is not Advisory.COC and ap is Advisory.COC:
-                c += params.alert_cost
-            if is_strengthening(ap, a):
-                c += params.strengthen_cost
-            if is_reversal(ap, a):
-                c += params.reversal_cost
-            cost[ip, ia] = c
-    return cost
+    """cost[a_prev, a]: the reward at a non-terminal state, its advisory-change terms."""
+    return np.array([
+        [reward(VerticalState(0.0, 0.0, 0.0, ap, 1.0), a, params) for a in advisories]
+        for ap in advisories
+    ])
 
 
 def _locate(x: float, cuts: np.ndarray) -> Tuple[int, float]:

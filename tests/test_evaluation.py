@@ -13,6 +13,7 @@ from caslab.core import (
     Advisory,
     AircraftState,
     VerticalState,
+    horizontal_tau_xy,
     is_reversal,
     is_strengthening,
 )
@@ -32,6 +33,7 @@ from caslab.evaluation import (
     Equipage,
     MetricsReport,
     _BIT,
+    _fly,
     _quantized_tau,
     _rngs,
     _run_chunk,
@@ -215,20 +217,49 @@ class TestSimulateEncounter:
         np.testing.assert_array_equal(via_public, via_arrays)
 
 
+def quantized_tau(rel_pos, rel_vel, tau_max):
+    """_quantized_tau of one geometry, as a float."""
+    return float(_quantized_tau(*(np.array([c]) for c in (*rel_pos, *rel_vel)), tau_max)[0])
+
+
 class TestQuantizedTau:
     """The simulator's one tau convention (separation threshold 500 ft)."""
 
     def test_diverging_maps_to_tau_max(self):
-        assert _quantized_tau((5000.0, 0.0), (100.0, 0.0), 40) == 40.0
+        assert quantized_tau((5000.0, 0.0), (100.0, 0.0), 40) == 40.0
 
     def test_rounds_to_whole_seconds(self):
         # (1730 - 500) / 100 = 12.3 s and (1760 - 500) / 100 = 12.6 s
-        assert _quantized_tau((1730.0, 0.0), (-100.0, 0.0), 40) == 12.0
-        assert _quantized_tau((1760.0, 0.0), (-100.0, 0.0), 40) == 13.0
+        assert quantized_tau((1730.0, 0.0), (-100.0, 0.0), 40) == 12.0
+        assert quantized_tau((1760.0, 0.0), (-100.0, 0.0), 40) == 13.0
 
     def test_capped_at_tau_max(self):
         # (5000 - 500) / 100 = 45 s lies beyond the 40 s horizon
-        assert _quantized_tau((5000.0, 0.0), (-100.0, 0.0), 40) == 40.0
+        assert quantized_tau((5000.0, 0.0), (-100.0, 0.0), 40) == 40.0
+
+    def test_matches_scalar_reference_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        random = np.hstack([rng.uniform(-6000.0, 6000.0, size=(4000, 2)),
+                            rng.uniform(-400.0, 400.0, size=(4000, 2))])
+        cases = np.array([  # px, py, vx, vy: one of each branch
+            [300.0, 100.0, -50.0, 0.0],  # inside the circle
+            [500.0, 0.0, 100.0, 0.0],  # on it, moving away
+            [1000.0, 0.0, 0.0, 0.0],  # no relative velocity
+            [1000.0, 1000.0, -100.0, 0.0],  # a miss: disc < 0
+            [1000.0, 0.0, 100.0, 0.0],  # diverging
+            [1750.0, 0.0, -100.0, 0.0],  # tie 12.5 -> 12
+            [1850.0, 0.0, -100.0, 0.0],  # tie 13.5 -> 14
+        ])
+        px, py, vx, vy = np.vstack([random, cases]).T
+        taus = [horizontal_tau_xy((a, b), (c, d), 500.0)
+                for a, b, c, d in zip(px.tolist(), py.tolist(), vx.tolist(), vy.tolist())]
+        want = np.array([40.0 if t is None else float(min(round(t), 40)) for t in taus])
+        got = _quantized_tau(px, py, vx, vy, 40)
+        assert got.tobytes() == want.tobytes()
+        assert want[-7:].tolist() == [0.0, 0.0, 40.0, 40.0, 40.0, 12.0, 14.0]
+        assert taus[-7:] == [0.0, 0.0, None, None, None, 12.5, 13.5]
+        # The random draws also fall inside, converge and never converge.
+        assert {0.0, None} <= set(taus) and any(t is not None and 0 < t < 40 for t in taus)
 
 
 class TestLockstep:
@@ -517,6 +548,17 @@ class TestCrossEntropy:
 
 
 class TestSeverity:
+    @pytest.mark.parametrize("h, nmac", [(100.0, False), (np.nextafter(100.0, 0.0), True)])
+    def test_nmac_boundary_at_zero_range(self, h, nmac):
+        # Horizontal range closes to zero at t = tau0 + 500 / closure = 22 s.
+        enc = dataclasses.replace(hand_encounter(), alt0=np.array([[0.0, h]]))
+        flags, severity, _ = _fly(enc, Equipage(), [np.random.default_rng(0)])
+        assert bool(flags[0] & _BIT[EVENT_NMAC]) == nmac == (severity[0] < 1.0)
+        if not nmac:
+            assert severity[0] == 1.0
+        trace = simulate_encounter(enc, Equipage(), np.random.default_rng(0))
+        assert trace_severity(trace) == severity[0]
+
     def test_nmac_iff_severity_below_one(self):
         model = default_correlated_model()
         for idx in range(30):

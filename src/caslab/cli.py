@@ -243,7 +243,10 @@ def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
         intruder = configmod.intruder_from_config(cfg)
         rewards = configmod.rewards_from_config(cfg)
     table = backward_induction(grid, pilot, intruder, rewards)
-    write_table(table, out_dir / "table.acxt")
+    try:
+        write_table(table, out_dir / "table.acxt")
+    except TableFormatError as err:
+        raise CliError(E_TABLE_INVALID, str(err))
 
 
 def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:

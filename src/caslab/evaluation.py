@@ -10,7 +10,6 @@ results bit-reproducible regardless of worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -503,6 +502,9 @@ def _run_batch(
     if workers <= 1:
         results = [_run_chunk(model, equipages, seed, c, nominal)[1:] for c in chunks]
     else:
+        # Imported here: the pool machinery costs every serial process import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init,
             initargs=(model, equipages, seed, nominal),

@@ -129,7 +129,9 @@ class LogicTable:
     """Grid axes plus the dense state-action expected-value array.
 
     values has axes (h, hdot0, hdot1, tau, a_prev, action); values_2d views
-    it as value[state_index][advisory].
+    it as value[state_index][advisory].  Its dtype is float64 when
+    backward_induction makes the table and float32, the precision ACXT
+    stores, when read from a file; lookups compute in float64 either way.
     """
 
     grid: Grid

@@ -119,7 +119,8 @@ def interpolate_many(
         * np.stack([lo_w[2], hi_w[2]], axis=1)[:, None, None, :, None]
         * np.stack([lo_w[3], hi_w[3]], axis=1)[:, None, None, None, :]
     ).reshape(n, 16)
-    vals = table.values_2d[base[:, None] + offsets[None, :]]
+    # A read table holds float32; widening the gathered corners is exact.
+    vals = table.values_2d[base[:, None] + offsets[None, :]].astype(float, copy=False)
     return np.einsum("nc,nca->na", w, vals)
 
 

@@ -12,14 +12,17 @@ Little-endian layout:
                     (h, hdot0, hdot1, tau, a_prev, action)
 
 The tau axis is stored as explicit cut points 0..tau_max so readers need no
-side channel.  Values are truncated to 32-bit floats on write; a read/write
-cycle is byte-stable.
+side channel.  Values are rounded to 32-bit floats on write, and a value
+outside the float32 range is refused; a read/write cycle is byte-stable.
+A read table keeps its values as float32 in memory, half the size of the
+DP's float64; lookups widen only the values they gather, which is exact.
 """
 
 from __future__ import annotations
 
 import io
 import math
+import os
 import struct
 from typing import BinaryIO
 
@@ -37,8 +40,14 @@ class TableFormatError(ValueError):
 
 
 def write_table(table: LogicTable, path) -> None:
-    with open(path, "wb") as f:
-        _write_stream(table, f)
+    """Write table to path; on any failure no partial file is left."""
+    f = open(path, "wb")
+    try:
+        with f:
+            _write_stream(table, f)
+    except BaseException:
+        os.unlink(path)
+        raise
 
 
 def _write_stream(table: LogicTable, f: BinaryIO) -> None:
@@ -59,8 +68,15 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
         name = adv.value.encode("utf-8")
         f.write(struct.pack("<I", len(name)))
         f.write(name)
-    for slab in table.values:  # one h cut at a time: no whole-table f32 copy
-        f.write(np.ascontiguousarray(slab, dtype="<f4"))
+    try:
+        with np.errstate(over="raise"):
+            for slab in table.values:  # one h cut at a time: no whole-table f32 copy
+                f.write(np.ascontiguousarray(slab, dtype="<f4"))
+    except FloatingPointError:
+        raise TableFormatError(
+            "table values lie outside the float32 range of the ACXT format "
+            f"(|value| <= {float(np.finfo(np.float32).max):.8g})"
+        ) from None
 
 
 def read_table(path) -> LogicTable:
@@ -111,12 +127,9 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     f.seek(here)
     if available < 4 * math.prod(shape):
         raise TableFormatError("truncated table file")
-    values = np.empty(shape)
-    slab = np.empty(shape[1:], dtype="<f4")
-    for ih in range(len(values)):
-        if f.readinto(slab) != slab.nbytes:
-            raise TableFormatError("truncated table file")
-        values[ih] = slab
+    values = np.empty(shape, dtype="<f4")
+    if f.readinto(values) != values.nbytes:
+        raise TableFormatError("truncated table file")
     if f.read(1):
         raise TableFormatError("trailing bytes after value array")
     try:

@@ -7,6 +7,7 @@ from caslab.core import AircraftTrack
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.encounters import HEADINGS, OWN_POS0
 from caslab.optimizer import Grid, RewardParams, backward_induction
+from caslab.tablefile import read_table, write_table
 
 
 def micro_grid(tau_max: int = 4) -> Grid:
@@ -65,3 +66,11 @@ def small_table():
         IntruderModel(sigma_accel=4.0),
         RewardParams(),
     )
+
+
+@pytest.fixture(scope="session")
+def read_small_table(small_table, tmp_path_factory):
+    """small_table after an ACXT write and read: float32 values, as every reader holds."""
+    path = tmp_path_factory.mktemp("acxt") / "small.acxt"
+    write_table(small_table, path)
+    return read_table(path)

@@ -40,6 +40,16 @@ def small_grid_config(tmp_path, **overrides):
     return path
 
 
+def run_python(args, timeout=120):
+    """Run this interpreter on args with caslab's source on PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(caslab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 class TestOptimizeAndSlice:
     def test_pipeline_writes_table_and_slice(self, tmp_path):
         cfg = small_grid_config(tmp_path)
@@ -155,13 +165,9 @@ class TestEvaluate:
             evaluation={"n": 200, "equipage": ["none", "none"], "per_encounter_csv": True},
         )
         out = tmp_path / "is"
-        env = dict(os.environ)
-        src = str(Path(caslab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "caslab", "evaluate", "--config", str(cfg),
-             "--seed", "1", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300,
+        proc = run_python(
+            ["-m", "caslab", "evaluate", "--config", str(cfg), "--seed", "1", "--out", str(out)],
+            timeout=300,
         )
         assert proc.returncode == 0
         assert proc.stderr == ""
@@ -355,30 +361,42 @@ class TestTableContract:
         assert fragment in err
 
     def test_no_command_imports_scipy(self, small_table, tmp_path):
-        # importing scipy costs every caslab process ~0.24 s; numpy suffices
+        # importing scipy costs every caslab process ~0.24 s; numpy suffices.
+        # The process pool's modules load only for --workers > 1.
         path = tmp_path / "table.acxt"
         write_table(small_table, path)
         cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
         script = (
             "import runpy, sys\n"
             "import caslab\n"
-            "assert 'scipy' not in sys.modules, 'import caslab loaded scipy'\n"
-            "sys.argv = ['caslab', 'slice', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "heavy = ('scipy', 'concurrent.futures.process', 'multiprocessing')\n"
+            "def check(when):\n"
+            "    loaded = [m for m in heavy if m in sys.modules]\n"
+            "    assert not loaded, f'{when} loaded {loaded}'\n"
+            "check('import caslab')\n"
+            "sys.argv = ['caslab', 'slice', '--config', sys.argv[1], '--out', sys.argv[2],\n"
+            "            '--workers', '1']\n"
             "try:\n"
             "    runpy.run_module('caslab', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as done:\n"
             "    assert done.code == 0, done.code\n"
-            "assert 'scipy' not in sys.modules, 'caslab slice loaded scipy'\n"
+            "check('caslab slice')\n"
         )
-        env = dict(os.environ)
-        src = str(Path(caslab.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_python(["-c", script, str(cfg), str(tmp_path / "out")])
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "slice.csv").exists()
+
+    def test_optimize_refuses_values_beyond_float32(self, tmp_path):
+        # -1e39 is a finite float64 that ACXT's float32 values cannot hold
+        cfg = small_grid_config(tmp_path, rewards={"collision_cost": -1e39})
+        out = tmp_path / "out"
+        proc = run_python(["-m", "caslab", "optimize", "--config", str(cfg), "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("E_TABLE_INVALID:")
+        assert proc.stderr.count("\n") == 1
+        assert "float32 range" in proc.stderr
+        assert not (out / "table.acxt").exists()
+
 
 
 # sha256 of dump_config(DEFAULT_CONFIG), recorded while the defaults were

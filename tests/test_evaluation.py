@@ -425,11 +425,13 @@ class TestEstimateMetrics:
         rep = estimate_metrics(toy, Equipage(), 10_000, seed=17)
         assert abs(rep.p_nmac - 0.05) <= 3.0 * max(rep.p_nmac_se, 1e-9)
 
-    def test_workers_match_serial(self, small_table):
+    def test_workers_match_serial(self, small_table, read_small_table):
         toy = toy_two_bin_model(p_conflict=0.3)
-        # belief noise on (the defaults) and a geometric pilot delay
-        table_eq = Equipage(own="table", pilot=PilotModel(), table=small_table)
-        for eq in (Equipage(), table_eq):
+        # belief noise on (the defaults) and a geometric pilot delay; the
+        # read table reaches the workers as pickled float32 values
+        table_eqs = [Equipage(own="table", pilot=PilotModel(), table=t)
+                     for t in (small_table, read_small_table)]
+        for eq in (Equipage(), *table_eqs):
             serial = estimate_metrics(toy, eq, 40, seed=13, workers=1)
             try:
                 parallel = estimate_metrics(toy, eq, 40, seed=13, workers=2)

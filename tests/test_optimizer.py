@@ -227,6 +227,10 @@ class TestBackwardInduction:
         assert table.values[ih0, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
         assert table.values[ih0, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
 
+    def test_values_are_float64(self, small_table):
+        # the DP is checked to 1e-9; only a table read from a file is float32
+        assert small_table.values.dtype == np.float64
+
     def test_zero_rewards_give_zero_values(self):
         params = RewardParams(
             collision_cost=0.0, alert_cost=0.0, strengthen_cost=0.0, reversal_cost=0.0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from caslab.core import ADVISORIES, Advisory, BeliefState, VerticalState
+from caslab.optimizer import LogicTable, policy_slice
 from caslab.runtime import (
     CoordinationConstraint,
     CoordinationMessage,
@@ -11,8 +12,10 @@ from caslab.runtime import (
     coordinate,
     fuse_multithreat,
     interpolate,
+    interpolate_many,
     select_action,
     synthesize_belief,
+    weighted_particle_values,
 )
 
 
@@ -87,6 +90,51 @@ class TestInterpolate:
         np.testing.assert_array_equal(
             interpolate(small_table, s_out), interpolate(small_table, s_corner)
         )
+
+
+def lookup_queries(grid, rng):
+    """Query columns (h, hdot0, hdot1, tau, ia_prev): every vertex, then
+    uniform off-grid points, then points clamped to the hull."""
+    axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, np.arange(grid.tau_max + 1.0),
+            np.arange(len(grid.advisories)))
+    vertices = [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
+    n = 500
+    inside = [rng.uniform(a[0], a[-1], n) for a in axes[:4]]
+    outside = [rng.uniform(a[0] - 2000.0, a[-1] + 2000.0, n) for a in axes[:4]]
+    ia = rng.integers(len(grid.advisories), size=2 * n)
+    cols = [np.concatenate([v, a, b]) for v, a, b in zip(vertices[:4], inside, outside)]
+    return (*cols, np.concatenate([vertices[4].astype(int), ia]))
+
+
+class TestFloat32Table:
+    """A read table (float32) looks up exactly like its float64 widening."""
+
+    def widened(self, table):
+        return LogicTable(grid=table.grid, values=table.values.astype(float))
+
+    def test_interpolate_many_bit_identical(self, read_small_table):
+        q = lookup_queries(read_small_table.grid, np.random.default_rng(5))
+        out = interpolate_many(read_small_table, *q)
+        assert out.dtype == np.float64
+        assert out.tobytes() == interpolate_many(self.widened(read_small_table), *q).tobytes()
+
+    def test_weighted_particle_values_bit_identical(self, read_small_table):
+        q = lookup_queries(read_small_table.grid, np.random.default_rng(6))
+        q = [x[: len(x) // 20 * 20].reshape(-1, 20) for x in q]  # beliefs of 20 particles
+        w = np.random.default_rng(7).dirichlet(np.ones(20))
+        out = weighted_particle_values(read_small_table, *q, w)
+        assert out.tobytes() == weighted_particle_values(self.widened(read_small_table), *q, w).tobytes()
+
+    def test_policy_slice_identical(self, read_small_table):
+        grid = read_small_table.grid
+        wide = self.widened(read_small_table)
+        for hdot0 in grid.hdot0_cuts:
+            for hdot1 in grid.hdot1_cuts:
+                for a_prev in grid.advisories:
+                    fixed = {"hdot0": hdot0, "hdot1": hdot1, "a_prev": a_prev}
+                    np.testing.assert_array_equal(
+                        policy_slice(read_small_table, fixed), policy_slice(wide, fixed)
+                    )
 
 
 class TestBeliefValues:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from caslab.optimizer import LogicTable
 from caslab.tablefile import FORMAT_VERSION, MAGIC, TableFormatError, read_table, write_table
 
 
@@ -24,6 +25,7 @@ class TestRoundTrip:
         np.testing.assert_allclose(
             back.values, small_table.values.astype(np.float32), rtol=0, atol=0
         )
+        assert back.values.dtype == np.float32  # kept at the precision ACXT stores
 
     def test_header_layout(self, small_table, tmp_path):
         path = tmp_path / "t.acxt"
@@ -56,3 +58,21 @@ class TestErrors:
         padded.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(TableFormatError):
             read_table(padded)
+
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_value_beyond_float32_refused_without_file(self, small_table, tmp_path, stale):
+        values = small_table.values.copy()
+        values[1, 0, 2, 3, 0, 4] = -1e39
+        path = tmp_path / "t.acxt"
+        if stale:
+            path.write_bytes(b"an earlier table")
+        with pytest.raises(TableFormatError, match="float32 range"):
+            write_table(LogicTable(grid=small_table.grid, values=values), path)
+        assert not path.exists()
+
+    def test_float32_extremes_are_written(self, small_table, tmp_path):
+        values = small_table.values.copy()
+        values[0, 0, 0, 0, 0, :2] = (np.finfo(np.float32).min, np.finfo(np.float32).max)
+        path = tmp_path / "t.acxt"
+        write_table(LogicTable(grid=small_table.grid, values=values), path)
+        np.testing.assert_array_equal(read_table(path).values, values.astype(np.float32))

@@ -19,7 +19,7 @@ from .core import Advisory
 from .dynamics import IntruderModel, PilotModel
 from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S
 from .evaluation import Equipage
-from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams
+from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams, checked_cuts
 from .runtime import OnlineContext
 from .tcas import TcasConfig
 
@@ -131,7 +131,21 @@ def load_config(path: Optional[str] = None) -> dict:
     version = user.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema version: {version!r}")
-    return _deep_merge(DEFAULT_CONFIG, user)
+    cfg = _deep_merge(DEFAULT_CONFIG, user)
+    _check_grid_cuts(cfg["grid"])
+    return cfg
+
+
+def _check_grid_cuts(g: dict) -> None:
+    """Check the grid block's cut points at load, as Grid will, under their config keys.
+
+    A bad grid is a malformed config for every command, not only optimize.
+    """
+    try:
+        checked_cuts("grid.h_cuts", g["h_cuts"], zero=True)
+        checked_cuts("grid.hdot_cuts", g["hdot_cuts"])
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def dump_config(cfg: dict) -> str:

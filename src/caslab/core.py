@@ -62,6 +62,11 @@ class Advisory(Enum):
         return _STRENGTH[self]
 
     @property
+    def mirror(self) -> "Advisory":
+        """The advisory of equal strength and opposite sense; COC mirrors to itself."""
+        return _MIRROR[self]
+
+    @property
     def target_rate_fpm(self) -> Optional[float]:
         """Signed band edge in ft/min; None for COC.
 
@@ -94,6 +99,11 @@ _STRENGTH = {
     Advisory.CL1500: 1,
     Advisory.DES2500: 2,
     Advisory.CL2500: 2,
+}
+
+_MIRROR = {
+    a: next(b for b in Advisory if b.strength == a.strength and b.sense == -a.sense)
+    for a in Advisory
 }
 
 _TARGET_FPM = {

@@ -7,8 +7,9 @@ per-step probability, or not) against a three-point sigma discretization of
 the intruder's Gaussian acceleration, propagates the continuous variables,
 and distributes each successor onto its enclosing grid vertices with
 multilinear weights while tau decrements by exactly one.  Values are
-expected cumulative rewards; the emitted table stores every state-action
-value.
+expected cumulative rewards.  The MDP is symmetric under the vertical mirror
+(h and both rates negated, advisory senses swapped), so the emitted table
+stores every state-action value at h >= 0 and no other.
 """
 
 from __future__ import annotations
@@ -45,14 +46,48 @@ DEFAULT_RATE_CUTS = np.array(
 ) / 60.0  # ft/min -> ft/s
 
 
+def checked_cuts(name: str, cuts, zero: bool = False) -> np.ndarray:
+    """Read-only float copy of one axis's cut points, checked for the mirror.
+
+    Cut points must be finite, strictly increasing and exactly symmetric
+    about 0, because a table stores only its h >= 0 half and reads the rest
+    through the vertical mirror; with zero, one cut must be 0.  name labels
+    the errors.
+    """
+    try:
+        cuts = np.array(cuts, dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must list numbers") from None
+    if cuts.ndim != 1 or len(cuts) < 2:
+        raise ValueError(f"{name} needs at least two cut points")
+    if not np.all(np.isfinite(cuts)):
+        raise ValueError(f"{name} must be finite")
+    if np.any(np.diff(cuts) <= 0):
+        raise ValueError(f"{name} must be strictly increasing")
+    if not np.array_equal(cuts, -cuts[::-1]):
+        raise ValueError(f"{name} must be symmetric about 0")
+    if zero and len(cuts) % 2 == 0:
+        raise ValueError(f"{name} must include 0")
+    cuts.setflags(write=False)
+    return cuts
+
+
 @dataclass(frozen=True)
 class Grid:
     """Discretization of the vertical conflict state space.
 
-    Cut points are finite and strictly increasing; h cut points must be
-    symmetric about zero.  The tau axis runs 0..tau_max in unit steps and the
-    advisory axis (the canonical advisory tuple by default) lists distinct
-    advisories, COC among them.
+    Cut points are finite, strictly increasing and exactly symmetric about
+    zero, and 0 is an h cut.  The tau axis runs 0..tau_max in unit steps and
+    the advisory axis (the canonical advisory tuple by default) lists
+    distinct advisories, COC among them, closed under the vertical mirror.
+
+    The MDP is symmetric under h -> -h with both rates negated and the
+    advisory senses swapped, so a table keeps only the rows from h_zero,
+    the index of the h = 0 cut, upward.  advisory_mirror[i] is the axis
+    index of advisories[i].mirror.  tau_cuts, strides (of h, hdot0, hdot1
+    and tau in a stored state index) and corner_offsets (the 16 cell-corner
+    offsets of a lookup, row 0 for a cell at h >= 0 and row 1 for the mirror
+    of a cell below zero) are the lookup's per-grid constants.
     """
 
     h_cuts: np.ndarray = field(default_factory=lambda: DEFAULT_H_CUTS.copy())
@@ -63,27 +98,40 @@ class Grid:
 
     def __post_init__(self) -> None:
         for name in ("h_cuts", "hdot0_cuts", "hdot1_cuts"):
-            cuts = np.asarray(getattr(self, name), dtype=float)
-            if cuts.ndim != 1 or len(cuts) < 2:
-                raise ValueError(f"{name} needs at least two cut points")
-            if not np.all(np.isfinite(cuts)):
-                raise ValueError(f"{name} must be finite")
-            if np.any(np.diff(cuts) <= 0):
-                raise ValueError(f"{name} must be strictly increasing")
-            cuts = cuts.copy()
-            cuts.setflags(write=False)
+            cuts = checked_cuts(name, getattr(self, name), zero=name == "h_cuts")
             object.__setattr__(self, name, cuts)
-        if np.max(np.abs(self.h_cuts + self.h_cuts[::-1])) > 1e-9:
-            raise ValueError("h cut points must be symmetric about 0")
         if self.tau_max < 0:
             raise ValueError("tau_max must be >= 0")
         if Advisory.COC not in self.advisories:
             raise ValueError("advisory axis must include COC")
         if len(set(self.advisories)) != len(self.advisories):
             raise ValueError("advisory axis must not repeat an advisory")
+        for a in self.advisories:
+            if a.mirror not in self.advisories:
+                raise ValueError(
+                    f"advisory axis must be closed under the vertical mirror: "
+                    f"{a.value} needs {a.mirror.value}"
+                )
+        _, n0, n1, ntau, na = self.shape
+        strides = (n0 * n1 * ntau * na, n1 * ntau * na, ntau * na, na)
+        corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)
+                            for b1 in (0, 1) for bt in (0, 1)])
+        flip = np.array([-1, -1, -1, 1])  # a mirrored cell steps down in h and both rates
+        constants = {
+            "h_zero": len(self.h_cuts) // 2,
+            "advisory_mirror": np.array([self.advisories.index(a.mirror) for a in self.advisories]),
+            "tau_cuts": np.arange(ntau, dtype=float),
+            "strides": strides,
+            "corner_offsets": np.stack([corners @ strides, (corners * flip) @ strides]),
+        }
+        for name, value in constants.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def shape(self) -> Tuple[int, int, int, int, int]:
+        """The MDP's state axes (h, hdot0, hdot1, tau, a_prev), every h cut."""
         return (
             len(self.h_cuts),
             len(self.hdot0_cuts),
@@ -93,8 +141,10 @@ class Grid:
         )
 
     @property
-    def n_states(self) -> int:
-        return int(np.prod(self.shape))
+    def table_shape(self) -> Tuple[int, int, int, int, int, int]:
+        """A table's stored values: the h >= 0 rows of shape + (action,)."""
+        nh, *rest = self.shape
+        return (nh - self.h_zero, *rest, len(self.advisories))
 
     def state_index(self, ih: int, i0: int, i1: int, itau: int, ia_prev: int) -> int:
         """Flat state index; axes (h, hdot0, hdot1, tau, a_prev), C order."""
@@ -102,6 +152,18 @@ class Grid:
 
     def advisory_index(self, a: Advisory) -> int:
         return self.advisories.index(a)
+
+    def mirror_row(self, row: np.ndarray) -> np.ndarray:
+        """The vertical mirror of (h, hdot0) rows of a table, as a new array.
+
+        row has axes (..., hdot1, tau, a_prev, action).  The values at
+        (h, hdot0) are mirror_row of those at (-h, -hdot0): hdot1 reversed,
+        a_prev and action mirrored; leading axes are kept.  The mirror
+        checks work one row at a time, so their temporaries stay ~0.1 MB on
+        the default grid.
+        """
+        perm = self.advisory_mirror
+        return row[..., ::-1, :, :, :][..., perm[:, None], perm]
 
 
 @dataclass(frozen=True)
@@ -126,27 +188,37 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class LogicTable:
-    """Grid axes plus the dense state-action expected-value array.
+    """Grid axes plus the state-action expected values of the h >= 0 half.
 
-    values has axes (h, hdot0, hdot1, tau, a_prev, action); values_2d views
-    it as value[state_index][advisory].  Its dtype is float64 when
-    backward_induction makes the table and float32, the precision ACXT
-    stores, when read from a file; lookups compute in float64 either way.
+    values has axes (h, hdot0, hdot1, tau, a_prev, action) over the h cuts
+    from grid.h_zero upward, shape grid.table_shape; values_2d views it as
+    value[stored state index][advisory].  A value below h = 0 is the value
+    at the mirror state with the action mirrored, and is never stored.  The
+    dtype is float64 when backward_induction makes the table and float32,
+    the precision ACXT stores, when read from a file; lookups compute in
+    float64 either way.
     """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = self.grid.shape + (len(self.grid.advisories),)
+        expected = self.grid.table_shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("table values must be finite")
+        for slab in self.values:  # one h cut at a time: no whole-table temporary
+            if not np.isfinite(slab).all():
+                raise ValueError("table values must be finite")
+        # h = 0 is its own mirror, so a lookup from either side reads one set
+        # of values there only if the row equals its mirror bit for bit.
+        zero = self.values[0].view(f"u{self.values.itemsize}")
+        if not all(np.array_equal(row, self.grid.mirror_row(opposite))
+                   for row, opposite in zip(zero, zero[::-1])):
+            raise ValueError("table values at h = 0 must be their own vertical mirror")
 
     @property
     def values_2d(self) -> np.ndarray:
-        return self.values.reshape(self.grid.n_states, len(self.grid.advisories))
+        return self.values.reshape(-1, len(self.grid.advisories))
 
 
 def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
@@ -328,10 +400,29 @@ def backward_induction(
 ) -> LogicTable:
     """Solve the finite-horizon MDP exactly on the grid.
 
+    The table holds the h >= 0 rows of the solved values as a view, so the
+    solve's own array is the only copy.  Rounding leaves the h = 0 row off
+    its own mirror by ~1e-16, so that row takes the mean of each value and
+    its mirror: exact where they agree, and never past either of them.
+    """
+    values = _solve(grid, pilot, intruder, params)
+    zero = values[grid.h_zero]
+    zero[...] = 0.5 * (zero + grid.mirror_row(zero[::-1]))
+    return LogicTable(grid=grid, values=values[grid.h_zero:])
+
+
+def _solve(
+    grid: Grid,
+    pilot: PilotModel,
+    intruder: IntruderModel,
+    params: RewardParams,
+) -> np.ndarray:
+    """Values of every state-action pair, axes (h, hdot0, hdot1, tau, a_prev, action).
+
     Works backward from tau=0 (terminal rewards) to tau_max; within a tau
     layer every state depends only on the previous layer, so each layer is
     evaluated in one vectorized pass over all actions and written straight
-    into the table's (h, hdot0, hdot1, tau, a_prev, action) layout.
+    into the table's layout.  Every h row is swept, below zero too.
     """
     nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     na = len(grid.advisories)
@@ -382,7 +473,7 @@ def backward_induction(
         if not np.all(np.isfinite(values[:, itau])):
             raise OverflowError(f"non-finite values at tau={itau}")
 
-    return LogicTable(grid=grid, values=values.reshape(nh, n0, n1, ntau, na, na))
+    return values.reshape(nh, n0, n1, ntau, na, na)
 
 
 def policy_slice(
@@ -404,7 +495,12 @@ def policy_slice(
     if not isinstance(a_prev, Advisory):
         raise TypeError("a_prev must be an Advisory")
     ia = grid.advisory_index(a_prev)
-    vals = table.values[:, i0, i1, :, ia, :]  # (h, tau, action)
+    perm = grid.advisory_mirror
+    # A row below h = 0 is the mirror of a stored row above it (farthest from
+    # zero first), with its action columns put back in canonical order.  The
+    # slice is taken before mirroring, so no mirrored slab is built.
+    below = table.values[:0:-1, -1 - i0, -1 - i1, :, perm[ia], :][..., perm]
+    vals = np.concatenate([below, table.values[:, i0, i1, :, ia, :]])  # (h, tau, action)
     best = np.argmax(vals, axis=2)  # first maximum wins: canonical tie-break
     ntau = grid.tau_max + 1
     out = np.empty((ntau, len(grid.h_cuts)), dtype=object)

@@ -87,41 +87,49 @@ def interpolate_many(
 
     The 16 enclosing vertices per query are gathered through flat state
     indices; exact-vertex queries carry weight 1 on one corner and 0
-    elsewhere, so stored values pass through unchanged.
+    elsewhere, so stored values pass through unchanged.  The table stores
+    h >= 0 only, and 0 is an h cut, so a query's cell lies wholly on one
+    side.  A cell below zero is read at its mirror cell: h and rate indices
+    reflected, a_prev mirrored, corners stepping down instead of up, and the
+    row's action columns mirrored back.  Its weights are the ones an
+    unmirrored lookup would use.
     """
     grid = table.grid
-    axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts,
-            np.arange(grid.tau_max + 1, dtype=float))
-    coords = (h, hdot0, hdot1, tau)
-    idx, hi_w = zip(*(_locate_many(x, cuts) for cuts, x in zip(axes, coords)))
-    lo_w = [1.0 - f for f in hi_w]
-    n = len(idx[0])
-    na = len(grid.advisories)
-    # State strides with axes (h, hdot0, hdot1, tau, a_prev).
-    _, n0, n1, ntau, nap = grid.shape
-    s_tau = nap
-    s_1 = ntau * s_tau
-    s_0 = n1 * s_1
-    s_h = n0 * s_0
-    base = idx[0] * s_h + idx[1] * s_0 + idx[2] * s_1 + idx[3] * s_tau + np.asarray(ia_prev)
-    offsets = np.array(
-        [
-            b_h * s_h + b_0 * s_0 + b_1 * s_1 + b_t * s_tau
-            for b_h in (0, 1)
-            for b_0 in (0, 1)
-            for b_1 in (0, 1)
-            for b_t in (0, 1)
-        ]
+    ih, fh = _locate_many(h, grid.h_cuts)
+    i0, f0 = _locate_many(hdot0, grid.hdot0_cuts)
+    i1, f1 = _locate_many(hdot1, grid.hdot1_cuts)
+    it, ft = _locate_many(tau, grid.tau_cuts)
+    n = len(ih)
+    s_h, s_0, s_1, s_tau = grid.strides
+    mirror = grid.advisory_mirror
+    below = ih < grid.h_zero
+    ia = np.asarray(ia_prev)
+    # The (h, hdot0, hdot1) part of the base index.  A mirrored cell starts
+    # at the reflection of its lower corner, top - corner.
+    corner = (ih - grid.h_zero) * s_h + i0 * s_0 + i1 * s_1
+    top = (len(grid.hdot0_cuts) - 1) * s_0 + (len(grid.hdot1_cuts) - 1) * s_1
+    base = (
+        np.where(below, top - corner, corner)
+        + it * s_tau
+        + np.where(below, mirror[ia], ia)
     )
-    w = (
-        np.stack([lo_w[0], hi_w[0]], axis=1)[:, :, None, None, None]
-        * np.stack([lo_w[1], hi_w[1]], axis=1)[:, None, :, None, None]
-        * np.stack([lo_w[2], hi_w[2]], axis=1)[:, None, None, :, None]
-        * np.stack([lo_w[3], hi_w[3]], axis=1)[:, None, None, None, :]
-    ).reshape(n, 16)
+    # The index is built in place and dropped before the weights exist, so a
+    # call's temporaries stay under the heap-trim threshold its largest one
+    # sets; repeated calls then reuse freed memory instead of faulting in
+    # ~1 MB of fresh pages each (measured at 1,280 queries).
+    index = grid.corner_offsets[below.view(np.int8)]
+    index += base[:, None]
     # A read table holds float32; widening the gathered corners is exact.
-    vals = table.values_2d[base[:, None] + offsets[None, :]].astype(float, copy=False)
-    return np.einsum("nc,nca->na", w, vals)
+    vals = table.values_2d[index].astype(float, copy=False)
+    del index
+    w = (
+        np.stack([1.0 - fh, fh], axis=1)[:, :, None, None, None]
+        * np.stack([1.0 - f0, f0], axis=1)[:, None, :, None, None]
+        * np.stack([1.0 - f1, f1], axis=1)[:, None, None, :, None]
+        * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
+    ).reshape(n, 16)
+    out = np.einsum("nc,nca->na", w, vals)
+    return np.where(below[:, None], out[:, mirror], out)
 
 
 def weighted_particle_values(

@@ -14,8 +14,14 @@ Little-endian layout:
 The tau axis is stored as explicit cut points 0..tau_max so readers need no
 side channel.  Values are rounded to 32-bit floats on write, and a value
 outside the float32 range is refused; a read/write cycle is byte-stable.
-A read table keeps its values as float32 in memory, half the size of the
-DP's float64; lookups widen only the values they gather, which is exact.
+
+The file holds every h cut, but a LogicTable holds only its h >= 0 rows,
+with the h = 0 row its own mirror (see optimizer.LogicTable).  The writer
+takes each h < 0 slab from the vertical mirror of a stored one, so every
+file it writes is mirror-symmetric.  The reader keeps the h >= 0 half as
+float32 (21.5 MiB on the default grid) and refuses a file whose h < 0 slabs
+are not the bit-for-bit mirror of it; lookups widen only the values they
+gather, which is exact.
 """
 
 from __future__ import annotations
@@ -68,9 +74,14 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
         name = adv.value.encode("utf-8")
         f.write(struct.pack("<I", len(name)))
         f.write(name)
+    values = table.values
     try:
         with np.errstate(over="raise"):
-            for slab in table.values:  # one h cut at a time: no whole-table f32 copy
+            # one h cut at a time: no whole-table f32 copy.  The h < 0 slabs,
+            # farthest from zero first, mirror the stored slabs above zero.
+            for k in range(len(values) - 1, 0, -1):
+                f.write(np.ascontiguousarray(grid.mirror_row(values[k, ::-1].astype("<f4"))))
+            for slab in values:
                 f.write(np.ascontiguousarray(slab, dtype="<f4"))
     except FloatingPointError:
         raise TableFormatError(
@@ -109,6 +120,14 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     tau_cuts = dims[3]
     if len(tau_cuts) < 1 or not np.array_equal(tau_cuts, np.arange(len(tau_cuts))):
         raise TableFormatError("tau axis must be 0..tau_max in unit steps")
+    # Check the declared value count against the stream before building the
+    # grid or allocating: a short file must not make the reader allocate a
+    # table it cannot fill.
+    counts = [len(cuts) for cuts in dims] + [adv_count, adv_count]
+    here = f.tell()
+    available = f.seek(0, io.SEEK_END) - here
+    if available < 4 * math.prod(counts):
+        raise TableFormatError("truncated table file")
     try:
         grid = Grid(
             h_cuts=dims[0],
@@ -119,23 +138,34 @@ def _read_stream(f: BinaryIO) -> LogicTable:
         )
     except ValueError as err:
         raise TableFormatError(f"invalid grid: {err}") from None
-    shape = grid.shape + (adv_count,)
-    # Check the declared value count against the stream before allocating:
-    # a short file must not make the reader allocate a table it cannot fill.
-    here = f.tell()
-    available = f.seek(0, io.SEEK_END) - here
-    f.seek(here)
-    if available < 4 * math.prod(shape):
-        raise TableFormatError("truncated table file")
+    shape = grid.table_shape
+    slab_bytes = 4 * math.prod(shape[1:])
+    below = grid.h_zero  # h < 0 slabs in the file, ahead of the stored half
+    f.seek(here + slab_bytes * below)
     values = np.empty(shape, dtype="<f4")
     if f.readinto(values) != values.nbytes:
         raise TableFormatError("truncated table file")
     if f.read(1):
         raise TableFormatError("trailing bytes after value array")
     try:
-        return LogicTable(grid=grid, values=values)
-    except ValueError as err:  # non-finite values
+        table = LogicTable(grid=grid, values=values)
+    except ValueError as err:  # non-finite values, or h = 0 off its mirror
         raise TableFormatError(str(err)) from None
+    # Each h < 0 slab must be the mirror of its stored slab bit for bit
+    # (integer views, so -0.0 differs from 0.0).  The size check above
+    # established that every slab is there.
+    f.seek(here)
+    stored = values.view("<u4")
+    row = np.empty(shape[2:], dtype="<u4")
+    for ih in range(below):
+        for opposite in stored[below - ih, ::-1]:
+            f.readinto(row)
+            if not np.array_equal(row, grid.mirror_row(opposite)):
+                raise TableFormatError(
+                    f"values at h = {grid.h_cuts[ih]:g} are not the vertical mirror "
+                    f"of those at h = {grid.h_cuts[-1 - ih]:g}"
+                )
+    return table
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:

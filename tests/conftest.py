@@ -19,6 +19,18 @@ def micro_grid(tau_max: int = 4) -> Grid:
     )
 
 
+def full_values(table):
+    """Every h row a table stands for, axes (h, hdot0, hdot1, tau, a_prev, action).
+
+    A table stores its h >= 0 rows; each row below zero is the vertical
+    mirror of a stored one: both rates reversed, a_prev and action mirrored.
+    Tests that index the whole grid read it through here.
+    """
+    perm = table.grid.advisory_mirror
+    below = table.values[:0:-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
+    return np.concatenate([below, table.values])
+
+
 def nominal_tracks(enc):
     """Integrate the nominal (logic-free) kinematics of both aircraft of a batch of one."""
     (speed,), (int_pos0,), (alt0,), (vrate,) = enc.speed, enc.int_pos0, enc.alt0, enc.vrate

@@ -36,7 +36,7 @@ from caslab.runtime import (
 from caslab.tablefile import read_table, write_table
 from caslab.tcas import TcasConfig, select_sense, select_strength
 
-from conftest import micro_grid
+from conftest import full_values, micro_grid
 from test_bayesnet import three_node_net
 from test_optimizer import expectimax_table
 from test_tcas import head_on_pair
@@ -56,7 +56,7 @@ def test_criterion_01_dp_oracle_equivalence():
     table = backward_induction(grid, pilot, intruder, params)
     oracle = expectimax_table(grid, pilot, intruder, params)
     elapsed = time.perf_counter() - start
-    err = float(np.max(np.abs(table.values - oracle)))
+    err = float(np.max(np.abs(full_values(table) - oracle)))
     criterion(
         1, "DP equals exhaustive expectimax on the micro-grid",
         err <= 1e-9 and elapsed < 10.0,
@@ -89,6 +89,7 @@ def test_criterion_02_transition_normalization():
 
 def test_criterion_03_interpolation_identities(small_table):
     grid = small_table.grid
+    full = full_values(small_table)
     rng = np.random.default_rng(303)
 
     vertex_exact = True
@@ -102,14 +103,14 @@ def test_criterion_03_interpolation_identities(small_table):
             float(grid.h_cuts[ih]), float(grid.hdot0_cuts[i0]),
             float(grid.hdot1_cuts[i1]), grid.advisories[ia], float(itau),
         )
-        if not np.array_equal(interpolate(small_table, s), small_table.values[ih, i0, i1, itau, ia]):
+        if not np.array_equal(interpolate(small_table, s), full[ih, i0, i1, itau, ia]):
             vertex_exact = False
 
     h_mid = 0.5 * (grid.h_cuts[1] + grid.h_cuts[2])
     s_mid = VerticalState(h_mid, 0.0, 0.0, Advisory.COC, 1.0)
     i0 = list(grid.hdot0_cuts).index(0.0)
     ia = grid.advisory_index(Advisory.COC)
-    mean = 0.5 * (small_table.values[1, i0, i0, 1, ia] + small_table.values[2, i0, i0, 1, ia])
+    mean = 0.5 * (full[1, i0, i0, 1, ia] + full[2, i0, i0, 1, ia])
     mid_err = float(np.max(np.abs(interpolate(small_table, s_mid) - mean)))
 
     convex_ok = True
@@ -127,7 +128,7 @@ def test_criterion_03_interpolation_identities(small_table):
         j0 = min(int(np.searchsorted(grid.hdot0_cuts, s.hdot0)) - 1, len(grid.hdot0_cuts) - 2)
         j1 = min(int(np.searchsorted(grid.hdot1_cuts, s.hdot1)) - 1, len(grid.hdot1_cuts) - 2)
         it = min(int(math.floor(s.tau)), grid.tau_max - 1)
-        cell = small_table.values[ih:ih + 2, j0:j0 + 2, j1:j1 + 2, it:it + 2, ia]
+        cell = full[ih:ih + 2, j0:j0 + 2, j1:j1 + 2, it:it + 2, ia]
         if np.any(out < cell.min(axis=(0, 1, 2, 3)) - 1e-12) or np.any(
             out > cell.max(axis=(0, 1, 2, 3)) + 1e-12
         ):

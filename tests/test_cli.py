@@ -22,6 +22,7 @@ from caslab.encounters import (
 )
 from caslab.evaluation import Equipage, cross_entropy_adapt
 from caslab.tablefile import MAGIC, read_table, write_table
+from test_tablefile import MIRROR_BREAKS
 
 
 def small_grid_config(tmp_path, **overrides):
@@ -235,6 +236,15 @@ INVALID_CONFIGS = {
         {"evaluation": {"pilot_response_probability": "1", "n": 5, "equipage": ["none", "none"]}},
         "evaluation.pilot_response_probability",
     ),
+    # a table stores h >= 0 and reads the rest through the vertical mirror
+    "asymmetric_hdot_cuts": (
+        {"grid": {"hdot_cuts": [-25.0, 0.0, 30.0]}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "grid.hdot_cuts",
+    ),
+    "h_cuts_without_zero": (
+        {"grid": {"h_cuts": [-100.0, 100.0]}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "grid.h_cuts",
+    ),
 }
 
 
@@ -352,6 +362,20 @@ class TestTableContract:
         bad = mutate(raw, small_table.grid)
         assert len(bad) == len(raw) and bad != raw
         path.write_bytes(bad)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_TABLE_INVALID:")
+        assert err.count("\n") == 1
+        assert fragment in err
+
+    @pytest.mark.parametrize("case", sorted(MIRROR_BREAKS))
+    def test_slice_rejects_broken_mirror(self, case, small_table, tmp_path, capsys):
+        mutate, fragment = MIRROR_BREAKS[case]
+        path = tmp_path / "table.acxt"
+        write_table(small_table, path)
+        path.write_bytes(mutate(path.read_bytes(), small_table.grid))
         cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
         code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2

@@ -11,13 +11,14 @@ from caslab.optimizer import (
     LogicTable,
     RewardParams,
     _action_operator,
+    _solve,
     backward_induction,
     policy_slice,
     reward,
     transition_distribution,
 )
-from caslab.tablefile import write_table
-from conftest import micro_grid
+from caslab.tablefile import read_table, write_table
+from conftest import full_values, micro_grid
 
 MIRROR = {
     Advisory.COC: Advisory.COC,
@@ -83,8 +84,36 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="repeat"):
             Grid(advisories=(Advisory.COC, Advisory.DND, Advisory.DND))
 
+    def test_h_cuts_must_include_zero(self):
+        with pytest.raises(ValueError, match="include 0"):
+            Grid(h_cuts=np.array([-100.0, -10.0, 10.0, 100.0]))
+
+    def test_symmetry_is_exact(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            Grid(h_cuts=np.array([-100.0, 0.0, 100.0 + 1e-12]))
+
+    @pytest.mark.parametrize("name", ["hdot0_cuts", "hdot1_cuts"])
+    def test_rate_cuts_must_be_symmetric(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be symmetric"):
+            Grid(**{name: np.array([-25.0, 0.0, 30.0])})
+
+    def test_rate_cuts_need_no_zero(self):
+        grid = Grid(hdot0_cuts=np.array([-25.0, -5.0, 5.0, 25.0]))
+        assert grid.table_shape[1] == 4
+
+    def test_advisory_axis_must_be_mirror_closed(self):
+        with pytest.raises(ValueError, match="closed under the vertical mirror: CL1500 needs DES1500"):
+            Grid(advisories=(Advisory.COC, Advisory.CL1500))
+        grid = Grid(advisories=(Advisory.COC, Advisory.CL1500, Advisory.DES1500))
+        assert grid.advisory_mirror.tolist() == [0, 2, 1]
+
+    def test_advisory_mirror(self):
+        assert {a: a.mirror for a in Advisory} == MIRROR
+        assert Grid().advisory_mirror.tolist() == [ADVISORIES.index(MIRROR[a]) for a in ADVISORIES]
+
     def test_state_index_matches_values_layout(self, small_table):
         grid = small_table.grid
+        full = full_values(small_table)
         rng = np.random.default_rng(0)
         for _ in range(50):
             ih = rng.integers(len(grid.h_cuts))
@@ -94,7 +123,7 @@ class TestGridValidation:
             ia = rng.integers(len(grid.advisories))
             flat = grid.state_index(ih, i0, i1, itau, ia)
             np.testing.assert_array_equal(
-                small_table.values_2d[flat], small_table.values[ih, i0, i1, itau, ia]
+                full.reshape(-1, len(grid.advisories))[flat], full[ih, i0, i1, itau, ia]
             )
 
 
@@ -219,13 +248,13 @@ class TestBackwardInduction:
             collision_cost=-1.0, alert_cost=0.0, strengthen_cost=0.0,
             reversal_cost=0.0, nmac_vertical=2.0,
         )
-        table = backward_induction(grid, pilot, intr, params)
+        values = full_values(backward_induction(grid, pilot, intr, params))
         ih0 = 2  # h = 0
         irate = 1  # level
         icoc = grid.advisory_index(Advisory.COC)
         ides = grid.advisory_index(Advisory.DES1500)
-        assert table.values[ih0, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
-        assert table.values[ih0, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
+        assert values[ih0, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
+        assert values[ih0, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
 
     def test_values_are_float64(self, small_table):
         # the DP is checked to 1e-9; only a table read from a file is float32
@@ -245,7 +274,7 @@ class TestBackwardInduction:
         params = RewardParams()
         table = backward_induction(grid, pilot, intr, params)
         oracle = expectimax_table(grid, pilot, intr, params)
-        np.testing.assert_allclose(table.values, oracle, atol=1e-9)
+        np.testing.assert_allclose(full_values(table), oracle, atol=1e-9)
 
     def test_values_monotone_in_collision_cost(self):
         grid = micro_grid()
@@ -255,11 +284,27 @@ class TestBackwardInduction:
         harsh = backward_induction(grid, pilot, intr, RewardParams(collision_cost=-2.0))
         assert np.all(harsh.values <= mild.values + 1e-12)
 
-    def test_vertical_mirror_symmetry(self, small_table):
-        grid = small_table.grid
+    def test_vertical_mirror_symmetry(self):
+        # the sweep solves every h row; the rows below zero must mirror the rest
+        grid = micro_grid()
+        values = _solve(
+            grid, PilotModel(response_probability=0.5, acceleration=8.0),
+            IntruderModel(sigma_accel=4.0), RewardParams(),
+        )
         perm = [grid.advisory_index(MIRROR[a]) for a in grid.advisories]
-        mirrored = small_table.values[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
-        np.testing.assert_allclose(small_table.values, mirrored, atol=1e-9)
+        mirrored = values[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
+        np.testing.assert_allclose(values, mirrored, atol=1e-9)
+
+    def test_table_is_the_h_zero_up_half_of_the_sweep(self, small_table):
+        grid = small_table.grid
+        values = _solve(
+            grid, PilotModel(response_probability=0.5, acceleration=8.0),
+            IntruderModel(sigma_accel=4.0), RewardParams(),
+        )
+        assert small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7, 7)
+        assert np.array_equal(small_table.values[1:], values[grid.h_zero + 1:])
+        # the h = 0 row keeps one value of each mirror pair, which agree to rounding
+        np.testing.assert_allclose(small_table.values[0], values[grid.h_zero], rtol=0, atol=1e-15)
 
     def test_value_bounds(self, small_table):
         params = RewardParams()
@@ -321,25 +366,48 @@ PINNED_TABLE_INPUTS = {
 }
 
 
+@pytest.fixture(scope="module")
+def pinned_table_files(tmp_path_factory):
+    """The ACXT file of each pinned default-grid table, solved and written once."""
+    out = tmp_path_factory.mktemp("pinned")
+    paths = {}
+    for name, (pilot, params) in PINNED_TABLE_INPUTS.items():
+        paths[name] = out / f"{name}.acxt"
+        write_table(backward_induction(Grid(), pilot, IntruderModel(), params), paths[name])
+    return paths
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_TABLE_DIGESTS))
-def test_default_grid_table_bytes_pinned(name, tmp_path):
-    pilot, params = PINNED_TABLE_INPUTS[name]
-    path = tmp_path / "table.acxt"
-    write_table(backward_induction(Grid(), pilot, IntruderModel(), params), path)
+def test_default_grid_table_bytes_pinned(name, pinned_table_files):
+    path = pinned_table_files[name]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_TABLE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLE_DIGESTS))
+def test_default_grid_table_round_trips(name, pinned_table_files, tmp_path):
+    # the reader keeps h >= 0 and checks the rest; the writer mirrors it back
+    path = pinned_table_files[name]
+    write_table(read_table(path), tmp_path / "again.acxt")
+    assert (tmp_path / "again.acxt").read_bytes() == path.read_bytes()
+
+
+def test_read_default_grid_table_holds_the_h_zero_up_half(pinned_table_files):
+    table = read_table(pinned_table_files["default"])
+    assert table.values.shape == (17, 13, 13, 41, 7, 7) == table.grid.table_shape
+    assert table.values.dtype == np.float32
 
 
 class TestPolicySlice:
     def test_all_zero_table_gives_coc(self):
         grid = micro_grid()
-        table = LogicTable(grid=grid, values=np.zeros(grid.shape + (7,)))
+        table = LogicTable(grid=grid, values=np.zeros(grid.table_shape))
         mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": Advisory.COC})
         assert mat.shape == (grid.tau_max + 1, len(grid.h_cuts))
         assert all(a is Advisory.COC for a in mat.ravel())
 
     def test_tie_break_prefers_weaker_then_down(self):
         grid = micro_grid()
-        values = np.zeros(grid.shape + (7,))
+        values = np.zeros(grid.table_shape)
         icoc = grid.advisory_index(Advisory.COC)
         values[..., icoc] = -1.0  # make COC strictly worse everywhere
         table = LogicTable(grid=grid, values=values)
@@ -350,3 +418,16 @@ class TestPolicySlice:
     def test_off_grid_fixed_value_rejected(self, small_table):
         with pytest.raises(ValueError):
             policy_slice(small_table, {"hdot0": 3.0, "hdot1": 0.0, "a_prev": Advisory.COC})
+
+    @pytest.mark.parametrize("a_prev", [Advisory.COC, Advisory.DNC, Advisory.CL2500])
+    def test_rows_below_zero_follow_the_mirror(self, small_table, a_prev):
+        # every row, below zero too, is the first maximum of the full values
+        grid = small_table.grid
+        full = full_values(small_table)
+        for r0 in grid.hdot0_cuts:
+            for r1 in grid.hdot1_cuts:
+                mat = policy_slice(small_table, {"hdot0": r0, "hdot1": r1, "a_prev": a_prev})
+                i0 = list(grid.hdot0_cuts).index(r0)
+                i1 = list(grid.hdot1_cuts).index(r1)
+                best = np.argmax(full[:, i0, i1, :, grid.advisory_index(a_prev), :], axis=2)
+                assert mat.tolist() == [[grid.advisories[i] for i in row] for row in best.T]

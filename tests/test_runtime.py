@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from caslab.core import ADVISORIES, Advisory, BeliefState, VerticalState
-from caslab.optimizer import LogicTable, policy_slice
+from caslab.optimizer import LogicTable, _locate_many, policy_slice
 from caslab.runtime import (
     CoordinationConstraint,
     CoordinationMessage,
@@ -17,6 +19,7 @@ from caslab.runtime import (
     synthesize_belief,
     weighted_particle_values,
 )
+from conftest import full_values
 
 
 def vertex_state(grid, ih, i0, i1, itau, a_prev=Advisory.COC):
@@ -32,6 +35,7 @@ def vertex_state(grid, ih, i0, i1, itau, a_prev=Advisory.COC):
 class TestInterpolate:
     def test_vertex_lookup_bit_identical(self, small_table):
         grid = small_table.grid
+        full = full_values(small_table)
         rng = np.random.default_rng(0)
         for _ in range(100):
             ih = int(rng.integers(len(grid.h_cuts)))
@@ -41,7 +45,7 @@ class TestInterpolate:
             ia = int(rng.integers(len(grid.advisories)))
             s = vertex_state(grid, ih, i0, i1, itau, grid.advisories[ia])
             out = interpolate(small_table, s)
-            expected = small_table.values[ih, i0, i1, itau, ia]
+            expected = full[ih, i0, i1, itau, ia]
             assert np.array_equal(out, expected)
 
     def test_midpoint_single_dimension_is_mean(self, small_table):
@@ -51,12 +55,14 @@ class TestInterpolate:
         out = interpolate(small_table, s)
         ia = grid.advisory_index(Advisory.COC)
         i0 = list(grid.hdot0_cuts).index(0.0)
-        lo = small_table.values[1, i0, i0, 2, ia]
-        hi = small_table.values[2, i0, i0, 2, ia]
+        full = full_values(small_table)
+        lo = full[1, i0, i0, 2, ia]
+        hi = full[2, i0, i0, 2, ia]
         np.testing.assert_allclose(out, 0.5 * (lo + hi), atol=1e-12)
 
     def test_convex_combination_bound(self, small_table):
         grid = small_table.grid
+        full = full_values(small_table)
         rng = np.random.default_rng(1)
         for _ in range(500):
             s = VerticalState(
@@ -76,7 +82,7 @@ class TestInterpolate:
             i0 = np.clip(i0, 0, len(grid.hdot0_cuts) - 2)
             i1 = np.clip(i1, 0, len(grid.hdot1_cuts) - 2)
             it = min(it, grid.tau_max - 1)
-            cell = small_table.values[ih:ih + 2, i0:i0 + 2, i1:i1 + 2, it:it + 2, ia]
+            cell = full[ih:ih + 2, i0:i0 + 2, i1:i1 + 2, it:it + 2, ia]
             lo = cell.min(axis=(0, 1, 2, 3))
             hi = cell.max(axis=(0, 1, 2, 3))
             assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
@@ -104,6 +110,43 @@ def lookup_queries(grid, rng):
     ia = rng.integers(len(grid.advisories), size=2 * n)
     cols = [np.concatenate([v, a, b]) for v, a, b in zip(vertices[:4], inside, outside)]
     return (*cols, np.concatenate([vertices[4].astype(int), ia]))
+
+
+def full_grid_lookup(table, h, hdot0, hdot1, tau, ia_prev):
+    """interpolate_many without the mirror: 16 corners gathered from full_values."""
+    grid = table.grid
+    full = full_values(table).reshape(-1, len(grid.advisories))
+    axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, grid.tau_cuts)
+    idx, hi = zip(*(_locate_many(x, cuts) for cuts, x in zip(axes, (h, hdot0, hdot1, tau))))
+    strides = np.cumprod((1,) + grid.shape[:0:-1])[::-1][:4]  # h, hdot0, hdot1, tau
+    base = sum(i * s for i, s in zip(idx, strides)) + ia_prev
+    corners = np.array(list(itertools.product((0, 1), repeat=4)))
+    w = (
+        np.stack([1.0 - hi[0], hi[0]], axis=1)[:, :, None, None, None]
+        * np.stack([1.0 - hi[1], hi[1]], axis=1)[:, None, :, None, None]
+        * np.stack([1.0 - hi[2], hi[2]], axis=1)[:, None, None, :, None]
+        * np.stack([1.0 - hi[3], hi[3]], axis=1)[:, None, None, None, :]
+    ).reshape(len(base), 16)
+    vals = full[base[:, None] + corners @ strides].astype(float)
+    return np.einsum("nc,nca->na", w, vals)
+
+
+class TestMirroredLookup:
+    """A half table looks up every query, below zero too, as the whole grid would."""
+
+    @pytest.mark.parametrize("fixture", ["small_table", "read_small_table"])
+    def test_bit_identical_to_full_grid_lookup(self, fixture, request):
+        table = request.getfixturevalue(fixture)
+        q = lookup_queries(table.grid, np.random.default_rng(8))
+        assert interpolate_many(table, *q).tobytes() == full_grid_lookup(table, *q).tobytes()
+
+    def test_on_cut_and_signed_zero_queries(self, read_small_table):
+        grid = read_small_table.grid
+        h = np.repeat(np.concatenate([grid.h_cuts, [-0.0]]), 3)
+        n = len(h)
+        q = (h, np.full(n, -7.5), np.full(n, 20.0), np.full(n, 2.25), np.arange(n) % 7)
+        out = interpolate_many(read_small_table, *q)
+        assert out.tobytes() == full_grid_lookup(read_small_table, *q).tobytes()
 
 
 class TestFloat32Table:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,7 +74,83 @@ class TestErrors:
 
     def test_float32_extremes_are_written(self, small_table, tmp_path):
         values = small_table.values.copy()
-        values[0, 0, 0, 0, 0, :2] = (np.finfo(np.float32).min, np.finfo(np.float32).max)
+        values[-1, 0, 0, 0, 0, :2] = (np.finfo(np.float32).min, np.finfo(np.float32).max)
         path = tmp_path / "t.acxt"
         write_table(LogicTable(grid=small_table.grid, values=values), path)
         np.testing.assert_array_equal(read_table(path).values, values.astype(np.float32))
+
+
+def _below_zero_bits(raw, grid):
+    """Offset of the value array and its h < 0 values as uint32 bit patterns."""
+    start = len(raw) - 4 * math.prod(grid.shape) * len(grid.advisories)
+    count = grid.h_zero * math.prod(grid.table_shape[1:])
+    return start, np.frombuffer(raw, dtype="<u4", count=count, offset=start)
+
+
+def _set_bits(raw, offset, bits):
+    return raw[:offset] + int(bits).to_bytes(4, "little") + raw[offset + 4:]
+
+
+def one_ulp_below_zero(raw, grid):
+    """One h < 0 value moved by one float32 ulp."""
+    start, bits = _below_zero_bits(raw, grid)
+    i = int(np.flatnonzero(bits)[len(bits) // 3])
+    return _set_bits(raw, start + 4 * i, bits[i] + 1)
+
+
+def negative_zero_below_zero(raw, grid):
+    """One 0.0 in the h < 0 half written as -0.0 (equal as floats, not as bits)."""
+    start, bits = _below_zero_bits(raw, grid)
+    i = int(np.flatnonzero(bits == 0)[0])
+    return _set_bits(raw, start + 4 * i, 0x80000000)
+
+
+def short_stored_half(raw, grid):
+    """The file cut inside its h >= 0 half, the rows a reader keeps."""
+    return raw[:-40]
+
+
+# Files the reader must refuse: an h < 0 half that breaks the mirror bit for
+# bit, or an h >= 0 half cut short.
+MIRROR_BREAKS = {
+    "one_ulp_below_zero": (one_ulp_below_zero, "vertical mirror"),
+    "negative_zero_below_zero": (negative_zero_below_zero, "vertical mirror"),
+    "short_stored_half": (short_stored_half, "truncated"),
+}
+
+
+class TestHalfTable:
+    @pytest.mark.parametrize("case", sorted(MIRROR_BREAKS))
+    def test_reader_refuses(self, case, small_table, tmp_path):
+        mutate, fragment = MIRROR_BREAKS[case]
+        path = tmp_path / "t.acxt"
+        write_table(small_table, path)
+        raw = path.read_bytes()
+        path.write_bytes(mutate(raw, small_table.grid))
+        assert path.read_bytes() != raw
+        with pytest.raises(TableFormatError, match=fragment):
+            read_table(path)
+
+    def test_written_file_is_mirror_symmetric(self, small_table, tmp_path):
+        path = tmp_path / "t.acxt"
+        write_table(small_table, path)
+        grid = small_table.grid
+        raw = path.read_bytes()
+        values = np.frombuffer(raw, dtype="<f4", offset=len(raw) - 4 * math.prod(
+            grid.shape) * len(grid.advisories)).reshape(grid.shape + (len(grid.advisories),))
+        perm = grid.advisory_mirror
+        mirrored = values[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
+        assert values.tobytes() == mirrored.tobytes()
+        assert values[grid.h_zero:].tobytes() == small_table.values.astype("<f4").tobytes()
+
+    def test_h_zero_row_must_be_its_own_mirror(self, small_table):
+        values = small_table.values.copy()
+        values[0, 0, 0, 0, 0, 0] += 1e-3
+        with pytest.raises(ValueError, match="own vertical mirror"):
+            LogicTable(grid=small_table.grid, values=values)
+
+    def test_non_finite_value_refused(self, small_table):
+        values = small_table.values.copy()
+        values[-1, 1, 2, 3, 4, 5] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            LogicTable(grid=small_table.grid, values=values)

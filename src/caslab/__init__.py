@@ -8,7 +8,6 @@ from .core import (
     BeliefState,
     EncounterTrace,
     VerticalState,
-    is_nmac,
     read_trace_csv,
     write_trace_csv,
 )
@@ -60,6 +59,6 @@ from .runtime import (
     synthesize_belief,
 )
 from .tablefile import read_table, write_table
-from .tcas import TcasConfig, Threat, arbitrate_multithreat, assess_threat, select_sense, select_strength
+from .tcas import TcasConfig, Threat, assess_threat, select_sense, select_strength
 
 __version__ = "0.1.0"

@@ -71,6 +71,8 @@ class DiscreteBayesNet:
                     raise ValueError(
                         f"cpt for {self.nodes[i]} has shape {table.shape}, expected {expected}"
                     )
+                if not np.all(np.isfinite(table)):
+                    raise ValueError(f"cpt for {self.nodes[i]} has non-finite entries")
                 if np.any(table < 0):
                     raise ValueError(f"cpt for {self.nodes[i]} has negative entries")
                 if np.any(np.abs(table.sum(axis=1) - 1.0) > ROW_SUM_TOL):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 from typing import Optional
@@ -101,8 +102,9 @@ def _json_type(value) -> Optional[str]:
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     """Merge override over base; each value must have its default's JSON type.
 
-    An integer passes where the default is a number.  Where the default is
-    null, the value is null or of the type NULLABLE_TYPES declares.
+    An integer passes where the default is a number, and a number must be
+    finite: json.load accepts NaN and Infinity.  Where the default is null,
+    the value is null or of the type NULLABLE_TYPES declares.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -115,6 +117,8 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         if not (nullable and value is None) and _json_type(value) not in accepted:
             or_null = " or null" if nullable else ""
             raise ConfigError(f"{where} must be {expected}{or_null}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be finite, got {value!r}")
         if isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
         else:

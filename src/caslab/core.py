@@ -278,13 +278,6 @@ def horizontal_tau_xy(
     return t
 
 
-def is_nmac(dz: float, dxy: float) -> bool:
-    """NMAC predicate on absolute vertical/horizontal separations (ft)."""
-    if dz < 0 or dxy < 0:
-        raise ValueError("separations must be absolute (>= 0)")
-    return dz < NMAC_VERTICAL_FT and dxy < NMAC_HORIZONTAL_FT
-
-
 # ---------------------------------------------------------------------------
 # EncounterTrace CSV interchange
 # ---------------------------------------------------------------------------

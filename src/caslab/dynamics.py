@@ -103,8 +103,8 @@ def step_complying_many(
     """Array form of step_vertical for complying pilots, bit for bit.
 
     target and sense hold each element's band edge (ft/s) and sense (+1 or
-    -1).  The min/max tie rules of step_vertical are kept, so every element
-    equals the scalar result.
+    -1), or are scalars shared by every element.  The min/max tie rules of
+    step_vertical are kept, so every element equals the scalar result.
     """
     step = pilot.acceleration * dt
     up, down = vz + step, vz - step

@@ -6,10 +6,12 @@ enumerates the pilot response branch (complies this step with the geometric
 per-step probability, or not) against a three-point sigma discretization of
 the intruder's Gaussian acceleration, propagates the continuous variables,
 and distributes each successor onto its enclosing grid vertices with
-multilinear weights while tau decrements by exactly one.  Values are
-expected cumulative rewards.  The MDP is symmetric under the vertical mirror
-(h and both rates negated, advisory senses swapped), so the emitted table
-stores every state-action value at h >= 0 and no other.
+multilinear weights while tau decrements by exactly one.  The operator is
+built once per solve, straight into the slots the sweep reads, and the
+complying pilot moves by dynamics.step_complying_many, as in the closed
+loop.  Values are expected cumulative rewards.  The MDP is symmetric under
+the vertical mirror (h and both rates negated, advisory senses swapped), so
+the emitted table stores every state-action value at h >= 0 and no other.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .core import ADVISORIES, NMAC_VERTICAL_FT, Advisory, VerticalState, is_reversal, is_strengthening
-from .dynamics import IntruderModel, PilotModel, step_vertical
-
-PROB_TOL = 1e-9
+from .dynamics import IntruderModel, PilotModel, step_complying_many, step_vertical
 
 # Three-point sigma discretization of a zero-mean Gaussian: matches mean and
 # variance with minimal branching.
@@ -322,74 +322,85 @@ def _locate_many(x: np.ndarray, cuts: np.ndarray) -> Tuple[np.ndarray, np.ndarra
     return i, np.minimum(np.maximum(frac, 0.0), 1.0)
 
 
-def _action_operator(
-    a: Advisory,
+def _sweep_operator(
     grid: Grid,
     pilot: PilotModel,
     intruder: IntruderModel,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-width one-step operator over the continuous sub-grid for action a.
+) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The one-step operator of every action, in the slots the sweep reads.
 
-    Returns (idx, w), both of shape (max row entries, m).  Column j holds
-    operator row j, the successor distribution (over continuous vertices) of
-    the j-th (h, hdot0, hdot1) vertex: targets in ascending order, duplicate
-    targets summed in the order they arise, padding slots with weight 0.0.
-    tau and a_prev advance deterministically and are handled by the DP loop.
+    Column ia*m + j is operator row j of action grid.advisories[ia]: the
+    successor distribution of the j-th (h, hdot0, hdot1) vertex, over flat
+    targets ia*m + (successor vertex), which address a layer's best values
+    raveled as (a_prev, vertex).  Each column lists its targets in ascending
+    order, duplicate targets summed in the order they arise (branch, then
+    corner, then source vertex), zero weights dropped.  tau and a_prev
+    advance deterministically and are handled by the sweep.
+
+    Columns are ordered longest first; slots[k] is (flat targets, weights)
+    of the k-th entry of every column that has one, so it covers a prefix of
+    that order and the slots never lengthen.  unorder[c] is column c's place
+    in the order.
     """
-    nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
+    n0, n1 = len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     H, V0, V1 = np.meshgrid(grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, indexing="ij")
     H, V0, V1 = H.ravel(), V0.ravel(), V1.ravel()
     m = H.size
-    tgt_all: List[np.ndarray] = []
-    w_all: List[np.ndarray] = []
     p = pilot.response_probability
     pilot_branches = [(True, p)]
     if p < 1.0:
         pilot_branches.append((False, 1.0 - p))
-    target = a.target_rate_fps
     # corner offsets (bh, b0, b1) of the enclosing cell, bh slowest
     bh, b0, b1 = (np.array([0, 1]).reshape(shape) for shape in ((2, 1, 1, 1), (2, 1, 1), (2, 1)))
-    for complying, w_pilot in pilot_branches:
-        if complying and a is not Advisory.COC:
-            step = pilot.acceleration * 1.0
-            if a.sense > 0:
-                vz0p = np.where(V0 >= target, V0, np.minimum(V0 + step, target))
+    source = np.arange(m) * m
+    merged = []  # per action: entries per column, then flat targets and weights
+    for ia, a in enumerate(grid.advisories):
+        keys_all: List[np.ndarray] = []
+        w_all: List[np.ndarray] = []
+        for complying, w_pilot in pilot_branches:
+            if complying and a is not Advisory.COC:
+                _, vz0p = step_complying_many(0.0, V0, a.target_rate_fps, a.sense, pilot, 1.0)
             else:
-                vz0p = np.where(V0 <= target, V0, np.maximum(V0 - step, target))
-        else:
-            vz0p = V0
-        dz0 = 0.5 * (V0 + vz0p)
-        i0, f0 = _locate_many(vz0p, grid.hdot0_cuts)
-        for u, w_sig in zip(SIGMA_POINTS, SIGMA_WEIGHTS):
-            vz1p = V1 + u * intruder.sigma_accel
-            dz1 = 0.5 * (V1 + vz1p)
-            hp = H + dz1 - dz0
-            ih, fh = _locate_many(hp, grid.h_cuts)
-            i1, f1 = _locate_many(vz1p, grid.hdot1_cuts)
-            w = (
-                w_pilot * w_sig
-                * np.where(bh, fh, 1.0 - fh)
-                * np.where(b0, f0, 1.0 - f0)
-                * np.where(b1, f1, 1.0 - f1)
-            )
-            tgt = ((ih + bh) * n0 + (i0 + b0)) * n1 + (i1 + b1)
-            w_all.append(w.reshape(8, m))
-            tgt_all.append(tgt.reshape(8, m))
-    # entries in arrival order: branch, then corner, then source vertex
-    weights = np.concatenate(w_all)
-    mask = weights > 0.0
-    keys = (np.arange(m) * m + np.concatenate(tgt_all))[mask]
-    keys, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros(len(keys))
-    np.add.at(summed, inverse, weights[mask])  # sequential, in arrival order
-    rows, cols = np.divmod(keys, m)
-    counts = np.bincount(rows, minlength=m)
-    slot = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
-    idx = np.zeros((counts.max(), m), dtype=np.intp)
-    w = np.zeros((counts.max(), m))
-    idx[slot, rows] = cols
-    w[slot, rows] = summed
-    return idx, w
+                vz0p = V0
+            dz0 = 0.5 * (V0 + vz0p)
+            i0, f0 = _locate_many(vz0p, grid.hdot0_cuts)
+            for u, w_sig in zip(SIGMA_POINTS, SIGMA_WEIGHTS):
+                vz1p = V1 + u * intruder.sigma_accel
+                dz1 = 0.5 * (V1 + vz1p)
+                hp = H + dz1 - dz0
+                ih, fh = _locate_many(hp, grid.h_cuts)
+                i1, f1 = _locate_many(vz1p, grid.hdot1_cuts)
+                w = (
+                    w_pilot * w_sig
+                    * np.where(bh, fh, 1.0 - fh)
+                    * np.where(b0, f0, 1.0 - f0)
+                    * np.where(b1, f1, 1.0 - f1)
+                ).reshape(8, m)
+                tgt = (((ih + bh) * n0 + (i0 + b0)) * n1 + (i1 + b1)).reshape(8, m)
+                # entries in arrival order: branch, then corner, then source vertex
+                mask = w > 0.0
+                keys_all.append((source + tgt)[mask])
+                w_all.append(w[mask])
+        keys, inverse = np.unique(np.concatenate(keys_all), return_inverse=True)
+        summed = np.zeros(len(keys))
+        np.add.at(summed, inverse, np.concatenate(w_all))  # sequential, in arrival order
+        col, tgt = np.divmod(keys, m)
+        merged.append((np.bincount(col, minlength=m), tgt + ia * m, summed))
+    counts = np.concatenate([count for count, _, _ in merged])
+    order = np.argsort(-counts, kind="stable")
+    unorder = np.argsort(order)
+    lengths = np.count_nonzero(counts > np.arange(counts.max())[:, None], axis=1)
+    starts = np.cumsum(lengths) - lengths
+    flat = np.empty(lengths.sum(), dtype=np.intp)
+    weight = np.empty(lengths.sum())
+    for ia, (count, tgt, w) in enumerate(merged):
+        # an entry's rank is its place in its column; slot k holds every rank k
+        rank = np.arange(len(tgt)) - np.repeat(np.cumsum(count) - count, count)
+        at = starts[rank] + np.repeat(unorder[ia * m : (ia + 1) * m], count)
+        flat[at] = tgt
+        weight[at] = w
+    ends = np.cumsum(lengths)[:-1]
+    return list(zip(np.split(flat, ends), np.split(weight, ends))), unorder
 
 
 def backward_induction(
@@ -423,6 +434,11 @@ def _solve(
     layer every state depends only on the previous layer, so each layer is
     evaluated in one vectorized pass over all actions and written straight
     into the table's layout.  Every h row is swept, below zero too.
+
+    A layer's expected values accumulate one operator slot at a time (see
+    _sweep_operator): slot k touches only the prefix of columns that have a
+    k-th entry, so each column sums its entries in ascending target order,
+    and unorder puts the columns back as (action, vertex).
     """
     nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     na = len(grid.advisories)
@@ -434,22 +450,7 @@ def _solve(
         (np.abs(grid.h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
     )
 
-    # Stack the operators side by side: column ia*m + j is vertex j under
-    # action ia, and its flat indices address best (below) raveled.  Columns
-    # are ordered longest first, so slot k touches only the prefix of columns
-    # that have a k-th entry; each column still sums its slots in order.
-    operators = [_action_operator(a, grid, pilot, intruder) for a in grid.advisories]
-    width = max(len(idx) for idx, _ in operators)
-    flat = np.zeros((width, na * m), dtype=np.intp)
-    weight = np.zeros((width, na * m))
-    for ia, (idx, w) in enumerate(operators):
-        flat[: len(idx), ia * m : (ia + 1) * m] = idx + ia * m
-        weight[: len(w), ia * m : (ia + 1) * m] = w
-    entries = np.count_nonzero(weight, axis=0)
-    order = np.argsort(-entries, kind="stable")
-    unorder = np.argsort(order)
-    lengths = np.count_nonzero(entries[:, None] > np.arange(width), axis=0)
-    slots = [(flat[k, order[:n]], weight[k, order[:n]]) for k, n in enumerate(lengths)]
+    slots, unorder = _sweep_operator(grid, pilot, intruder)
 
     # values[m, tau, a_prev, action]: the table layout with (h, hdot0, hdot1) raveled
     values = np.empty((m, ntau, na, na))

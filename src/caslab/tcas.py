@@ -131,30 +131,6 @@ def pick_min_strength(
     return candidates[-1]
 
 
-def arbitrate_multithreat(
-    advisories: Sequence[Advisory], time_to_cpa: Sequence[float]
-) -> Advisory:
-    """Command arbitration across intruders.
-
-    A single RA passes through; same-sense RAs merge to the strongest;
-    mixed senses defer to the most urgent intruder (smallest time to
-    closest approach).  time_to_cpa must parallel advisories.
-    """
-    if len(advisories) == 0:
-        raise ValueError("advisory list must be non-empty")
-    if len(time_to_cpa) != len(advisories):
-        raise ValueError("time_to_cpa must parallel advisories")
-    ras = [(a, t) for a, t in zip(advisories, time_to_cpa) if a is not Advisory.COC]
-    if not ras:
-        return Advisory.COC
-    if len(ras) == 1:
-        return ras[0][0]
-    senses = {a.sense for a, _ in ras}
-    if len(senses) == 1:
-        return max(ras, key=lambda at: at[0].strength)[0]
-    return min(ras, key=lambda at: at[1])[0]
-
-
 class TcasTracker:
     """Per-aircraft RA state with simple switching hysteresis.
 

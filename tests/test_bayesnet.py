@@ -65,6 +65,17 @@ class TestStructureValidation:
                 cpt=(np.array([[0.6, 0.6]]),),
             )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_cpt_entries_must_be_finite(self, bad):
+        # NaN fails both the sign and the row-sum test, so it needs its own
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteBayesNet(
+                nodes=("a",),
+                parents=((),),
+                bins=(np.array([0.0, 0.5, 1.0]),),
+                cpt=(np.array([[bad, 1.0]]),),
+            )
+
     def test_cpt_row_count_matches_parent_bins(self):
         with pytest.raises(ValueError):
             DiscreteBayesNet(

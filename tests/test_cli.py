@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -235,6 +236,14 @@ INVALID_CONFIGS = {
     "string_response_probability": (
         {"evaluation": {"pilot_response_probability": "1", "n": 5, "equipage": ["none", "none"]}},
         "evaluation.pilot_response_probability",
+    ),
+    # json.load accepts NaN and Infinity; a model fed either would solve a table
+    "nan_intruder_sigma": ({"intruder": {"sigma_accel": math.nan}}, "intruder.sigma_accel"),
+    "infinite_intruder_sigma": ({"intruder": {"sigma_accel": math.inf}}, "intruder.sigma_accel"),
+    "nan_pilot_acceleration": ({"pilot": {"acceleration": math.nan}}, "pilot.acceleration"),
+    "infinite_belief_sigma": (
+        {"online": {"belief_sigma_h": math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "online.belief_sigma_h",
     ),
     # a table stores h >= 0 and reads the rest through the vertical mirror
     "asymmetric_hdot_cuts": (

@@ -9,7 +9,6 @@ from caslab.core import (
     EncounterTrace,
     VerticalState,
     horizontal_tau_xy,
-    is_nmac,
     is_reversal,
     is_strengthening,
     read_trace_csv,
@@ -90,33 +89,6 @@ class TestHorizontalTau:
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
             horizontal_tau_xy((1000.0, 0.0), (-100.0, 0.0), -1.0)
-
-
-class TestIsNmac:
-    def test_inside_both_thresholds(self):
-        assert is_nmac(50.0, 400.0) is True
-
-    def test_vertical_boundary_is_strict(self):
-        assert is_nmac(100.0, 400.0) is False
-
-    def test_horizontal_boundary_is_strict(self):
-        assert is_nmac(50.0, 500.0) is False
-
-    def test_collision_point(self):
-        assert is_nmac(0.0, 0.0) is True
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            is_nmac(-1.0, 100.0)
-        with pytest.raises(ValueError):
-            is_nmac(1.0, -100.0)
-
-    def test_symmetric_in_aircraft_exchange(self):
-        # depends only on absolute separations, which are exchange-invariant
-        rng = np.random.default_rng(5)
-        for _ in range(100):
-            dz, dxy = rng.uniform(0, 200), rng.uniform(0, 1000)
-            assert is_nmac(dz, dxy) == is_nmac(abs(-dz), abs(-dxy))
 
 
 def level_pair_trace(h=0.0, vz1=0.0, diverging=False):

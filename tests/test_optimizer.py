@@ -10,8 +10,8 @@ from caslab.optimizer import (
     Grid,
     LogicTable,
     RewardParams,
-    _action_operator,
     _solve,
+    _sweep_operator,
     backward_induction,
     policy_slice,
     reward,
@@ -314,37 +314,64 @@ class TestBackwardInduction:
         assert np.all(small_table.values <= 1e-12)
 
 
-class TestActionOperator:
+def column_distributions(grid, pilot, intruder):
+    """transition_distribution of every sweep column, targets as (h, hdot0, hdot1) vertices."""
+    vertices = (len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts))
+    out = []
+    for a in grid.advisories:
+        for row in range(np.prod(vertices)):
+            ih, i0, i1 = np.unravel_index(row, vertices)
+            s = VerticalState(
+                h=float(grid.h_cuts[ih]),
+                hdot0=float(grid.hdot0_cuts[i0]),
+                hdot1=float(grid.hdot1_cuts[i1]),
+                a_prev=Advisory.COC,
+                tau=1.0,
+            )
+            dist = transition_distribution(s, a, pilot, intruder, grid)
+            targets = [
+                np.ravel_multi_index(np.unravel_index(j, grid.shape)[:3], vertices) for j, _ in dist
+            ]
+            out.append((targets, [w for _, w in dist]))
+    return out
+
+
+class TestSweepOperator:
     @pytest.mark.parametrize("p", [0.4, 1.0])
-    def test_rows_match_transition_distribution(self, p):
+    def test_columns_match_transition_distribution(self, p):
         grid = micro_grid()
         pilot = PilotModel(response_probability=p, acceleration=8.0)
         intr = IntruderModel(sigma_accel=6.0)
-        vertices = (len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts))
-        for a in grid.advisories:
-            idx, w = _action_operator(a, grid, pilot, intr)
-            assert idx.shape == w.shape and idx.shape[1] == np.prod(vertices)
-            for row in range(idx.shape[1]):
-                ih, i0, i1 = np.unravel_index(row, vertices)
-                s = VerticalState(
-                    h=float(grid.h_cuts[ih]),
-                    hdot0=float(grid.hdot0_cuts[i0]),
-                    hdot1=float(grid.hdot1_cuts[i1]),
-                    a_prev=Advisory.COC,
-                    tau=1.0,
-                )
-                dist = transition_distribution(s, a, pilot, intr, grid)
-                targets = [
-                    np.ravel_multi_index(np.unravel_index(j, grid.shape)[:3], vertices)
-                    for j, _ in dist
-                ]
-                k = len(dist)
-                assert idx[:k, row].tolist() == targets
-                assert np.all(np.diff(idx[:k, row]) > 0)
-                np.testing.assert_allclose(
-                    w[:k, row], [wt for _, wt in dist], rtol=0, atol=1e-15
-                )
-                assert np.all(w[k:, row] == 0.0)
+        m = len(grid.h_cuts) * len(grid.hdot0_cuts) * len(grid.hdot1_cuts)
+        slots, unorder = _sweep_operator(grid, pilot, intr)
+        reference = column_distributions(grid, pilot, intr)
+        assert len(unorder) == len(reference) == len(grid.advisories) * m
+        for column, (targets, weights) in enumerate(reference):
+            ia = column // m
+            place = unorder[column]
+            idx = np.array([flat[place] for flat, _ in slots if len(flat) > place])
+            w = np.array([w[place] for _, w in slots if len(w) > place])
+            assert (idx - ia * m).tolist() == targets
+            assert np.all(np.diff(idx) > 0)
+            np.testing.assert_allclose(w, weights, rtol=0, atol=1e-15)
+
+    def test_slots_tile_the_longest_first_column_order(self):
+        grid = micro_grid()
+        pilot = PilotModel(response_probability=0.4, acceleration=8.0)
+        intr = IntruderModel(sigma_accel=6.0)
+        slots, unorder = _sweep_operator(grid, pilot, intr)
+        counts = np.array([len(targets) for targets, _ in column_distributions(grid, pilot, intr)])
+        # unorder inverts the order: a permutation of the columns, longest first
+        order = np.argsort(unorder)
+        assert np.array_equal(unorder[order], np.arange(len(counts)))
+        assert np.all(np.diff(counts[order]) <= 0)
+        # slot k covers the prefix of columns with a k-th entry, so slots never lengthen
+        lengths = [len(flat) for flat, _ in slots]
+        assert all(len(w) == n for (_, w), n in zip(slots, lengths))
+        assert lengths == [np.count_nonzero(counts > k) for k in range(counts.max())]
+        # together the slots hold every merged nonzero entry once
+        assert sum(lengths) == counts.sum()
+        assert all(np.all(w > 0.0) for _, w in slots)
 
 
 # sha256 of the ACXT file of the default-grid table, recorded from the

@@ -6,7 +6,6 @@ from caslab.tcas import (
     TcasConfig,
     TcasTracker,
     Threat,
-    arbitrate_multithreat,
     assess_threat,
     assess_threat_many,
     closest_approach,
@@ -135,32 +134,6 @@ class TestSelectStrength:
             )
             for sense in (UP, DOWN):
                 assert select_strength(own, intr, sense, cfg()).sense == sense
-
-
-class TestArbitrateMultithreat:
-    def test_single_ra_passes_through(self):
-        assert arbitrate_multithreat([Advisory.DES1500], [20.0]) is Advisory.DES1500
-
-    def test_same_sense_strongest(self):
-        out = arbitrate_multithreat([Advisory.DES1500, Advisory.DES2500], [30.0, 20.0])
-        assert out is Advisory.DES2500
-
-    def test_mixed_senses_most_urgent(self):
-        out = arbitrate_multithreat([Advisory.CL1500, Advisory.DES1500], [30.0, 10.0])
-        assert out is Advisory.DES1500
-
-    def test_coc_entries_ignored(self):
-        out = arbitrate_multithreat(
-            [Advisory.COC, Advisory.CL1500, Advisory.COC], [5.0, 25.0, 1.0]
-        )
-        assert out is Advisory.CL1500
-
-    def test_all_coc(self):
-        assert arbitrate_multithreat([Advisory.COC, Advisory.COC], [5.0, 6.0]) is Advisory.COC
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            arbitrate_multithreat([], [])
 
 
 class TestTracker:

@@ -241,6 +241,10 @@ INVALID_CONFIGS = {
     "nan_intruder_sigma": ({"intruder": {"sigma_accel": math.nan}}, "intruder.sigma_accel"),
     "infinite_intruder_sigma": ({"intruder": {"sigma_accel": math.inf}}, "intruder.sigma_accel"),
     "nan_pilot_acceleration": ({"pilot": {"acceleration": math.nan}}, "pilot.acceleration"),
+    "infinite_collision_cost": (
+        {"rewards": {"collision_cost": -math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "rewards.collision_cost",
+    ),
     "infinite_belief_sigma": (
         {"online": {"belief_sigma_h": math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
         "online.belief_sigma_h",
@@ -271,6 +275,21 @@ class TestConfigContract:
         assert err.startswith("E_CONFIG_INVALID:")
         assert err.count("\n") == 1
         assert key in err
+
+    @pytest.mark.parametrize(
+        "case", ["nan_intruder_sigma", "infinite_intruder_sigma", "nan_pilot_acceleration"],
+    )
+    def test_optimize_refuses_non_finite_model_number(self, case, tmp_path, capsys):
+        # each of these once solved and wrote a table whose rows did not sum to 1
+        doc, key = INVALID_CONFIGS[case]
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, **doc}))
+        out = tmp_path / "out"
+        assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("E_CONFIG_INVALID:") and err.count("\n") == 1
+        assert key in err
+        assert not (out / "table.acxt").exists()
 
     @pytest.mark.parametrize("where", ["--seed", "config"])
     def test_negative_seed_names_its_key(self, where, tmp_path, capsys):

@@ -84,6 +84,19 @@ class TestStepVertical:
             assert zn.tolist() == [e[0] for e in expected]
             assert vzn.tolist() == [e[1] for e in expected]
 
+    def test_scalar_target_and_sense_match_arrays(self):
+        # the DP passes one advisory's band edge and sense as scalars
+        vz = np.random.default_rng(5).uniform(-60.0, 60.0, 200)
+        z = np.zeros_like(vz)
+        for a in ADVISORIES:
+            if a is Advisory.COC:
+                continue
+            zs, vzs = step_complying_many(z, vz, a.target_rate_fps, a.sense, pilot(), 1.0)
+            za, vza = step_complying_many(
+                z, vz, np.full(vz.size, a.target_rate_fps), np.full(vz.size, a.sense), pilot(), 1.0,
+            )
+            assert zs.tolist() == za.tolist() and vzs.tolist() == vza.tolist()
+
 
 class TestSampleResponseDelay:
     def test_p_one_always_zero(self):

@@ -373,6 +373,18 @@ class TestSweepOperator:
         assert sum(lengths) == counts.sum()
         assert all(np.all(w > 0.0) for _, w in slots)
 
+    @pytest.mark.parametrize("p, sigma", [(0.4, 6.0), (1.0, 6.0), (0.4, 0.0)])
+    def test_every_column_is_a_distribution(self, p, sigma):
+        # the sweep takes expectations over each column, so its weights sum to 1
+        grid = micro_grid()
+        slots, unorder = _sweep_operator(
+            grid, PilotModel(response_probability=p, acceleration=8.0), IntruderModel(sigma_accel=sigma),
+        )
+        totals = np.zeros(len(unorder))
+        for _, w in slots:
+            totals[: len(w)] += w
+        np.testing.assert_allclose(totals[unorder], 1.0, rtol=0, atol=1e-12)
+
 
 # sha256 of the ACXT file of the default-grid table, recorded from the
 # sparse-matrix solver that the fixed-width operators replaced.  A change

@@ -11,7 +11,8 @@ built once per solve, straight into the slots the sweep reads, and the
 complying pilot moves by dynamics.step_complying_many, as in the closed
 loop.  Values are expected cumulative rewards.  The MDP is symmetric under
 the vertical mirror (h and both rates negated, advisory senses swapped), so
-the emitted table stores every state-action value at h >= 0 and no other.
+the DP solves only the states at h >= 0, reading a successor below zero at
+its mirror state, and the emitted table stores those values and no other.
 """
 
 from __future__ import annotations
@@ -329,13 +330,16 @@ def _sweep_operator(
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """The one-step operator of every action, in the slots the sweep reads.
 
-    Column ia*m + j is operator row j of action grid.advisories[ia]: the
-    successor distribution of the j-th (h, hdot0, hdot1) vertex, over flat
-    targets ia*m + (successor vertex), which address a layer's best values
-    raveled as (a_prev, vertex).  Each column lists its targets in ascending
-    order, duplicate targets summed in the order they arise (branch, then
-    corner, then source vertex), zero weights dropped.  tau and a_prev
-    advance deterministically and are handled by the sweep.
+    Only the m vertices (h, hdot0, hdot1) at h >= 0 are sources.  Column
+    ia*m + j is operator row j of action grid.advisories[ia]: the successor
+    distribution of the j-th such vertex, over flat targets a_prev*m +
+    (successor vertex), which address a layer's best values raveled as
+    (a_prev, vertex).  a_prev is ia, except that a successor corner below
+    h = 0 is folded through the vertical mirror: its vertex is (-h, -hdot0,
+    -hdot1) and its a_prev is grid.advisory_mirror[ia].  Each column lists
+    its targets in ascending order, duplicate targets summed in the order
+    they arise (branch, then corner, then source vertex), zero weights
+    dropped.  tau advances deterministically and is handled by the sweep.
 
     Columns are ordered longest first; slots[k] is (flat targets, weights)
     of the k-th entry of every column that has one, so it covers a prefix of
@@ -343,49 +347,70 @@ def _sweep_operator(
     in the order.
     """
     n0, n1 = len(grid.hdot0_cuts), len(grid.hdot1_cuts)
-    H, V0, V1 = np.meshgrid(grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, indexing="ij")
+    H, V0, V1 = np.meshgrid(
+        grid.h_cuts[grid.h_zero:], grid.hdot0_cuts, grid.hdot1_cuts, indexing="ij"
+    )
     H, V0, V1 = H.ravel(), V0.ravel(), V1.ravel()
     m = H.size
+    na = len(grid.advisories)
     p = pilot.response_probability
-    pilot_branches = [(True, p)]
-    if p < 1.0:
-        pilot_branches.append((False, 1.0 - p))
+    w_pilots = [p] if p >= 1.0 else [p, 1.0 - p]  # complies this step, or not
     # corner offsets (bh, b0, b1) of the enclosing cell, bh slowest
     bh, b0, b1 = (np.array([0, 1]).reshape(shape) for shape in ((2, 1, 1, 1), (2, 1, 1), (2, 1)))
-    source = np.arange(m) * m
-    merged = []  # per action: entries per column, then flat targets and weights
-    for ia, a in enumerate(grid.advisories):
-        keys_all: List[np.ndarray] = []
-        w_all: List[np.ndarray] = []
-        for complying, w_pilot in pilot_branches:
-            if complying and a is not Advisory.COC:
-                _, vz0p = step_complying_many(0.0, V0, a.target_rate_fps, a.sense, pilot, 1.0)
-            else:
-                vz0p = V0
-            dz0 = 0.5 * (V0 + vz0p)
-            i0, f0 = _locate_many(vz0p, grid.hdot0_cuts)
-            for u, w_sig in zip(SIGMA_POINTS, SIGMA_WEIGHTS):
-                vz1p = V1 + u * intruder.sigma_accel
-                dz1 = 0.5 * (V1 + vz1p)
-                hp = H + dz1 - dz0
-                ih, fh = _locate_many(hp, grid.h_cuts)
-                i1, f1 = _locate_many(vz1p, grid.hdot1_cuts)
+    source = np.arange(m) * (na * m)
+
+    def branches(vz0p: np.ndarray, weights: Sequence[float]) -> List[List[np.ndarray]]:
+        """Raw entries of the pilot branches that move the ownship's rate to vz0p.
+
+        One [source*na*m + vertex, folded, weight] per pilot weight, each in
+        arrival order: sigma point, then corner, then source vertex.
+        """
+        dz0 = 0.5 * (V0 + vz0p)
+        i0, f0 = _locate_many(vz0p, grid.hdot0_cuts)
+        raw: List[List[List[np.ndarray]]] = [[[], [], []] for _ in weights]
+        for u, w_sig in zip(SIGMA_POINTS, SIGMA_WEIGHTS):
+            vz1p = V1 + u * intruder.sigma_accel
+            dz1 = 0.5 * (V1 + vz1p)
+            ih, fh = _locate_many(H + dz1 - dz0, grid.h_cuts)
+            i1, f1 = _locate_many(vz1p, grid.hdot1_cuts)
+            # a corner dh rows below h = 0 is read at the mirror vertex |dh| rows up
+            dh = ih + bh - grid.h_zero
+            folded = dh < 0
+            vertex = (
+                (np.abs(dh) * n0 + np.where(folded, n0 - 1 - (i0 + b0), i0 + b0)) * n1
+                + np.where(folded, n1 - 1 - (i1 + b1), i1 + b1)
+            ).reshape(8, m)
+            folded = np.broadcast_to(folded, (2, 2, 2, m)).reshape(8, m)
+            for (keys, folds, ws), w_pilot in zip(raw, weights):
                 w = (
                     w_pilot * w_sig
                     * np.where(bh, fh, 1.0 - fh)
                     * np.where(b0, f0, 1.0 - f0)
                     * np.where(b1, f1, 1.0 - f1)
                 ).reshape(8, m)
-                tgt = (((ih + bh) * n0 + (i0 + b0)) * n1 + (i1 + b1)).reshape(8, m)
-                # entries in arrival order: branch, then corner, then source vertex
                 mask = w > 0.0
-                keys_all.append((source + tgt)[mask])
-                w_all.append(w[mask])
-        keys, inverse = np.unique(np.concatenate(keys_all), return_inverse=True)
+                keys.append((source + vertex)[mask])
+                folds.append(folded[mask])
+                ws.append(w[mask])
+        return [[np.concatenate(part) for part in entries] for entries in raw]
+
+    # Not complying, and complying with COC, both hold the ownship's rate, so
+    # every action shares those successors; only their a_prev differs.
+    held = branches(V0, w_pilots)
+    merged = []  # per action: entries per column, then flat targets and weights
+    for ia, a in enumerate(grid.advisories):
+        if a is Advisory.COC:
+            raw = held
+        else:
+            _, vz0p = step_complying_many(0.0, V0, a.target_rate_fps, a.sense, pilot, 1.0)
+            raw = branches(vz0p, [p]) + held[1:]
+        key, folded, w = (np.concatenate(part) for part in zip(*raw))
+        key += np.where(folded, grid.advisory_mirror[ia] * m, ia * m)
+        keys, inverse = np.unique(key, return_inverse=True)
         summed = np.zeros(len(keys))
-        np.add.at(summed, inverse, np.concatenate(w_all))  # sequential, in arrival order
-        col, tgt = np.divmod(keys, m)
-        merged.append((np.bincount(col, minlength=m), tgt + ia * m, summed))
+        np.add.at(summed, inverse, w)  # sequential, in arrival order
+        col, tgt = np.divmod(keys, na * m)
+        merged.append((np.bincount(col, minlength=m), tgt, summed))
     counts = np.concatenate([count for count, _, _ in merged])
     order = np.argsort(-counts, kind="stable")
     unorder = np.argsort(order)
@@ -411,15 +436,15 @@ def backward_induction(
 ) -> LogicTable:
     """Solve the finite-horizon MDP exactly on the grid.
 
-    The table holds the h >= 0 rows of the solved values as a view, so the
-    solve's own array is the only copy.  Rounding leaves the h = 0 row off
-    its own mirror by ~1e-16, so that row takes the mean of each value and
-    its mirror: exact where they agree, and never past either of them.
+    The table's values are the array the solve allocated, so they are the
+    only copy.  Rounding leaves the h = 0 row off its own mirror by ~1e-16,
+    so that row takes the mean of each value and its mirror: exact where
+    they agree, and never past either of them.
     """
     values = _solve(grid, pilot, intruder, params)
-    zero = values[grid.h_zero]
+    zero = values[0]
     zero[...] = 0.5 * (zero + grid.mirror_row(zero[::-1]))
-    return LogicTable(grid=grid, values=values[grid.h_zero:])
+    return LogicTable(grid=grid, values=values)
 
 
 def _solve(
@@ -428,26 +453,28 @@ def _solve(
     intruder: IntruderModel,
     params: RewardParams,
 ) -> np.ndarray:
-    """Values of every state-action pair, axes (h, hdot0, hdot1, tau, a_prev, action).
+    """Values of every state-action pair at h >= 0, shape grid.table_shape.
 
     Works backward from tau=0 (terminal rewards) to tau_max; within a tau
     layer every state depends only on the previous layer, so each layer is
     evaluated in one vectorized pass over all actions and written straight
-    into the table's layout.  Every h row is swept, below zero too.
+    into the table's layout.  Only the h >= 0 rows are swept: a successor
+    below zero is read at its mirror state.
 
     A layer's expected values accumulate one operator slot at a time (see
     _sweep_operator): slot k touches only the prefix of columns that have a
     k-th entry, so each column sums its entries in ascending target order,
     and unorder puts the columns back as (action, vertex).
     """
-    nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
+    n0, n1 = len(grid.hdot0_cuts), len(grid.hdot1_cuts)
+    h_cuts = grid.h_cuts[grid.h_zero:]
     na = len(grid.advisories)
-    m = nh * n0 * n1
+    m = len(h_cuts) * n0 * n1
     ntau = grid.tau_max + 1
 
     cost = _advisory_cost_matrix(grid.advisories, params)
     collision = np.repeat(
-        (np.abs(grid.h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
+        (np.abs(h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
     )
 
     slots, unorder = _sweep_operator(grid, pilot, intruder)
@@ -474,7 +501,7 @@ def _solve(
         if not np.all(np.isfinite(values[:, itau])):
             raise OverflowError(f"non-finite values at tau={itau}")
 
-    return values.reshape(nh, n0, n1, ntau, na, na)
+    return values.reshape(grid.table_shape)
 
 
 def policy_slice(

@@ -67,6 +67,19 @@ def expectimax_table(grid, pilot, intruder, params):
     return out
 
 
+# (pilot response probability, intruder sigma) of the mirror checks
+FOLD_CASES = [(0.4, 0.0), (0.4, 6.0), (1.0, 0.0), (1.0, 6.0)]
+
+
+@functools.lru_cache(maxsize=None)
+def micro_oracle(p, sigma):
+    """expectimax_table on micro_grid(tau_max=3), whose successors cross h = 0."""
+    return expectimax_table(
+        micro_grid(tau_max=3), PilotModel(response_probability=p, acceleration=8.0),
+        IntruderModel(sigma_accel=sigma), RewardParams(),
+    )
+
+
 class TestGridValidation:
     def test_h_cuts_must_be_symmetric(self):
         with pytest.raises(ValueError):
@@ -285,15 +298,19 @@ class TestBackwardInduction:
         assert np.all(harsh.values <= mild.values + 1e-12)
 
     def test_vertical_mirror_symmetry(self):
-        # the sweep solves every h row; the rows below zero must mirror the rest
-        grid = micro_grid()
-        values = _solve(
-            grid, PilotModel(response_probability=0.5, acceleration=8.0),
-            IntruderModel(sigma_accel=4.0), RewardParams(),
-        )
+        # the oracle solves every h row, and the rows below zero mirror the
+        # rest; that is what lets the sweep solve h >= 0 and fold the others
+        grid = micro_grid(tau_max=3)
         perm = [grid.advisory_index(MIRROR[a]) for a in grid.advisories]
-        mirrored = values[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
-        np.testing.assert_allclose(values, mirrored, atol=1e-9)
+        for p, sigma in FOLD_CASES:
+            oracle = micro_oracle(p, sigma)
+            mirrored = oracle[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
+            np.testing.assert_allclose(oracle, mirrored, rtol=0, atol=1e-9)
+            table = backward_induction(
+                grid, PilotModel(response_probability=p, acceleration=8.0),
+                IntruderModel(sigma_accel=sigma), RewardParams(),
+            )
+            np.testing.assert_allclose(full_values(table), oracle, rtol=0, atol=1e-9)
 
     def test_table_is_the_h_zero_up_half_of_the_sweep(self, small_table):
         grid = small_table.grid
@@ -301,10 +318,45 @@ class TestBackwardInduction:
             grid, PilotModel(response_probability=0.5, acceleration=8.0),
             IntruderModel(sigma_accel=4.0), RewardParams(),
         )
-        assert small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7, 7)
-        assert np.array_equal(small_table.values[1:], values[grid.h_zero + 1:])
+        assert values.shape == small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7, 7)
+        assert np.array_equal(small_table.values[1:], values[1:])
         # the h = 0 row keeps one value of each mirror pair, which agree to rounding
-        np.testing.assert_allclose(small_table.values[0], values[grid.h_zero], rtol=0, atol=1e-15)
+        np.testing.assert_allclose(small_table.values[0], values[0], rtol=0, atol=1e-15)
+        # the half sweep reads successors below zero at their mirror states
+        micro = micro_grid(tau_max=3)
+        for p, sigma in FOLD_CASES:
+            half = _solve(
+                micro, PilotModel(response_probability=p, acceleration=8.0),
+                IntruderModel(sigma_accel=sigma), RewardParams(),
+            )
+            np.testing.assert_allclose(half, micro_oracle(p, sigma)[micro.h_zero:], rtol=0, atol=1e-9)
+
+    def test_values_are_the_whole_solve(self, small_table):
+        # the table holds the array the solve allocated, not a view of a larger one
+        values = small_table.values
+        assert values.base is None or values.base.nbytes <= values.nbytes
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            Grid(h_cuts=np.array([-100.0, 0.0, 100.0]), hdot0_cuts=np.array([-25.0, 25.0]),
+                 hdot1_cuts=np.array([-25.0, 25.0]), tau_max=3),
+            Grid(h_cuts=np.array([-100.0, 0.0, 100.0]), hdot0_cuts=np.array([-25.0, 25.0]),
+                 hdot1_cuts=np.array([-25.0, 25.0]), tau_max=3,
+                 advisories=(Advisory.COC, Advisory.CL1500, Advisory.DES1500)),
+            micro_grid(tau_max=0),
+            micro_grid(tau_max=1),
+        ],
+        ids=["smallest", "smallest_three_advisories", "tau_max_0", "tau_max_1"],
+    )
+    def test_edge_grids_match_oracle(self, grid):
+        pilot = PilotModel(response_probability=0.4, acceleration=8.0)
+        intr = IntruderModel(sigma_accel=6.0)
+        params = RewardParams()
+        table = backward_induction(grid, pilot, intr, params)
+        assert table.values.shape == grid.table_shape
+        oracle = expectimax_table(grid, pilot, intr, params)
+        np.testing.assert_allclose(full_values(table), oracle, rtol=0, atol=1e-9)
 
     def test_value_bounds(self, small_table):
         params = RewardParams()
@@ -315,24 +367,36 @@ class TestBackwardInduction:
 
 
 def column_distributions(grid, pilot, intruder):
-    """transition_distribution of every sweep column, targets as (h, hdot0, hdot1) vertices."""
-    vertices = (len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts))
+    """transition_distribution of every sweep column, folded as the sweep reads it.
+
+    Columns run over the actions, then the (h, hdot0, hdot1) vertices at
+    h >= 0.  A target below h = 0 becomes its mirror vertex at the mirrored
+    a_prev; targets are flat, a_prev * m + vertex, ascending, and duplicates
+    are summed.
+    """
+    nh, n0, n1 = len(grid.h_cuts), len(grid.hdot0_cuts), len(grid.hdot1_cuts)
+    vertices = (nh - grid.h_zero, n0, n1)
+    m = int(np.prod(vertices))
     out = []
     for a in grid.advisories:
-        for row in range(np.prod(vertices)):
+        for row in range(m):
             ih, i0, i1 = np.unravel_index(row, vertices)
             s = VerticalState(
-                h=float(grid.h_cuts[ih]),
+                h=float(grid.h_cuts[grid.h_zero + ih]),
                 hdot0=float(grid.hdot0_cuts[i0]),
                 hdot1=float(grid.hdot1_cuts[i1]),
                 a_prev=Advisory.COC,
                 tau=1.0,
             )
-            dist = transition_distribution(s, a, pilot, intruder, grid)
-            targets = [
-                np.ravel_multi_index(np.unravel_index(j, grid.shape)[:3], vertices) for j, _ in dist
-            ]
-            out.append((targets, [w for _, w in dist]))
+            merged = {}
+            for j, w in transition_distribution(s, a, pilot, intruder, grid):
+                jh, j0, j1, _, ja = (int(k) for k in np.unravel_index(j, grid.shape))
+                if jh < grid.h_zero:
+                    jh, j0, j1, ja = nh - 1 - jh, n0 - 1 - j0, n1 - 1 - j1, grid.advisory_mirror[ja]
+                target = ja * m + int(np.ravel_multi_index((jh - grid.h_zero, j0, j1), vertices))
+                merged[target] = merged.get(target, 0.0) + w
+            targets = sorted(merged)
+            out.append((targets, [merged[t] for t in targets]))
     return out
 
 
@@ -342,18 +406,21 @@ class TestSweepOperator:
         grid = micro_grid()
         pilot = PilotModel(response_probability=p, acceleration=8.0)
         intr = IntruderModel(sigma_accel=6.0)
-        m = len(grid.h_cuts) * len(grid.hdot0_cuts) * len(grid.hdot1_cuts)
+        m = (len(grid.h_cuts) - grid.h_zero) * len(grid.hdot0_cuts) * len(grid.hdot1_cuts)
         slots, unorder = _sweep_operator(grid, pilot, intr)
         reference = column_distributions(grid, pilot, intr)
         assert len(unorder) == len(reference) == len(grid.advisories) * m
+        folded = 0
         for column, (targets, weights) in enumerate(reference):
-            ia = column // m
             place = unorder[column]
             idx = np.array([flat[place] for flat, _ in slots if len(flat) > place])
             w = np.array([w[place] for _, w in slots if len(w) > place])
-            assert (idx - ia * m).tolist() == targets
+            assert idx.tolist() == targets
             assert np.all(np.diff(idx) > 0)
             np.testing.assert_allclose(w, weights, rtol=0, atol=1e-15)
+            folded += np.count_nonzero(idx // m != column // m)
+        # the micro grid's successors cross h = 0, so some targets take the mirrored a_prev
+        assert folded > 0
 
     def test_slots_tile_the_longest_first_column_order(self):
         grid = micro_grid()

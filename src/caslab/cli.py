@@ -19,12 +19,13 @@ from typing import Optional
 import numpy as np
 
 from . import config as configmod
-from .bayesnet import fit_cpts
+from .bayesnet import DiscreteBayesNet, fit_cpts
 from .config import ConfigError
 from .core import write_trace_csv
 from .encounters import (
     CORRELATED,
     EncounterModel,
+    ModelFormatError,
     default_correlated_model,
     default_structure,
     default_uncorrelated_model,
@@ -48,9 +49,11 @@ from .tablefile import TableFormatError, read_table, write_table
 E_CONFIG_NOT_FOUND = "E_CONFIG_NOT_FOUND"
 E_CONFIG_INVALID = "E_CONFIG_INVALID"
 E_MODEL_NOT_FOUND = "E_MODEL_NOT_FOUND"
+E_MODEL_INVALID = "E_MODEL_INVALID"
 E_TABLE_NOT_FOUND = "E_TABLE_NOT_FOUND"
 E_TABLE_INVALID = "E_TABLE_INVALID"
 E_SAMPLES_NOT_FOUND = "E_SAMPLES_NOT_FOUND"
+E_SAMPLES_INVALID = "E_SAMPLES_INVALID"
 E_SEED_REQUIRED = "E_SEED_REQUIRED"
 E_RUN_FAILED = "E_RUN_FAILED"
 
@@ -126,15 +129,22 @@ def _require_seed(seed) -> int:
 def _load_model(cfg: dict) -> EncounterModel:
     path = cfg["paths"]["model_file"]
     if path is not None:
-        if not Path(path).exists():
-            raise CliError(E_MODEL_NOT_FOUND, f"model file not found: {path}")
-        return read_model_file(path)
+        return _read_model(path, "model file")
     enc = cfg["encounter"]
     if not enc["use_default_model"]:
         raise CliError(E_MODEL_NOT_FOUND, "no model_file configured and default model disabled")
     factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
     with _config_values():
         return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
+
+
+def _read_model(path: str, kind: str) -> EncounterModel:
+    if not Path(path).exists():
+        raise CliError(E_MODEL_NOT_FOUND, f"{kind} not found: {path}")
+    try:
+        return read_model_file(path)
+    except ModelFormatError as err:
+        raise CliError(E_MODEL_INVALID, str(err))
 
 
 def _load_table(cfg: dict):
@@ -189,37 +199,43 @@ def _config_int(cfg: dict, block: str, key: str, minimum: int) -> int:
     return value
 
 
-def _read_binned_csv(path: Optional[str], nodes) -> np.ndarray:
+def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> DiscreteBayesNet:
+    """Fit structure's CPTs to a CSV of bin indices, one column per node."""
     if path is None or not Path(path).exists():
         raise CliError(E_SAMPLES_NOT_FOUND, f"binned-sample CSV not found: {path}")
+    nodes = list(structure.nodes)
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        if header != list(nodes):
-            raise CliError(E_CONFIG_INVALID, f"sample CSV columns {header} != nodes {list(nodes)}")
-        rows = [[int(v) for v in row] for row in reader]
-    return np.asarray(rows, dtype=int).reshape(len(rows), len(nodes))
+        header = next(reader, [])
+        if header != nodes:
+            raise CliError(E_CONFIG_INVALID, f"sample CSV columns {header} != nodes {nodes}")
+        rows = []
+        for row in reader:
+            try:
+                if len(row) != len(nodes):
+                    raise ValueError(f"{len(row)} cells, expected {len(nodes)}")
+                rows.append([int(v) for v in row])
+            except ValueError as err:
+                raise CliError(E_SAMPLES_INVALID, f"{path} line {reader.line_num}: {err}")
+    try:
+        return fit_cpts(structure, rows)
+    except (OverflowError, ValueError) as err:  # a bin index outside its node's bins
+        raise CliError(E_SAMPLES_INVALID, f"{path}: {err}")
 
 
 def _cmd_fit(cfg: dict, out_dir: Path, seed, workers) -> None:
     structure_path = cfg["paths"]["structure_file"]
     enc = cfg["encounter"]
     if structure_path is not None:
-        if not Path(structure_path).exists():
-            raise CliError(E_MODEL_NOT_FOUND, f"structure file not found: {structure_path}")
-        skeleton = read_model_file(structure_path)
+        skeleton = _read_model(structure_path, "structure file")
         initial_s, transition_s = skeleton.initial_net, skeleton.transition_net
         mode, duration, dt = skeleton.mode, skeleton.duration, skeleton.dt
     else:
         initial_s, transition_s = default_structure()
         mode, duration, dt = enc["mode"], float(enc["duration"]), float(enc["dt"])
-    initial_data = _read_binned_csv(cfg["paths"]["initial_samples_csv"], initial_s.nodes)
-    transition_data = _read_binned_csv(
-        cfg["paths"]["transition_samples_csv"], transition_s.nodes
-    )
     model = EncounterModel(
-        initial_net=fit_cpts(initial_s, initial_data),
-        transition_net=fit_cpts(transition_s, transition_data),
+        initial_net=_fit_binned_csv(cfg["paths"]["initial_samples_csv"], initial_s),
+        transition_net=_fit_binned_csv(cfg["paths"]["transition_samples_csv"], transition_s),
         mode=mode,
         duration=duration,
         dt=dt,
@@ -264,11 +280,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     eq = _equipage(cfg)
     n = _config_int(cfg, "evaluation", "n", 1)
     proposal_path = cfg["paths"]["proposal_file"]
-    proposal = None
-    if proposal_path is not None:
-        if not Path(proposal_path).exists():
-            raise CliError(E_MODEL_NOT_FOUND, f"proposal file not found: {proposal_path}")
-        proposal = read_model_file(proposal_path)
+    proposal = None if proposal_path is None else _read_model(proposal_path, "proposal file")
     equipages = [eq]
     compare = cfg["evaluation"]["compare_unequipped"] and proposal is None
     if compare:

@@ -62,6 +62,10 @@ class EncounterError(RuntimeError):
     pass
 
 
+class ModelFormatError(ValueError):
+    """A model file that does not hold a valid encounter model."""
+
+
 class LikelihoodSupportWarning(UserWarning):
     """A trace contains a bin with zero probability under the scoring model."""
 
@@ -549,5 +553,14 @@ def write_model_file(model: EncounterModel, path) -> None:
 
 
 def read_model_file(path) -> EncounterModel:
+    """Read a model file; any fault in its contents is a ModelFormatError naming path."""
     with open(path) as f:
-        return model_from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+            if not isinstance(doc, dict):
+                raise ValueError("expected a JSON object")
+            return model_from_dict(doc)
+        except KeyError as err:
+            raise ModelFormatError(f"{path}: missing key {err}") from None
+        except (TypeError, ValueError) as err:
+            raise ModelFormatError(f"{path}: {err}") from None

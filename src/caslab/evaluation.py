@@ -39,7 +39,6 @@ from .encounters import (
     SEPARATION_THRESHOLD_FT,
     EncounterBatch,
     EncounterModel,
-    build_encounter,  # unused here; the benchmark's traced pass wraps this name
     build_encounters,
     trace_log_likelihoods,
 )

@@ -3,25 +3,21 @@
 Little-endian layout:
 
     magic           4 bytes  b"ACXT"
-    version         u32      format version (currently 1)
+    version         u32      format version (currently 2)
     dim_count       u32      number of continuous axes (h, hdot0, hdot1, tau)
     per dimension:  u32 cut-point count, then that many f64 cut points
     advisory_count  u32
     per advisory:   u32 name byte length, then UTF-8 name bytes
     values          f32 array, row-major over
-                    (h, hdot0, hdot1, tau, a_prev, action)
+                    (h >= 0, hdot0, hdot1, tau, a_prev, action)
 
-The tau axis is stored as explicit cut points 0..tau_max so readers need no
-side channel.  Values are rounded to 32-bit floats on write, and a value
-outside the float32 range is refused; a read/write cycle is byte-stable.
-
-The file holds every h cut, but a LogicTable holds only its h >= 0 rows,
-with the h = 0 row its own mirror (see optimizer.LogicTable).  The writer
-takes each h < 0 slab from the vertical mirror of a stored one, so every
-file it writes is mirror-symmetric.  The reader keeps the h >= 0 half as
-float32 (21.5 MiB on the default grid) and refuses a file whose h < 0 slabs
-are not the bit-for-bit mirror of it; lookups widen only the values they
-gather, which is exact.
+The header lists every h cut, but the values cover only the h >= 0 cuts:
+the array is exactly LogicTable.values (Grid.table_shape), and a LogicTable
+reads the rows below zero through the vertical mirror.  The tau axis is
+stored as explicit cut points 0..tau_max so readers need no side channel.
+Values are rounded to 32-bit floats on write, and a value outside the
+float32 range is refused; a read/write cycle is byte-stable.  Version 1
+files, which also stored the h < 0 rows, are refused.
 """
 
 from __future__ import annotations
@@ -38,7 +34,7 @@ from .core import Advisory
 from .optimizer import Grid, LogicTable
 
 MAGIC = b"ACXT"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class TableFormatError(ValueError):
@@ -74,14 +70,10 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
         name = adv.value.encode("utf-8")
         f.write(struct.pack("<I", len(name)))
         f.write(name)
-    values = table.values
     try:
         with np.errstate(over="raise"):
-            # one h cut at a time: no whole-table f32 copy.  The h < 0 slabs,
-            # farthest from zero first, mirror the stored slabs above zero.
-            for k in range(len(values) - 1, 0, -1):
-                f.write(np.ascontiguousarray(grid.mirror_row(values[k, ::-1].astype("<f4"))))
-            for slab in values:
+            # one h cut at a time: no whole-table f32 copy
+            for slab in table.values:
                 f.write(np.ascontiguousarray(slab, dtype="<f4"))
     except FloatingPointError:
         raise TableFormatError(
@@ -123,11 +115,13 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     # Check the declared value count against the stream before building the
     # grid or allocating: a short file must not make the reader allocate a
     # table it cannot fill.
-    counts = [len(cuts) for cuts in dims] + [adv_count, adv_count]
+    stored_h = np.count_nonzero(dims[0] >= 0)
+    counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [adv_count, adv_count]
     here = f.tell()
     available = f.seek(0, io.SEEK_END) - here
     if available < 4 * math.prod(counts):
         raise TableFormatError("truncated table file")
+    f.seek(here)
     try:
         grid = Grid(
             h_cuts=dims[0],
@@ -138,34 +132,15 @@ def _read_stream(f: BinaryIO) -> LogicTable:
         )
     except ValueError as err:
         raise TableFormatError(f"invalid grid: {err}") from None
-    shape = grid.table_shape
-    slab_bytes = 4 * math.prod(shape[1:])
-    below = grid.h_zero  # h < 0 slabs in the file, ahead of the stored half
-    f.seek(here + slab_bytes * below)
-    values = np.empty(shape, dtype="<f4")
+    values = np.empty(grid.table_shape, dtype="<f4")
     if f.readinto(values) != values.nbytes:
         raise TableFormatError("truncated table file")
     if f.read(1):
         raise TableFormatError("trailing bytes after value array")
     try:
-        table = LogicTable(grid=grid, values=values)
+        return LogicTable(grid=grid, values=values)
     except ValueError as err:  # non-finite values, or h = 0 off its mirror
         raise TableFormatError(str(err)) from None
-    # Each h < 0 slab must be the mirror of its stored slab bit for bit
-    # (integer views, so -0.0 differs from 0.0).  The size check above
-    # established that every slab is there.
-    f.seek(here)
-    stored = values.view("<u4")
-    row = np.empty(shape[2:], dtype="<u4")
-    for ih in range(below):
-        for opposite in stored[below - ih, ::-1]:
-            f.readinto(row)
-            if not np.array_equal(row, grid.mirror_row(opposite)):
-                raise TableFormatError(
-                    f"values at h = {grid.h_cuts[ih]:g} are not the vertical mirror "
-                    f"of those at h = {grid.h_cuts[-1 - ih]:g}"
-                )
-    return table
 
 
 def _read_exact(f: BinaryIO, n: int) -> bytes:

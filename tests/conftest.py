@@ -31,6 +31,13 @@ def full_values(table):
     return np.concatenate([below, table.values])
 
 
+def acxt_header_bytes(grid):
+    """Length of the ACXT header of a table on grid: everything before the values."""
+    cuts = len(grid.h_cuts) + len(grid.hdot0_cuts) + len(grid.hdot1_cuts) + grid.tau_max + 1
+    names = sum(4 + len(a.value.encode()) for a in grid.advisories)
+    return 12 + 4 * 4 + 8 * cuts + 4 + names
+
+
 def nominal_tracks(enc):
     """Integrate the nominal (logic-free) kinematics of both aircraft of a batch of one."""
     (speed,), (int_pos0,), (alt0,), (vrate,) = enc.speed, enc.int_pos0, enc.alt0, enc.vrate

@@ -22,7 +22,8 @@ from caslab.encounters import (
     write_model_file,
 )
 from caslab.evaluation import Equipage, cross_entropy_adapt
-from caslab.tablefile import MAGIC, read_table, write_table
+from caslab.tablefile import FORMAT_VERSION, MAGIC, read_table, write_table
+from conftest import acxt_header_bytes, full_values
 from test_tablefile import MIRROR_BREAKS
 
 
@@ -179,6 +180,19 @@ class TestEvaluate:
         assert "-inf" in {repr(w) for w in log_weights}
 
 
+# the command that reads each model path, and model files it must refuse
+MODEL_READERS = {
+    "model_file": ["sample", "--seed", "1"],
+    "proposal_file": ["evaluate", "--seed", "1"],
+    "structure_file": ["fit"],
+}
+MALFORMED_MODELS = {
+    "not_json": "not json",
+    "no_networks": '{"schema_version": 1}',
+    "not_an_object": "[1, 2]",
+}
+
+
 class TestErrors:
     def test_missing_table_path(self, tmp_path, capsys):
         cfg = small_grid_config(tmp_path)
@@ -208,6 +222,17 @@ class TestErrors:
         code = main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
         assert capsys.readouterr().err.startswith("E_TABLE_NOT_FOUND:")
+
+    @pytest.mark.parametrize("contents", sorted(MALFORMED_MODELS))
+    @pytest.mark.parametrize("key", sorted(MODEL_READERS))
+    def test_malformed_model_file(self, key, contents, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(MALFORMED_MODELS[contents])
+        cfg = small_grid_config(tmp_path, paths={key: str(path)})
+        assert main(MODEL_READERS[key] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_MODEL_INVALID: {path}: ")
+        assert err.count("\n") == 1
 
 
 INVALID_CONFIGS = {
@@ -344,10 +369,10 @@ def _with_cut(raw, offset, value):
 def _oversized_header(raw, grid):
     """A valid header declaring 300 cuts per axis, zero-padded to len(raw).
 
-    Its values would need 6.6e9 floats; the file holds a few thousand.
+    Its values would need 3.3e9 floats; the file holds a few thousand.
     """
     cuts = np.arange(-150, 150) + 0.5
-    header = MAGIC + struct.pack("<II", 1, 4)
+    header = MAGIC + struct.pack("<II", FORMAT_VERSION, 4)
     for axis in (cuts, cuts, cuts, np.arange(grid.tau_max + 1.0)):
         header += struct.pack("<I", len(axis)) + axis.astype("<f8").tobytes()
     header += struct.pack("<I", len(grid.advisories))
@@ -411,6 +436,19 @@ class TestTableContract:
         assert err.startswith("E_TABLE_INVALID:")
         assert err.count("\n") == 1
         assert fragment in err
+
+    def test_slice_refuses_version_1_file(self, small_table, tmp_path, capsys):
+        # version 1 stored every h row; its h < 0 rows were the mirror of the rest
+        path = tmp_path / "table.acxt"
+        write_table(small_table, path)
+        header = bytearray(path.read_bytes()[:acxt_header_bytes(small_table.grid)])
+        header[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(header) + full_values(small_table).astype("<f4").tobytes())
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "E_TABLE_INVALID: unsupported table format version 1\n"
 
     def test_no_command_imports_scipy(self, small_table, tmp_path):
         # importing scipy costs every caslab process ~0.24 s; numpy suffices.
@@ -540,6 +578,15 @@ class TestOutputDigests:
         assert command_outputs[name] == PINNED_OUTPUT_DIGESTS[name]
 
 
+# a row appended to a valid transition-sample CSV, and what the error names
+MALFORMED_SAMPLE_ROWS = {
+    "non_integer_cell": (["x", 0, 0, 0, 0, 0, 0], "line 3: invalid literal"),
+    "short_row": ([0, 0, 0, 0, 0, 0], "line 3: 6 cells, expected 7"),
+    "bin_out_of_range": ([0, 0, 0, 0, 0, 0, 99], "bin index out of range for node int_vrate_next"),
+    "bin_beyond_int64": ([0, 0, 0, 0, 0, 0, 2**64], "too large"),
+}
+
+
 class TestFitAndSample:
     def test_fit_writes_loadable_model(self, tmp_path):
         initial_s, transition_s = default_structure()
@@ -573,6 +620,25 @@ class TestFitAndSample:
         assert model.initial_net.is_fitted
         for t in model.initial_net.cpt:
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_SAMPLE_ROWS))
+    def test_fit_refuses_malformed_samples(self, fault, tmp_path, capsys):
+        row, fragment = MALFORMED_SAMPLE_ROWS[fault]
+        paths = {}
+        for key, net in zip(("initial_samples_csv", "transition_samples_csv"), default_structure()):
+            paths[key] = tmp_path / f"{key}.csv"
+            with open(paths[key], "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(net.nodes)
+                writer.writerow([0] * len(net.nodes))
+        with open(paths["transition_samples_csv"], "a", newline="") as f:
+            csv.writer(f).writerow(row)
+        cfg = small_grid_config(tmp_path, paths={k: str(v) for k, v in paths.items()})
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_SAMPLES_INVALID: {paths['transition_samples_csv']}")
+        assert err.count("\n") == 1
+        assert fragment in err
 
     def test_fit_missing_samples(self, tmp_path, capsys):
         cfg = small_grid_config(tmp_path)

@@ -5,6 +5,7 @@ import pytest
 
 from caslab.optimizer import LogicTable
 from caslab.tablefile import FORMAT_VERSION, MAGIC, TableFormatError, read_table, write_table
+from conftest import acxt_header_bytes
 
 
 class TestRoundTrip:
@@ -80,41 +81,22 @@ class TestErrors:
         np.testing.assert_array_equal(read_table(path).values, values.astype(np.float32))
 
 
-def _below_zero_bits(raw, grid):
-    """Offset of the value array and its h < 0 values as uint32 bit patterns."""
-    start = len(raw) - 4 * math.prod(grid.shape) * len(grid.advisories)
-    count = grid.h_zero * math.prod(grid.table_shape[1:])
-    return start, np.frombuffer(raw, dtype="<u4", count=count, offset=start)
-
-
-def _set_bits(raw, offset, bits):
-    return raw[:offset] + int(bits).to_bytes(4, "little") + raw[offset + 4:]
-
-
-def one_ulp_below_zero(raw, grid):
-    """One h < 0 value moved by one float32 ulp."""
-    start, bits = _below_zero_bits(raw, grid)
-    i = int(np.flatnonzero(bits)[len(bits) // 3])
-    return _set_bits(raw, start + 4 * i, bits[i] + 1)
-
-
-def negative_zero_below_zero(raw, grid):
-    """One 0.0 in the h < 0 half written as -0.0 (equal as floats, not as bits)."""
-    start, bits = _below_zero_bits(raw, grid)
-    i = int(np.flatnonzero(bits == 0)[0])
-    return _set_bits(raw, start + 4 * i, 0x80000000)
+def h_zero_off_its_own_mirror(raw, grid):
+    """One value of the h = 0 slab, the first slab stored, moved by one float32 ulp."""
+    start = acxt_header_bytes(grid)
+    (bits,) = np.frombuffer(raw, dtype="<u4", count=1, offset=start)
+    return raw[:start] + int(bits + 1).to_bytes(4, "little") + raw[start + 4:]
 
 
 def short_stored_half(raw, grid):
-    """The file cut inside its h >= 0 half, the rows a reader keeps."""
+    """The file cut inside its value array."""
     return raw[:-40]
 
 
-# Files the reader must refuse: an h < 0 half that breaks the mirror bit for
-# bit, or an h >= 0 half cut short.
+# Files the reader must refuse: an h = 0 slab that breaks its own mirror, or
+# a value array cut short.
 MIRROR_BREAKS = {
-    "one_ulp_below_zero": (one_ulp_below_zero, "vertical mirror"),
-    "negative_zero_below_zero": (negative_zero_below_zero, "vertical mirror"),
+    "h_zero_off_its_own_mirror": (h_zero_off_its_own_mirror, "own vertical mirror"),
     "short_stored_half": (short_stored_half, "truncated"),
 }
 
@@ -131,17 +113,15 @@ class TestHalfTable:
         with pytest.raises(TableFormatError, match=fragment):
             read_table(path)
 
-    def test_written_file_is_mirror_symmetric(self, small_table, tmp_path):
+    def test_file_values_are_the_table_values(self, small_table, tmp_path):
+        # the value array is the h >= 0 table itself: nothing below zero
         path = tmp_path / "t.acxt"
         write_table(small_table, path)
         grid = small_table.grid
         raw = path.read_bytes()
-        values = np.frombuffer(raw, dtype="<f4", offset=len(raw) - 4 * math.prod(
-            grid.shape) * len(grid.advisories)).reshape(grid.shape + (len(grid.advisories),))
-        perm = grid.advisory_mirror
-        mirrored = values[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
-        assert values.tobytes() == mirrored.tobytes()
-        assert values[grid.h_zero:].tobytes() == small_table.values.astype("<f4").tobytes()
+        header = acxt_header_bytes(grid)
+        assert len(raw) == header + 4 * math.prod(grid.table_shape)
+        assert raw[header:] == small_table.values.astype("<f4").tobytes()
 
     def test_h_zero_row_must_be_its_own_mirror(self, small_table):
         values = small_table.values.copy()

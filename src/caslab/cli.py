@@ -35,6 +35,7 @@ from .encounters import (
 from .evaluation import (
     CHUNK_ENCOUNTERS,
     Equipage,
+    _check_shared_structure,
     _chunks,
     _report,
     _run_batch,
@@ -145,6 +146,19 @@ def _read_model(path: str, kind: str) -> EncounterModel:
         return read_model_file(path)
     except ModelFormatError as err:
         raise CliError(E_MODEL_INVALID, str(err))
+
+
+def _load_proposal(cfg: dict, nominal: EncounterModel) -> Optional[EncounterModel]:
+    """The configured IS proposal, checked against the nominal model, or None."""
+    path = cfg["paths"]["proposal_file"]
+    if path is None:
+        return None
+    proposal = _read_model(path, "proposal file")
+    try:
+        _check_shared_structure(nominal, proposal)
+    except ValueError as err:
+        raise CliError(E_MODEL_INVALID, f"{path}: {err}") from None
+    return proposal
 
 
 def _load_table(cfg: dict):
@@ -279,8 +293,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     model = _load_model(cfg)
     eq = _equipage(cfg)
     n = _config_int(cfg, "evaluation", "n", 1)
-    proposal_path = cfg["paths"]["proposal_file"]
-    proposal = None if proposal_path is None else _read_model(proposal_path, "proposal file")
+    proposal = _load_proposal(cfg, model)
     equipages = [eq]
     compare = cfg["evaluation"]["compare_unequipped"] and proposal is None
     if compare:

@@ -116,8 +116,13 @@ _TARGET_FPM = {
     Advisory.CL2500: 2500.0,
 }
 
-# Canonical advisory axis order (also the argmax tie-break order).
+# Canonical advisory axis order (also the argmax tie-break order): the one
+# axis of every table, lookup and lockstep simulator, which hold advisories
+# as indices into it.  MIRROR_INDEX[i] is the index of ADVISORIES[i].mirror.
 ADVISORIES: Tuple[Advisory, ...] = tuple(Advisory)
+COC_INDEX = ADVISORIES.index(Advisory.COC)
+MIRROR_INDEX = np.array([ADVISORIES.index(a.mirror) for a in ADVISORIES])
+MIRROR_INDEX.setflags(write=False)
 
 UP_ADVISORIES: Tuple[Advisory, ...] = (Advisory.DND, Advisory.CL1500, Advisory.CL2500)
 DOWN_ADVISORIES: Tuple[Advisory, ...] = (Advisory.DNC, Advisory.DES1500, Advisory.DES2500)

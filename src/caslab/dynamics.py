@@ -121,15 +121,15 @@ def step_complying_many(
 def project_template_many(
     own: Tuple[np.ndarray, np.ndarray],
     intr: Tuple[np.ndarray, np.ndarray],
-    advisories: Sequence[Advisory],
+    templates: Sequence[Advisory],
     pilot: PilotModel,
     horizon: np.ndarray,
     dt: float = 1.0,
 ) -> np.ndarray:
-    """Array form of project_template over rows x advisories, bit for bit.
+    """Array form of project_template over rows x template advisories, bit for bit.
 
     own and intr hold each row's (altitude, vertical rate) arrays and
-    horizon each row's horizon; returns the (rows, advisories) projected
+    horizon each row's horizon; returns the (rows, templates) projected
     separations.  Rates run in the sense-normalized frame u = sense * vz,
     where the band edge is a floor: u' = max(u, min(u + a * step, edge)).
     Negation is exact and rounding symmetric, so the frame changes no bit;
@@ -140,9 +140,9 @@ def project_template_many(
     horizon = np.asarray(horizon, dtype=float)
     if np.any(horizon < 0):
         raise ValueError("horizon must be >= 0")
-    sense = np.array([a.sense or 1 for a in advisories], dtype=float)
+    sense = np.array([a.sense or 1 for a in templates], dtype=float)
     edge = np.array([-np.inf if a is Advisory.COC else a.sense * a.target_rate_fps
-                     for a in advisories])
+                     for a in templates])
     order = np.argsort(-horizon, kind="stable")
     h = horizon[order]
     z0, vz0 = (np.asarray(v, dtype=float)[order] for v in own)

@@ -18,6 +18,7 @@ import numpy as np
 from .bayesnet import fit_cpts
 from .core import (
     ADVISORIES,
+    COC_INDEX,
     EVENT_CROSSING,
     EVENT_NMAC,
     EVENT_RA,
@@ -26,7 +27,6 @@ from .core import (
     EVENT_TA,
     NMAC_HORIZONTAL_FT,
     NMAC_VERTICAL_FT,
-    Advisory,
     AircraftTrack,
     EncounterTrace,
     is_reversal,
@@ -141,7 +141,6 @@ _BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
 CHUNK_ENCOUNTERS = 64
 
 # Lockstep state holds advisories as indices into ADVISORIES.
-_COC = ADVISORIES.index(Advisory.COC)
 _SENSE = np.array([a.sense for a in ADVISORIES])
 _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 _STRENGTHENS = np.array([[is_strengthening(p, q) for q in ADVISORIES] for p in ADVISORIES])
@@ -220,7 +219,7 @@ def _fly(
     z = enc.alt0
     cmds = enc.vrate
     vz = cmds[:, :, 0].copy()
-    adv = np.full((n_enc, 2), _COC)
+    adv = np.full((n_enc, 2), COC_INDEX)
     complying = np.zeros((n_enc, 2), dtype=bool)
     delay = np.zeros((n_enc, 2), dtype=int)
 
@@ -243,10 +242,6 @@ def _fly(
         grid = table.grid
         n_p = eq.belief_particles
         weights = np.full(n_p, 1.0 / n_p)
-        to_table = np.array([
-            grid.advisory_index(a) if a in grid.advisories else -1 for a in ADVISORIES
-        ])
-        from_table = np.array([ADVISORIES.index(a) for a in grid.advisories])
         # Relative geometry is antisymmetric between the sides, so both see
         # the same tau (every term of horizontal_tau_xy is sign-invariant).
         tau_q = _quantized_tau(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None], grid.tau_max)
@@ -288,7 +283,7 @@ def _fly(
                     vz[:, i, None] + nz[..., 1],
                     vz[:, o, None] + nz[..., 2],
                     np.repeat(tau_q[:, k, None], n_p, axis=1),
-                    np.repeat(to_table[adv[:, i]][:, None], n_p, axis=1),
+                    np.repeat(adv[:, i, None], n_p, axis=1),
                     weights,
                 )
                 if both_table and i == 1:
@@ -298,12 +293,12 @@ def _fly(
                     no_descend = np.full(n_enc, base_descend)
                 values = apply_online_costs_many(
                     values, z[:, i] < ctx.inhibit_altitude, no_climb, no_descend,
-                    ctx.cost_magnitude, grid.advisories,
+                    ctx.cost_magnitude,
                 )
                 if not np.all(np.isfinite(values)):
                     raise ValueError("action values must be finite")
                 # argmax keeps the first maximum: the canonical tie-break.
-                selected = from_table[np.argmax(values, axis=1)]
+                selected = np.argmax(values, axis=1)
                 if both_table and i == 0:
                     # coordinate(): the leader's sense forbids the same sense.
                     leader_sense = _SENSE[selected]
@@ -311,10 +306,10 @@ def _fly(
             changed = selected != adv[:, i]
             if changed.any():
                 adv[:, i] = selected
-                for b in np.flatnonzero(changed & (selected != _COC)).tolist():
+                for b in np.flatnonzero(changed & (selected != COC_INDEX)).tolist():
                     delay[b, i] = sample_response_delay(eq.pilot, pilot_rngs[b])
                 complying[changed, i] = False
-            waiting = (adv[:, i] != _COC) & ~complying[:, i]
+            waiting = (adv[:, i] != COC_INDEX) & ~complying[:, i]
             if waiting.any():
                 ready = waiting & (delay[:, i] == 0)
                 complying[ready, i] = True
@@ -324,12 +319,12 @@ def _fly(
             p, q = prev[:, i], adv[:, i]
             changed = p != q
             if changed.any():
-                step_events[changed & (p == _COC) & (q != _COC)] |= _BIT[EVENT_RA]
+                step_events[changed & (p == COC_INDEX) & (q != COC_INDEX)] |= _BIT[EVENT_RA]
                 step_events[changed & _STRENGTHENS[p, q]] |= _BIT[EVENT_STRENGTHEN]
                 step_events[changed & _REVERSES[p, q]] |= _BIT[EVENT_REVERSAL]
 
         # Record sample k, then advance kinematics over [k, k+1).
-        active = (adv != _COC) & complying
+        active = (adv != COC_INDEX) & complying
         cmd = cmds[:, :, k]
         zs[:, :, k] = z
         vzs[:, :, k] = np.where(active, vz, cmd)
@@ -356,7 +351,7 @@ def _fly(
     h = zs[:, 1] - zs[:, 0]
     sep = np.maximum(np.abs(h) / NMAC_VERTICAL_FT, np.hypot(dx, dy) / NMAC_HORIZONTAL_FT)
     events[sep < 1.0] |= _BIT[EVENT_NMAC]
-    ra_active = (adv_hist[:, :n] != _COC).any(axis=2)
+    ra_active = (adv_hist[:, :n] != COC_INDEX).any(axis=2)
     events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= _BIT[EVENT_CROSSING]
     flags = np.bitwise_or.reduce(events, axis=1)
     return flags, sep.min(axis=1), (x, y, vel, zs, vzs, adv_hist, events)

@@ -18,11 +18,19 @@ its mirror state, and the emitted table stores those values and no other.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ADVISORIES, NMAC_VERTICAL_FT, Advisory, VerticalState, is_reversal, is_strengthening
+from .core import (
+    ADVISORIES,
+    MIRROR_INDEX,
+    NMAC_VERTICAL_FT,
+    Advisory,
+    VerticalState,
+    is_reversal,
+    is_strengthening,
+)
 from .dynamics import IntruderModel, PilotModel, step_complying_many, step_vertical
 
 # Three-point sigma discretization of a zero-mean Gaussian: matches mean and
@@ -79,23 +87,22 @@ class Grid:
 
     Cut points are finite, strictly increasing and exactly symmetric about
     zero, and 0 is an h cut.  The tau axis runs 0..tau_max in unit steps and
-    the advisory axis (the canonical advisory tuple by default) lists
-    distinct advisories, COC among them, closed under the vertical mirror.
+    the advisory axis is ADVISORIES on every grid (the class attribute
+    advisories names it; it is not a field).
 
     The MDP is symmetric under h -> -h with both rates negated and the
     advisory senses swapped, so a table keeps only the rows from h_zero,
-    the index of the h = 0 cut, upward.  advisory_mirror[i] is the axis
-    index of advisories[i].mirror.  tau_cuts, strides (of h, hdot0, hdot1
-    and tau in a stored state index) and corner_offsets (the 16 cell-corner
-    offsets of a lookup, row 0 for a cell at h >= 0 and row 1 for the mirror
-    of a cell below zero) are the lookup's per-grid constants.
+    the index of the h = 0 cut, upward.  tau_cuts, strides (of h, hdot0,
+    hdot1 and tau in a stored state index) and corner_offsets (the 16
+    cell-corner offsets of a lookup, row 0 for a cell at h >= 0 and row 1
+    for the mirror of a cell below zero) are the lookup's per-grid constants.
     """
 
     h_cuts: np.ndarray = field(default_factory=lambda: DEFAULT_H_CUTS.copy())
     hdot0_cuts: np.ndarray = field(default_factory=lambda: DEFAULT_RATE_CUTS.copy())
     hdot1_cuts: np.ndarray = field(default_factory=lambda: DEFAULT_RATE_CUTS.copy())
     tau_max: int = 40
-    advisories: Tuple[Advisory, ...] = ADVISORIES
+    advisories: ClassVar[Tuple[Advisory, ...]] = ADVISORIES
 
     def __post_init__(self) -> None:
         for name in ("h_cuts", "hdot0_cuts", "hdot1_cuts"):
@@ -103,16 +110,6 @@ class Grid:
             object.__setattr__(self, name, cuts)
         if self.tau_max < 0:
             raise ValueError("tau_max must be >= 0")
-        if Advisory.COC not in self.advisories:
-            raise ValueError("advisory axis must include COC")
-        if len(set(self.advisories)) != len(self.advisories):
-            raise ValueError("advisory axis must not repeat an advisory")
-        for a in self.advisories:
-            if a.mirror not in self.advisories:
-                raise ValueError(
-                    f"advisory axis must be closed under the vertical mirror: "
-                    f"{a.value} needs {a.mirror.value}"
-                )
         _, n0, n1, ntau, na = self.shape
         strides = (n0 * n1 * ntau * na, n1 * ntau * na, ntau * na, na)
         corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)
@@ -120,7 +117,6 @@ class Grid:
         flip = np.array([-1, -1, -1, 1])  # a mirrored cell steps down in h and both rates
         constants = {
             "h_zero": len(self.h_cuts) // 2,
-            "advisory_mirror": np.array([self.advisories.index(a.mirror) for a in self.advisories]),
             "tau_cuts": np.arange(ntau, dtype=float),
             "strides": strides,
             "corner_offsets": np.stack([corners @ strides, (corners * flip) @ strides]),
@@ -138,21 +134,18 @@ class Grid:
             len(self.hdot0_cuts),
             len(self.hdot1_cuts),
             self.tau_max + 1,
-            len(self.advisories),
+            len(ADVISORIES),
         )
 
     @property
     def table_shape(self) -> Tuple[int, int, int, int, int, int]:
         """A table's stored values: the h >= 0 rows of shape + (action,)."""
         nh, *rest = self.shape
-        return (nh - self.h_zero, *rest, len(self.advisories))
+        return (nh - self.h_zero, *rest, len(ADVISORIES))
 
     def state_index(self, ih: int, i0: int, i1: int, itau: int, ia_prev: int) -> int:
         """Flat state index; axes (h, hdot0, hdot1, tau, a_prev), C order."""
         return int(np.ravel_multi_index((ih, i0, i1, itau, ia_prev), self.shape))
-
-    def advisory_index(self, a: Advisory) -> int:
-        return self.advisories.index(a)
 
     def mirror_row(self, row: np.ndarray) -> np.ndarray:
         """The vertical mirror of (h, hdot0) rows of a table, as a new array.
@@ -163,8 +156,7 @@ class Grid:
         checks work one row at a time, so their temporaries stay ~0.1 MB on
         the default grid.
         """
-        perm = self.advisory_mirror
-        return row[..., ::-1, :, :, :][..., perm[:, None], perm]
+        return row[..., ::-1, :, :, :][..., MIRROR_INDEX[:, None], MIRROR_INDEX]
 
 
 @dataclass(frozen=True)
@@ -219,7 +211,7 @@ class LogicTable:
 
     @property
     def values_2d(self) -> np.ndarray:
-        return self.values.reshape(-1, len(self.grid.advisories))
+        return self.values.reshape(-1, len(ADVISORIES))
 
 
 def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
@@ -236,11 +228,11 @@ def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
     return r
 
 
-def _advisory_cost_matrix(advisories: Sequence[Advisory], params: RewardParams) -> np.ndarray:
+def _advisory_cost_matrix(params: RewardParams) -> np.ndarray:
     """cost[a_prev, a]: the reward at a non-terminal state, its advisory-change terms."""
     return np.array([
-        [reward(VerticalState(0.0, 0.0, 0.0, ap, 1.0), a, params) for a in advisories]
-        for ap in advisories
+        [reward(VerticalState(0.0, 0.0, 0.0, ap, 1.0), a, params) for a in ADVISORIES]
+        for ap in ADVISORIES
     ])
 
 
@@ -276,7 +268,7 @@ def transition_distribution(
     if p < 1.0:
         pilot_branches.append((False, 1.0 - p))
     itau_next = int(round(s.tau)) - 1
-    ia_prev_next = grid.advisory_index(a)
+    ia_prev_next = ADVISORIES.index(a)
     acc: Dict[Tuple[int, int, int], float] = {}
     for complying, w_pilot in pilot_branches:
         _, vz0p = step_vertical(0.0, s.hdot0, a, complying, pilot, 1.0)
@@ -331,12 +323,12 @@ def _sweep_operator(
     """The one-step operator of every action, in the slots the sweep reads.
 
     Only the m vertices (h, hdot0, hdot1) at h >= 0 are sources.  Column
-    ia*m + j is operator row j of action grid.advisories[ia]: the successor
+    ia*m + j is operator row j of action ADVISORIES[ia]: the successor
     distribution of the j-th such vertex, over flat targets a_prev*m +
     (successor vertex), which address a layer's best values raveled as
     (a_prev, vertex).  a_prev is ia, except that a successor corner below
     h = 0 is folded through the vertical mirror: its vertex is (-h, -hdot0,
-    -hdot1) and its a_prev is grid.advisory_mirror[ia].  Each column lists
+    -hdot1) and its a_prev is MIRROR_INDEX[ia].  Each column lists
     its targets in ascending order, duplicate targets summed in the order
     they arise (branch, then corner, then source vertex), zero weights
     dropped.  tau advances deterministically and is handled by the sweep.
@@ -352,7 +344,7 @@ def _sweep_operator(
     )
     H, V0, V1 = H.ravel(), V0.ravel(), V1.ravel()
     m = H.size
-    na = len(grid.advisories)
+    na = len(ADVISORIES)
     p = pilot.response_probability
     w_pilots = [p] if p >= 1.0 else [p, 1.0 - p]  # complies this step, or not
     # corner offsets (bh, b0, b1) of the enclosing cell, bh slowest
@@ -398,14 +390,14 @@ def _sweep_operator(
     # every action shares those successors; only their a_prev differs.
     held = branches(V0, w_pilots)
     merged = []  # per action: entries per column, then flat targets and weights
-    for ia, a in enumerate(grid.advisories):
+    for ia, a in enumerate(ADVISORIES):
         if a is Advisory.COC:
             raw = held
         else:
             _, vz0p = step_complying_many(0.0, V0, a.target_rate_fps, a.sense, pilot, 1.0)
             raw = branches(vz0p, [p]) + held[1:]
         key, folded, w = (np.concatenate(part) for part in zip(*raw))
-        key += np.where(folded, grid.advisory_mirror[ia] * m, ia * m)
+        key += np.where(folded, MIRROR_INDEX[ia] * m, ia * m)
         keys, inverse = np.unique(key, return_inverse=True)
         summed = np.zeros(len(keys))
         np.add.at(summed, inverse, w)  # sequential, in arrival order
@@ -468,11 +460,11 @@ def _solve(
     """
     n0, n1 = len(grid.hdot0_cuts), len(grid.hdot1_cuts)
     h_cuts = grid.h_cuts[grid.h_zero:]
-    na = len(grid.advisories)
+    na = len(ADVISORIES)
     m = len(h_cuts) * n0 * n1
     ntau = grid.tau_max + 1
 
-    cost = _advisory_cost_matrix(grid.advisories, params)
+    cost = _advisory_cost_matrix(params)
     collision = np.repeat(
         (np.abs(h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
     )
@@ -522,19 +514,18 @@ def policy_slice(
     a_prev = fixed["a_prev"]
     if not isinstance(a_prev, Advisory):
         raise TypeError("a_prev must be an Advisory")
-    ia = grid.advisory_index(a_prev)
-    perm = grid.advisory_mirror
+    ia = ADVISORIES.index(a_prev)
     # A row below h = 0 is the mirror of a stored row above it (farthest from
     # zero first), with its action columns put back in canonical order.  The
     # slice is taken before mirroring, so no mirrored slab is built.
-    below = table.values[:0:-1, -1 - i0, -1 - i1, :, perm[ia], :][..., perm]
+    below = table.values[:0:-1, -1 - i0, -1 - i1, :, MIRROR_INDEX[ia], :][..., MIRROR_INDEX]
     vals = np.concatenate([below, table.values[:, i0, i1, :, ia, :]])  # (h, tau, action)
     best = np.argmax(vals, axis=2)  # first maximum wins: canonical tie-break
     ntau = grid.tau_max + 1
     out = np.empty((ntau, len(grid.h_cuts)), dtype=object)
     for itau in range(ntau):
         for ih in range(len(grid.h_cuts)):
-            out[itau, ih] = grid.advisories[best[ih, itau]]
+            out[itau, ih] = ADVISORIES[best[ih, itau]]
     return out
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ADVISORIES, Advisory, BeliefState, VerticalState
+from .core import ADVISORIES, MIRROR_INDEX, Advisory, BeliefState, VerticalState
 from .optimizer import LogicTable, _locate_many
 
 DEFAULT_COST_MAGNITUDE = -1.0e6
@@ -64,14 +64,13 @@ def interpolate(table: LogicTable, s: VerticalState) -> np.ndarray:
     The previous-advisory axis is categorical and indexed exactly; grid
     vertices return the stored values bit-identically.
     """
-    ia = table.grid.advisory_index(s.a_prev)
     return interpolate_many(
         table,
         np.array([s.h]),
         np.array([s.hdot0]),
         np.array([s.hdot1]),
         np.array([s.tau]),
-        np.array([ia]),
+        np.array([ADVISORIES.index(s.a_prev)]),
     )[0]
 
 
@@ -101,7 +100,6 @@ def interpolate_many(
     it, ft = _locate_many(tau, grid.tau_cuts)
     n = len(ih)
     s_h, s_0, s_1, s_tau = grid.strides
-    mirror = grid.advisory_mirror
     below = ih < grid.h_zero
     ia = np.asarray(ia_prev)
     # The (h, hdot0, hdot1) part of the base index.  A mirrored cell starts
@@ -111,7 +109,7 @@ def interpolate_many(
     base = (
         np.where(below, top - corner, corner)
         + it * s_tau
-        + np.where(below, mirror[ia], ia)
+        + np.where(below, MIRROR_INDEX[ia], ia)
     )
     # The index is built in place and dropped before the weights exist, so a
     # call's temporaries stay under the heap-trim threshold its largest one
@@ -129,7 +127,7 @@ def interpolate_many(
         * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
     ).reshape(n, 16)
     out = np.einsum("nc,nca->na", w, vals)
-    return np.where(below[:, None], out[:, mirror], out)
+    return np.where(below[:, None], out[:, MIRROR_INDEX], out)
 
 
 def weighted_particle_values(
@@ -156,7 +154,6 @@ def weighted_particle_values(
 
 def belief_action_values(table: LogicTable, belief: BeliefState) -> np.ndarray:
     """Belief-weighted average of interpolated action values."""
-    grid = table.grid
     n = len(belief.particles)
     h = np.empty(n)
     v0 = np.empty(n)
@@ -166,13 +163,12 @@ def belief_action_values(table: LogicTable, belief: BeliefState) -> np.ndarray:
     w = np.empty(n)
     for k, (s, weight) in enumerate(belief.particles):
         h[k], v0[k], v1[k], tau[k] = s.h, s.hdot0, s.hdot1, s.tau
-        ia[k] = grid.advisory_index(s.a_prev)
+        ia[k] = ADVISORIES.index(s.a_prev)
         w[k] = weight
     return weighted_particle_values(table, h, v0, v1, tau, ia, w)
 
 
-def apply_online_costs(values: np.ndarray, ctx: OnlineContext,
-                       advisories: Sequence[Advisory] = ADVISORIES) -> np.ndarray:
+def apply_online_costs(values: np.ndarray, ctx: OnlineContext) -> np.ndarray:
     """Penalize inhibited and coordination-incompatible advisories.
 
     Down-sense advisories are inhibited below the low-altitude floor;
@@ -186,7 +182,6 @@ def apply_online_costs(values: np.ndarray, ctx: OnlineContext,
         np.array([constraint is CoordinationConstraint.DO_NOT_CLIMB]),
         np.array([constraint is CoordinationConstraint.DO_NOT_DESCEND]),
         ctx.cost_magnitude,
-        advisories,
     )[0]
 
 
@@ -196,7 +191,6 @@ def apply_online_costs_many(
     no_climb: np.ndarray,
     no_descend: np.ndarray,
     cost_magnitude: float,
-    advisories: Sequence[Advisory] = ADVISORIES,
 ) -> np.ndarray:
     """Row-wise apply_online_costs over values of shape (B, n_advisories).
 
@@ -208,22 +202,19 @@ def apply_online_costs_many(
     out = np.array(values, dtype=float)
     for mask, sense in ((below_floor, -1), (no_climb, 1), (no_descend, -1)):
         if mask.any():
-            cols = [i for i, a in enumerate(advisories) if a.sense == sense]
+            cols = [i for i, a in enumerate(ADVISORIES) if a.sense == sense]
             out[np.ix_(mask, cols)] += cost_magnitude
     return out
 
 
-def select_action(
-    values: np.ndarray,
-    advisories: Sequence[Advisory] = ADVISORIES,
-) -> Advisory:
+def select_action(values: np.ndarray) -> Advisory:
     """Argmax advisory; ties break toward the canonical advisory order."""
     values = np.asarray(values, dtype=float)
-    if values.shape != (len(advisories),):
+    if values.shape != (len(ADVISORIES),):
         raise ValueError("value vector must match the advisory axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("action values must be finite")
-    return advisories[int(np.argmax(values))]
+    return ADVISORIES[int(np.argmax(values))]
 
 
 def fuse_multithreat(per_intruder_values: Sequence[np.ndarray]) -> np.ndarray:

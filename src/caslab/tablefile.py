@@ -6,7 +6,7 @@ Little-endian layout:
     version         u32      format version (currently 2)
     dim_count       u32      number of continuous axes (h, hdot0, hdot1, tau)
     per dimension:  u32 cut-point count, then that many f64 cut points
-    advisory_count  u32
+    advisory_count  u32      always 7
     per advisory:   u32 name byte length, then UTF-8 name bytes
     values          f32 array, row-major over
                     (h >= 0, hdot0, hdot1, tau, a_prev, action)
@@ -15,9 +15,12 @@ The header lists every h cut, but the values cover only the h >= 0 cuts:
 the array is exactly LogicTable.values (Grid.table_shape), and a LogicTable
 reads the rows below zero through the vertical mirror.  The tau axis is
 stored as explicit cut points 0..tau_max so readers need no side channel.
-Values are rounded to 32-bit floats on write, and a value outside the
-float32 range is refused; a read/write cycle is byte-stable.  Version 1
-files, which also stored the h < 0 rows, are refused.
+The advisory axis is always the seven advisories in canonical (tie-break)
+order, COC DNC DND DES1500 CL1500 DES2500 CL2500; a file that lists any
+other axis is refused before its values are read.  Values are rounded to
+32-bit floats on write, and a value outside the float32 range is refused; a
+read/write cycle is byte-stable.  Version 1 files, which also stored the
+h < 0 rows, are refused.
 """
 
 from __future__ import annotations
@@ -30,11 +33,15 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .core import Advisory
+from .core import ADVISORIES
 from .optimizer import Grid, LogicTable
 
 MAGIC = b"ACXT"
 FORMAT_VERSION = 2
+# The advisory block every file holds: the count, then each length and name.
+_ADVISORY_BLOCK = struct.pack("<I", len(ADVISORIES)) + b"".join(
+    struct.pack("<I", len(name)) + name for name in (a.value.encode("utf-8") for a in ADVISORIES)
+)
 
 
 class TableFormatError(ValueError):
@@ -65,11 +72,7 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
     for cuts in dims:
         f.write(struct.pack("<I", len(cuts)))
         f.write(np.asarray(cuts, dtype="<f8").tobytes())
-    f.write(struct.pack("<I", len(grid.advisories)))
-    for adv in grid.advisories:
-        name = adv.value.encode("utf-8")
-        f.write(struct.pack("<I", len(name)))
-        f.write(name)
+    f.write(_ADVISORY_BLOCK)
     try:
         with np.errstate(over="raise"):
             # one h cut at a time: no whole-table f32 copy
@@ -100,15 +103,9 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     for _ in range(dim_count):
         (count,) = struct.unpack("<I", _read_exact(f, 4))
         dims.append(np.frombuffer(_read_exact(f, 8 * count), dtype="<f8"))
-    (adv_count,) = struct.unpack("<I", _read_exact(f, 4))
-    advisories = []
-    for _ in range(adv_count):
-        (name_len,) = struct.unpack("<I", _read_exact(f, 4))
-        name = _read_exact(f, name_len)
-        try:
-            advisories.append(Advisory(name.decode("utf-8")))
-        except ValueError:
-            raise TableFormatError(f"unknown advisory name {name!r}") from None
+    if _read_exact(f, len(_ADVISORY_BLOCK)) != _ADVISORY_BLOCK:
+        axis = ", ".join(a.value for a in ADVISORIES)
+        raise TableFormatError(f"advisory axis must be [{axis}]")
     tau_cuts = dims[3]
     if len(tau_cuts) < 1 or not np.array_equal(tau_cuts, np.arange(len(tau_cuts))):
         raise TableFormatError("tau axis must be 0..tau_max in unit steps")
@@ -116,7 +113,7 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     # grid or allocating: a short file must not make the reader allocate a
     # table it cannot fill.
     stored_h = np.count_nonzero(dims[0] >= 0)
-    counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [adv_count, adv_count]
+    counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [len(ADVISORIES)] * 2
     here = f.tell()
     available = f.seek(0, io.SEEK_END) - here
     if available < 4 * math.prod(counts):
@@ -128,7 +125,6 @@ def _read_stream(f: BinaryIO) -> LogicTable:
             hdot0_cuts=dims[1],
             hdot1_cuts=dims[2],
             tau_max=len(tau_cuts) - 1,
-            advisories=tuple(advisories),
         )
     except ValueError as err:
         raise TableFormatError(f"invalid grid: {err}") from None

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     ADVISORIES,
+    COC_INDEX,
     DOWN,
     DOWN_ADVISORIES,
     FT_PER_NMI,
@@ -166,7 +167,6 @@ class TcasTracker:
 
 # The array twins hold advisories as indices into ADVISORIES and project the
 # six advisories with a band, in axis order, as one block of templates.
-_COC = ADVISORIES.index(Advisory.COC)
 _TEMPLATES = tuple(a for a in ADVISORIES if a is not Advisory.COC)
 _TEMPLATE_ADVISORY = np.array([ADVISORIES.index(a) for a in _TEMPLATES])
 _UP_COLUMNS = np.array([_TEMPLATES.index(a) for a in UP_ADVISORIES])
@@ -235,13 +235,13 @@ def tracker_step_many(
     is an RA, horizon their time to CPA, and own and intr the (altitude,
     vertical rate) arrays.
     """
-    selected = np.full(len(current), _COC)
+    selected = np.full(len(current), COC_INDEX)
     rows = np.flatnonzero(ra)
     if rows.size:
         selected[rows] = select_advisory_many(
             tuple(v[rows] for v in own), tuple(v[rows] for v in intr), horizon[rows], cfg
         )
-    fresh = current == _COC
+    fresh = current == COC_INDEX
     streak = np.where(fresh | (selected == current), 0, streak + 1)
     switch = fresh | (streak >= 2)
     return np.where(switch, selected, current), np.where(switch, 0, streak)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import AircraftTrack
+from caslab.core import ADVISORIES, MIRROR_INDEX, AircraftTrack
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.encounters import HEADINGS, OWN_POS0
 from caslab.optimizer import Grid, RewardParams, backward_induction
@@ -26,15 +26,14 @@ def full_values(table):
     mirror of a stored one: both rates reversed, a_prev and action mirrored.
     Tests that index the whole grid read it through here.
     """
-    perm = table.grid.advisory_mirror
-    below = table.values[:0:-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
+    below = table.values[:0:-1, ::-1, ::-1][:, :, :, :, MIRROR_INDEX][..., MIRROR_INDEX]
     return np.concatenate([below, table.values])
 
 
 def acxt_header_bytes(grid):
     """Length of the ACXT header of a table on grid: everything before the values."""
     cuts = len(grid.h_cuts) + len(grid.hdot0_cuts) + len(grid.hdot1_cuts) + grid.tau_max + 1
-    names = sum(4 + len(a.value.encode()) for a in grid.advisories)
+    names = sum(4 + len(a.value.encode()) for a in ADVISORIES)
     return 12 + 4 * 4 + 8 * cuts + 4 + names
 
 

@@ -98,10 +98,10 @@ def test_criterion_03_interpolation_identities(small_table):
         i0 = int(rng.integers(len(grid.hdot0_cuts)))
         i1 = int(rng.integers(len(grid.hdot1_cuts)))
         itau = int(rng.integers(grid.tau_max + 1))
-        ia = int(rng.integers(len(grid.advisories)))
+        ia = int(rng.integers(len(ADVISORIES)))
         s = VerticalState(
             float(grid.h_cuts[ih]), float(grid.hdot0_cuts[i0]),
-            float(grid.hdot1_cuts[i1]), grid.advisories[ia], float(itau),
+            float(grid.hdot1_cuts[i1]), ADVISORIES[ia], float(itau),
         )
         if not np.array_equal(interpolate(small_table, s), full[ih, i0, i1, itau, ia]):
             vertex_exact = False
@@ -109,7 +109,7 @@ def test_criterion_03_interpolation_identities(small_table):
     h_mid = 0.5 * (grid.h_cuts[1] + grid.h_cuts[2])
     s_mid = VerticalState(h_mid, 0.0, 0.0, Advisory.COC, 1.0)
     i0 = list(grid.hdot0_cuts).index(0.0)
-    ia = grid.advisory_index(Advisory.COC)
+    ia = ADVISORIES.index(Advisory.COC)
     mean = 0.5 * (full[1, i0, i0, 1, ia] + full[2, i0, i0, 1, ia])
     mid_err = float(np.max(np.abs(interpolate(small_table, s_mid) - mean)))
 
@@ -123,7 +123,7 @@ def test_criterion_03_interpolation_identities(small_table):
             tau=rng.uniform(0.0, grid.tau_max),
         )
         out = interpolate(small_table, s)
-        ia = grid.advisory_index(s.a_prev)
+        ia = ADVISORIES.index(s.a_prev)
         ih = min(int(np.searchsorted(grid.h_cuts, s.h)) - 1, len(grid.h_cuts) - 2)
         j0 = min(int(np.searchsorted(grid.hdot0_cuts, s.hdot0)) - 1, len(grid.hdot0_cuts) - 2)
         j1 = min(int(np.searchsorted(grid.hdot1_cuts, s.hdot1)) - 1, len(grid.hdot1_cuts) - 2)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
-from caslab.core import ADVISORIES
+from caslab.core import ADVISORIES, Advisory
 from caslab.encounters import (
     default_structure,
     default_uncorrelated_model,
@@ -234,6 +234,18 @@ class TestErrors:
         assert err.startswith(f"E_MODEL_INVALID: {path}: ")
         assert err.count("\n") == 1
 
+    def test_proposal_must_match_the_nominal(self, tmp_path, capsys):
+        # a valid model file, but not the nominal's network: IS weights would be meaningless
+        write_model_file(toy_two_bin_model(0.05), tmp_path / "nominal.json")
+        path = tmp_path / "proposal.json"
+        write_model_file(default_uncorrelated_model(), path)
+        cfg = small_grid_config(
+            tmp_path, paths={"model_file": str(tmp_path / "nominal.json"), "proposal_file": str(path)},
+        )
+        assert main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"E_MODEL_INVALID: {path}: proposal must share the nominal model structure\n"
+
 
 INVALID_CONFIGS = {
     "belief_particles": (
@@ -354,6 +366,10 @@ def _advisory_field(name):
     return struct.pack("<I", len(name)) + name
 
 
+def _axis_block(axis):
+    return struct.pack("<I", len(axis)) + b"".join(_advisory_field(a.value.encode()) for a in axis)
+
+
 def _cut_offset(grid, axis, i):
     """Byte offset of cut point i on axis 0 (h) or 1 (hdot0) of an ACXT file."""
     offset = 16  # magic, version, dim_count, h cut count
@@ -375,19 +391,40 @@ def _oversized_header(raw, grid):
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, 4)
     for axis in (cuts, cuts, cuts, np.arange(grid.tau_max + 1.0)):
         header += struct.pack("<I", len(axis)) + axis.astype("<f8").tobytes()
-    header += struct.pack("<I", len(grid.advisories))
-    header += b"".join(_advisory_field(a.value.encode()) for a in grid.advisories)
+    header += _axis_block(ADVISORIES)
     return header + bytes(len(raw) - len(header))
 
 
+def _on_axis(axis):
+    """A file of the same grid and values on another advisory axis.
+
+    Both advisory axes of the values keep axis's advisories, in its order, so
+    the file is whole and consistent: only the axis itself is wrong.
+    """
+    def mutate(raw, grid):
+        values_at = acxt_header_bytes(grid)
+        axis_at = values_at - len(_axis_block(ADVISORIES))
+        values = np.frombuffer(raw, dtype="<f4", offset=values_at).reshape(grid.table_shape)
+        keep = [ADVISORIES.index(a) for a in axis]
+        return raw[:axis_at] + _axis_block(axis) + values[..., keep, :][..., keep].tobytes()
+    return mutate
+
+
+CANONICAL_AXIS = "advisory axis must be [COC, DNC, DND, DES1500, CL1500, DES2500, CL2500]"
 MALFORMED_TABLES = {
     "unknown_advisory": (
         lambda raw, grid: raw.replace(_advisory_field(b"DNC"), _advisory_field(b"XXX"), 1),
-        "unknown advisory",
+        CANONICAL_AXIS,
     ),
     "duplicate_advisory": (
         lambda raw, grid: raw.replace(_advisory_field(b"DNC"), _advisory_field(b"DND"), 1),
-        "repeat",
+        CANONICAL_AXIS,
+    ),
+    "reduced_advisory_axis": (
+        _on_axis((Advisory.COC, Advisory.CL1500, Advisory.DES1500)), CANONICAL_AXIS,
+    ),
+    "reordered_advisory_axis": (
+        _on_axis((Advisory.COC, Advisory.DND, Advisory.DNC, *ADVISORIES[3:])), CANONICAL_AXIS,
     ),
     "non_finite_value": (
         lambda raw, grid: raw[:-4] + struct.pack("<f", float("nan")),
@@ -413,7 +450,7 @@ class TestTableContract:
         write_table(small_table, path)
         raw = path.read_bytes()
         bad = mutate(raw, small_table.grid)
-        assert len(bad) == len(raw) and bad != raw
+        assert bad != raw
         path.write_bytes(bad)
         cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
         code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])

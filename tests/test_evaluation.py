@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from caslab.core import (
+    ADVISORIES,
     EVENT_NMAC,
     EVENT_RA,
     EVENT_REVERSAL,
@@ -204,7 +205,7 @@ class TestSimulateEncounter:
         noise[:, 0] *= 25.0
         noise[:, 1] *= 2.0
         noise[:, 2] *= 2.0
-        ia = default_table.grid.advisory_index(s.a_prev)
+        ia = ADVISORIES.index(s.a_prev)
         via_arrays = weighted_particle_values(
             default_table,
             s.h + noise[:, 0],

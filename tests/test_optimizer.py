@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, Advisory, VerticalState
+from caslab.core import ADVISORIES, MIRROR_INDEX, Advisory, VerticalState
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.optimizer import (
     Grid,
@@ -33,7 +33,7 @@ MIRROR = {
 
 def expectimax_table(grid, pilot, intruder, params):
     """Independent oracle: memoized recursion over all action/outcome trees."""
-    na = len(grid.advisories)
+    na = len(ADVISORIES)
 
     @functools.lru_cache(maxsize=None)
     def value(ih, i0, i1, itau, ia_prev, ia):
@@ -41,14 +41,14 @@ def expectimax_table(grid, pilot, intruder, params):
             h=float(grid.h_cuts[ih]),
             hdot0=float(grid.hdot0_cuts[i0]),
             hdot1=float(grid.hdot1_cuts[i1]),
-            a_prev=grid.advisories[ia_prev],
+            a_prev=ADVISORIES[ia_prev],
             tau=float(itau),
         )
-        r = reward(s, grid.advisories[ia], params)
+        r = reward(s, ADVISORIES[ia], params)
         if itau == 0:
             return r
         expected = 0.0
-        for idx, w in transition_distribution(s, grid.advisories[ia], pilot, intruder, grid):
+        for idx, w in transition_distribution(s, ADVISORIES[ia], pilot, intruder, grid):
             jh, j0, j1, jtau, ja_prev = np.unravel_index(idx, grid.shape)
             expected += w * max(
                 value(int(jh), int(j0), int(j1), int(jtau), int(ja_prev), ja)
@@ -93,10 +93,6 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="finite"):
             Grid(hdot0_cuts=np.array([-25.0, 0.0, np.nan]))
 
-    def test_advisories_must_be_distinct(self):
-        with pytest.raises(ValueError, match="repeat"):
-            Grid(advisories=(Advisory.COC, Advisory.DND, Advisory.DND))
-
     def test_h_cuts_must_include_zero(self):
         with pytest.raises(ValueError, match="include 0"):
             Grid(h_cuts=np.array([-100.0, -10.0, 10.0, 100.0]))
@@ -114,15 +110,15 @@ class TestGridValidation:
         grid = Grid(hdot0_cuts=np.array([-25.0, -5.0, 5.0, 25.0]))
         assert grid.table_shape[1] == 4
 
-    def test_advisory_axis_must_be_mirror_closed(self):
-        with pytest.raises(ValueError, match="closed under the vertical mirror: CL1500 needs DES1500"):
-            Grid(advisories=(Advisory.COC, Advisory.CL1500))
-        grid = Grid(advisories=(Advisory.COC, Advisory.CL1500, Advisory.DES1500))
-        assert grid.advisory_mirror.tolist() == [0, 2, 1]
+    def test_advisory_axis_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            Grid(advisories=ADVISORIES)
+        assert Grid().advisories == ADVISORIES
 
     def test_advisory_mirror(self):
         assert {a: a.mirror for a in Advisory} == MIRROR
-        assert Grid().advisory_mirror.tolist() == [ADVISORIES.index(MIRROR[a]) for a in ADVISORIES]
+        assert MIRROR_INDEX.tolist() == [ADVISORIES.index(MIRROR[a]) for a in ADVISORIES]
+        assert not MIRROR_INDEX.flags.writeable
 
     def test_state_index_matches_values_layout(self, small_table):
         grid = small_table.grid
@@ -133,10 +129,10 @@ class TestGridValidation:
             i0 = rng.integers(len(grid.hdot0_cuts))
             i1 = rng.integers(len(grid.hdot1_cuts))
             itau = rng.integers(grid.tau_max + 1)
-            ia = rng.integers(len(grid.advisories))
+            ia = rng.integers(len(ADVISORIES))
             flat = grid.state_index(ih, i0, i1, itau, ia)
             np.testing.assert_array_equal(
-                full.reshape(-1, len(grid.advisories))[flat], full[ih, i0, i1, itau, ia]
+                full.reshape(-1, len(ADVISORIES))[flat], full[ih, i0, i1, itau, ia]
             )
 
 
@@ -188,7 +184,7 @@ class TestTransitionDistribution:
         assert grid.hdot0_cuts[j0] == 0.0
         assert grid.hdot1_cuts[j1] == 0.0
         assert jtau == 2
-        assert grid.advisories[jap] is Advisory.COC
+        assert ADVISORIES[jap] is Advisory.COC
 
     def test_weights_sum_to_one_random_states(self):
         grid = micro_grid()
@@ -242,7 +238,7 @@ class TestTransitionDistribution:
         dist = transition_distribution(s, Advisory.CL2500, PilotModel(), IntruderModel(), grid)
         for idx, _ in dist:
             *_, jap = np.unravel_index(idx, grid.shape)
-            assert grid.advisories[jap] is Advisory.CL2500
+            assert ADVISORIES[jap] is Advisory.CL2500
 
 
 class TestBackwardInduction:
@@ -264,8 +260,8 @@ class TestBackwardInduction:
         values = full_values(backward_induction(grid, pilot, intr, params))
         ih0 = 2  # h = 0
         irate = 1  # level
-        icoc = grid.advisory_index(Advisory.COC)
-        ides = grid.advisory_index(Advisory.DES1500)
+        icoc = ADVISORIES.index(Advisory.COC)
+        ides = ADVISORIES.index(Advisory.DES1500)
         assert values[ih0, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
         assert values[ih0, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
 
@@ -301,7 +297,7 @@ class TestBackwardInduction:
         # the oracle solves every h row, and the rows below zero mirror the
         # rest; that is what lets the sweep solve h >= 0 and fold the others
         grid = micro_grid(tau_max=3)
-        perm = [grid.advisory_index(MIRROR[a]) for a in grid.advisories]
+        perm = [ADVISORIES.index(MIRROR[a]) for a in ADVISORIES]
         for p, sigma in FOLD_CASES:
             oracle = micro_oracle(p, sigma)
             mirrored = oracle[::-1, ::-1, ::-1][:, :, :, :, perm][..., perm]
@@ -341,13 +337,10 @@ class TestBackwardInduction:
         [
             Grid(h_cuts=np.array([-100.0, 0.0, 100.0]), hdot0_cuts=np.array([-25.0, 25.0]),
                  hdot1_cuts=np.array([-25.0, 25.0]), tau_max=3),
-            Grid(h_cuts=np.array([-100.0, 0.0, 100.0]), hdot0_cuts=np.array([-25.0, 25.0]),
-                 hdot1_cuts=np.array([-25.0, 25.0]), tau_max=3,
-                 advisories=(Advisory.COC, Advisory.CL1500, Advisory.DES1500)),
             micro_grid(tau_max=0),
             micro_grid(tau_max=1),
         ],
-        ids=["smallest", "smallest_three_advisories", "tau_max_0", "tau_max_1"],
+        ids=["smallest", "tau_max_0", "tau_max_1"],
     )
     def test_edge_grids_match_oracle(self, grid):
         pilot = PilotModel(response_probability=0.4, acceleration=8.0)
@@ -378,7 +371,7 @@ def column_distributions(grid, pilot, intruder):
     vertices = (nh - grid.h_zero, n0, n1)
     m = int(np.prod(vertices))
     out = []
-    for a in grid.advisories:
+    for a in ADVISORIES:
         for row in range(m):
             ih, i0, i1 = np.unravel_index(row, vertices)
             s = VerticalState(
@@ -392,7 +385,7 @@ def column_distributions(grid, pilot, intruder):
             for j, w in transition_distribution(s, a, pilot, intruder, grid):
                 jh, j0, j1, _, ja = (int(k) for k in np.unravel_index(j, grid.shape))
                 if jh < grid.h_zero:
-                    jh, j0, j1, ja = nh - 1 - jh, n0 - 1 - j0, n1 - 1 - j1, grid.advisory_mirror[ja]
+                    jh, j0, j1, ja = nh - 1 - jh, n0 - 1 - j0, n1 - 1 - j1, MIRROR_INDEX[ja]
                 target = ja * m + int(np.ravel_multi_index((jh - grid.h_zero, j0, j1), vertices))
                 merged[target] = merged.get(target, 0.0) + w
             targets = sorted(merged)
@@ -409,7 +402,7 @@ class TestSweepOperator:
         m = (len(grid.h_cuts) - grid.h_zero) * len(grid.hdot0_cuts) * len(grid.hdot1_cuts)
         slots, unorder = _sweep_operator(grid, pilot, intr)
         reference = column_distributions(grid, pilot, intr)
-        assert len(unorder) == len(reference) == len(grid.advisories) * m
+        assert len(unorder) == len(reference) == len(ADVISORIES) * m
         folded = 0
         for column, (targets, weights) in enumerate(reference):
             place = unorder[column]
@@ -515,7 +508,7 @@ class TestPolicySlice:
     def test_tie_break_prefers_weaker_then_down(self):
         grid = micro_grid()
         values = np.zeros(grid.table_shape)
-        icoc = grid.advisory_index(Advisory.COC)
+        icoc = ADVISORIES.index(Advisory.COC)
         values[..., icoc] = -1.0  # make COC strictly worse everywhere
         table = LogicTable(grid=grid, values=values)
         mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": Advisory.COC})
@@ -536,5 +529,5 @@ class TestPolicySlice:
                 mat = policy_slice(small_table, {"hdot0": r0, "hdot1": r1, "a_prev": a_prev})
                 i0 = list(grid.hdot0_cuts).index(r0)
                 i1 = list(grid.hdot1_cuts).index(r1)
-                best = np.argmax(full[:, i0, i1, :, grid.advisory_index(a_prev), :], axis=2)
-                assert mat.tolist() == [[grid.advisories[i] for i in row] for row in best.T]
+                best = np.argmax(full[:, i0, i1, :, ADVISORIES.index(a_prev), :], axis=2)
+                assert mat.tolist() == [[ADVISORIES[i] for i in row] for row in best.T]

@@ -42,8 +42,8 @@ class TestInterpolate:
             i0 = int(rng.integers(len(grid.hdot0_cuts)))
             i1 = int(rng.integers(len(grid.hdot1_cuts)))
             itau = int(rng.integers(grid.tau_max + 1))
-            ia = int(rng.integers(len(grid.advisories)))
-            s = vertex_state(grid, ih, i0, i1, itau, grid.advisories[ia])
+            ia = int(rng.integers(len(ADVISORIES)))
+            s = vertex_state(grid, ih, i0, i1, itau, ADVISORIES[ia])
             out = interpolate(small_table, s)
             expected = full[ih, i0, i1, itau, ia]
             assert np.array_equal(out, expected)
@@ -53,7 +53,7 @@ class TestInterpolate:
         h_mid = 0.5 * (grid.h_cuts[1] + grid.h_cuts[2])
         s = VerticalState(h_mid, 0.0, 0.0, Advisory.COC, 2.0)
         out = interpolate(small_table, s)
-        ia = grid.advisory_index(Advisory.COC)
+        ia = ADVISORIES.index(Advisory.COC)
         i0 = list(grid.hdot0_cuts).index(0.0)
         full = full_values(small_table)
         lo = full[1, i0, i0, 2, ia]
@@ -73,7 +73,7 @@ class TestInterpolate:
                 tau=rng.uniform(0, grid.tau_max),
             )
             out = interpolate(small_table, s)
-            ia = grid.advisory_index(s.a_prev)
+            ia = ADVISORIES.index(s.a_prev)
             ih = np.searchsorted(grid.h_cuts, s.h) - 1
             i0 = np.searchsorted(grid.hdot0_cuts, s.hdot0) - 1
             i1 = np.searchsorted(grid.hdot1_cuts, s.hdot1) - 1
@@ -102,12 +102,12 @@ def lookup_queries(grid, rng):
     """Query columns (h, hdot0, hdot1, tau, ia_prev): every vertex, then
     uniform off-grid points, then points clamped to the hull."""
     axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, np.arange(grid.tau_max + 1.0),
-            np.arange(len(grid.advisories)))
+            np.arange(len(ADVISORIES)))
     vertices = [x.ravel() for x in np.meshgrid(*axes, indexing="ij")]
     n = 500
     inside = [rng.uniform(a[0], a[-1], n) for a in axes[:4]]
     outside = [rng.uniform(a[0] - 2000.0, a[-1] + 2000.0, n) for a in axes[:4]]
-    ia = rng.integers(len(grid.advisories), size=2 * n)
+    ia = rng.integers(len(ADVISORIES), size=2 * n)
     cols = [np.concatenate([v, a, b]) for v, a, b in zip(vertices[:4], inside, outside)]
     return (*cols, np.concatenate([vertices[4].astype(int), ia]))
 
@@ -115,7 +115,7 @@ def lookup_queries(grid, rng):
 def full_grid_lookup(table, h, hdot0, hdot1, tau, ia_prev):
     """interpolate_many without the mirror: 16 corners gathered from full_values."""
     grid = table.grid
-    full = full_values(table).reshape(-1, len(grid.advisories))
+    full = full_values(table).reshape(-1, len(ADVISORIES))
     axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, grid.tau_cuts)
     idx, hi = zip(*(_locate_many(x, cuts) for cuts, x in zip(axes, (h, hdot0, hdot1, tau))))
     strides = np.cumprod((1,) + grid.shape[:0:-1])[::-1][:4]  # h, hdot0, hdot1, tau
@@ -173,7 +173,7 @@ class TestFloat32Table:
         wide = self.widened(read_small_table)
         for hdot0 in grid.hdot0_cuts:
             for hdot1 in grid.hdot1_cuts:
-                for a_prev in grid.advisories:
+                for a_prev in ADVISORIES:
                     fixed = {"hdot0": hdot0, "hdot1": hdot1, "a_prev": a_prev}
                     np.testing.assert_array_equal(
                         policy_slice(read_small_table, fixed), policy_slice(wide, fixed)

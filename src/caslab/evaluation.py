@@ -42,7 +42,7 @@ from .encounters import (
     build_encounters,
     trace_log_likelihoods,
 )
-from .optimizer import LogicTable
+from .optimizer import LogicTable, select_advisories
 from .runtime import (
     DEFAULT_BELIEF_PARTICLES,
     DEFAULT_BELIEF_SIGMA_H_FT,
@@ -297,8 +297,7 @@ def _fly(
                 )
                 if not np.all(np.isfinite(values)):
                     raise ValueError("action values must be finite")
-                # argmax keeps the first maximum: the canonical tie-break.
-                selected = np.argmax(values, axis=1)
+                selected = select_advisories(values, adv[:, i])
                 if both_table and i == 0:
                     # coordinate(): the leader's sense forbids the same sense.
                     leader_sense = _SENSE[selected]

@@ -214,6 +214,32 @@ class LogicTable:
         return self.values.reshape(-1, len(ADVISORIES))
 
 
+# Two action values within TIE_TOL of each other are a tie.  Where the DP
+# predicts that holding the current rate resolves a conflict, keeping an RA
+# and clearing it to COC have the same value (neither costs anything, and
+# both hold the rate), so they differ only by rounding: float32 storage,
+# interpolation and the QMDP average move a value by up to ~1e-7 of
+# |collision_cost|.  Over 20,000 seeded random states, the float32 lookup
+# and the factored float64 lookup picked different advisories in 17.4 % of
+# them by plain argmax, and in 2.1 %, 0.075 % and 0 % under the selection
+# rule below at 1e-12, 1e-9 and 1e-6 of |collision_cost| (0 at 1e-4 too).
+TIE_TOL = 1e-6 * abs(RewardParams().collision_cost)
+
+
+def select_advisories(values: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """The table's selection rule, row by row: indices into ADVISORIES.
+
+    values has shape (B, n_advisories) and held (B,) the advisory each row
+    holds now.  A row keeps its held advisory when that value is within
+    TIE_TOL of the row's maximum; otherwise it takes the first advisory in
+    canonical order (COC first, weaker before stronger, down before up)
+    within TIE_TOL of the maximum.
+    """
+    near = values >= values.max(axis=1, keepdims=True) - TIE_TOL
+    held = np.asarray(held)
+    return np.where(near[np.arange(len(near)), held], held, np.argmax(near, axis=1))
+
+
 def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
     """One-step reward: collision cost at tau=0 plus advisory-change costs."""
     r = 0.0
@@ -499,11 +525,12 @@ def _solve(
 def policy_slice(
     table: LogicTable, fixed: Dict[str, object]
 ) -> np.ndarray:
-    """Argmax advisory over (tau, h) at fixed rates and previous advisory.
+    """Selected advisory over (tau, h) at fixed rates and previous advisory.
 
     fixed maps 'hdot0'/'hdot1' to on-grid rates and 'a_prev' to an Advisory.
-    Ties break toward the canonical advisory order (COC first, weaker before
-    stronger, down before up).  Returns an object array [itau, ih].
+    Each cell selects by select_advisories with a_prev as the held
+    advisory, as the closed loop would at that state.  Returns an object
+    array [itau, ih].
     """
     grid = table.grid
     try:
@@ -520,7 +547,8 @@ def policy_slice(
     # slice is taken before mirroring, so no mirrored slab is built.
     below = table.values[:0:-1, -1 - i0, -1 - i1, :, MIRROR_INDEX[ia], :][..., MIRROR_INDEX]
     vals = np.concatenate([below, table.values[:, i0, i1, :, ia, :]])  # (h, tau, action)
-    best = np.argmax(vals, axis=2)  # first maximum wins: canonical tie-break
+    best = select_advisories(vals.reshape(-1, len(ADVISORIES)), np.full(vals[..., 0].size, ia))
+    best = best.reshape(vals.shape[:2])
     ntau = grid.tau_max + 1
     out = np.empty((ntau, len(grid.h_cuts)), dtype=object)
     for itau in range(ntau):

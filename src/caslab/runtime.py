@@ -3,7 +3,8 @@
 Lookups run multilinear interpolation over the continuous axes (off-hull
 queries clamp to the hull), QMDP averages the interpolated action values
 under the belief, and online costs implement low-altitude descend inhibits
-and pairwise coordination constraints before the argmax.
+and pairwise coordination constraints before the selection rule
+(optimizer.select_advisories) picks an advisory.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ADVISORIES, MIRROR_INDEX, Advisory, BeliefState, VerticalState
-from .optimizer import LogicTable, _locate_many
+from .optimizer import LogicTable, _locate_many, select_advisories
 
 DEFAULT_COST_MAGNITUDE = -1.0e6
 DEFAULT_INHIBIT_ALTITUDE_FT = 1000.0
@@ -207,14 +208,18 @@ def apply_online_costs_many(
     return out
 
 
-def select_action(values: np.ndarray) -> Advisory:
-    """Argmax advisory; ties break toward the canonical advisory order."""
+def select_action(values: np.ndarray, held: Advisory = Advisory.COC) -> Advisory:
+    """The advisory select_advisories picks from one value vector.
+
+    held is the advisory in force, kept on a tie; COC, the default, holds
+    nothing, and the first advisory within TIE_TOL of the maximum wins.
+    """
     values = np.asarray(values, dtype=float)
     if values.shape != (len(ADVISORIES),):
         raise ValueError("value vector must match the advisory axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("action values must be finite")
-    return ADVISORIES[int(np.argmax(values))]
+    return ADVISORIES[int(select_advisories(values[None, :], [ADVISORIES.index(held)])[0])]
 
 
 def fuse_multithreat(per_intruder_values: Sequence[np.ndarray]) -> np.ndarray:

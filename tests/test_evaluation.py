@@ -6,6 +6,7 @@ import pytest
 
 from caslab.core import (
     ADVISORIES,
+    COC_INDEX,
     EVENT_NMAC,
     EVENT_RA,
     EVENT_REVERSAL,
@@ -46,9 +47,12 @@ from caslab.evaluation import (
     simulate_encounter,
     trace_severity,
 )
+from caslab.optimizer import TIE_TOL
 from caslab.runtime import (
     belief_action_values,
+    interpolate,
     interpolate_many,
+    select_action,
     synthesize_belief,
     weighted_particle_values,
 )
@@ -175,6 +179,46 @@ class TestSimulateEncounter:
         trace = simulate_encounter(enc, eq, np.random.default_rng(1))
         assert trace.has_event(EVENT_RA)
         assert not trace.has_event(EVENT_NMAC)
+
+    def test_ra_held_while_its_band_is_met(self, default_table):
+        # Coaltitude head-on, both aircraft level, exact state.  Once the
+        # ownship meets its RA's band, keeping the RA and clearing to COC
+        # have the same DP value (both hold the rate), but COC would return
+        # the ownship to its level nominal command and undo the separation.
+        enc = hand_encounter(tau0=20.0)
+        eq = Equipage(own="table", pilot=det_pilot(), table=default_table,
+                      belief_sigma_h=0.0, belief_sigma_rate=0.0)
+        trace = simulate_encounter(enc, eq, np.random.default_rng(1))
+        own = [a for a, _ in trace.advisories]
+        ra = own[0]
+        assert ra.sense != 0
+        assert own[:21] == [ra] * 21  # held through CPA at step 20
+        assert not trace.has_event(EVENT_NMAC)
+        # The hold decided it: on this flight COC ties the RA within TIE_TOL
+        # at some step, where the first maximum alone would clear the RA.
+        ties = []
+        for k in range(1, 20):
+            s = VerticalState(float(trace.intruder.z[k] - trace.ownship.z[k]),
+                              float(trace.ownship.vz[k]), float(trace.intruder.vz[k]), ra, 20.0 - k)
+            values = interpolate(default_table, s)
+            if select_action(values) is Advisory.COC:
+                ties.append(k)
+                assert select_action(values, held=ra) is ra
+                assert values[COC_INDEX] >= values.max() - TIE_TOL
+        assert ties
+
+    def test_ra_to_coc_drops_on_a_fixed_seed(self, default_table):
+        # Before the hold, these 64 exact-state encounters dropped an RA to
+        # COC 189 times, and 53 of them dropped it at least twice.
+        idx = range(64)
+        enc = build_encounters(default_correlated_model(), _rngs(7, STREAM_ENCOUNTER, idx))
+        eq = Equipage(own="table", pilot=det_pilot(), table=default_table,
+                      belief_sigma_h=0.0, belief_sigma_rate=0.0)
+        _, _, record = _fly(enc, eq, _rngs(7, STREAM_SIMULATE, idx))
+        own = record[5][:, :, 0]
+        drops = ((own[:, :-1] != COC_INDEX) & (own[:, 1:] == COC_INDEX)).sum(axis=1)
+        assert drops.max() <= 1
+        assert drops.sum() <= 10
 
     def test_coaltitude_head_on_tcas_resolves(self):
         enc = hand_encounter()

@@ -7,6 +7,7 @@ import pytest
 from caslab.core import ADVISORIES, MIRROR_INDEX, Advisory, VerticalState
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.optimizer import (
+    TIE_TOL,
     Grid,
     LogicTable,
     RewardParams,
@@ -15,6 +16,7 @@ from caslab.optimizer import (
     backward_induction,
     policy_slice,
     reward,
+    select_advisories,
     transition_distribution,
 )
 from caslab.tablefile import read_table, write_table
@@ -521,13 +523,27 @@ class TestPolicySlice:
 
     @pytest.mark.parametrize("a_prev", [Advisory.COC, Advisory.DNC, Advisory.CL2500])
     def test_rows_below_zero_follow_the_mirror(self, small_table, a_prev):
-        # every row, below zero too, is the first maximum of the full values
+        # every row, below zero too, is the selection rule on the full values
         grid = small_table.grid
         full = full_values(small_table)
+        ia = ADVISORIES.index(a_prev)
         for r0 in grid.hdot0_cuts:
             for r1 in grid.hdot1_cuts:
                 mat = policy_slice(small_table, {"hdot0": r0, "hdot1": r1, "a_prev": a_prev})
                 i0 = list(grid.hdot0_cuts).index(r0)
                 i1 = list(grid.hdot1_cuts).index(r1)
-                best = np.argmax(full[:, i0, i1, :, ADVISORIES.index(a_prev), :], axis=2)
+                rows = full[:, i0, i1, :, ia, :].reshape(-1, len(ADVISORIES))
+                best = select_advisories(rows, np.full(len(rows), ia)).reshape(len(grid.h_cuts), -1)
                 assert mat.tolist() == [[ADVISORIES[i] for i in row] for row in best.T]
+
+    def test_held_advisory_kept_on_a_tie(self):
+        grid = micro_grid()
+        values = np.full(grid.table_shape, -1.0)
+        values[..., ADVISORIES.index(Advisory.COC)] = 0.0
+        for a in (Advisory.DNC, Advisory.DND):  # a mirror pair, as h = 0 requires
+            values[..., ADVISORIES.index(a)] = -0.5 * TIE_TOL
+        table = LogicTable(grid=grid, values=values)
+        for held, expected in ((Advisory.DND, Advisory.DND), (Advisory.DNC, Advisory.DNC),
+                               (Advisory.COC, Advisory.COC), (Advisory.CL1500, Advisory.COC)):
+            mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": held})
+            assert all(a is expected for a in mat.ravel())

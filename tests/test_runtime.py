@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, Advisory, BeliefState, VerticalState
-from caslab.optimizer import LogicTable, _locate_many, policy_slice
+from caslab.core import ADVISORIES, COC_INDEX, Advisory, BeliefState, VerticalState
+from caslab.optimizer import TIE_TOL, LogicTable, _locate_many, policy_slice, select_advisories
 from caslab.runtime import (
     CoordinationConstraint,
     CoordinationMessage,
@@ -291,6 +291,31 @@ class TestSelectAction:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             select_action(np.array([0.0, np.nan, 0, 0, 0, 0, 0]))
+
+    def test_held_advisory_kept_within_tolerance(self):
+        values = np.full(7, -1.0)
+        values[COC_INDEX] = 0.0
+        values[ADVISORIES.index(Advisory.CL1500)] = -0.5 * TIE_TOL
+        assert select_action(values) is Advisory.COC
+        assert select_action(values, held=Advisory.CL1500) is Advisory.CL1500
+        # a held advisory that only looks tied to float32 is not kept
+        values[ADVISORIES.index(Advisory.CL1500)] = -2.0 * TIE_TOL
+        assert select_action(values, held=Advisory.CL1500) is Advisory.COC
+
+    def test_near_maximum_breaks_in_canonical_order(self):
+        # not holding any of the near-maximal advisories, the first one wins
+        values = np.full(7, -1.0)
+        values[ADVISORIES.index(Advisory.CL1500)] = 0.0
+        values[ADVISORIES.index(Advisory.DES1500)] = -0.5 * TIE_TOL
+        assert select_action(values, held=Advisory.DNC) is Advisory.DES1500
+
+    def test_rows_select_independently(self):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(50, 7))
+        values[::3, 5] = values[::3].max(axis=1) - 0.5 * TIE_TOL
+        held = rng.integers(0, 7, 50)
+        rows = [ADVISORIES.index(select_action(v, ADVISORIES[h])) for v, h in zip(values, held)]
+        assert select_advisories(values, held).tolist() == rows
 
 
 class TestFuseMultithreat:

@@ -13,6 +13,12 @@ loop.  Values are expected cumulative rewards.  The MDP is symmetric under
 the vertical mirror (h and both rates negated, advisory senses swapped), so
 the DP solves only the states at h >= 0, reading a successor below zero at
 its mirror state, and the emitted table stores those values and no other.
+
+The previous advisory enters only through the reward: the pilot's response
+is memoryless, so a transition depends on (h, hdot0, hdot1) and the action
+alone.  Every state-action value is therefore cost[a_prev, a] plus an
+expected value E(h, hdot0, hdot1, tau, a) that no a_prev changes, and the
+table stores E and the 7 x 7 cost matrix instead of the values themselves.
 """
 
 from __future__ import annotations
@@ -93,7 +99,7 @@ class Grid:
     The MDP is symmetric under h -> -h with both rates negated and the
     advisory senses swapped, so a table keeps only the rows from h_zero,
     the index of the h = 0 cut, upward.  tau_cuts, strides (of h, hdot0,
-    hdot1 and tau in a stored state index) and corner_offsets (the 16
+    hdot1 and tau in a stored row index) and corner_offsets (the 16
     cell-corner offsets of a lookup, row 0 for a cell at h >= 0 and row 1
     for the mirror of a cell below zero) are the lookup's per-grid constants.
     """
@@ -110,8 +116,8 @@ class Grid:
             object.__setattr__(self, name, cuts)
         if self.tau_max < 0:
             raise ValueError("tau_max must be >= 0")
-        _, n0, n1, ntau, na = self.shape
-        strides = (n0 * n1 * ntau * na, n1 * ntau * na, ntau * na, na)
+        _, n0, n1, ntau, _ = self.shape
+        strides = (n0 * n1 * ntau, n1 * ntau, ntau, 1)
         corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)
                             for b1 in (0, 1) for bt in (0, 1)])
         flip = np.array([-1, -1, -1, 1])  # a mirrored cell steps down in h and both rates
@@ -138,9 +144,9 @@ class Grid:
         )
 
     @property
-    def table_shape(self) -> Tuple[int, int, int, int, int, int]:
-        """A table's stored values: the h >= 0 rows of shape + (action,)."""
-        nh, *rest = self.shape
+    def table_shape(self) -> Tuple[int, int, int, int, int]:
+        """A table's stored values: (h >= 0, hdot0, hdot1, tau, action), no a_prev axis."""
+        nh, *rest, _ = self.shape
         return (nh - self.h_zero, *rest, len(ADVISORIES))
 
     def state_index(self, ih: int, i0: int, i1: int, itau: int, ia_prev: int) -> int:
@@ -150,13 +156,11 @@ class Grid:
     def mirror_row(self, row: np.ndarray) -> np.ndarray:
         """The vertical mirror of (h, hdot0) rows of a table, as a new array.
 
-        row has axes (..., hdot1, tau, a_prev, action).  The values at
-        (h, hdot0) are mirror_row of those at (-h, -hdot0): hdot1 reversed,
-        a_prev and action mirrored; leading axes are kept.  The mirror
-        checks work one row at a time, so their temporaries stay ~0.1 MB on
-        the default grid.
+        row has axes (..., hdot1, tau, action).  The values at (h, hdot0)
+        are mirror_row of those at (-h, -hdot0): hdot1 reversed and the
+        action mirrored; leading axes are kept.
         """
-        return row[..., ::-1, :, :, :][..., MIRROR_INDEX[:, None], MIRROR_INDEX]
+        return row[..., ::-1, :, :][..., MIRROR_INDEX]
 
 
 @dataclass(frozen=True)
@@ -181,32 +185,45 @@ class RewardParams:
 
 @dataclass(frozen=True)
 class LogicTable:
-    """Grid axes plus the state-action expected values of the h >= 0 half.
+    """Grid axes, the advisory-change costs and the expected values of the h >= 0 half.
 
-    values has axes (h, hdot0, hdot1, tau, a_prev, action) over the h cuts
-    from grid.h_zero upward, shape grid.table_shape; values_2d views it as
-    value[stored state index][advisory].  A value below h = 0 is the value
-    at the mirror state with the action mirrored, and is never stored.  The
-    dtype is float64 when backward_induction makes the table and float32,
-    the precision ACXT stores, when read from a file; lookups compute in
+    The value of action a at (h, hdot0, hdot1, tau) after advisory a_prev is
+    cost[a_prev, a] + values[h, hdot0, hdot1, tau, a].  values holds E, the
+    expected value of what follows the action, over the h cuts from
+    grid.h_zero upward, shape grid.table_shape; values_2d views it as
+    E[stored row index][advisory].  A value below h = 0 is the value at the
+    mirror state with the action mirrored, and is never stored.  cost is
+    the 7 x 7 float64 matrix over (a_prev, action), and is its own vertical
+    mirror, so a mirrored lookup adds the same row.  The dtype of values is
+    float64 when backward_induction makes the table and float32, the
+    precision ACXT stores, when read from a file; lookups compute in
     float64 either way.
     """
 
     grid: Grid
     values: np.ndarray
+    cost: np.ndarray
 
     def __post_init__(self) -> None:
+        na = len(ADVISORIES)
+        cost = np.array(self.cost, dtype=float)
+        if cost.shape != (na, na):
+            raise ValueError(f"advisory cost matrix shape {cost.shape} != ({na}, {na})")
+        if not np.isfinite(cost).all():
+            raise ValueError("advisory cost matrix must be finite")
+        if not np.array_equal(cost[MIRROR_INDEX][:, MIRROR_INDEX], cost):
+            raise ValueError("advisory cost matrix must be its own vertical mirror")
+        cost.setflags(write=False)
+        object.__setattr__(self, "cost", cost)
         expected = self.grid.table_shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        for slab in self.values:  # one h cut at a time: no whole-table temporary
-            if not np.isfinite(slab).all():
-                raise ValueError("table values must be finite")
+        if not np.isfinite(self.values).all():
+            raise ValueError("table values must be finite")
         # h = 0 is its own mirror, so a lookup from either side reads one set
         # of values there only if the row equals its mirror bit for bit.
         zero = self.values[0].view(f"u{self.values.itemsize}")
-        if not all(np.array_equal(row, self.grid.mirror_row(opposite))
-                   for row, opposite in zip(zero, zero[::-1])):
+        if not np.array_equal(zero, self.grid.mirror_row(zero[::-1])):
             raise ValueError("table values at h = 0 must be their own vertical mirror")
 
     @property
@@ -462,7 +479,7 @@ def backward_induction(
     values = _solve(grid, pilot, intruder, params)
     zero = values[0]
     zero[...] = 0.5 * (zero + grid.mirror_row(zero[::-1]))
-    return LogicTable(grid=grid, values=values)
+    return LogicTable(grid=grid, values=values, cost=_advisory_cost_matrix(params))
 
 
 def _solve(
@@ -471,13 +488,14 @@ def _solve(
     intruder: IntruderModel,
     params: RewardParams,
 ) -> np.ndarray:
-    """Values of every state-action pair at h >= 0, shape grid.table_shape.
+    """E, the expected value of each action at h >= 0, shape grid.table_shape.
 
-    Works backward from tau=0 (terminal rewards) to tau_max; within a tau
-    layer every state depends only on the previous layer, so each layer is
-    evaluated in one vectorized pass over all actions and written straight
-    into the table's layout.  Only the h >= 0 rows are swept: a successor
-    below zero is read at its mirror state.
+    The value of action a after a_prev is cost[a_prev, a] + E[..., a]; at
+    tau = 0, E is the collision reward.  Works backward from tau=0 to
+    tau_max; within a tau layer every state depends only on the previous
+    layer, so each layer is evaluated in one vectorized pass over all
+    actions and written straight into the table's layout.  Only the h >= 0
+    rows are swept: a successor below zero is read at its mirror state.
 
     A layer's expected values accumulate one operator slot at a time (see
     _sweep_operator): slot k touches only the prefix of columns that have a
@@ -497,14 +515,17 @@ def _solve(
 
     slots, unorder = _sweep_operator(grid, pilot, intruder)
 
-    # values[m, tau, a_prev, action]: the table layout with (h, hdot0, hdot1) raveled
-    values = np.empty((m, ntau, na, na))
-    values[:, 0] = collision[:, None, None] + cost
-    # best[a_prev, m]: the layer's best value over actions
-    best = np.ascontiguousarray(values[:, 0].max(axis=2).T)
+    # values[m, tau, action]: the table layout with (h, hdot0, hdot1) raveled
+    values = np.empty((m, ntau, na))
+    values[:, 0] = collision[:, None]
+    expected = np.broadcast_to(collision, (na, m))  # E of the last layer, [action, m]
     acc = np.empty(na * m)
     term = np.empty(na * m)
     for itau in range(1, ntau):
+        # best[a_prev, m]: the last layer's best value over actions
+        best = cost[:, 0, None] + expected[0]
+        for ia in range(1, na):
+            np.maximum(best, cost[:, ia, None] + expected[ia], out=best)
         acc.fill(0.0)
         for idx, w in slots:
             n = len(idx)
@@ -512,12 +533,9 @@ def _solve(
             term[:n] *= w
             acc[:n] += term[:n]
         expected = acc[unorder].reshape(na, m)
-        values[:, itau] = expected.T[:, None, :] + cost
-        best = cost[:, 0, None] + expected[0]
-        for ia in range(1, na):
-            np.maximum(best, cost[:, ia, None] + expected[ia], out=best)
-        if not np.all(np.isfinite(values[:, itau])):
+        if not np.all(np.isfinite(expected)):
             raise OverflowError(f"non-finite values at tau={itau}")
+        values[:, itau] = expected.T
 
     return values.reshape(grid.table_shape)
 
@@ -544,9 +562,10 @@ def policy_slice(
     ia = ADVISORIES.index(a_prev)
     # A row below h = 0 is the mirror of a stored row above it (farthest from
     # zero first), with its action columns put back in canonical order.  The
-    # slice is taken before mirroring, so no mirrored slab is built.
-    below = table.values[:0:-1, -1 - i0, -1 - i1, :, MIRROR_INDEX[ia], :][..., MIRROR_INDEX]
-    vals = np.concatenate([below, table.values[:, i0, i1, :, ia, :]])  # (h, tau, action)
+    # slice is taken before mirroring, so no mirrored slab is built.  cost is
+    # its own mirror, so both halves add the row of a_prev.
+    below = table.values[:0:-1, -1 - i0, -1 - i1][..., MIRROR_INDEX]
+    vals = np.concatenate([below, table.values[:, i0, i1]]) + table.cost[ia]  # (h, tau, action)
     best = select_advisories(vals.reshape(-1, len(ADVISORIES)), np.full(vals[..., 0].size, ia))
     best = best.reshape(vals.shape[:2])
     ntau = grid.tau_max + 1

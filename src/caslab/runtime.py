@@ -62,8 +62,8 @@ class OnlineContext:
 def interpolate(table: LogicTable, s: VerticalState) -> np.ndarray:
     """Action values at s by multilinear interpolation (h, rates, tau).
 
-    The previous-advisory axis is categorical and indexed exactly; grid
-    vertices return the stored values bit-identically.
+    The previous advisory adds its row of the table's cost matrix exactly;
+    at a grid vertex the result is that row plus the stored values.
     """
     return interpolate_many(
         table,
@@ -85,14 +85,16 @@ def interpolate_many(
 ) -> np.ndarray:
     """Vectorized multilinear lookup; returns (n, n_advisories).
 
-    The 16 enclosing vertices per query are gathered through flat state
-    indices; exact-vertex queries carry weight 1 on one corner and 0
-    elsewhere, so stored values pass through unchanged.  The table stores
-    h >= 0 only, and 0 is an h cut, so a query's cell lies wholly on one
-    side.  A cell below zero is read at its mirror cell: h and rate indices
-    reflected, a_prev mirrored, corners stepping down instead of up, and the
-    row's action columns mirrored back.  Its weights are the ones an
-    unmirrored lookup would use.
+    The 16 enclosing vertices per query are gathered from the table's
+    expected values through flat row indices, and each query's row
+    cost[ia_prev] is added to the interpolated row; exact-vertex queries
+    carry weight 1 on one corner and 0 elsewhere, so stored values pass
+    through unchanged.  The table stores h >= 0 only, and 0 is an h cut, so
+    a query's cell lies wholly on one side.  A cell below zero is read at
+    its mirror cell: h and rate indices reflected, corners stepping down
+    instead of up, and the row's action columns mirrored back.  Its weights
+    are the ones an unmirrored lookup would use, and the cost matrix is its
+    own mirror, so its row adds as above zero.
     """
     grid = table.grid
     ih, fh = _locate_many(h, grid.h_cuts)
@@ -102,16 +104,11 @@ def interpolate_many(
     n = len(ih)
     s_h, s_0, s_1, s_tau = grid.strides
     below = ih < grid.h_zero
-    ia = np.asarray(ia_prev)
     # The (h, hdot0, hdot1) part of the base index.  A mirrored cell starts
     # at the reflection of its lower corner, top - corner.
     corner = (ih - grid.h_zero) * s_h + i0 * s_0 + i1 * s_1
     top = (len(grid.hdot0_cuts) - 1) * s_0 + (len(grid.hdot1_cuts) - 1) * s_1
-    base = (
-        np.where(below, top - corner, corner)
-        + it * s_tau
-        + np.where(below, MIRROR_INDEX[ia], ia)
-    )
+    base = np.where(below, top - corner, corner) + it * s_tau
     # The index is built in place and dropped before the weights exist, so a
     # call's temporaries stay under the heap-trim threshold its largest one
     # sets; repeated calls then reuse freed memory instead of faulting in
@@ -128,7 +125,7 @@ def interpolate_many(
         * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
     ).reshape(n, 16)
     out = np.einsum("nc,nca->na", w, vals)
-    return np.where(below[:, None], out[:, MIRROR_INDEX], out)
+    return np.where(below[:, None], out[:, MIRROR_INDEX], out) + table.cost[ia_prev]
 
 
 def weighted_particle_values(

@@ -3,24 +3,29 @@
 Little-endian layout:
 
     magic           4 bytes  b"ACXT"
-    version         u32      format version (currently 2)
+    version         u32      format version (currently 3)
     dim_count       u32      number of continuous axes (h, hdot0, hdot1, tau)
     per dimension:  u32 cut-point count, then that many f64 cut points
     advisory_count  u32      always 7
     per advisory:   u32 name byte length, then UTF-8 name bytes
+    cost            f64 array, 7 x 7, row-major over (a_prev, action)
     values          f32 array, row-major over
-                    (h >= 0, hdot0, hdot1, tau, a_prev, action)
+                    (h >= 0, hdot0, hdot1, tau, action)
 
-The header lists every h cut, but the values cover only the h >= 0 cuts:
-the array is exactly LogicTable.values (Grid.table_shape), and a LogicTable
-reads the rows below zero through the vertical mirror.  The tau axis is
-stored as explicit cut points 0..tau_max so readers need no side channel.
-The advisory axis is always the seven advisories in canonical (tie-break)
-order, COC DNC DND DES1500 CL1500 DES2500 CL2500; a file that lists any
-other axis is refused before its values are read.  Values are rounded to
-32-bit floats on write, and a value outside the float32 range is refused; a
-read/write cycle is byte-stable.  Version 1 files, which also stored the
-h < 0 rows, are refused.
+The value of action a after advisory a_prev is cost[a_prev, a] plus the
+stored value: the pair is exactly LogicTable.cost and LogicTable.values
+(Grid.table_shape).  The header lists every h cut, but the values cover
+only the h >= 0 cuts, and a LogicTable reads the rows below zero through
+the vertical mirror.  The cost matrix must be finite and its own vertical
+mirror.  The tau axis is stored as explicit cut points 0..tau_max so
+readers need no side channel.  The advisory axis is always the seven
+advisories in canonical (tie-break) order, COC DNC DND DES1500 CL1500
+DES2500 CL2500; a file that lists any other axis is refused before its
+values are read.  Values are rounded to 32-bit floats on write, and a value
+outside the float32 range is refused; a read/write cycle is byte-stable.
+Files of earlier versions are refused: version 1 also stored the h < 0
+rows, and version 2 stored every (a_prev, action) value, 7 times the values
+of version 3.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .core import ADVISORIES
 from .optimizer import Grid, LogicTable
 
 MAGIC = b"ACXT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # The advisory block every file holds: the count, then each length and name.
 _ADVISORY_BLOCK = struct.pack("<I", len(ADVISORIES)) + b"".join(
     struct.pack("<I", len(name)) + name for name in (a.value.encode("utf-8") for a in ADVISORIES)
@@ -73,6 +78,7 @@ def _write_stream(table: LogicTable, f: BinaryIO) -> None:
         f.write(struct.pack("<I", len(cuts)))
         f.write(np.asarray(cuts, dtype="<f8").tobytes())
     f.write(_ADVISORY_BLOCK)
+    f.write(np.asarray(table.cost, dtype="<f8").tobytes())
     try:
         with np.errstate(over="raise"):
             # one h cut at a time: no whole-table f32 copy
@@ -106,6 +112,8 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     if _read_exact(f, len(_ADVISORY_BLOCK)) != _ADVISORY_BLOCK:
         axis = ", ".join(a.value for a in ADVISORIES)
         raise TableFormatError(f"advisory axis must be [{axis}]")
+    na = len(ADVISORIES)
+    cost = np.frombuffer(_read_exact(f, 8 * na * na, "advisory cost matrix"), dtype="<f8")
     tau_cuts = dims[3]
     if len(tau_cuts) < 1 or not np.array_equal(tau_cuts, np.arange(len(tau_cuts))):
         raise TableFormatError("tau axis must be 0..tau_max in unit steps")
@@ -113,7 +121,7 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     # grid or allocating: a short file must not make the reader allocate a
     # table it cannot fill.
     stored_h = np.count_nonzero(dims[0] >= 0)
-    counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [len(ADVISORIES)] * 2
+    counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [na]
     here = f.tell()
     available = f.seek(0, io.SEEK_END) - here
     if available < 4 * math.prod(counts):
@@ -134,13 +142,13 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     if f.read(1):
         raise TableFormatError("trailing bytes after value array")
     try:
-        return LogicTable(grid=grid, values=values)
-    except ValueError as err:  # non-finite values, or h = 0 off its mirror
+        return LogicTable(grid=grid, values=values, cost=cost.reshape(na, na))
+    except ValueError as err:  # a cost matrix or values that break their checks
         raise TableFormatError(str(err)) from None
 
 
-def _read_exact(f: BinaryIO, n: int) -> bytes:
+def _read_exact(f: BinaryIO, n: int, what: str = "table file") -> bytes:
     data = f.read(n)
     if len(data) != n:
-        raise TableFormatError("truncated table file")
+        raise TableFormatError(f"truncated {what}")
     return data

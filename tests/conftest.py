@@ -19,19 +19,35 @@ def micro_grid(tau_max: int = 4) -> Grid:
     )
 
 
-def full_values(table):
-    """Every h row a table stands for, axes (h, hdot0, hdot1, tau, a_prev, action).
+def full_expected(table):
+    """A table's expected values on every h row, axes (h, hdot0, hdot1, tau, action).
 
     A table stores its h >= 0 rows; each row below zero is the vertical
-    mirror of a stored one: both rates reversed, a_prev and action mirrored.
-    Tests that index the whole grid read it through here.
+    mirror of a stored one: both rates reversed and the action mirrored.
     """
-    below = table.values[:0:-1, ::-1, ::-1][:, :, :, :, MIRROR_INDEX][..., MIRROR_INDEX]
+    below = table.values[:0:-1, ::-1, ::-1][..., MIRROR_INDEX]
     return np.concatenate([below, table.values])
 
 
+def full_values(table):
+    """Every state-action value a table stands for, axes (h, hdot0, hdot1, tau, a_prev, action).
+
+    The value is cost[a_prev, action] plus the expected value, rebuilt in
+    float64.  Tests that index the whole grid read it through here.
+    """
+    return full_expected(table)[..., None, :] + table.cost
+
+
+# The cost block of an ACXT file: the 7 x 7 float64 matrix between the header and the values.
+ACXT_COST_BYTES = 8 * len(ADVISORIES) ** 2
+
+
 def acxt_header_bytes(grid):
-    """Length of the ACXT header of a table on grid: everything before the values."""
+    """Length of the ACXT header of a table on grid: everything before the cost block.
+
+    Every format version shares this layout; version 3 follows it with the
+    cost block and then the values, earlier versions with the values.
+    """
     cuts = len(grid.h_cuts) + len(grid.hdot0_cuts) + len(grid.hdot1_cuts) + grid.tau_max + 1
     names = sum(4 + len(a.value.encode()) for a in ADVISORIES)
     return 12 + 4 * 4 + 8 * cuts + 4 + names

@@ -23,7 +23,7 @@ from caslab.encounters import (
 )
 from caslab.evaluation import Equipage, cross_entropy_adapt
 from caslab.tablefile import FORMAT_VERSION, MAGIC, read_table, write_table
-from conftest import acxt_header_bytes, full_values
+from conftest import ACXT_COST_BYTES, acxt_header_bytes, full_values
 from test_tablefile import MIRROR_BREAKS
 
 
@@ -383,31 +383,53 @@ def _with_cut(raw, offset, value):
 
 
 def _oversized_header(raw, grid):
-    """A valid header declaring 300 cuts per axis, zero-padded to len(raw).
+    """A valid header and cost block declaring 300 cuts per axis, then len(raw) zero bytes.
 
-    Its values would need 3.3e9 floats; the file holds a few thousand.
+    Its values would need 4.7e8 floats; the file holds a few thousand.
     """
     cuts = np.arange(-150, 150) + 0.5
     header = MAGIC + struct.pack("<II", FORMAT_VERSION, 4)
     for axis in (cuts, cuts, cuts, np.arange(grid.tau_max + 1.0)):
         header += struct.pack("<I", len(axis)) + axis.astype("<f8").tobytes()
-    header += _axis_block(ADVISORIES)
-    return header + bytes(len(raw) - len(header))
+    return header + _axis_block(ADVISORIES) + bytes(ACXT_COST_BYTES + len(raw))
 
 
 def _on_axis(axis):
-    """A file of the same grid and values on another advisory axis.
+    """A file of the same grid, costs and values on another advisory axis.
 
-    Both advisory axes of the values keep axis's advisories, in its order, so
+    The cost matrix and the values keep axis's advisories, in its order, so
     the file is whole and consistent: only the axis itself is wrong.
     """
     def mutate(raw, grid):
-        values_at = acxt_header_bytes(grid)
-        axis_at = values_at - len(_axis_block(ADVISORIES))
-        values = np.frombuffer(raw, dtype="<f4", offset=values_at).reshape(grid.table_shape)
+        cost_at = acxt_header_bytes(grid)
+        axis_at = cost_at - len(_axis_block(ADVISORIES))
+        cost, values = _cost_and_values(raw, grid)
         keep = [ADVISORIES.index(a) for a in axis]
-        return raw[:axis_at] + _axis_block(axis) + values[..., keep, :][..., keep].tobytes()
+        return (raw[:axis_at] + _axis_block(axis) + cost[keep][:, keep].tobytes()
+                + values[..., keep].tobytes())
     return mutate
+
+
+def _cost_and_values(raw, grid):
+    """The cost matrix and the value array of a version 3 file."""
+    cost_at = acxt_header_bytes(grid)
+    cost = np.frombuffer(raw, dtype="<f8", count=len(ADVISORIES) ** 2, offset=cost_at)
+    values = np.frombuffer(raw, dtype="<f4", offset=cost_at + ACXT_COST_BYTES)
+    return cost.reshape(len(ADVISORIES), -1), values.reshape(grid.table_shape)
+
+
+def _version_2(raw, grid):
+    """The same table as a version 2 file: no cost block, every (a_prev, action) value."""
+    cost_at = acxt_header_bytes(grid)
+    cost, values = _cost_and_values(raw, grid)
+    header = raw[:4] + struct.pack("<I", 2) + raw[8:cost_at]
+    return header + (values[..., None, :] + cost).astype("<f4").tobytes()
+
+
+def _with_cost(raw, grid, a_prev, action, value):
+    """The file with cost[a_prev, action] replaced by value."""
+    at = acxt_header_bytes(grid) + 8 * (a_prev * len(ADVISORIES) + action)
+    return raw[:at] + struct.pack("<d", value) + raw[at + 8:]
 
 
 CANONICAL_AXIS = "advisory axis must be [COC, DNC, DND, DES1500, CL1500, DES2500, CL2500]"
@@ -428,7 +450,7 @@ MALFORMED_TABLES = {
     ),
     "non_finite_value": (
         lambda raw, grid: raw[:-4] + struct.pack("<f", float("nan")),
-        "finite",
+        "table values must be finite",
     ),
     "asymmetric_h_cuts": (
         lambda raw, grid: _with_cut(raw, _cut_offset(grid, 0, 0), -999.0),
@@ -438,7 +460,21 @@ MALFORMED_TABLES = {
         lambda raw, grid: _with_cut(raw, _cut_offset(grid, 1, 1), 30.0),
         "increasing",
     ),
-    "header_declares_more_values_than_file": (_oversized_header, "truncated"),
+    "header_declares_more_values_than_file": (_oversized_header, "truncated table file"),
+    "version_2_file": (_version_2, "unsupported table format version 2"),
+    "truncated_cost_block": (
+        lambda raw, grid: raw[:acxt_header_bytes(grid) + ACXT_COST_BYTES // 2],
+        "truncated advisory cost matrix",
+    ),
+    "non_finite_cost": (
+        lambda raw, grid: _with_cost(raw, grid, 0, 3, float("inf")),
+        "advisory cost matrix must be finite",
+    ),
+    # the alert cost of DES1500 changed, but not that of CL1500, its mirror
+    "cost_off_its_mirror": (
+        lambda raw, grid: _with_cost(raw, grid, 0, 3, -0.5),
+        "advisory cost matrix must be its own vertical mirror",
+    ),
 }
 
 

@@ -11,6 +11,7 @@ from caslab.optimizer import (
     Grid,
     LogicTable,
     RewardParams,
+    _advisory_cost_matrix,
     _solve,
     _sweep_operator,
     backward_induction,
@@ -316,18 +317,21 @@ class TestBackwardInduction:
             grid, PilotModel(response_probability=0.5, acceleration=8.0),
             IntruderModel(sigma_accel=4.0), RewardParams(),
         )
-        assert values.shape == small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7, 7)
+        assert values.shape == small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7)
         assert np.array_equal(small_table.values[1:], values[1:])
         # the h = 0 row keeps one value of each mirror pair, which agree to rounding
         np.testing.assert_allclose(small_table.values[0], values[0], rtol=0, atol=1e-15)
-        # the half sweep reads successors below zero at their mirror states
+        # the half sweep reads successors below zero at their mirror states,
+        # and every a_prev adds its cost row to the same expected values
         micro = micro_grid(tau_max=3)
+        cost = _advisory_cost_matrix(RewardParams())
         for p, sigma in FOLD_CASES:
             half = _solve(
                 micro, PilotModel(response_probability=p, acceleration=8.0),
                 IntruderModel(sigma_accel=sigma), RewardParams(),
             )
-            np.testing.assert_allclose(half, micro_oracle(p, sigma)[micro.h_zero:], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(half[..., None, :] + cost, micro_oracle(p, sigma)[micro.h_zero:],
+                                       rtol=0, atol=1e-9)
 
     def test_values_are_the_whole_solve(self, small_table):
         # the table holds the array the solve allocated, not a view of a larger one
@@ -357,8 +361,9 @@ class TestBackwardInduction:
         params = RewardParams()
         per_step_costs = [params.alert_cost, params.strengthen_cost, params.reversal_cost]
         lower = params.collision_cost + small_table.grid.tau_max * min(per_step_costs)
-        assert np.all(small_table.values >= lower - 1e-12)
-        assert np.all(small_table.values <= 1e-12)
+        values = full_values(small_table)
+        assert np.all(values >= lower - 1e-12)
+        assert np.all(values <= 1e-12)
 
 
 def column_distributions(grid, pilot, intruder):
@@ -448,15 +453,17 @@ class TestSweepOperator:
         np.testing.assert_allclose(totals[unorder], 1.0, rtol=0, atol=1e-12)
 
 
-# sha256 of the ACXT file of the default-grid table.  The values were
+# sha256 of the ACXT file of the default-grid table.  The values were first
 # recorded from the sparse-matrix solver that the fixed-width operators
-# replaced, as version 1 files; these digests are of those files with the
-# version field set to 2 and the h < 0 slabs cut.  A change here changes
+# replaced, as version 1 files, and carried to version 2 by cutting the
+# h < 0 slabs.  These version 3 digests are of files the factored solve
+# writes; its E + cost equals the version 2 solve's float64 values bit for
+# bit at every h > 0 row and within 1 ulp at h = 0.  A change here changes
 # every table the optimizer writes.
 PINNED_TABLE_DIGESTS = {
-    "default": "3d4b6d2f5a887c2272948a677b514149b199b796abbbf02e620725e187625ec2",
-    "p1": "b792899fdcc68095a75909e6653e40212b86e340c580f66043cb049d5e3de49a",
-    "jittered": "304dd10b979bc11d7d7cb25f51f977c2f44b8a11dfe04c3d7f799d7a42029379",
+    "default": "4f2b7ed208276e442eda7e96c081b6160c27fc779f1e064293aedca2f77abeae",
+    "p1": "d80ef20dc3ff295a888227119aa7ee654880eb11f40004e7edde2e9e21ba732b",
+    "jittered": "844c2e0d32a4d4afd07a9923279c9e82b7d428437d33b488aeb5597d0f890f13",
 }
 
 PINNED_TABLE_INPUTS = {
@@ -495,14 +502,15 @@ def test_default_grid_table_round_trips(name, pinned_table_files, tmp_path):
 
 def test_read_default_grid_table_holds_the_h_zero_up_half(pinned_table_files):
     table = read_table(pinned_table_files["default"])
-    assert table.values.shape == (17, 13, 13, 41, 7, 7) == table.grid.table_shape
+    assert table.values.shape == (17, 13, 13, 41, 7) == table.grid.table_shape
     assert table.values.dtype == np.float32
+    assert table.cost.dtype == np.float64
 
 
 class TestPolicySlice:
     def test_all_zero_table_gives_coc(self):
         grid = micro_grid()
-        table = LogicTable(grid=grid, values=np.zeros(grid.table_shape))
+        table = LogicTable(grid=grid, values=np.zeros(grid.table_shape), cost=np.zeros((7, 7)))
         mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": Advisory.COC})
         assert mat.shape == (grid.tau_max + 1, len(grid.h_cuts))
         assert all(a is Advisory.COC for a in mat.ravel())
@@ -512,7 +520,7 @@ class TestPolicySlice:
         values = np.zeros(grid.table_shape)
         icoc = ADVISORIES.index(Advisory.COC)
         values[..., icoc] = -1.0  # make COC strictly worse everywhere
-        table = LogicTable(grid=grid, values=values)
+        table = LogicTable(grid=grid, values=values, cost=np.zeros((7, 7)))
         mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": Advisory.COC})
         # remaining six advisories tie at 0; DNC is first in canonical order
         assert all(a is Advisory.DNC for a in mat.ravel())
@@ -542,7 +550,7 @@ class TestPolicySlice:
         values[..., ADVISORIES.index(Advisory.COC)] = 0.0
         for a in (Advisory.DNC, Advisory.DND):  # a mirror pair, as h = 0 requires
             values[..., ADVISORIES.index(a)] = -0.5 * TIE_TOL
-        table = LogicTable(grid=grid, values=values)
+        table = LogicTable(grid=grid, values=values, cost=np.zeros((7, 7)))
         for held, expected in ((Advisory.DND, Advisory.DND), (Advisory.DNC, Advisory.DNC),
                                (Advisory.COC, Advisory.COC), (Advisory.CL1500, Advisory.COC)):
             mat = policy_slice(table, {"hdot0": 0.0, "hdot1": 0.0, "a_prev": held})

@@ -10,6 +10,7 @@ from caslab.runtime import (
     CoordinationMessage,
     OnlineContext,
     apply_online_costs,
+    apply_online_costs_many,
     belief_action_values,
     coordinate,
     fuse_multithreat,
@@ -19,7 +20,8 @@ from caslab.runtime import (
     synthesize_belief,
     weighted_particle_values,
 )
-from conftest import full_values
+from caslab.tablefile import read_table, write_table
+from conftest import full_expected, full_values
 
 
 def vertex_state(grid, ih, i0, i1, itau, a_prev=Advisory.COC):
@@ -113,13 +115,13 @@ def lookup_queries(grid, rng):
 
 
 def full_grid_lookup(table, h, hdot0, hdot1, tau, ia_prev):
-    """interpolate_many without the mirror: 16 corners gathered from full_values."""
+    """interpolate_many without the mirror: 16 corners gathered from full_expected."""
     grid = table.grid
-    full = full_values(table).reshape(-1, len(ADVISORIES))
+    full = full_expected(table).reshape(-1, len(ADVISORIES))
     axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, grid.tau_cuts)
     idx, hi = zip(*(_locate_many(x, cuts) for cuts, x in zip(axes, (h, hdot0, hdot1, tau))))
-    strides = np.cumprod((1,) + grid.shape[:0:-1])[::-1][:4]  # h, hdot0, hdot1, tau
-    base = sum(i * s for i, s in zip(idx, strides)) + ia_prev
+    strides = np.cumprod((1,) + grid.shape[1:4][::-1])[::-1]  # h, hdot0, hdot1, tau
+    base = sum(i * s for i, s in zip(idx, strides))
     corners = np.array(list(itertools.product((0, 1), repeat=4)))
     w = (
         np.stack([1.0 - hi[0], hi[0]], axis=1)[:, :, None, None, None]
@@ -128,7 +130,7 @@ def full_grid_lookup(table, h, hdot0, hdot1, tau, ia_prev):
         * np.stack([1.0 - hi[3], hi[3]], axis=1)[:, None, None, None, :]
     ).reshape(len(base), 16)
     vals = full[base[:, None] + corners @ strides].astype(float)
-    return np.einsum("nc,nca->na", w, vals)
+    return np.einsum("nc,nca->na", w, vals) + table.cost[ia_prev]
 
 
 class TestMirroredLookup:
@@ -153,7 +155,7 @@ class TestFloat32Table:
     """A read table (float32) looks up exactly like its float64 widening."""
 
     def widened(self, table):
-        return LogicTable(grid=table.grid, values=table.values.astype(float))
+        return LogicTable(grid=table.grid, values=table.values.astype(float), cost=table.cost)
 
     def test_interpolate_many_bit_identical(self, read_small_table):
         q = lookup_queries(read_small_table.grid, np.random.default_rng(5))
@@ -167,6 +169,28 @@ class TestFloat32Table:
         w = np.random.default_rng(7).dirichlet(np.ones(20))
         out = weighted_particle_values(read_small_table, *q, w)
         assert out.tobytes() == weighted_particle_values(self.widened(read_small_table), *q, w).tobytes()
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_decisions_survive_storage_rounding(self, default_table, tmp_path, online):
+        # Storing E as float32 moves a value by up to ~6e-8; under the tie
+        # rule the float64 table and its ACXT round trip select alike.
+        path = tmp_path / "table.acxt"
+        write_table(default_table, path)
+        stored = read_table(path)
+        grid = default_table.grid
+        rng = np.random.default_rng(11)
+        n = 20_000
+        h = rng.uniform(0.0, grid.h_cuts[-1], n) * np.where(np.arange(n) % 2, 1.0, -1.0)
+        q = (h, rng.uniform(grid.hdot0_cuts[0], grid.hdot0_cuts[-1], n),
+             rng.uniform(grid.hdot1_cuts[0], grid.hdot1_cuts[-1], n),
+             rng.integers(0, grid.tau_max + 1, n).astype(float), np.arange(n) % len(ADVISORIES))
+        masks = [rng.random(n) < 0.3 if online else np.zeros(n, bool) for _ in range(3)]
+        masks[2] &= ~masks[1]  # one coordination constraint at a time
+        chosen = []
+        for table in (default_table, stored):
+            values = apply_online_costs_many(interpolate_many(table, *q), *masks, -1.0e6)
+            chosen.append(select_advisories(values, q[4]))
+        assert np.array_equal(chosen[0], chosen[1])
 
     def test_policy_slice_identical(self, read_small_table):
         grid = read_small_table.grid

@@ -5,7 +5,7 @@ import pytest
 
 from caslab.optimizer import LogicTable
 from caslab.tablefile import FORMAT_VERSION, MAGIC, TableFormatError, read_table, write_table
-from conftest import acxt_header_bytes
+from conftest import ACXT_COST_BYTES, acxt_header_bytes
 
 
 class TestRoundTrip:
@@ -65,25 +65,25 @@ class TestErrors:
     @pytest.mark.parametrize("stale", [False, True])
     def test_value_beyond_float32_refused_without_file(self, small_table, tmp_path, stale):
         values = small_table.values.copy()
-        values[1, 0, 2, 3, 0, 4] = -1e39
+        values[1, 0, 2, 3, 4] = -1e39
         path = tmp_path / "t.acxt"
         if stale:
             path.write_bytes(b"an earlier table")
         with pytest.raises(TableFormatError, match="float32 range"):
-            write_table(LogicTable(grid=small_table.grid, values=values), path)
+            write_table(LogicTable(grid=small_table.grid, values=values, cost=small_table.cost), path)
         assert not path.exists()
 
     def test_float32_extremes_are_written(self, small_table, tmp_path):
         values = small_table.values.copy()
-        values[-1, 0, 0, 0, 0, :2] = (np.finfo(np.float32).min, np.finfo(np.float32).max)
+        values[-1, 0, 0, 0, :2] = (np.finfo(np.float32).min, np.finfo(np.float32).max)
         path = tmp_path / "t.acxt"
-        write_table(LogicTable(grid=small_table.grid, values=values), path)
+        write_table(LogicTable(grid=small_table.grid, values=values, cost=small_table.cost), path)
         np.testing.assert_array_equal(read_table(path).values, values.astype(np.float32))
 
 
 def h_zero_off_its_own_mirror(raw, grid):
     """One value of the h = 0 slab, the first slab stored, moved by one float32 ulp."""
-    start = acxt_header_bytes(grid)
+    start = acxt_header_bytes(grid) + ACXT_COST_BYTES
     (bits,) = np.frombuffer(raw, dtype="<u4", count=1, offset=start)
     return raw[:start] + int(bits + 1).to_bytes(4, "little") + raw[start + 4:]
 
@@ -114,23 +114,25 @@ class TestHalfTable:
             read_table(path)
 
     def test_file_values_are_the_table_values(self, small_table, tmp_path):
-        # the value array is the h >= 0 table itself: nothing below zero
+        # a float64 cost block, then the h >= 0 table itself: nothing below
+        # zero, and no a_prev axis
         path = tmp_path / "t.acxt"
         write_table(small_table, path)
         grid = small_table.grid
         raw = path.read_bytes()
         header = acxt_header_bytes(grid)
-        assert len(raw) == header + 4 * math.prod(grid.table_shape)
-        assert raw[header:] == small_table.values.astype("<f4").tobytes()
+        assert len(raw) == header + ACXT_COST_BYTES + 4 * math.prod(grid.table_shape)
+        assert raw[header:header + ACXT_COST_BYTES] == small_table.cost.astype("<f8").tobytes()
+        assert raw[header + ACXT_COST_BYTES:] == small_table.values.astype("<f4").tobytes()
 
     def test_h_zero_row_must_be_its_own_mirror(self, small_table):
         values = small_table.values.copy()
-        values[0, 0, 0, 0, 0, 0] += 1e-3
+        values[0, 0, 0, 0, 0] += 1e-3
         with pytest.raises(ValueError, match="own vertical mirror"):
-            LogicTable(grid=small_table.grid, values=values)
+            LogicTable(grid=small_table.grid, values=values, cost=small_table.cost)
 
     def test_non_finite_value_refused(self, small_table):
         values = small_table.values.copy()
-        values[-1, 1, 2, 3, 4, 5] = np.inf
+        values[-1, 1, 2, 3, 5] = np.inf
         with pytest.raises(ValueError, match="finite"):
-            LogicTable(grid=small_table.grid, values=values)
+            LogicTable(grid=small_table.grid, values=values, cost=small_table.cost)

@@ -310,10 +310,13 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
         baseline = _report(flags[1], log_weight, weighted=False)
         payload["baseline_p_nmac"] = baseline.p_nmac
         payload["baseline_p_nmac_se"] = baseline.p_nmac_se
+        payload["baseline_p_nmac_upper95"] = baseline.p_nmac_upper95
         if baseline.p_nmac > 0:
             ratio = risk_ratio(report, baseline)
             payload["risk_ratio"] = ratio.value
             payload["risk_ratio_se"] = ratio.se
+        else:
+            payload["risk_ratio_omitted"] = "the unequipped baseline saw no NMAC"
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if cfg["evaluation"]["per_encounter_csv"]:
         with open(out_dir / "per_encounter.csv", "w", newline="") as f:

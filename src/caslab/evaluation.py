@@ -98,19 +98,25 @@ class Equipage:
 class MetricsReport:
     """Estimated event probabilities with standard errors.
 
-    A weighted report holds unnormalized importance-sampling estimates
-    (sum of w * flag over n): unbiased, but on a finite sample a rate can
-    exceed 1, so only finiteness and sign are checked for it.
+    A plain report also bounds P(NMAC): p_nmac_upper95 is its one-sided
+    95 % Clopper-Pearson upper bound.  With no NMAC in the sample the
+    binomial standard error would read 0, a certainty no finite sample
+    gives, so p_nmac_se is None there and the bound alone describes the
+    uncertainty.  A weighted report holds unnormalized importance-sampling
+    estimates (sum of w * flag over n): unbiased, but on a finite sample a
+    rate can exceed 1, so only finiteness and sign are checked for it; it
+    carries no bound.
     """
 
     n: int
     p_nmac: float
-    p_nmac_se: float
+    p_nmac_se: Optional[float]
     alert_rate: float
     strengthen_rate: float
     reversal_rate: float
     crossing_rate: float
     effective_sample_size: float
+    p_nmac_upper95: Optional[float] = None
     weighted: bool = False
 
     def __post_init__(self) -> None:
@@ -121,14 +127,16 @@ class MetricsReport:
                     raise ValueError(f"{name} must be finite and >= 0, got {v}")
             elif not (-1e-9 <= v <= 1.0 + 1e-9):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.p_nmac_se < 0 or self.effective_sample_size < 0:
+        if (self.p_nmac_se is not None and self.p_nmac_se < 0) or self.effective_sample_size < 0:
             raise ValueError("standard error and ESS must be >= 0")
 
 
 @dataclass(frozen=True)
 class RiskRatio:
+    """Equipped-to-unequipped NMAC ratio; se is None when the equipped side has none."""
+
     value: float
-    se: float
+    se: Optional[float]
 
 
 # Per-step event bits of the lockstep simulator, in EncounterTrace label terms.
@@ -541,7 +549,8 @@ def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> Metric
     else:
         est = {k: float(np.mean(v)) for k, v in columns.items()}
         p = est["nmac"]
-        se = math.sqrt(p * (1.0 - p) / n)
+        events = int(columns["nmac"].sum())
+        se = math.sqrt(p * (1.0 - p) / n) if events else None
         ess = float(n)
     return MetricsReport(
         n=n,
@@ -552,8 +561,38 @@ def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> Metric
         reversal_rate=est["reversal"],
         crossing_rate=est["crossing"],
         effective_sample_size=ess,
+        p_nmac_upper95=None if weighted else binomial_upper_bound(events, n),
         weighted=weighted,
     )
+
+
+def binomial_upper_bound(k: int, n: int, alpha: float = 0.05) -> float:
+    """One-sided 100(1 - alpha) % Clopper-Pearson upper bound on a rate seen k times in n.
+
+    The bound is the p at which P(X <= k | n, p) = alpha: 1 - alpha^(1/n)
+    at k = 0, found by bisection on the binomial CDF otherwise, and 1 at
+    k = n.  The CDF is summed with math.lgamma and math.exp, which give the
+    same bits on every platform.
+    """
+    if k >= n:
+        return 1.0
+    if k == 0:
+        return 1.0 - alpha ** (1.0 / n)
+    log_choose = [math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                  for i in range(k + 1)]
+
+    def cdf(p: float) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        return math.fsum(math.exp(c + i * log_p + (n - i) * log_q) for i, c in enumerate(log_choose))
+
+    lo, hi = k / n, 1.0  # cdf(lo) > alpha > cdf(hi): the median of Bin(n, k/n) is at least k
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if cdf(mid) > alpha:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def estimate_metrics(
@@ -565,14 +604,20 @@ def estimate_metrics(
 
 
 def risk_ratio(equipped: MetricsReport, unequipped: MetricsReport) -> RiskRatio:
-    """Equipped-to-unequipped NMAC probability ratio with delta-method SE."""
+    """Equipped-to-unequipped NMAC probability ratio with delta-method SE.
+
+    The SE is None when the equipped report has none, as a plain report
+    with no NMAC does.
+    """
     if unequipped.p_nmac <= 0.0:
         raise ValueError(
             "risk ratio undefined: unequipped run produced no NMACs "
             "(insufficient unequipped NMAC count)"
         )
     r = equipped.p_nmac / unequipped.p_nmac
-    if equipped.p_nmac > 0.0:
+    if equipped.p_nmac_se is None:
+        se = None
+    elif equipped.p_nmac > 0.0:
         se = r * math.sqrt(
             (equipped.p_nmac_se / equipped.p_nmac) ** 2
             + (unequipped.p_nmac_se / unequipped.p_nmac) ** 2

@@ -133,6 +133,25 @@ class TestEvaluate:
         p_nmac = json.loads((out / "metrics.json").read_text())["p_nmac"]
         assert sum(int(r[1]) for r in rows[1:]) / 20 == p_nmac
 
+    def test_zero_nmac_runs_report_bounds(self, tmp_path):
+        # a toy model with no conflict: neither side sees an NMAC, so each
+        # reports its one-sided bound instead of an SE, and the omitted risk
+        # ratio says why
+        write_model_file(toy_two_bin_model(1e-6), tmp_path / "model.json")
+        cfg = small_grid_config(
+            tmp_path, paths={"model_file": str(tmp_path / "model.json")},
+            evaluation={"n": 60, "equipage": ["none", "none"], "compare_unequipped": True},
+        )
+        out = tmp_path / "zero"
+        assert main(["evaluate", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
+        m = json.loads((out / "metrics.json").read_text())
+        bound = 1.0 - 0.05 ** (1.0 / 60)
+        assert m["p_nmac"] == m["baseline_p_nmac"] == 0.0
+        assert m["p_nmac_se"] is None and m["baseline_p_nmac_se"] is None
+        assert m["p_nmac_upper95"] == m["baseline_p_nmac_upper95"] == bound
+        assert "risk_ratio" not in m
+        assert m["risk_ratio_omitted"] == "the unequipped baseline saw no NMAC"
+
     def test_weighted_rate_above_one_is_reported(self, tmp_path):
         # TCAS alerts on every toy encounter and a non-conflict draw weighs
         # 0.95 / 0.5 = 1.9, so the unnormalized IS alert rate sum(w * alert) / n
@@ -588,18 +607,19 @@ class TestConfigRoundTrip:
 # sha256 of each output file of the runs in command_outputs, recorded before
 # the closed-loop outcomes became arrays end to end; the table runs'
 # (table/*, simulate/trace.csv) were recorded again when the table began to
-# hold its advisory on a tie.  A change here changes what evaluate, simulate
-# or sample write at a fixed seed.
+# hold its advisory on a tie, and every metrics.json again when plain runs
+# began to report an upper bound on P(NMAC).  A change here changes what
+# evaluate, simulate or sample write at a fixed seed.
 PINNED_OUTPUT_DIGESTS = {
-    "is/metrics.json": "ad1c3e89437421fcfba042624caffdbf5ef76938d305c3d011b1c6c07c80e618",
+    "is/metrics.json": "e0e390c608b94fe38ccad38b870dd688a7dcfbcaef68707d5eb062c6e08549c6",
     "is/per_encounter.csv": "7ba2fe83f5be9e8e56193da042049a2a2da6fe6318eee518debf8a4588fc33d9",
     "sample/encounter_0000.csv": "84cd1c64ccbd9e95259e2b325ba0f9c866536fe57219908c66540a63aef9875f",
     "sample/encounter_0001.csv": "218597008f9b76e9dafd0ef5b0b50b8ef2425f2bf8b94f1ceb776e8aa8a52d52",
     "sample/encounter_0002.csv": "db116690c5954be6f3c45d4bc245680d65a86637e444b7cdeb2b1151d9ffb884",
     "simulate/trace.csv": "b2acfc1ae11f8adebad0da28193dcc6327483e8c74a7152e9cb33205e42e7c52",
-    "table/metrics.json": "1714a0f684fdfe445994d3c5135ecc190864726af477984bd4c0673e0cb6ac1a",
+    "table/metrics.json": "2b0dad6b1cfeab5df661c97d36a67aa3e8c1fcfc4fb84d0e61eb3950891c6f0d",
     "table/per_encounter.csv": "4c58e230c73bc372b10d7c71ad1410be9560a6eb9af4d7a1da6d7707976b8304",
-    "tcas_workers/metrics.json": "2e70bdfe28086f3cecda13bc6a676d424aa985856771750f0584248b38b4f94b",
+    "tcas_workers/metrics.json": "5aea4e86fe09c682db433161b4a5adcd1c715245d87a9e4ea139ea53b7a45c27",
     "tcas_workers/per_encounter.csv": "59a8866311613414a4e7ef228689d4bbcd697ccde7b8baf1392b4129f11cc466",
 }
 

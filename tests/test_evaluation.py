@@ -39,6 +39,7 @@ from caslab.evaluation import (
     _quantized_tau,
     _rngs,
     _run_chunk,
+    binomial_upper_bound,
     cross_entropy_adapt,
     estimate_metrics,
     is_estimate,
@@ -485,6 +486,49 @@ class TestEstimateMetrics:
             assert serial == parallel
 
 
+class TestZeroEventReporting:
+    @pytest.mark.parametrize("n, k", [(1, 0), (10, 1), (60, 0), (60, 3), (100, 5), (400, 20)])
+    def test_upper_bound_is_the_clopper_pearson_point(self, n, k):
+        # P(X <= k | n, bound) = 0.05, summed exactly with integer binomials
+        bound = binomial_upper_bound(k, n)
+        cdf = sum(math.comb(n, i) * bound ** i * (1.0 - bound) ** (n - i) for i in range(k + 1))
+        assert cdf == pytest.approx(0.05, rel=1e-9)
+        assert k / n < bound < 1.0
+
+    def test_upper_bound_at_zero_events_is_closed_form(self):
+        for n in (1, 60, 4000):
+            assert binomial_upper_bound(0, n) == 1.0 - 0.05 ** (1.0 / n)
+
+    def test_upper_bound_known_values(self):
+        # the 0.95 quantile of Beta(k + 1, n - k), as tabulated
+        assert binomial_upper_bound(1, 10) == pytest.approx(0.3941633024365047, rel=1e-12)
+        assert binomial_upper_bound(5, 100) == pytest.approx(0.1022533776432745, rel=1e-12)
+        assert binomial_upper_bound(10, 10) == 1.0
+
+    def test_upper_bound_grows_with_events(self):
+        bounds = [binomial_upper_bound(k, 50) for k in range(51)]
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+    def test_report_without_nmacs_bounds_instead_of_se(self):
+        rep = estimate_metrics(toy_two_bin_model(p_conflict=1e-6), Equipage(), 60, seed=0)
+        assert rep.p_nmac == 0.0
+        assert rep.p_nmac_se is None
+        assert rep.p_nmac_upper95 == 1.0 - 0.05 ** (1.0 / 60)
+
+    def test_report_with_nmacs_keeps_se_and_bounds(self):
+        toy = toy_two_bin_model(p_conflict=0.3)
+        rep = estimate_metrics(toy, Equipage(), 200, seed=11)
+        k = round(rep.p_nmac * 200)
+        assert 0 < k < 200
+        assert rep.p_nmac_se == math.sqrt(rep.p_nmac * (1 - rep.p_nmac) / 200)
+        assert rep.p_nmac_upper95 == binomial_upper_bound(k, 200)
+
+    def test_weighted_report_has_no_bound(self):
+        toy = toy_two_bin_model(p_conflict=0.05)
+        rep = is_estimate(toy, toy_two_bin_model(p_conflict=0.5), Equipage(), 40, seed=3)
+        assert rep.p_nmac_upper95 is None and rep.p_nmac_se is not None
+
+
 class TestRiskRatio:
     def report(self, p, se=0.01, n=1000):
         return MetricsReport(
@@ -504,6 +548,11 @@ class TestRiskRatio:
         r = risk_ratio(self.report(0.0, se=0.0), self.report(0.1))
         assert r.value == 0.0
         assert r.se == 0.0
+
+    def test_no_equipped_se_gives_no_ratio_se(self):
+        r = risk_ratio(self.report(0.0, se=None), self.report(0.1))
+        assert r.value == 0.0
+        assert r.se is None
 
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError, match="unequipped"):

@@ -566,14 +566,15 @@ def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> Metric
     )
 
 
-def binomial_upper_bound(k: int, n: int, alpha: float = 0.05) -> float:
-    """One-sided 100(1 - alpha) % Clopper-Pearson upper bound on a rate seen k times in n.
+def binomial_upper_bound(k: int, n: int) -> float:
+    """One-sided 95 % Clopper-Pearson upper bound on a rate seen k times in n.
 
-    The bound is the p at which P(X <= k | n, p) = alpha: 1 - alpha^(1/n)
-    at k = 0, found by bisection on the binomial CDF otherwise, and 1 at
-    k = n.  The CDF is summed with math.lgamma and math.exp, which give the
-    same bits on every platform.
+    The bound is the p at which P(X <= k | n, p) = 0.05: 1 - 0.05^(1/n) at
+    k = 0, found by bisection on the binomial CDF otherwise, and 1 at k = n.
+    The CDF is summed in Python (math.lgamma, math.exp, math.fsum), not by
+    numpy, whose vectorized exp may differ in the last bit between machines.
     """
+    alpha = 0.05
     if k >= n:
         return 1.0
     if k == 0:

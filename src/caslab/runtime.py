@@ -216,7 +216,7 @@ def select_action(values: np.ndarray, held: Advisory = Advisory.COC) -> Advisory
         raise ValueError("value vector must match the advisory axis")
     if not np.all(np.isfinite(values)):
         raise ValueError("action values must be finite")
-    return ADVISORIES[int(select_advisories(values[None, :], [ADVISORIES.index(held)])[0])]
+    return ADVISORIES[int(select_advisories(values[None, :], ADVISORIES.index(held))[0])]
 
 
 def fuse_multithreat(per_intruder_values: Sequence[np.ndarray]) -> np.ndarray:

@@ -12,7 +12,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional
 
@@ -44,7 +44,6 @@ from .evaluation import (
     run_indexed_traces,
 )
 from .optimizer import backward_induction, policy_slice
-from .runtime import OnlineContext
 from .tablefile import TableFormatError, read_table, write_table
 
 E_CONFIG_NOT_FOUND = "E_CONFIG_NOT_FOUND"
@@ -132,8 +131,6 @@ def _load_model(cfg: dict) -> EncounterModel:
     if path is not None:
         return _read_model(path, "model file")
     enc = cfg["encounter"]
-    if not enc["use_default_model"]:
-        raise CliError(E_MODEL_NOT_FOUND, "no model_file configured and default model disabled")
     factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
     with _config_values():
         return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
@@ -177,9 +174,6 @@ def _equipage(cfg: dict) -> Equipage:
         raise CliError(E_CONFIG_INVALID, f"evaluation.equipage must list two logic kinds, got {kinds!r}")
     own, intruder = kinds
     table = _load_table(cfg) if "table" in kinds else None
-    # The online block holds OnlineContext fields and Equipage belief fields.
-    context_fields = {f.name for f in fields(OnlineContext)}
-    online = cfg["online"]
     with _config_values():
         pilot = configmod.pilot_from_config(cfg)
         p_override = cfg["evaluation"]["pilot_response_probability"]
@@ -191,8 +185,7 @@ def _equipage(cfg: dict) -> Equipage:
             pilot=pilot,
             table=table,
             tcas=configmod.tcas_from_config(cfg, pilot),
-            context=OnlineContext(**{k: v for k, v in online.items() if k in context_fields}),
-            **{k: v for k, v in online.items() if k not in context_fields},
+            **cfg["online"],
         )
 
 
@@ -222,7 +215,7 @@ def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> Discret
         reader = csv.reader(f)
         header = next(reader, [])
         if header != nodes:
-            raise CliError(E_CONFIG_INVALID, f"sample CSV columns {header} != nodes {nodes}")
+            raise CliError(E_SAMPLES_INVALID, f"{path}: columns {header} != nodes {nodes}")
         rows = []
         for row in reader:
             try:

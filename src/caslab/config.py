@@ -21,7 +21,6 @@ from .dynamics import IntruderModel, PilotModel
 from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S
 from .evaluation import Equipage
 from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams, checked_cuts
-from .runtime import OnlineContext
 from .tcas import TcasConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -34,8 +33,8 @@ def _defaults(obj, names=None) -> dict:
 
 
 # A block with an owning dataclass holds that dataclass's defaults, so each
-# default has one definition.  The online block feeds two objects: the
-# OnlineContext costs and the Equipage belief settings.
+# default has one definition.  The online block holds the Equipage online
+# cost and belief settings.
 DEFAULT_CONFIG = {
     "schema_version": CONFIG_SCHEMA_VERSION,
     "paths": {
@@ -55,15 +54,12 @@ DEFAULT_CONFIG = {
     "pilot": _defaults(PilotModel()),
     "intruder": _defaults(IntruderModel()),
     "tcas": {k: v for k, v in _defaults(TcasConfig()).items() if k != "pilot"},
-    "online": {
-        **_defaults(OnlineContext(), ["inhibit_altitude", "cost_magnitude"]),
-        **_defaults(Equipage(), ["belief_sigma_h", "belief_sigma_rate", "belief_particles"]),
-    },
+    "online": _defaults(Equipage(), ["inhibit_altitude", "cost_magnitude", "belief_sigma_h",
+                                     "belief_sigma_rate", "belief_particles"]),
     "encounter": {
         "mode": CORRELATED,
         "duration": DEFAULT_DURATION_S,
         "dt": DEFAULT_DT_S,
-        "use_default_model": True,
     },
     "slice": {"hdot0": 0.0, "hdot1": 0.0, "a_prev": "COC"},
     "sample": {"count": 10},

@@ -58,10 +58,6 @@ OWN_POS0 = (0.0, 0.0)
 HEADINGS = (0.0, math.pi)
 
 
-class EncounterError(RuntimeError):
-    pass
-
-
 class ModelFormatError(ValueError):
     """A model file that does not hold a valid encounter model."""
 
@@ -85,6 +81,9 @@ class EncounterModel:
             raise ValueError(f"mode must be correlated or uncorrelated, got {self.mode!r}")
         if self.dt <= 0 or self.duration <= 0:
             raise ValueError("duration and dt must be > 0")
+        for name in REQUIRED_VARS:
+            if name not in self.initial_net.nodes:
+                raise ValueError(f"model is missing required variable {name!r}")
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integral number of steps")
@@ -248,24 +247,19 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     ft) from the ownship at a uniformly drawn time in the run.
 
     Every draw is a random() for a bin and lo + (hi - lo) * random() for a
-    value in a bin with width, so each generator first gives one block of
-    the most uniforms its encounter can use and is then left exactly as
-    far advanced as the uniforms the encounter used.  The encounter drawn
-    from a generator does not depend on the rest of the chunk.  The
-    generators must be distinct objects.
+    value in a bin with width, so each generator gives one block of the
+    most uniforms its encounter can use.  The encounter drawn from a
+    generator does not depend on the rest of the chunk.  The generators
+    must be distinct objects.
     """
     if len({id(rng) for rng in rngs}) != len(rngs):
         raise ValueError("each encounter of a chunk needs its own generator")
-    for name in REQUIRED_VARS:
-        if name not in model.initial_net.nodes:
-            raise EncounterError(f"model is missing required variable {name!r}")
     correlated = model.mode == CORRELATED
     # At most a bin and a value uniform per draw, plus two for placement.
     n_init = len(model.initial_net.nodes)
     n_next = len(model.transition_net.nodes) - n_init
     per_trajectory = 2 * n_init + 2 * n_next * (model.n_steps - 1)
     width = per_trajectory if correlated else 2 * per_trajectory + 2
-    states = [rng.bit_generator.state for rng in rngs]
     u = np.array([rng.random(width) for rng in rngs]).reshape(len(rngs), width)
     cursor = np.zeros(len(rngs), dtype=int)
     # One record of transition-net rows per trajectory sampled, in the
@@ -277,11 +271,6 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     if not correlated:
         batch = np.arange(len(rngs))
         t_u, miss_u = u[batch, cursor], u[batch, cursor + 1]
-        cursor += 2
-    for rng, state, used in zip(rngs, states, cursor.tolist()):
-        if used < width:
-            rng.bit_generator.state = state
-            rng.random(used)
 
     initial_bins = np.stack([bins for bins, _, _ in trajectories])
     # Ownship variables from the first trajectory, intruder variables from

@@ -47,8 +47,8 @@ from .runtime import (
     DEFAULT_BELIEF_PARTICLES,
     DEFAULT_BELIEF_SIGMA_H_FT,
     DEFAULT_BELIEF_SIGMA_RATE_FPS,
-    CoordinationConstraint,
-    OnlineContext,
+    DEFAULT_COST_MAGNITUDE,
+    DEFAULT_INHIBIT_ALTITUDE_FT,
     apply_online_costs_many,
     weighted_particle_values,
 )
@@ -68,14 +68,19 @@ STREAM_CE_SIMULATE = 3
 
 @dataclass(frozen=True)
 class Equipage:
-    """Per-aircraft logic selection plus the shared response/runtime models."""
+    """Per-aircraft logic selection plus the shared response/runtime models.
+
+    A table side below inhibit_altitude adds cost_magnitude (< 0) to its
+    down-sense advisories; a table follower adds it to its leader's sense.
+    """
 
     own: str = LOGIC_NONE
     intruder: str = LOGIC_NONE
     pilot: PilotModel = field(default_factory=PilotModel)
     table: Optional[LogicTable] = None
     tcas: TcasConfig = field(default_factory=TcasConfig)
-    context: OnlineContext = field(default_factory=OnlineContext)
+    inhibit_altitude: float = DEFAULT_INHIBIT_ALTITUDE_FT
+    cost_magnitude: float = DEFAULT_COST_MAGNITUDE
     belief_sigma_h: float = DEFAULT_BELIEF_SIGMA_H_FT
     belief_sigma_rate: float = DEFAULT_BELIEF_SIGMA_RATE_FPS
     belief_particles: int = DEFAULT_BELIEF_PARTICLES
@@ -86,6 +91,8 @@ class Equipage:
                 raise ValueError(f"unknown logic kind {side!r}")
         if LOGIC_TABLE in (self.own, self.intruder) and self.table is None:
             raise ValueError("table equipage requires a LogicTable")
+        if self.cost_magnitude >= 0:
+            raise ValueError("cost_magnitude must be negative (dominates table values)")
         for name in ("belief_sigma_h", "belief_sigma_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -267,9 +274,6 @@ def _fly(
             noise[..., 1] *= eq.belief_sigma_rate
             noise[..., 2] *= eq.belief_sigma_rate
         both_table = len(table_sides) == 2
-        ctx = eq.context
-        base_climb = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_CLIMB
-        base_descend = ctx.coordination_constraint is CoordinationConstraint.DO_NOT_DESCEND
 
     for k in range(n):
         step_events = events[:, k]
@@ -297,11 +301,10 @@ def _fly(
                 if both_table and i == 1:
                     no_climb, no_descend = leader_sense > 0, leader_sense < 0
                 else:
-                    no_climb = np.full(n_enc, base_climb)
-                    no_descend = np.full(n_enc, base_descend)
+                    no_climb = no_descend = np.zeros(n_enc, dtype=bool)
                 values = apply_online_costs_many(
-                    values, z[:, i] < ctx.inhibit_altitude, no_climb, no_descend,
-                    ctx.cost_magnitude,
+                    values, z[:, i] < eq.inhibit_altitude, no_climb, no_descend,
+                    eq.cost_magnitude,
                 )
                 if not np.all(np.isfinite(values)):
                     raise ValueError("action values must be finite")

@@ -171,7 +171,6 @@ class RewardParams:
     alert_cost: float = -0.01
     strengthen_cost: float = -0.005
     reversal_cost: float = -0.02
-    nmac_vertical: float = NMAC_VERTICAL_FT
 
     def __post_init__(self) -> None:
         for name in ("collision_cost", "alert_cost", "strengthen_cost", "reversal_cost"):
@@ -179,8 +178,6 @@ class RewardParams:
                 raise ValueError(f"{name} must be <= 0")
         if self.collision_cost > self.alert_cost:
             raise ValueError("collision_cost must not exceed alert_cost")
-        if self.nmac_vertical <= 0:
-            raise ValueError("nmac_vertical must be > 0")
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,7 @@ def select_advisories(values: np.ndarray, held) -> np.ndarray:
 def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
     """One-step reward: collision cost at tau=0 plus advisory-change costs."""
     r = 0.0
-    if s.tau == 0 and abs(s.h) < params.nmac_vertical:
+    if s.tau == 0 and abs(s.h) < NMAC_VERTICAL_FT:
         r += params.collision_cost
     if a is not Advisory.COC and s.a_prev is Advisory.COC:
         r += params.alert_cost
@@ -509,7 +506,7 @@ def _solve(
 
     cost = _advisory_cost_matrix(params)
     collision = np.repeat(
-        (np.abs(h_cuts) < params.nmac_vertical) * params.collision_cost, n0 * n1
+        (np.abs(h_cuts) < NMAC_VERTICAL_FT) * params.collision_cost, n0 * n1
     )
 
     slots, unorder = _sweep_operator(grid, pilot, intruder)

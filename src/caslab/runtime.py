@@ -47,7 +47,7 @@ class CoordinationMessage:
 
 @dataclass(frozen=True)
 class OnlineContext:
-    """Per-lookup operational context applied as online costs."""
+    """One lookup's online costs for the scalar API; the closed loop derives its own."""
 
     own_altitude_agl: float = math.inf
     coordination_constraint: Optional[CoordinationConstraint] = None

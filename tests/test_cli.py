@@ -17,6 +17,7 @@ from caslab.core import ADVISORIES, Advisory
 from caslab.encounters import (
     default_structure,
     default_uncorrelated_model,
+    model_to_dict,
     read_model_file,
     toy_two_bin_model,
     write_model_file,
@@ -199,6 +200,16 @@ class TestEvaluate:
         assert "-inf" in {repr(w) for w in log_weights}
 
 
+def model_without(name):
+    """A toy model file's text with variable name dropped from both networks."""
+    doc = model_to_dict(toy_two_bin_model())
+    for net in (doc["initial_net"], doc["transition_net"]):
+        i = net["nodes"].index(name)
+        for key in ("nodes", "parents", "bins", "cpt"):
+            del net[key][i]
+    return json.dumps(doc)
+
+
 # the command that reads each model path, and model files it must refuse
 MODEL_READERS = {
     "model_file": ["sample", "--seed", "1"],
@@ -209,6 +220,7 @@ MALFORMED_MODELS = {
     "not_json": "not json",
     "no_networks": '{"schema_version": 1}',
     "not_an_object": "[1, 2]",
+    "missing_required_variable": model_without("tau0"),
 }
 
 
@@ -374,7 +386,7 @@ class TestConfigContract:
         cfg = load_config(path)
         assert cfg["tcas"]["alim"] == 350 and cfg["evaluation"]["seed"] == 3
         assert cfg["paths"]["table_file"] == "table.acxt" and cfg["paths"]["model_file"] is None
-        for doc in ({"sample": {"count": True}}, {"encounter": {"use_default_model": 1}},
+        for doc in ({"sample": {"count": True}}, {"evaluation": {"per_encounter_csv": 1}},
                     {"grid": {"h_cuts": 5.0}}, {"pilot": None}, {"slice": {"a_prev": 0}}):
             path.write_text(json.dumps({"schema_version": 1, **doc}))
             with pytest.raises(ConfigError, match=next(iter(doc))):
@@ -581,9 +593,10 @@ class TestTableContract:
 
 
 
-# sha256 of dump_config(DEFAULT_CONFIG), recorded while the defaults were
-# still literals in config.py.  A change here changes every default run.
-PINNED_DEFAULT_CONFIG_DIGEST = "3a87b151b284cd1f8f3040c472242da4e2bc4b471a961e75cea991b01d543f61"
+# sha256 of dump_config(DEFAULT_CONFIG), re-pinned when the tree lost
+# encounter.use_default_model and rewards.nmac_vertical.  A change here
+# changes every default run.
+PINNED_DEFAULT_CONFIG_DIGEST = "d11bd38240e97bd00b1ece5481715b77d34ef9a9025734ee147015e790a64533"
 
 
 class TestConfigRoundTrip:
@@ -680,6 +693,23 @@ MALFORMED_SAMPLE_ROWS = {
     "bin_out_of_range": ([0, 0, 0, 0, 0, 0, 99], "bin index out of range for node int_vrate_next"),
     "bin_beyond_int64": ([0, 0, 0, 0, 0, 0, 2**64], "too large"),
 }
+# a whole transition-sample CSV that is malformed, and what the error names
+MALFORMED_SAMPLE_FILES = {
+    "wrong_header": ("own_vrate,int_vrate\n0,0\n", "columns ['own_vrate', 'int_vrate'] != nodes"),
+    "empty_file": ("", "columns [] != nodes"),
+}
+
+
+def sample_csvs(tmp_path):
+    """A valid one-row sample CSV per network of the default structure."""
+    paths = {}
+    for key, net in zip(("initial_samples_csv", "transition_samples_csv"), default_structure()):
+        paths[key] = tmp_path / f"{key}.csv"
+        with open(paths[key], "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(net.nodes)
+            writer.writerow([0] * len(net.nodes))
+    return paths
 
 
 class TestFitAndSample:
@@ -719,19 +749,25 @@ class TestFitAndSample:
     @pytest.mark.parametrize("fault", sorted(MALFORMED_SAMPLE_ROWS))
     def test_fit_refuses_malformed_samples(self, fault, tmp_path, capsys):
         row, fragment = MALFORMED_SAMPLE_ROWS[fault]
-        paths = {}
-        for key, net in zip(("initial_samples_csv", "transition_samples_csv"), default_structure()):
-            paths[key] = tmp_path / f"{key}.csv"
-            with open(paths[key], "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(net.nodes)
-                writer.writerow([0] * len(net.nodes))
+        paths = sample_csvs(tmp_path)
         with open(paths["transition_samples_csv"], "a", newline="") as f:
             csv.writer(f).writerow(row)
         cfg = small_grid_config(tmp_path, paths={k: str(v) for k, v in paths.items()})
         assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"E_SAMPLES_INVALID: {paths['transition_samples_csv']}")
+        assert err.count("\n") == 1
+        assert fragment in err
+
+    @pytest.mark.parametrize("fault", sorted(MALFORMED_SAMPLE_FILES))
+    def test_fit_refuses_malformed_sample_file(self, fault, tmp_path, capsys):
+        contents, fragment = MALFORMED_SAMPLE_FILES[fault]
+        paths = sample_csvs(tmp_path)
+        paths["transition_samples_csv"].write_text(contents)
+        cfg = small_grid_config(tmp_path, paths={k: str(v) for k, v in paths.items()})
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"E_SAMPLES_INVALID: {paths['transition_samples_csv']}: ")
         assert err.count("\n") == 1
         assert fragment in err
 

@@ -23,6 +23,7 @@ from caslab.dynamics import PilotModel, sample_response_delay, step_vertical
 from caslab.encounters import (
     HEADINGS,
     OWN_POS0,
+    SEPARATION_THRESHOLD_FT,
     EncounterBatch,
     build_encounters,
     default_correlated_model,
@@ -50,7 +51,10 @@ from caslab.evaluation import (
 )
 from caslab.optimizer import TIE_TOL
 from caslab.runtime import (
+    OnlineContext,
+    apply_online_costs,
     belief_action_values,
+    coordinate,
     interpolate,
     interpolate_many,
     select_action,
@@ -89,15 +93,21 @@ def trace_outcome(trace):
 ADVISORY_EVENTS = frozenset({EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL})
 
 
-def tracker_flight(enc, eq, rng):
-    """Reference TCAS closed loop: one TcasTracker per TCAS side, scalar kinematics.
+def reference_flight(enc, eq, rng):
+    """Reference closed loop: scalar kinematics and each side's scalar logic.
 
     Flies a batch of one encounter with the simulator's conventions (pilot
-    stream, response delays, nominal commands when not complying) and
-    returns each sample's (own, intruder) advisories, its
-    TA/RA/strengthen/reversal labels and both altitudes.
+    and belief streams, response delays, nominal commands when not
+    complying).  A TCAS side steps one TcasTracker.  A table side looks up
+    a synthesized belief of the true state, adds its online costs (the
+    low-altitude inhibit at its own altitude; for the follower of two table
+    sides, the constraint coordinate() derives from the leader's advisory
+    of the same step) and selects, holding its advisory on a tie.  Returns
+    each sample's (own, intruder) advisories, its TA/RA/strengthen/reversal
+    labels and both altitudes, and how many table selections each online
+    cost changed.
     """
-    pilot_rng, _ = rng.spawn(2)
+    pilot_rng, belief_rng = rng.spawn(2)
     n, dt = enc.n_steps, enc.dt
     (speed,), (int_pos0,), (alt0,), (cmds,) = (
         a.tolist() for a in (enc.speed, enc.int_pos0, enc.alt0, enc.vrate)
@@ -105,9 +115,11 @@ def tracker_flight(enc, eq, rng):
     vel = [(s * math.cos(heading), s * math.sin(heading)) for s, heading in zip(speed, HEADINGS)]
     pos0 = (OWN_POS0, int_pos0)
     z, vz = alt0, [cmds[0][0], cmds[1][0]]
-    trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in (eq.own, eq.intruder)]
+    kinds = (eq.own, eq.intruder)
+    trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in kinds]
     adv, complying, delay = [Advisory.COC] * 2, [False] * 2, [0, 0]
     advisories, labels, altitudes = [], [], []
+    binding = {"inhibit": 0, "coordination": 0}
     for k in range(n):
         states = [
             AircraftState(pos0[i][0] + vel[i][0] * k * dt, pos0[i][1] + vel[i][1] * k * dt,
@@ -115,12 +127,36 @@ def tracker_flight(enc, eq, rng):
             for i in (0, 1)
         ]
         step_labels = set()
-        for i, tracker in enumerate(trackers):
-            if tracker is None:
+        for i in (0, 1):
+            if kinds[i] == "tcas":
+                a, threat = trackers[i].step(states[i], states[1 - i])
+                if threat is Threat.TA:
+                    step_labels.add(EVENT_TA)
+            elif kinds[i] == "table":
+                tau_max = eq.table.grid.tau_max
+                t = horizontal_tau_xy(
+                    (states[1].x - states[0].x, states[1].y - states[0].y),
+                    (vel[1][0] - vel[0][0], vel[1][1] - vel[0][1]),
+                    SEPARATION_THRESHOLD_FT,
+                )
+                tau = float(tau_max if t is None else min(round(t), tau_max))
+                belief = synthesize_belief(
+                    VerticalState(z[1 - i] - z[i], vz[i], vz[1 - i], adv[i], tau),
+                    eq.belief_sigma_h, eq.belief_sigma_rate, eq.belief_particles, belief_rng,
+                )
+                values = belief_action_values(eq.table, belief)
+                inhibited = OnlineContext(own_altitude_agl=z[i], inhibit_altitude=eq.inhibit_altitude,
+                                          cost_magnitude=eq.cost_magnitude)
+                message = coordinate(leader, (0, 1)) if i == 1 and kinds[0] == "table" else None
+                constraint = None if message is None else message.constraint
+                ctx = dataclasses.replace(inhibited, coordination_constraint=constraint)
+                plain, floor, a = (select_action(v, held=adv[i]) for v in (
+                    values, apply_online_costs(values, inhibited), apply_online_costs(values, ctx)))
+                binding["inhibit"] += floor is not plain
+                binding["coordination"] += a is not floor
+                leader = a
+            else:
                 continue
-            a, threat = tracker.step(states[i], states[1 - i])
-            if threat is Threat.TA:
-                step_labels.add(EVENT_TA)
             if a is not adv[i]:
                 if adv[i] is Advisory.COC:
                     step_labels.add(EVENT_RA)
@@ -147,7 +183,7 @@ def tracker_flight(enc, eq, rng):
     advisories.append(tuple(adv))
     labels.append(frozenset())
     altitudes.append(tuple(z))
-    return advisories, labels, altitudes
+    return advisories, labels, altitudes, binding
 
 
 class TestSimulateEncounter:
@@ -335,6 +371,22 @@ class TestLockstep:
                 chunked += zip(flags[0].tolist(), severity[0].tolist())
             assert chunked == traced, f"chunk size {size}"
 
+    def assert_matches_reference(self, model, eq, seed):
+        """A chunk's traces against reference_flight; returns them and the summed cost bindings."""
+        traces = run_indexed_traces(model, eq, seed, range(self.N))
+        # reference_flight flies chunks of one, which build as in any chunk.
+        encs = [build_encounters(model, _rngs(seed, STREAM_ENCOUNTER, [b])) for b in range(self.N)]
+        rngs = _rngs(seed, STREAM_SIMULATE, range(self.N))
+        bound = {"inhibit": 0, "coordination": 0}
+        for b, (trace, enc, rng) in enumerate(zip(traces, encs, rngs)):
+            advisories, labels, altitudes, binding = reference_flight(enc, eq, rng)
+            assert list(trace.advisories) == advisories, b
+            assert [e & ADVISORY_EVENTS for e in trace.events] == labels, b
+            assert list(zip(trace.ownship.z.tolist(), trace.intruder.z.tolist())) == altitudes, b
+            for key in bound:
+                bound[key] += binding[key]
+        return traces, bound
+
     @pytest.mark.parametrize("factory", [default_correlated_model, default_uncorrelated_model])
     @pytest.mark.parametrize("sides", [("tcas", "none"), ("none", "tcas"), ("tcas", "tcas")])
     @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0])
@@ -344,16 +396,29 @@ class TestLockstep:
         # per encounter and side; dt != 1 makes every time to CPA fractional.
         model = factory(dt=dt)
         eq = Equipage(own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p))
-        traces = run_indexed_traces(model, eq, 71, range(self.N))
-        # tracker_flight flies chunks of one, which build as in any chunk.
-        encs = [build_encounters(model, _rngs(71, STREAM_ENCOUNTER, [b])) for b in range(self.N)]
-        rngs = _rngs(71, STREAM_SIMULATE, range(self.N))
-        for b, (trace, enc, rng) in enumerate(zip(traces, encs, rngs)):
-            advisories, labels, altitudes = tracker_flight(enc, eq, rng)
-            assert list(trace.advisories) == advisories, b
-            assert [e & ADVISORY_EVENTS for e in trace.events] == labels, b
-            assert list(zip(trace.ownship.z.tolist(), trace.intruder.z.tolist())) == altitudes, b
+        traces, _ = self.assert_matches_reference(model, eq, 71)
         assert all(any(EVENT_RA in e for e in trace.events) for trace in traces)
+
+    @pytest.mark.parametrize("sides", [("table", "none"), ("table", "table")])
+    @pytest.mark.parametrize("sigma_h", [0.0, 25.0])
+    @pytest.mark.parametrize("p", [1.0 / 6.0, 1.0])
+    def test_table_arrays_match_scalar_lookups(self, default_table, sides, sigma_h, p):
+        # A whole chunk's table lookups and online costs against the scalar
+        # API, one belief at a time.  A 6000 ft floor puts the 1000-5000 ft
+        # altitude layer under the low-altitude inhibit.
+        eq = Equipage(
+            own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p),
+            table=default_table, inhibit_altitude=6000.0, belief_sigma_h=sigma_h,
+            belief_sigma_rate=2.0 if sigma_h else 0.0,
+        )
+        _, bound = self.assert_matches_reference(default_correlated_model(), eq, 71)
+        assert bound["inhibit"] > 0
+        if sides == ("table", "none"):
+            assert bound["coordination"] == 0
+        elif p < 1:
+            # At p = 1 the two tables pick opposite senses unconstrained in
+            # these encounters, so only p = 1/6 shows the constraint binding.
+            assert bound["coordination"] > 0
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
     def test_chunk_traces_match_lone_traces(self, default_table, sides):

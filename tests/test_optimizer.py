@@ -246,27 +246,27 @@ class TestTransitionDistribution:
 
 class TestBackwardInduction:
     def test_hand_worked_collision_avoidance(self):
-        # engineered so one descend step lands exactly on the h=+4 vertex,
-        # outside the 2 ft collision band, while no-advisory stays inside
+        # engineered so one descend step (-25 ft/s reached at once: -12.5 ft)
+        # takes h = 95 exactly onto the h = 107.5 vertex, outside the 100 ft
+        # collision band, while no-advisory stays inside
         grid = Grid(
-            h_cuts=np.array([-1000.0, -4.0, 0.0, 4.0, 1000.0]),
+            h_cuts=np.array([-1000.0, -107.5, -95.0, 0.0, 95.0, 107.5, 1000.0]),
             hdot0_cuts=np.array([-25.0, 0.0, 25.0]),
             hdot1_cuts=np.array([-25.0, 0.0, 25.0]),
             tau_max=1,
         )
-        pilot = PilotModel(response_probability=1.0, acceleration=8.0)
+        pilot = PilotModel(response_probability=1.0, acceleration=25.0)
         intr = IntruderModel(sigma_accel=0.0)
         params = RewardParams(
-            collision_cost=-1.0, alert_cost=0.0, strengthen_cost=0.0,
-            reversal_cost=0.0, nmac_vertical=2.0,
+            collision_cost=-1.0, alert_cost=0.0, strengthen_cost=0.0, reversal_cost=0.0,
         )
         values = full_values(backward_induction(grid, pilot, intr, params))
-        ih0 = 2  # h = 0
+        ih = 4  # h = 95
         irate = 1  # level
         icoc = ADVISORIES.index(Advisory.COC)
         ides = ADVISORIES.index(Advisory.DES1500)
-        assert values[ih0, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
-        assert values[ih0, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
+        assert values[ih, irate, irate, 1, icoc, icoc] == pytest.approx(-1.0, abs=1e-12)
+        assert values[ih, irate, irate, 1, icoc, ides] == pytest.approx(0.0, abs=1e-12)
 
     def test_values_are_float64(self, small_table):
         # the DP is checked to 1e-9; only a table read from a file is float32

@@ -42,12 +42,13 @@ class PilotModel:
     deterministic_delay: float = DEFAULT_PILOT_DELAY_S
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
         if not (0.0 < self.response_probability <= 1.0):
             raise ValueError("response_probability must be in (0, 1]")
-        if self.acceleration <= 0:
-            raise ValueError("acceleration must be > 0")
-        if self.deterministic_delay < 0:
-            raise ValueError("deterministic_delay must be >= 0")
+        if not self.acceleration > 0:
+            raise ValueError(f"acceleration must be > 0, got {self.acceleration!r}")
+        if not self.deterministic_delay >= 0:
+            raise ValueError(f"deterministic_delay must be >= 0, got {self.deterministic_delay!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class IntruderModel:
     sigma_accel: float = DEFAULT_INTRUDER_SIGMA_FPS2
 
     def __post_init__(self) -> None:
-        if self.sigma_accel < 0:
-            raise ValueError("sigma_accel must be >= 0")
+        if not self.sigma_accel >= 0:
+            raise ValueError(f"sigma_accel must be >= 0, got {self.sigma_accel!r}")
 
 
 def step_vertical(

@@ -140,7 +140,6 @@ class EncounterBatch:
 
     dt: float
     n_steps: int
-    mode: str
     vrate: np.ndarray
     speed: np.ndarray
     int_pos0: np.ndarray
@@ -298,7 +297,6 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     return EncounterBatch(
         dt=model.dt,
         n_steps=model.n_steps,
-        mode=model.mode,
         vrate=np.stack([own_cmds[:, 0], int_cmds[:, 1]], axis=1),
         speed=np.stack([own_speed, int_speed], axis=1),
         int_pos0=int_pos0,

@@ -91,7 +91,7 @@ class Equipage:
                 raise ValueError(f"unknown logic kind {side!r}")
         if LOGIC_TABLE in (self.own, self.intruder) and self.table is None:
             raise ValueError("table equipage requires a LogicTable")
-        if self.cost_magnitude >= 0:
+        if not self.cost_magnitude < 0:
             raise ValueError("cost_magnitude must be negative (dominates table values)")
         for name in ("belief_sigma_h", "belief_sigma_rate"):
             if not getattr(self, name) >= 0:
@@ -158,8 +158,15 @@ CHUNK_ENCOUNTERS = 64
 # Lockstep state holds advisories as indices into ADVISORIES.
 _SENSE = np.array([a.sense for a in ADVISORIES])
 _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
-_STRENGTHENS = np.array([[is_strengthening(p, q) for q in ADVISORIES] for p in ADVISORIES])
-_REVERSES = np.array([[is_reversal(p, q) for q in ADVISORIES] for p in ADVISORIES])
+# Event bits a side scores when its advisory goes from index p to index q;
+# 0 on the diagonal, so a held advisory scores nothing.
+_CHANGE_BITS = np.array([
+    [(_BIT[EVENT_RA] if p == COC_INDEX != q else 0)
+     | (_BIT[EVENT_STRENGTHEN] if is_strengthening(a, b) else 0)
+     | (_BIT[EVENT_REVERSAL] if is_reversal(a, b) else 0)
+     for q, b in enumerate(ADVISORIES)]
+    for p, a in enumerate(ADVISORIES)
+])
 
 # Velocity components per unit speed of (ownship, intruder) in the encounter frame.
 _HEADING_COS = np.array([math.cos(heading) for heading in HEADINGS])
@@ -201,11 +208,16 @@ def _fly(
 
     rngs[b] is encounter b's simulation stream, split into pilot and belief
     streams exactly as for a lone encounter, so every encounter's result is
-    the same in any chunk.  Equipped aircraft re-evaluate their logic every
-    step; advisories override the nominal vertical command once the
-    (geometric) pilot delay elapses.  Unequipped aircraft replay the nominal
-    commands exactly.  Each table-equipped side makes one lookup per step
-    over all B beliefs, and each TCAS side one tracker_step_many.
+    the same in any chunk.  Each step does three things: the equipped sides
+    decide, the sample is recorded, and both aircraft move.  A side that
+    switches at step k to an advisory other than COC draws a geometric
+    pilot delay d and complies from step k + d for as long as it holds that
+    advisory; a switch while a delay runs draws a new one.  A complying
+    side moves toward its advisory's band, and every other side flies its
+    nominal command, so unequipped aircraft replay the nominal commands
+    exactly.  Each table-equipped side makes one lookup per step over all B
+    beliefs, and each TCAS side one tracker_step_many.  Every event is
+    scored once, from the record, after the last step.
     """
     n_enc, n, dt = len(enc), enc.n_steps, enc.dt
     if len(rngs) != n_enc:
@@ -235,8 +247,8 @@ def _fly(
     cmds = enc.vrate
     vz = cmds[:, :, 0].copy()
     adv = np.full((n_enc, 2), COC_INDEX)
-    complying = np.zeros((n_enc, 2), dtype=bool)
-    delay = np.zeros((n_enc, 2), dtype=int)
+    # The first step at which each side complies with its advisory.
+    comply_at = np.zeros((n_enc, 2), dtype=int)
 
     zs = np.empty((n_enc, 2, n + 1))
     vzs = np.empty((n_enc, 2, n + 1))
@@ -262,22 +274,16 @@ def _fly(
         tau_q = _quantized_tau(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None], grid.tau_max)
         # Each encounter's belief noise for all steps in one block, in the
         # order the steps consume it: step, then table side, then particle.
-        if eq.belief_sigma_h == 0.0 and eq.belief_sigma_rate == 0.0:
-            noise = None
-            zero_noise = np.zeros((n_enc, n_p, 3))
-        else:
-            noise = np.stack([
-                belief.normal(0.0, 1.0, size=(n, len(table_sides), n_p, 3))
-                for _, belief in streams
-            ])
-            noise[..., 0] *= eq.belief_sigma_h
-            noise[..., 1] *= eq.belief_sigma_rate
-            noise[..., 2] *= eq.belief_sigma_rate
+        # The belief stream feeds nothing else, so at sigma 0 it adds +-0.
+        noise = np.stack([
+            belief.normal(0.0, 1.0, size=(n, len(table_sides), n_p, 3))
+            for _, belief in streams
+        ])
+        noise[..., 0] *= eq.belief_sigma_h
+        noise[..., 1:] *= eq.belief_sigma_rate
         both_table = len(table_sides) == 2
 
     for k in range(n):
-        step_events = events[:, k]
-        prev = adv.copy()
         for i in equipped:
             o = 1 - i
             if logics[i] == LOGIC_TCAS:
@@ -288,7 +294,7 @@ def _fly(
             else:
                 # Array form of synthesize_belief followed by
                 # belief_action_values (same noise stream, same weights).
-                nz = zero_noise if noise is None else noise[:, k, table_sides.index(i)]
+                nz = noise[:, k, table_sides.index(i)]
                 values = weighted_particle_values(
                     table,
                     (z[:, o] - z[:, i])[:, None] + nz[..., 0],
@@ -313,47 +319,29 @@ def _fly(
                     # coordinate(): the leader's sense forbids the same sense.
                     leader_sense = _SENSE[selected]
 
-            changed = selected != adv[:, i]
-            if changed.any():
-                adv[:, i] = selected
-                for b in np.flatnonzero(changed & (selected != COC_INDEX)).tolist():
-                    delay[b, i] = sample_response_delay(eq.pilot, pilot_rngs[b])
-                complying[changed, i] = False
-            waiting = (adv[:, i] != COC_INDEX) & ~complying[:, i]
-            if waiting.any():
-                ready = waiting & (delay[:, i] == 0)
-                complying[ready, i] = True
-                delay[waiting & ~ready, i] -= 1
-
-        for i in equipped:
-            p, q = prev[:, i], adv[:, i]
-            changed = p != q
-            if changed.any():
-                step_events[changed & (p == COC_INDEX) & (q != COC_INDEX)] |= _BIT[EVENT_RA]
-                step_events[changed & _STRENGTHENS[p, q]] |= _BIT[EVENT_STRENGTHEN]
-                step_events[changed & _REVERSES[p, q]] |= _BIT[EVENT_REVERSAL]
+            for b in np.flatnonzero((selected != adv[:, i]) & (selected != COC_INDEX)).tolist():
+                comply_at[b, i] = k + sample_response_delay(eq.pilot, pilot_rngs[b])
+            adv[:, i] = selected
 
         # Record sample k, then advance kinematics over [k, k+1).
-        active = (adv != COC_INDEX) & complying
+        active = (adv != COC_INDEX) & (comply_at <= k)
         cmd = cmds[:, :, k]
         zs[:, :, k] = z
         vzs[:, :, k] = np.where(active, vz, cmd)
         adv_hist[:, k] = adv
-        if active.any():
-            z_comply, vz_comply = step_complying_many(
-                z, vz, _TARGET_FPS[adv], _SENSE[adv], eq.pilot, dt
-            )
-            z = np.where(active, z_comply, z + cmd * dt)
-            vz = np.where(active, vz_comply, cmd)
-        else:
-            z = z + cmd * dt
-            vz = cmd
+        z_comply, vz_comply = step_complying_many(z, vz, _TARGET_FPS[adv], _SENSE[adv], eq.pilot, dt)
+        z = np.where(active, z_comply, z + cmd * dt)
+        vz = np.where(active, vz_comply, cmd)
 
     # Terminal sample.
     zs[:, :, n] = z
     vzs[:, :, n] = vz
     adv_hist[:, n] = adv
 
+    # Advisory events from the recorded advisories: a side's advisory
+    # before sample k is COC at k = 0 and adv_hist[:, k-1] after that.
+    before = np.concatenate([np.full((n_enc, 1, 2), COC_INDEX), adv_hist[:, :n]], axis=1)
+    events |= np.bitwise_or.reduce(_CHANGE_BITS[before, adv_hist], axis=2)
     # Separation events from the recorded altitudes: NMAC at any sample,
     # and a crossing over step k while an advisory is active.  sep is the
     # NMAC-scaled separation, so NMAC holds exactly where sep < 1 (for
@@ -428,15 +416,13 @@ def run_indexed_traces(
     eq: Equipage,
     seed: int,
     indices: Sequence[int],
-    enc_stream: int = STREAM_ENCOUNTER,
-    sim_stream: int = STREAM_SIMULATE,
 ) -> List[EncounterTrace]:
     """Traces of the indexed encounters, built and flown as one chunk.
 
     Each trace is the same in any chunk, a chunk of one included.
     """
-    enc = build_encounters(model, _rngs(seed, enc_stream, indices))
-    return simulate_encounters(enc, eq, _rngs(seed, sim_stream, indices))
+    enc = build_encounters(model, _rngs(seed, STREAM_ENCOUNTER, indices))
+    return simulate_encounters(enc, eq, _rngs(seed, STREAM_SIMULATE, indices))
 
 
 def _run_chunk(

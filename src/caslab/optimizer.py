@@ -174,8 +174,8 @@ class RewardParams:
 
     def __post_init__(self) -> None:
         for name in ("collision_cost", "alert_cost", "strengthen_cost", "reversal_cost"):
-            if getattr(self, name) > 0:
-                raise ValueError(f"{name} must be <= 0")
+            if not getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be <= 0, got {getattr(self, name)!r}")
         if self.collision_cost > self.alert_cost:
             raise ValueError("collision_cost must not exceed alert_cost")
 
@@ -563,12 +563,7 @@ def policy_slice(
     below = table.values[:0:-1, -1 - i0, -1 - i1][..., MIRROR_INDEX]
     vals = np.concatenate([below, table.values[:, i0, i1]]) + table.cost[ia]  # (h, tau, action)
     best = select_advisories(vals.reshape(-1, len(ADVISORIES)), ia).reshape(vals.shape[:2])
-    ntau = grid.tau_max + 1
-    out = np.empty((ntau, len(grid.h_cuts)), dtype=object)
-    for itau in range(ntau):
-        for ih in range(len(grid.h_cuts)):
-            out[itau, ih] = ADVISORIES[best[ih, itau]]
-    return out
+    return np.array(ADVISORIES, dtype=object)[best.T]
 
 
 def _exact_cut_index(cuts: np.ndarray, value: float) -> int:

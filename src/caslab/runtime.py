@@ -55,7 +55,7 @@ class OnlineContext:
     cost_magnitude: float = DEFAULT_COST_MAGNITUDE
 
     def __post_init__(self) -> None:
-        if self.cost_magnitude >= 0:
+        if not self.cost_magnitude < 0:
             raise ValueError("cost_magnitude must be negative (dominates table values)")
 
 

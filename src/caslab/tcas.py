@@ -14,7 +14,6 @@ flies over a whole chunk of encounters at once.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence, Tuple
@@ -52,12 +51,12 @@ class TcasConfig:
     pilot: PilotModel = field(default_factory=PilotModel)
 
     def __post_init__(self) -> None:
+        # Each check is written so that NaN fails it.
         if not (self.ta_tau >= self.ra_tau > 0):
             raise ValueError("thresholds must satisfy ta_tau >= ra_tau > 0")
-        if self.alim <= 0:
-            raise ValueError("alim must be > 0")
-        if self.miss_distance_threshold <= 0:
-            raise ValueError("miss_distance_threshold must be > 0")
+        for name in ("alim", "miss_distance_threshold"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
 
 def closest_approach(own: AircraftState, intr: AircraftState) -> Tuple[Optional[float], float]:
@@ -70,11 +69,11 @@ def closest_approach(own: AircraftState, intr: AircraftState) -> Tuple[Optional[
     vx, vy = intr.vx - own.vx, intr.vy - own.vy
     vv = vx * vx + vy * vy
     if vv == 0.0:
-        return 0.0, math.hypot(px, py)
+        return 0.0, float(np.hypot(px, py))
     t = -(px * vx + py * vy) / vv
     if t < 0.0:
-        return None, math.hypot(px, py)
-    return t, math.hypot(px + vx * t, py + vy * t)
+        return None, float(np.hypot(px, py))
+    return t, float(np.hypot(px + vx * t, py + vy * t))
 
 
 def assess_threat(own: AircraftState, intr: AircraftState, cfg: TcasConfig) -> Threat:
@@ -179,19 +178,14 @@ def closest_approach_many(px, py, vx, vy) -> Tuple[np.ndarray, np.ndarray]:
     """Array form of closest_approach over broadcast relative positions and velocities.
 
     Returns (time to CPA, miss distance); the time is NaN where
-    closest_approach gives None, so it fails every threshold compare.  The
-    miss distance uses math.hypot, as closest_approach does.
+    closest_approach gives None, so it fails every threshold compare.
     """
     vv = vx * vx + vy * vy
     num = -(px * vx + py * vy)
     t = np.divide(num, vv, out=np.zeros_like(num), where=vv != 0.0)
     closing = t >= 0.0
     t = np.where(closing, t, 0.0)
-    mx, my = px + vx * t, py + vy * t
-    miss = np.array(
-        [math.hypot(a, b) for a, b in zip(mx.ravel().tolist(), my.ravel().tolist())]
-    ).reshape(mx.shape)
-    return np.where(closing, t, np.nan), miss
+    return np.where(closing, t, np.nan), np.hypot(px + vx * t, py + vy * t)
 
 
 def assess_threat_many(

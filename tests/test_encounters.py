@@ -223,7 +223,6 @@ class TestBuildEncounter:
 class TestUncorrelated:
     def test_two_draw_records(self):
         enc = build_encounter(default_uncorrelated_model(), np.random.default_rng(11))
-        assert enc.mode == UNCORRELATED
         assert len(enc.initial_bins) == len(enc.transition_rows) == 2
 
     def test_ownship_unaffected_by_intruder_cpts(self):
@@ -409,12 +408,13 @@ def encounter_digest(batches):
 
     Each encounter feeds the bytes one record per encounter gave: the
     ownship's start (0, 0) and heading 0 and the intruder's heading pi are
-    the fixed frame, which the batch does not store.
+    the fixed frame, and the mode is named by the number of draw records;
+    the batch stores neither.
     """
     h = hashlib.sha256()
     for enc in batches:
         for b in range(len(enc)):
-            h.update(enc.mode.encode())
+            h.update((CORRELATED if len(enc.initial_bins) == 1 else UNCORRELATED).encode())
             h.update(np.array([enc.dt, enc.n_steps], dtype=np.float64).tobytes())
             h.update(np.asarray(enc.vrate[b], dtype=np.float64).tobytes())
             h.update(np.array([*enc.speed[b], 0.0, 0.0, *enc.int_pos0[b], 0.0, math.pi,

@@ -19,7 +19,7 @@ from caslab.core import (
     is_reversal,
     is_strengthening,
 )
-from caslab.dynamics import PilotModel, sample_response_delay, step_vertical
+from caslab.dynamics import IntruderModel, PilotModel, sample_response_delay, step_vertical
 from caslab.encounters import (
     HEADINGS,
     OWN_POS0,
@@ -49,7 +49,7 @@ from caslab.evaluation import (
     simulate_encounter,
     trace_severity,
 )
-from caslab.optimizer import TIE_TOL
+from caslab.optimizer import TIE_TOL, RewardParams
 from caslab.runtime import (
     OnlineContext,
     apply_online_costs,
@@ -61,7 +61,7 @@ from caslab.runtime import (
     synthesize_belief,
     weighted_particle_values,
 )
-from caslab.tcas import TcasTracker, Threat
+from caslab.tcas import TcasConfig, TcasTracker, Threat
 from conftest import nominal_tracks
 
 
@@ -70,7 +70,6 @@ def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0,
     return EncounterBatch(
         dt=dt,
         n_steps=n_steps,
-        mode="correlated",
         vrate=np.array([[np.full(n_steps, own_vr), np.full(n_steps, int_vr)]]),
         speed=np.array([[closure / 2, closure / 2]]),
         int_pos0=np.array([[500.0 + closure * tau0, 0.0]]),
@@ -102,10 +101,13 @@ def reference_flight(enc, eq, rng):
     a synthesized belief of the true state, adds its online costs (the
     low-altitude inhibit at its own altitude; for the follower of two table
     sides, the constraint coordinate() derives from the leader's advisory
-    of the same step) and selects, holding its advisory on a tie.  Returns
-    each sample's (own, intruder) advisories, its TA/RA/strengthen/reversal
-    labels and both altitudes, and how many table selections each online
-    cost changed.
+    of the same step) and selects, holding its advisory on a tie.  A side
+    that switches to an advisory other than COC draws a new delay and
+    counts it down from that step, even while an earlier delay runs.
+    Returns each sample's (own, intruder) advisories, its
+    TA/RA/strengthen/reversal labels and both altitudes, how many table
+    selections each online cost changed, and how many switches restarted
+    a running delay.
     """
     pilot_rng, belief_rng = rng.spawn(2)
     n, dt = enc.n_steps, enc.dt
@@ -119,7 +121,7 @@ def reference_flight(enc, eq, rng):
     trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in kinds]
     adv, complying, delay = [Advisory.COC] * 2, [False] * 2, [0, 0]
     advisories, labels, altitudes = [], [], []
-    binding = {"inhibit": 0, "coordination": 0}
+    binding = {"inhibit": 0, "coordination": 0, "restart": 0}
     for k in range(n):
         states = [
             AircraftState(pos0[i][0] + vel[i][0] * k * dt, pos0[i][1] + vel[i][1] * k * dt,
@@ -164,9 +166,10 @@ def reference_flight(enc, eq, rng):
                     step_labels.add(EVENT_STRENGTHEN)
                 if is_reversal(adv[i], a):
                     step_labels.add(EVENT_REVERSAL)
-                adv[i], complying[i] = a, False
                 if a is not Advisory.COC:
+                    binding["restart"] += adv[i] is not Advisory.COC and not complying[i]
                     delay[i] = sample_response_delay(eq.pilot, pilot_rng)
+                adv[i], complying[i] = a, False
             if adv[i] is not Advisory.COC and not complying[i]:
                 if delay[i] == 0:
                     complying[i] = True
@@ -377,7 +380,7 @@ class TestLockstep:
         # reference_flight flies chunks of one, which build as in any chunk.
         encs = [build_encounters(model, _rngs(seed, STREAM_ENCOUNTER, [b])) for b in range(self.N)]
         rngs = _rngs(seed, STREAM_SIMULATE, range(self.N))
-        bound = {"inhibit": 0, "coordination": 0}
+        bound = {"inhibit": 0, "coordination": 0, "restart": 0}
         for b, (trace, enc, rng) in enumerate(zip(traces, encs, rngs)):
             advisories, labels, altitudes, binding = reference_flight(enc, eq, rng)
             assert list(trace.advisories) == advisories, b
@@ -419,6 +422,17 @@ class TestLockstep:
             # At p = 1 the two tables pick opposite senses unconstrained in
             # these encounters, so only p = 1/6 shows the constraint binding.
             assert bound["coordination"] > 0
+
+    @pytest.mark.parametrize("sides", [("tcas", "tcas"), ("table", "none")])
+    def test_switch_restarts_a_running_delay(self, default_table, sides):
+        # At p = 1/6 the mean delay is 5 steps, so a side can switch to a new
+        # advisory before its pilot has begun to comply with the last one.
+        # The switch draws a new delay counted from its own step, as the
+        # reference does; these seeded encounters must contain such switches.
+        eq = Equipage(own=sides[0], intruder=sides[1], table=default_table,
+                      pilot=PilotModel(response_probability=1.0 / 6.0))
+        _, bound = self.assert_matches_reference(default_correlated_model(), eq, 71)
+        assert bound["restart"] > 0
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
     def test_chunk_traces_match_lone_traces(self, default_table, sides):
@@ -467,6 +481,38 @@ class TestLockstep:
         )
         np.testing.assert_array_equal(rows[:n_p], interpolate_many(
             default_table, h[0], v0[0], v1[0], tau[0], ia[0]))
+
+
+# Every checked field of the model parameters a library caller constructs.
+CHECKED_FIELDS = [
+    (PilotModel, "response_probability"),
+    (PilotModel, "acceleration"),
+    (PilotModel, "deterministic_delay"),
+    (IntruderModel, "sigma_accel"),
+    (TcasConfig, "ta_tau"),
+    (TcasConfig, "ra_tau"),
+    (TcasConfig, "alim"),
+    (TcasConfig, "miss_distance_threshold"),
+    (RewardParams, "collision_cost"),
+    (RewardParams, "alert_cost"),
+    (RewardParams, "strengthen_cost"),
+    (RewardParams, "reversal_cost"),
+    (Equipage, "cost_magnitude"),
+    (Equipage, "belief_sigma_h"),
+    (Equipage, "belief_sigma_rate"),
+    (Equipage, "belief_particles"),
+    (OnlineContext, "cost_magnitude"),
+]
+
+
+@pytest.mark.parametrize("cls, name", CHECKED_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in CHECKED_FIELDS])
+def test_nan_parameter_refused_by_name(cls, name):
+    # Every ordered comparison with NaN is false, so `if x < 0: raise` lets
+    # it through; the DP then drops NaN branch weights and returns a
+    # finite, wrong table.
+    with pytest.raises(ValueError, match=name):
+        cls(**{name: math.nan})
 
 
 class TestPairedSeeds:

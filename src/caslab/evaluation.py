@@ -93,6 +93,8 @@ class Equipage:
             raise ValueError("table equipage requires a LogicTable")
         if not self.cost_magnitude < 0:
             raise ValueError("cost_magnitude must be negative (dominates table values)")
+        if math.isnan(self.inhibit_altitude):
+            raise ValueError("inhibit_altitude must not be NaN")
         for name in ("belief_sigma_h", "belief_sigma_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")

@@ -114,8 +114,9 @@ class Grid:
         for name in ("h_cuts", "hdot0_cuts", "hdot1_cuts"):
             cuts = checked_cuts(name, getattr(self, name), zero=name == "h_cuts")
             object.__setattr__(self, name, cuts)
-        if self.tau_max < 0:
-            raise ValueError("tau_max must be >= 0")
+        tau_max = self.tau_max
+        if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)) or tau_max < 0:
+            raise ValueError(f"tau_max must be an integer >= 0, got {tau_max!r}")
         _, n0, n1, ntau, _ = self.shape
         strides = (n0 * n1 * ntau, n1 * ntau, ntau, 1)
         corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)

@@ -57,6 +57,11 @@ class OnlineContext:
     def __post_init__(self) -> None:
         if not self.cost_magnitude < 0:
             raise ValueError("cost_magnitude must be negative (dominates table values)")
+        # A NaN altitude would make `z < inhibit_altitude` false, so the
+        # low-altitude inhibit would silently never apply; +-inf stays valid.
+        for name in ("own_altitude_agl", "inhibit_altitude"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN")
 
 
 def interpolate(table: LogicTable, s: VerticalState) -> np.ndarray:

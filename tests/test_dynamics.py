@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,17 +157,20 @@ class TestProjectTemplate:
             ]
             assert ups[0] <= ups[1] + 1e-9 <= ups[2] + 2e-9
 
-    def test_negative_horizon_rejected(self):
+    @pytest.mark.parametrize("horizon", [-1.0, math.nan])
+    def test_negative_horizon_rejected(self, horizon):
         with pytest.raises(ValueError):
-            project_template((0.0, 0.0), (100.0, 0.0), Advisory.COC, pilot(), -1.0)
+            project_template((0.0, 0.0), (100.0, 0.0), Advisory.COC, pilot(), horizon)
 
     @pytest.mark.parametrize("model", [pilot(), PilotModel()])
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     def test_many_matches_scalar_bit_for_bit(self, model, dt):
         # Horizons: zero, inside the 5 s delay, exactly at it, past it by less
-        # than the 1e-12 loop guard, whole, with a final partial step, and
-        # just under 25 s.
-        horizons = [0.0, 2.5, 5.0, 5.0 + 1e-13, 17.0, 17.3, 24.999]
+        # than the 1e-12 loop guard, whole, with a final partial step, just
+        # under 25 s, and two long ones (a config may raise tcas.ra_tau); then
+        # the same set shuffled, with repeats, so rows finish out of order.
+        horizons = [0.0, 2.5, 5.0, 5.0 + 1e-13, 17.0, 17.3, 24.999, 61.7, 140.0]
+        horizons += np.random.default_rng(3).permutation(horizons + horizons[3:6]).tolist()
         # Rates inside and outside every band, on each edge, and less than
         # one acceleration step from it.
         offsets = (-30.0, -3.0, 0.0, 3.0, 30.0)
@@ -183,9 +188,10 @@ class TestProjectTemplate:
         ]
         assert got.tolist() == expected
 
-    def test_many_rejects_negative_horizon(self):
+    @pytest.mark.parametrize("horizon", [-1.0, math.nan])
+    def test_many_rejects_negative_horizon(self, horizon):
         with pytest.raises(ValueError):
-            project_template_many(([0.0], [0.0]), ([100.0], [0.0]), ADVISORIES, pilot(), [-1.0])
+            project_template_many(([0.0], [0.0]), ([100.0], [0.0]), ADVISORIES, pilot(), [horizon])
 
 
 class TestModelValidation:

@@ -49,7 +49,7 @@ from caslab.evaluation import (
     simulate_encounter,
     trace_severity,
 )
-from caslab.optimizer import TIE_TOL, RewardParams
+from caslab.optimizer import TIE_TOL, Grid, RewardParams
 from caslab.runtime import (
     OnlineContext,
     apply_online_costs,
@@ -501,7 +501,11 @@ CHECKED_FIELDS = [
     (Equipage, "belief_sigma_h"),
     (Equipage, "belief_sigma_rate"),
     (Equipage, "belief_particles"),
+    (Equipage, "inhibit_altitude"),
     (OnlineContext, "cost_magnitude"),
+    (OnlineContext, "inhibit_altitude"),
+    (OnlineContext, "own_altitude_agl"),
+    (Grid, "tau_max"),
 ]
 
 

@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ class TestGridValidation:
     def test_rate_cuts_must_be_symmetric(self, name):
         with pytest.raises(ValueError, match=f"{name} must be symmetric"):
             Grid(**{name: np.array([-25.0, 0.0, 30.0])})
+
+    @pytest.mark.parametrize("tau_max", [2.5, True, math.inf])
+    def test_tau_max_must_be_an_integer(self, tau_max):
+        with pytest.raises(ValueError, match="tau_max"):
+            Grid(tau_max=tau_max)
 
     def test_rate_cuts_need_no_zero(self):
         grid = Grid(hdot0_cuts=np.array([-25.0, -5.0, 5.0, 25.0]))

@@ -55,7 +55,7 @@ DEFAULT_CONFIG = {
     "intruder": _defaults(IntruderModel()),
     "tcas": {k: v for k, v in _defaults(TcasConfig()).items() if k != "pilot"},
     "online": _defaults(Equipage(), ["inhibit_altitude", "cost_magnitude", "belief_sigma_h",
-                                     "belief_sigma_rate", "belief_particles"]),
+                                     "belief_sigma_rate"]),
     "encounter": {
         "mode": CORRELATED,
         "duration": DEFAULT_DURATION_S,

@@ -168,8 +168,13 @@ def sample_response_delay(pilot: PilotModel, rng: np.random.Generator) -> int:
     if p >= 1.0:
         return 0
     u = rng.random()
-    # Inverse CDF of P(k) = (1-p)^k p.
-    return int(math.floor(math.log(max(u, 1e-300)) / math.log(1.0 - p)))
+    # Inverse CDF of P(k) = (1-p)^k p.  Where 1 - p rounds to 1 the pilot
+    # never complies: the delay exceeds every draw at a larger p (at most
+    # 6.3e18 steps) and leaves room below the int64 limit for its start step.
+    log_q = math.log(1.0 - p)
+    if log_q == 0.0:
+        return 2**63 - 2**48
+    return int(math.floor(math.log(max(u, 1e-300)) / log_q))
 
 
 def project_template(

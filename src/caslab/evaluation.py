@@ -1,7 +1,7 @@
 """Closed-loop encounter simulation and safety-metric estimation.
 
 RNG discipline: a root seed derives independent streams for encounter
-generation and for logic/pilot/belief sampling, each advanced per encounter
+generation and for pilot response sampling, each advanced per encounter
 index, so paired-seed comparisons across equipages see identical nominal
 encounters.  Aggregation always runs in encounter-index order to keep
 results bit-reproducible regardless of worker count.
@@ -44,11 +44,12 @@ from .encounters import (
 )
 from .optimizer import LogicTable, select_advisories
 from .runtime import (
-    DEFAULT_BELIEF_PARTICLES,
     DEFAULT_BELIEF_SIGMA_H_FT,
     DEFAULT_BELIEF_SIGMA_RATE_FPS,
     DEFAULT_COST_MAGNITUDE,
     DEFAULT_INHIBIT_ALTITUDE_FT,
+    SIGMA_POINTS,
+    SIGMA_WEIGHTS,
     apply_online_costs_many,
     weighted_particle_values,
 )
@@ -83,7 +84,6 @@ class Equipage:
     cost_magnitude: float = DEFAULT_COST_MAGNITUDE
     belief_sigma_h: float = DEFAULT_BELIEF_SIGMA_H_FT
     belief_sigma_rate: float = DEFAULT_BELIEF_SIGMA_RATE_FPS
-    belief_particles: int = DEFAULT_BELIEF_PARTICLES
 
     def __post_init__(self) -> None:
         for side in (self.own, self.intruder):
@@ -98,9 +98,6 @@ class Equipage:
         for name in ("belief_sigma_h", "belief_sigma_rate"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        n_p = self.belief_particles
-        if isinstance(n_p, bool) or not isinstance(n_p, (int, np.integer)) or n_p < 1:
-            raise ValueError(f"belief_particles must be an integer >= 1, got {n_p!r}")
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,7 @@ _EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROS
 _BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
 
 # Encounters advanced together in one lockstep chunk.  A table lookup then
-# gathers chunk x particles x 16 corners x 7 advisories x 8 bytes: 1.1 MB
-# at the default 20 particles.
+# gathers chunk x 7 sigma points x 8 corners x 7 advisories x 8 bytes: 0.2 MB.
 CHUNK_ENCOUNTERS = 64
 
 # Lockstep state holds advisories as indices into ADVISORIES.
@@ -208,18 +204,20 @@ def _fly(
     (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
     (B, n+1, 2) and event bits (B, n+1).
 
-    rngs[b] is encounter b's simulation stream, split into pilot and belief
-    streams exactly as for a lone encounter, so every encounter's result is
-    the same in any chunk.  Each step does three things: the equipped sides
-    decide, the sample is recorded, and both aircraft move.  A side that
+    rngs[b] is encounter b's simulation stream, whose first spawned child
+    draws the pilot delays exactly as for a lone encounter, so every
+    encounter's result is the same in any chunk.  Each step does three
+    things: the equipped sides decide, the sample is recorded, and both
+    aircraft move.  A side that
     switches at step k to an advisory other than COC draws a geometric
     pilot delay d and complies from step k + d for as long as it holds that
     advisory; a switch while a delay runs draws a new one.  A complying
     side moves toward its advisory's band, and every other side flies its
     nominal command, so unequipped aircraft replay the nominal commands
-    exactly.  Each table-equipped side makes one lookup per step over all B
-    beliefs, and each TCAS side one tracker_step_many.  Every event is
-    scored once, from the record, after the last step.
+    exactly.  Each table-equipped side makes one lookup per step over the
+    sigma points of all B beliefs, and each TCAS side one
+    tracker_step_many.  Every event is scored once, from the record, after
+    the last step.
     """
     n_enc, n, dt = len(enc), enc.n_steps, enc.dt
     if len(rngs) != n_enc:
@@ -229,8 +227,7 @@ def _fly(
     table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
     if table_sides and dt != 1.0:
         raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
-    streams = [rng.spawn(2) for rng in rngs]
-    pilot_rngs = [pilot for pilot, _ in streams]
+    pilot_rngs = [rng.spawn(1)[0] for rng in rngs]
 
     # Open-loop horizontal tracks, (B, aircraft, n+1), as the trace records
     # them: pos0 + v * (k * dt).  The TCAS threat, the table tau and the
@@ -269,20 +266,12 @@ def _fly(
     table = eq.table
     if table_sides:
         grid = table.grid
-        n_p = eq.belief_particles
-        weights = np.full(n_p, 1.0 / n_p)
         # Relative geometry is antisymmetric between the sides, so both see
         # the same tau (every term of horizontal_tau_xy is sign-invariant).
         tau_q = _quantized_tau(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None], grid.tau_max)
-        # Each encounter's belief noise for all steps in one block, in the
-        # order the steps consume it: step, then table side, then particle.
-        # The belief stream feeds nothing else, so at sigma 0 it adds +-0.
-        noise = np.stack([
-            belief.normal(0.0, 1.0, size=(n, len(table_sides), n_p, 3))
-            for _, belief in streams
-        ])
-        noise[..., 0] *= eq.belief_sigma_h
-        noise[..., 1:] *= eq.belief_sigma_rate
+        # synthesize_belief's offsets of (h, hdot0, hdot1), one row per point.
+        offsets = SIGMA_POINTS * (eq.belief_sigma_h, eq.belief_sigma_rate, eq.belief_sigma_rate)
+        n_p = len(SIGMA_WEIGHTS)
         both_table = len(table_sides) == 2
 
     for k in range(n):
@@ -295,16 +284,15 @@ def _fly(
                 )
             else:
                 # Array form of synthesize_belief followed by
-                # belief_action_values (same noise stream, same weights).
-                nz = noise[:, k, table_sides.index(i)]
+                # belief_action_values (same points, same weights).
                 values = weighted_particle_values(
                     table,
-                    (z[:, o] - z[:, i])[:, None] + nz[..., 0],
-                    vz[:, i, None] + nz[..., 1],
-                    vz[:, o, None] + nz[..., 2],
+                    (z[:, o] - z[:, i])[:, None] + offsets[:, 0],
+                    vz[:, i, None] + offsets[:, 1],
+                    vz[:, o, None] + offsets[:, 2],
                     np.repeat(tau_q[:, k, None], n_p, axis=1),
                     np.repeat(adv[:, i, None], n_p, axis=1),
-                    weights,
+                    SIGMA_WEIGHTS,
                 )
                 if both_table and i == 1:
                     no_climb, no_descend = leader_sense > 0, leader_sense < 0

@@ -24,7 +24,13 @@ DEFAULT_INHIBIT_ALTITUDE_FT = 1000.0
 
 DEFAULT_BELIEF_SIGMA_H_FT = 25.0
 DEFAULT_BELIEF_SIGMA_RATE_FPS = 2.0
-DEFAULT_BELIEF_PARTICLES = 20
+
+# A belief's sigma points in units of its standard deviations along (h,
+# hdot0, hdot1), and their weights: the state, then +-2 on each axis.  This
+# is the unscented transform with kappa = 1 in three dimensions: the points
+# reproduce a Gaussian's mean and its per-axis variance.
+SIGMA_POINTS = np.vstack([np.zeros(3), 2.0 * np.eye(3), -2.0 * np.eye(3)])
+SIGMA_WEIGHTS = np.array([0.25] + [0.125] * 6)
 
 
 class CoordinationConstraint(Enum):
@@ -90,16 +96,16 @@ def interpolate_many(
 ) -> np.ndarray:
     """Vectorized multilinear lookup; returns (n, n_advisories).
 
-    The 16 enclosing vertices per query are gathered from the table's
-    expected values through flat row indices, and each query's row
-    cost[ia_prev] is added to the interpolated row; exact-vertex queries
-    carry weight 1 on one corner and 0 elsewhere, so stored values pass
-    through unchanged.  The table stores h >= 0 only, and 0 is an h cut, so
-    a query's cell lies wholly on one side.  A cell below zero is read at
-    its mirror cell: h and rate indices reflected, corners stepping down
-    instead of up, and the row's action columns mirrored back.  Its weights
-    are the ones an unmirrored lookup would use, and the cost matrix is its
-    own mirror, so its row adds as above zero.
+    The 16 enclosing vertices per query (8 when every tau is integral) are
+    gathered from the table's expected values through flat row indices, and
+    each query's row cost[ia_prev] is added to the interpolated row;
+    exact-vertex queries carry weight 1 on one corner and 0 elsewhere, so
+    stored values pass through unchanged.  The table stores h >= 0 only,
+    and 0 is an h cut, so a query's cell lies wholly on one side.  A cell
+    below zero is read at its mirror cell: h and rate indices reflected,
+    corners stepping down instead of up, and the row's action columns
+    mirrored back.  Its weights are the ones an unmirrored lookup would use,
+    and the cost matrix is its own mirror, so its row adds as above zero.
     """
     grid = table.grid
     ih, fh = _locate_many(h, grid.h_cuts)
@@ -108,6 +114,15 @@ def interpolate_many(
     it, ft = _locate_many(tau, grid.tau_cuts)
     n = len(ih)
     s_h, s_0, s_1, s_tau = grid.strides
+    offsets = grid.corner_offsets
+    # At integral tau, as in the closed loop, every ft is 0, or 1 at the
+    # tau_max clamp.  Folding that into the index leaves one tau layer: 8
+    # corners, every other offset (tau is the fastest corner axis), and
+    # the same sums, since the dropped corners carry weight 0.
+    layer = bool(np.all((ft == 0.0) | (ft == 1.0)))
+    if layer:
+        it = it + (ft == 1.0)
+        offsets = offsets[:, ::2]
     below = ih < grid.h_zero
     # The (h, hdot0, hdot1) part of the base index.  A mirrored cell starts
     # at the reflection of its lower corner, top - corner.
@@ -118,7 +133,7 @@ def interpolate_many(
     # call's temporaries stay under the heap-trim threshold its largest one
     # sets; repeated calls then reuse freed memory instead of faulting in
     # ~1 MB of fresh pages each (measured at 1,280 queries).
-    index = grid.corner_offsets[below.view(np.int8)]
+    index = offsets[below.view(np.int8)]
     index += base[:, None]
     # A read table holds float32; widening the gathered corners is exact.
     vals = table.values_2d[index].astype(float, copy=False)
@@ -127,9 +142,10 @@ def interpolate_many(
         np.stack([1.0 - fh, fh], axis=1)[:, :, None, None, None]
         * np.stack([1.0 - f0, f0], axis=1)[:, None, :, None, None]
         * np.stack([1.0 - f1, f1], axis=1)[:, None, None, :, None]
-        * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
-    ).reshape(n, 16)
-    out = np.einsum("nc,nca->na", w, vals)
+    )
+    if not layer:
+        w = w * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
+    out = np.einsum("nc,nca->na", w.reshape(n, -1), vals)
     return np.where(below[:, None], out[:, MIRROR_INDEX], out) + table.cost[ia_prev]
 
 
@@ -265,35 +281,16 @@ def synthesize_belief(
     state: VerticalState,
     sigma_h: float = DEFAULT_BELIEF_SIGMA_H_FT,
     sigma_rate: float = DEFAULT_BELIEF_SIGMA_RATE_FPS,
-    n_particles: int = DEFAULT_BELIEF_PARTICLES,
-    rng: Optional[np.random.Generator] = None,
 ) -> BeliefState:
-    """Equal-weight Gaussian perturbations of the true state.
+    """The seven weighted sigma points of a tracker's Gaussian about the true state.
 
-    Stands in for a surveillance tracker: h and both rates are perturbed,
-    tau and the previous advisory are kept exact.
+    Stands in for a surveillance tracker whose h and rates have standard
+    deviations (sigma_h, sigma_rate, sigma_rate); tau and the previous
+    advisory are kept exact.
     """
-    if n_particles < 1:
-        raise ValueError("n_particles must be >= 1")
-    if rng is None or (sigma_h == 0.0 and sigma_rate == 0.0):
-        noise = np.zeros((n_particles, 3))
-    else:
-        noise = rng.normal(0.0, 1.0, size=(n_particles, 3))
-        noise[:, 0] *= sigma_h
-        noise[:, 1] *= sigma_rate
-        noise[:, 2] *= sigma_rate
-    w = 1.0 / n_particles
-    particles = tuple(
-        (
-            VerticalState(
-                h=state.h + noise[k, 0],
-                hdot0=state.hdot0 + noise[k, 1],
-                hdot1=state.hdot1 + noise[k, 2],
-                a_prev=state.a_prev,
-                tau=state.tau,
-            ),
-            w,
-        )
-        for k in range(n_particles)
-    )
-    return BeliefState(particles=particles)
+    offsets = SIGMA_POINTS * (sigma_h, sigma_rate, sigma_rate)
+    return BeliefState(particles=tuple(
+        (VerticalState(h=state.h + dh, hdot0=state.hdot0 + d0, hdot1=state.hdot1 + d1,
+                       a_prev=state.a_prev, tau=state.tau), w)
+        for (dh, d0, d1), w in zip(offsets.tolist(), SIGMA_WEIGHTS.tolist())
+    ))

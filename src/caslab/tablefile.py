@@ -97,6 +97,8 @@ def read_table(path) -> LogicTable:
 
 
 def _read_stream(f: BinaryIO) -> LogicTable:
+    size = f.seek(0, io.SEEK_END)
+    f.seek(0)
     magic = f.read(4)
     if magic != MAGIC:
         raise TableFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
@@ -108,6 +110,9 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     dims = []
     for _ in range(dim_count):
         (count,) = struct.unpack("<I", _read_exact(f, 4))
+        # A garbled count must not make the reader ask for bytes the file lacks.
+        if 8 * count > size - f.tell():
+            raise TableFormatError("truncated table file")
         dims.append(np.frombuffer(_read_exact(f, 8 * count), dtype="<f8"))
     if _read_exact(f, len(_ADVISORY_BLOCK)) != _ADVISORY_BLOCK:
         axis = ", ".join(a.value for a in ADVISORIES)
@@ -122,11 +127,8 @@ def _read_stream(f: BinaryIO) -> LogicTable:
     # table it cannot fill.
     stored_h = np.count_nonzero(dims[0] >= 0)
     counts = [stored_h] + [len(cuts) for cuts in dims[1:]] + [na]
-    here = f.tell()
-    available = f.seek(0, io.SEEK_END) - here
-    if available < 4 * math.prod(counts):
+    if size - f.tell() < 4 * math.prod(counts):
         raise TableFormatError("truncated table file")
-    f.seek(here)
     try:
         grid = Grid(
             h_cuts=dims[0],

@@ -279,9 +279,10 @@ class TestErrors:
 
 
 INVALID_CONFIGS = {
+    # a belief is seven fixed sigma points; the particle count it replaced is gone
     "belief_particles": (
-        {"online": {"belief_particles": 0}, "evaluation": {"n": 5, "equipage": ["table", "none"]}},
-        "belief_particles",
+        {"online": {"belief_particles": 20}, "evaluation": {"n": 5, "equipage": ["table", "none"]}},
+        "unknown config key: online.belief_particles",
     ),
     "one_element_equipage": ({"evaluation": {"n": 5, "equipage": ["none"]}}, "evaluation.equipage"),
     "negative_sigma": (
@@ -330,6 +331,14 @@ INVALID_CONFIGS = {
 
 
 class TestConfigContract:
+    def test_vanishing_response_probability_runs(self, tmp_path, capsys):
+        # 1 - 1e-17 rounds to 1; the delay draw once divided by log(1) = 0.
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "evaluation": {
+            "pilot_response_probability": 1e-17, "n": 4, "equipage": ["tcas", "none"]}}))
+        assert main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("case", sorted(INVALID_CONFIGS))
     def test_invalid_value_names_its_key(self, case, small_table, tmp_path, capsys):
         doc, key = INVALID_CONFIGS[case]
@@ -541,6 +550,42 @@ class TestTableContract:
         assert err.count("\n") == 1
         assert fragment in err
 
+    def test_garbled_axis_count_refused_before_reading(self, default_table, tmp_path, capsys):
+        # The two bytes turn an axis count into ~4e9 cuts: 32 GB the
+        # reader once asked the file for, and exited E_RUN_FAILED: MemoryError.
+        path = tmp_path / "table.acxt"
+        write_table(default_table, path)
+        raw = bytearray(path.read_bytes())
+        raw[12], raw[424] = 0xF2, 0xF6
+        path.write_bytes(raw)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        assert main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "E_TABLE_INVALID: truncated table file\n"
+
+    def test_fuzzed_tables_exit_with_one_table_error(self, small_table, tmp_path, capsys):
+        # Seeded truncations and header bytes XORed with 1..127 (never a
+        # sign bit, whose flip on a 0.0 cut reads as the same grid).  Each
+        # copy must exit 2 with exactly one E_TABLE_* line.
+        path = tmp_path / "table.acxt"
+        write_table(small_table, path)
+        raw = path.read_bytes()
+        header = acxt_header_bytes(small_table.grid)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(path)})
+        rng = np.random.default_rng(2026)
+        failures = []
+        for k in range(400):
+            if k % 2:
+                bad = raw[: int(rng.integers(0, len(raw)))]
+            else:
+                bad = bytearray(raw)
+                bad[int(rng.integers(0, header))] ^= int(rng.integers(1, 128))
+            path.write_bytes(bad)
+            code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            if code != 2 or not err.startswith("E_TABLE_") or err.count("\n") != 1:
+                failures.append((k, code, err))
+        assert failures == []
+
     def test_slice_refuses_version_1_file(self, small_table, tmp_path, capsys):
         # version 1 stored every h row; its h < 0 rows were the mirror of the rest
         path = tmp_path / "table.acxt"
@@ -594,9 +639,9 @@ class TestTableContract:
 
 
 # sha256 of dump_config(DEFAULT_CONFIG), re-pinned when the tree lost
-# encounter.use_default_model and rewards.nmac_vertical.  A change here
-# changes every default run.
-PINNED_DEFAULT_CONFIG_DIGEST = "d11bd38240e97bd00b1ece5481715b77d34ef9a9025734ee147015e790a64533"
+# encounter.use_default_model and rewards.nmac_vertical, and again when it
+# lost online.belief_particles.  A change here changes every default run.
+PINNED_DEFAULT_CONFIG_DIGEST = "be6cebc760b6963b567f1511d4be82985d7aa187e722ee3b26a12a7b66ec2ebe"
 
 
 class TestConfigRoundTrip:
@@ -620,8 +665,9 @@ class TestConfigRoundTrip:
 # sha256 of each output file of the runs in command_outputs, recorded before
 # the closed-loop outcomes became arrays end to end; the table runs'
 # (table/*, simulate/trace.csv) were recorded again when the table began to
-# hold its advisory on a tie, and every metrics.json again when plain runs
-# began to report an upper bound on P(NMAC).  A change here changes what
+# hold its advisory on a tie, every metrics.json again when plain runs
+# began to report an upper bound on P(NMAC), and table/* again when a
+# belief became seven sigma points.  A change here changes what
 # evaluate, simulate or sample write at a fixed seed.
 PINNED_OUTPUT_DIGESTS = {
     "is/metrics.json": "e0e390c608b94fe38ccad38b870dd688a7dcfbcaef68707d5eb062c6e08549c6",
@@ -630,8 +676,8 @@ PINNED_OUTPUT_DIGESTS = {
     "sample/encounter_0001.csv": "218597008f9b76e9dafd0ef5b0b50b8ef2425f2bf8b94f1ceb776e8aa8a52d52",
     "sample/encounter_0002.csv": "db116690c5954be6f3c45d4bc245680d65a86637e444b7cdeb2b1151d9ffb884",
     "simulate/trace.csv": "b2acfc1ae11f8adebad0da28193dcc6327483e8c74a7152e9cb33205e42e7c52",
-    "table/metrics.json": "2b0dad6b1cfeab5df661c97d36a67aa3e8c1fcfc4fb84d0e61eb3950891c6f0d",
-    "table/per_encounter.csv": "4c58e230c73bc372b10d7c71ad1410be9560a6eb9af4d7a1da6d7707976b8304",
+    "table/metrics.json": "3faa0b499f3abb4926026db057dfd263f0e9e5ea02dbc97e0aa8d9e869775bc3",
+    "table/per_encounter.csv": "6d465c84ced89e40cdc9fbc8355fe5ea39eb2e3510ec22b178c9f449f6056ab0",
     "tcas_workers/metrics.json": "5aea4e86fe09c682db433161b4a5adcd1c715245d87a9e4ea139ea53b7a45c27",
     "tcas_workers/per_encounter.csv": "59a8866311613414a4e7ef228689d4bbcd697ccde7b8baf1392b4129f11cc466",
 }

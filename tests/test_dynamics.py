@@ -117,6 +117,21 @@ class TestSampleResponseDelay:
         assert abs(np.mean([d == 0 for d in draws]) - 0.5) <= 0.01
 
 
+    def test_delay_keeps_its_draw_down_to_the_smallest_representable_p(self):
+        # At p = 2^-53, 1 - p is still below 1: the inverse CDF applies as is.
+        p = 2.0**-53
+        u = np.random.default_rng(3).random()
+        expected = math.floor(math.log(u) / math.log(1.0 - p))
+        assert sample_response_delay(pilot(p=p), np.random.default_rng(3)) == expected
+
+    @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
+    def test_pilot_whose_one_minus_p_rounds_to_one_never_complies(self, p):
+        # log(1 - p) is 0 there; the delay passes every draw at a larger p
+        # and still fits an int64 step index.
+        delay = sample_response_delay(pilot(p=p), np.random.default_rng(4))
+        assert 6.3e18 < delay < np.iinfo(np.int64).max - 2**40
+
+
 class TestProjectTemplate:
     def test_coc_is_constant_velocity_gap(self):
         sep = project_template((0.0, 5.0), (300.0, -5.0), Advisory.COC, pilot(), 20.0)

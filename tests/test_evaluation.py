@@ -51,6 +51,8 @@ from caslab.evaluation import (
 )
 from caslab.optimizer import TIE_TOL, Grid, RewardParams
 from caslab.runtime import (
+    SIGMA_POINTS,
+    SIGMA_WEIGHTS,
     OnlineContext,
     apply_online_costs,
     belief_action_values,
@@ -96,12 +98,12 @@ def reference_flight(enc, eq, rng):
     """Reference closed loop: scalar kinematics and each side's scalar logic.
 
     Flies a batch of one encounter with the simulator's conventions (pilot
-    and belief streams, response delays, nominal commands when not
-    complying).  A TCAS side steps one TcasTracker.  A table side looks up
-    a synthesized belief of the true state, adds its online costs (the
-    low-altitude inhibit at its own altitude; for the follower of two table
-    sides, the constraint coordinate() derives from the leader's advisory
-    of the same step) and selects, holding its advisory on a tie.  A side
+    stream, response delays, nominal commands when not complying).  A TCAS
+    side steps one TcasTracker.  A table side looks up the sigma-point
+    belief of the true state, adds its online costs (the low-altitude
+    inhibit at its own altitude; for the follower of two table sides, the
+    constraint coordinate() derives from the leader's advisory of the same
+    step) and selects, holding its advisory on a tie.  A side
     that switches to an advisory other than COC draws a new delay and
     counts it down from that step, even while an earlier delay runs.
     Returns each sample's (own, intruder) advisories, its
@@ -109,7 +111,7 @@ def reference_flight(enc, eq, rng):
     selections each online cost changed, and how many switches restarted
     a running delay.
     """
-    pilot_rng, belief_rng = rng.spawn(2)
+    (pilot_rng,) = rng.spawn(1)
     n, dt = enc.n_steps, enc.dt
     (speed,), (int_pos0,), (alt0,), (cmds,) = (
         a.tolist() for a in (enc.speed, enc.int_pos0, enc.alt0, enc.vrate)
@@ -144,7 +146,7 @@ def reference_flight(enc, eq, rng):
                 tau = float(tau_max if t is None else min(round(t), tau_max))
                 belief = synthesize_belief(
                     VerticalState(z[1 - i] - z[i], vz[i], vz[1 - i], adv[i], tau),
-                    eq.belief_sigma_h, eq.belief_sigma_rate, eq.belief_particles, belief_rng,
+                    eq.belief_sigma_h, eq.belief_sigma_rate,
                 )
                 values = belief_action_values(eq.table, belief)
                 inhibited = OnlineContext(own_altitude_agl=z[i], inhibit_altitude=eq.inhibit_altitude,
@@ -260,6 +262,16 @@ class TestSimulateEncounter:
         assert drops.max() <= 1
         assert drops.sum() <= 10
 
+    def test_pilot_whose_one_minus_p_rounds_to_one_never_complies(self):
+        # Both TCAS sides alert, but neither pilot leaves the nominal track.
+        model = default_correlated_model()
+        eq = Equipage(own="tcas", intruder="tcas", pilot=PilotModel(response_probability=1e-17))
+        for trace, nominal in zip(run_indexed_traces(model, eq, 5, range(8)),
+                                  run_indexed_traces(model, Equipage(), 5, range(8))):
+            assert trace.has_event(EVENT_RA)
+            for side in ("ownship", "intruder"):
+                assert np.array_equal(getattr(trace, side).z, getattr(nominal, side).z)
+
     def test_coaltitude_head_on_tcas_resolves(self):
         enc = hand_encounter()
         eq = Equipage(own="tcas", pilot=det_pilot())
@@ -278,28 +290,23 @@ class TestSimulateEncounter:
             Equipage(own="table")
 
     def test_fast_lookup_path_matches_public_ops(self, default_table):
-        # the simulation loop's array-form belief lookup must agree with
-        # synthesize_belief + belief_action_values on the same stream
-        s = VerticalState(120.0, -4.0, 6.0, Advisory.COC, 17.0)
-        rng_a = np.random.default_rng(33)
-        belief = synthesize_belief(s, 25.0, 2.0, 20, rng_a)
-        via_public = belief_action_values(default_table, belief)
-        rng_b = np.random.default_rng(33)
-        noise = rng_b.normal(0.0, 1.0, size=(20, 3))
-        noise[:, 0] *= 25.0
-        noise[:, 1] *= 2.0
-        noise[:, 2] *= 2.0
-        ia = ADVISORIES.index(s.a_prev)
+        # the simulation loop's array-form lookup over a batch of beliefs must
+        # agree with synthesize_belief + belief_action_values, one at a time
+        rng = np.random.default_rng(33)
+        b = 12
+        h, (v0, v1) = rng.uniform(-900.0, 900.0, b), rng.uniform(-30.0, 30.0, (2, b))
+        tau = rng.integers(0, 45, b).astype(float)
+        ia = np.arange(b) % len(ADVISORIES)
+        offsets = SIGMA_POINTS * (25.0, 2.0, 2.0)
         via_arrays = weighted_particle_values(
-            default_table,
-            s.h + noise[:, 0],
-            s.hdot0 + noise[:, 1],
-            s.hdot1 + noise[:, 2],
-            np.full(20, s.tau),
-            np.full(20, ia),
-            np.full(20, 1 / 20),
+            default_table, h[:, None] + offsets[:, 0], v0[:, None] + offsets[:, 1],
+            v1[:, None] + offsets[:, 2], np.repeat(tau[:, None], 7, axis=1),
+            np.repeat(ia[:, None], 7, axis=1), SIGMA_WEIGHTS,
         )
-        np.testing.assert_array_equal(via_public, via_arrays)
+        for k in range(b):
+            s = VerticalState(h[k], v0[k], v1[k], ADVISORIES[ia[k]], tau[k])
+            via_public = belief_action_values(default_table, synthesize_belief(s, 25.0, 2.0))
+            np.testing.assert_array_equal(via_public, via_arrays[k])
 
 
 def quantized_tau(rel_pos, rel_vel, tau_max):
@@ -500,7 +507,6 @@ CHECKED_FIELDS = [
     (Equipage, "cost_magnitude"),
     (Equipage, "belief_sigma_h"),
     (Equipage, "belief_sigma_rate"),
-    (Equipage, "belief_particles"),
     (Equipage, "inhibit_altitude"),
     (OnlineContext, "cost_magnitude"),
     (OnlineContext, "inhibit_altitude"),

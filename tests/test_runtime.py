@@ -115,7 +115,11 @@ def lookup_queries(grid, rng):
 
 
 def full_grid_lookup(table, h, hdot0, hdot1, tau, ia_prev):
-    """interpolate_many without the mirror: 16 corners gathered from full_expected."""
+    """interpolate_many without the mirror: 16 corners gathered from full_expected.
+
+    The reference for both lookup paths: it reads all 16 corners at any
+    tau, so it also checks the 8-corner path integral tau takes.
+    """
     grid = table.grid
     full = full_expected(table).reshape(-1, len(ADVISORIES))
     axes = (grid.h_cuts, grid.hdot0_cuts, grid.hdot1_cuts, grid.tau_cuts)
@@ -141,6 +145,23 @@ class TestMirroredLookup:
         table = request.getfixturevalue(fixture)
         q = lookup_queries(table.grid, np.random.default_rng(8))
         assert interpolate_many(table, *q).tobytes() == full_grid_lookup(table, *q).tobytes()
+
+    @pytest.mark.parametrize("fixture", ["default_table", "read_small_table"])
+    def test_integral_tau_reads_one_layer_bit_identically(self, fixture, request):
+        # 10^5 integral-tau queries in chunks: h on both sides of zero and
+        # off the hull, rates off the hull, tau from -2 to tau_max + 3 (the
+        # clamp at tau_max puts its weight on the top layer), every ia_prev.
+        table = request.getfixturevalue(fixture)
+        grid = table.grid
+        rng = np.random.default_rng(21)
+        n = 10_000
+        for _ in range(10):
+            q = (rng.uniform(-grid.h_cuts[-1] - 300.0, grid.h_cuts[-1] + 300.0, n),
+                 rng.uniform(grid.hdot0_cuts[0] - 15.0, grid.hdot0_cuts[-1] + 15.0, n),
+                 rng.uniform(grid.hdot1_cuts[0] - 15.0, grid.hdot1_cuts[-1] + 15.0, n),
+                 rng.integers(-2, grid.tau_max + 4, n).astype(float),
+                 np.arange(n) % len(ADVISORIES))
+            assert interpolate_many(table, *q).tobytes() == full_grid_lookup(table, *q).tobytes()
 
     def test_on_cut_and_signed_zero_queries(self, read_small_table):
         grid = read_small_table.grid
@@ -422,21 +443,28 @@ class TestCoordinate:
 
 
 class TestSynthesizeBelief:
-    def test_equal_weights_and_count(self):
+    def test_sigma_point_moments(self):
+        # Seven points whose weights sum to 1, whose mean is the state and
+        # whose variance along each of h, hdot0 and hdot1 is its sigma squared.
         s = VerticalState(10.0, 1.0, -1.0, Advisory.COC, 5.0)
-        belief = synthesize_belief(s, 25.0, 2.0, 20, np.random.default_rng(0))
-        assert len(belief.particles) == 20
-        assert all(w == pytest.approx(1 / 20) for _, w in belief.particles)
+        belief = synthesize_belief(s, 25.0, 2.0)
+        points = np.array([(p.h, p.hdot0, p.hdot1) for p, _ in belief.particles])
+        w = np.array([w for _, w in belief.particles])
+        assert len(w) == 7 and w.sum() == 1.0
+        mean = w @ points
+        np.testing.assert_allclose(mean, (10.0, 1.0, -1.0), rtol=0, atol=1e-12)
+        cov = (points - mean).T @ np.diag(w) @ (points - mean)
+        np.testing.assert_allclose(cov, np.diag([25.0**2, 2.0**2, 2.0**2]), rtol=1e-12, atol=1e-9)
 
     def test_tau_and_a_prev_exact(self):
         s = VerticalState(10.0, 1.0, -1.0, Advisory.CL1500, 5.0)
-        belief = synthesize_belief(s, 25.0, 2.0, 10, np.random.default_rng(1))
+        belief = synthesize_belief(s, 25.0, 2.0)
         for p, _ in belief.particles:
             assert p.tau == 5.0
             assert p.a_prev is Advisory.CL1500
 
     def test_zero_noise_reproduces_state(self):
         s = VerticalState(10.0, 1.0, -1.0, Advisory.COC, 5.0)
-        belief = synthesize_belief(s, 0.0, 0.0, 5, np.random.default_rng(2))
+        belief = synthesize_belief(s, 0.0, 0.0)
         for p, _ in belief.particles:
             assert (p.h, p.hdot0, p.hdot1) == (10.0, 1.0, -1.0)

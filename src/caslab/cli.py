@@ -265,11 +265,7 @@ def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
         pilot = configmod.pilot_from_config(cfg)
         intruder = configmod.intruder_from_config(cfg)
         rewards = configmod.rewards_from_config(cfg)
-    table = backward_induction(grid, pilot, intruder, rewards)
-    try:
-        write_table(table, out_dir / "table.acxt")
-    except TableFormatError as err:
-        raise CliError(E_TABLE_INVALID, str(err))
+    write_table(backward_induction(grid, pilot, intruder, rewards), out_dir / "table.acxt")
 
 
 def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:

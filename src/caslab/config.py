@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import Advisory
 from .dynamics import IntruderModel, PilotModel
-from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S
+from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S, UNCORRELATED
 from .evaluation import Equipage
 from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams, checked_cuts
 from .tcas import TcasConfig
@@ -33,8 +33,8 @@ def _defaults(obj, names=None) -> dict:
 
 
 # A block with an owning dataclass holds that dataclass's defaults, so each
-# default has one definition.  The online block holds the Equipage online
-# cost and belief settings.
+# default has one definition.  The online block holds the Equipage
+# low-altitude inhibit and belief settings.
 DEFAULT_CONFIG = {
     "schema_version": CONFIG_SCHEMA_VERSION,
     "paths": {
@@ -54,8 +54,7 @@ DEFAULT_CONFIG = {
     "pilot": _defaults(PilotModel()),
     "intruder": _defaults(IntruderModel()),
     "tcas": {k: v for k, v in _defaults(TcasConfig()).items() if k != "pilot"},
-    "online": _defaults(Equipage(), ["inhibit_altitude", "cost_magnitude", "belief_sigma_h",
-                                     "belief_sigma_rate"]),
+    "online": _defaults(Equipage(), ["inhibit_altitude", "belief_sigma_h", "belief_sigma_rate"]),
     "encounter": {
         "mode": CORRELATED,
         "duration": DEFAULT_DURATION_S,
@@ -132,12 +131,15 @@ def load_config(path: Optional[str] = None) -> dict:
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema version: {version!r}")
     cfg = _deep_merge(DEFAULT_CONFIG, user)
-    _check_grid_cuts(cfg["grid"])
+    _check_grid(cfg["grid"])
+    mode = cfg["encounter"]["mode"]
+    if mode not in (CORRELATED, UNCORRELATED):
+        raise ConfigError(f"encounter.mode must be {CORRELATED} or {UNCORRELATED}, got {mode!r}")
     return cfg
 
 
-def _check_grid_cuts(g: dict) -> None:
-    """Check the grid block's cut points at load, as Grid will, under their config keys.
+def _check_grid(g: dict) -> None:
+    """Check the grid block at load, as Grid will, under its config keys.
 
     A bad grid is a malformed config for every command, not only optimize.
     """
@@ -146,6 +148,8 @@ def _check_grid_cuts(g: dict) -> None:
         checked_cuts("grid.hdot_cuts", g["hdot_cuts"])
     except ValueError as err:
         raise ConfigError(str(err)) from None
+    if g["tau_max"] < 1:
+        raise ConfigError(f"grid.tau_max must be an integer >= 1, got {g['tau_max']!r}")
 
 
 def dump_config(cfg: dict) -> str:

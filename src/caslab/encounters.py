@@ -130,32 +130,28 @@ class EncounterBatch:
 
     vrate (B, 2, n_steps) holds the vertical-rate commands, piecewise
     constant over each step; speed (B, 2) the ground speeds; int_pos0 (B, 2)
-    the intruder's start; alt0 (B, 2) the start altitudes.  log_probability
-    (B,) accumulates the log of every CPT draw.  initial_bins (R, B, n_init)
-    and transition_rows (R, B, n_steps - 1, n_transition) hold the bin
-    indices of those draws, one record per trajectory sample: R is 1 for a
-    correlated model and 2 for an uncorrelated one.  transition_rows has the
-    narrowest unsigned type that holds the model's bin indices.
+    the intruder's start; alt0 (B, 2) the start altitudes.  initial_bins
+    (R, B, n_init) and transition_rows (R, B, n_steps - 1, n_transition)
+    hold the bin indices of every CPT draw, which trace_log_likelihoods
+    scores, one record per trajectory sample: R is 1 for a correlated model
+    and 2 for an uncorrelated one.  transition_rows has the narrowest
+    unsigned type that holds the model's bin indices.
     """
 
     dt: float
-    n_steps: int
     vrate: np.ndarray
     speed: np.ndarray
     int_pos0: np.ndarray
     alt0: np.ndarray
-    log_probability: np.ndarray
     initial_bins: np.ndarray
     transition_rows: np.ndarray
 
-    def __post_init__(self) -> None:
-        if not np.all(np.isfinite(self.log_probability)):
-            raise ValueError("sample log-probability must be finite")
-        if self.vrate.shape[-1] != self.n_steps:
-            raise ValueError("command series length must equal duration/dt")
+    @property
+    def n_steps(self) -> int:
+        return self.vrate.shape[-1]
 
     def __len__(self) -> int:
-        return len(self.log_probability)
+        return len(self.vrate)
 
 
 def sample_initial(model: EncounterModel, rng: np.random.Generator) -> Assignment:
@@ -207,33 +203,6 @@ def _sample_trajectories(
         values[:, base] = next_values[:, nxt]
         cmds[:, :, k] = values[:, rates]
     return init_bins, init_values, cmds
-
-
-def _log_likelihoods(
-    model: EncounterModel, initial_bins: np.ndarray, transition_rows: np.ndarray
-) -> np.ndarray:
-    """Log-likelihood of each encounter of a batch from its draw records.
-
-    initial_bins is (R, B, n) and transition_rows (R, B, n_steps - 1,
-    n_transition).  Terms are added in trace_log_likelihood's order: for
-    each record the initial nodes one by one, then one (0.0 + each next
-    node) term per step; then the records in order.
-    """
-    init_net, trans_net = model.initial_net, model.transition_net
-    terms = [
-        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[..., i]]
-        for i in range(len(init_net.nodes))
-    ]
-    step = np.zeros(transition_rows.shape[:-1])
-    for j, _ in model.next_node_map:
-        step = step + trans_net.log_cpt[j][trans_net.parent_rows(j, transition_rows),
-                                           transition_rows[..., j]]
-    # cumsum adds left to right, as the scalar loops do; np.sum would not.
-    records = np.cumsum(np.concatenate([np.stack(terms, axis=-1), step], axis=-1), axis=-1)
-    total = 0.0
-    for record in records[..., -1]:
-        total = total + record
-    return total
 
 
 def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator]) -> EncounterBatch:
@@ -296,12 +265,10 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
         int_pos0 = np.stack([nhat_x * miss - vr * t_star, nhat_y * miss], axis=1)
     return EncounterBatch(
         dt=model.dt,
-        n_steps=model.n_steps,
         vrate=np.stack([own_cmds[:, 0], int_cmds[:, 1]], axis=1),
         speed=np.stack([own_speed, int_speed], axis=1),
         int_pos0=int_pos0,
         alt0=np.stack([own[:, alt], intr[:, alt]], axis=1),
-        log_probability=_log_likelihoods(model, initial_bins, transition_rows),
         initial_bins=initial_bins,
         transition_rows=transition_rows,
     )
@@ -352,11 +319,28 @@ def trace_log_likelihood(model: EncounterModel, enc: EncounterBatch) -> float:
 def trace_log_likelihoods(model: EncounterModel, enc: EncounterBatch) -> np.ndarray:
     """trace_log_likelihood of each encounter of a batch, bit for bit.
 
-    A zero-probability bin yields -inf without a warning: callers report
-    the zero weight in their own output.
+    Terms are added in trace_log_likelihood's order: for each draw record
+    the initial nodes one by one, then one (0.0 + each next node) term per
+    step; then the records in order.  A zero-probability bin yields -inf
+    without a warning: callers report the zero weight in their own output.
     """
     _check_records(model, enc)
-    return _log_likelihoods(model, enc.initial_bins, enc.transition_rows)
+    initial_bins, transition_rows = enc.initial_bins, enc.transition_rows
+    init_net, trans_net = model.initial_net, model.transition_net
+    terms = [
+        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[..., i]]
+        for i in range(len(init_net.nodes))
+    ]
+    step = np.zeros(transition_rows.shape[:-1])
+    for j, _ in model.next_node_map:
+        step = step + trans_net.log_cpt[j][trans_net.parent_rows(j, transition_rows),
+                                           transition_rows[..., j]]
+    # cumsum adds left to right, as the scalar loops do; np.sum would not.
+    records = np.cumsum(np.concatenate([np.stack(terms, axis=-1), step], axis=-1), axis=-1)
+    total = 0.0
+    for record in records[..., -1]:
+        total = total + record
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,6 @@ from .optimizer import LogicTable, select_advisories
 from .runtime import (
     DEFAULT_BELIEF_SIGMA_H_FT,
     DEFAULT_BELIEF_SIGMA_RATE_FPS,
-    DEFAULT_COST_MAGNITUDE,
     DEFAULT_INHIBIT_ALTITUDE_FT,
     SIGMA_POINTS,
     SIGMA_WEIGHTS,
@@ -71,7 +70,7 @@ STREAM_CE_SIMULATE = 3
 class Equipage:
     """Per-aircraft logic selection plus the shared response/runtime models.
 
-    A table side below inhibit_altitude adds cost_magnitude (< 0) to its
+    A table side below inhibit_altitude adds runtime.ONLINE_COST to its
     down-sense advisories; a table follower adds it to its leader's sense.
     """
 
@@ -81,7 +80,6 @@ class Equipage:
     table: Optional[LogicTable] = None
     tcas: TcasConfig = field(default_factory=TcasConfig)
     inhibit_altitude: float = DEFAULT_INHIBIT_ALTITUDE_FT
-    cost_magnitude: float = DEFAULT_COST_MAGNITUDE
     belief_sigma_h: float = DEFAULT_BELIEF_SIGMA_H_FT
     belief_sigma_rate: float = DEFAULT_BELIEF_SIGMA_RATE_FPS
 
@@ -91,8 +89,6 @@ class Equipage:
                 raise ValueError(f"unknown logic kind {side!r}")
         if LOGIC_TABLE in (self.own, self.intruder) and self.table is None:
             raise ValueError("table equipage requires a LogicTable")
-        if not self.cost_magnitude < 0:
-            raise ValueError("cost_magnitude must be negative (dominates table values)")
         if math.isnan(self.inhibit_altitude):
             raise ValueError("inhibit_altitude must not be NaN")
         for name in ("belief_sigma_h", "belief_sigma_rate"):
@@ -298,10 +294,8 @@ def _fly(
                     no_climb, no_descend = leader_sense > 0, leader_sense < 0
                 else:
                     no_climb = no_descend = np.zeros(n_enc, dtype=bool)
-                values = apply_online_costs_many(
-                    values, z[:, i] < eq.inhibit_altitude, no_climb, no_descend,
-                    eq.cost_magnitude,
-                )
+                values = apply_online_costs_many(values, z[:, i] < eq.inhibit_altitude,
+                                                 no_climb, no_descend)
                 if not np.all(np.isfinite(values)):
                     raise ValueError("action values must be finite")
                 selected = select_advisories(values, adv[:, i])
@@ -435,8 +429,10 @@ def _run_chunk(
     if nominal is None:
         log_weight = np.zeros(len(enc))
     else:
-        # trace_log_likelihoods(model, enc) is enc.log_probability bit for bit.
-        log_weight = trace_log_likelihoods(nominal, enc) - enc.log_probability
+        sampled = trace_log_likelihoods(model, enc)
+        if not np.all(np.isfinite(sampled)):
+            raise ValueError("sample log-probability must be finite")
+        log_weight = trace_log_likelihoods(nominal, enc) - sampled
     flown = [_fly(enc, eq, _rngs(seed, sim_stream, indices))[:2] for eq in equipages]
     flags, severity = (np.array(a) for a in zip(*flown))
     return enc, flags, severity, log_weight

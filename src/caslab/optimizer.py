@@ -92,9 +92,9 @@ class Grid:
     """Discretization of the vertical conflict state space.
 
     Cut points are finite, strictly increasing and exactly symmetric about
-    zero, and 0 is an h cut.  The tau axis runs 0..tau_max in unit steps and
-    the advisory axis is ADVISORIES on every grid (the class attribute
-    advisories names it; it is not a field).
+    zero, and 0 is an h cut.  The tau axis runs 0..tau_max in unit steps,
+    at least one cell, and the advisory axis is ADVISORIES on every grid
+    (the class attribute advisories names it; it is not a field).
 
     The MDP is symmetric under h -> -h with both rates negated and the
     advisory senses swapped, so a table keeps only the rows from h_zero,
@@ -115,8 +115,8 @@ class Grid:
             cuts = checked_cuts(name, getattr(self, name), zero=name == "h_cuts")
             object.__setattr__(self, name, cuts)
         tau_max = self.tau_max
-        if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)) or tau_max < 0:
-            raise ValueError(f"tau_max must be an integer >= 0, got {tau_max!r}")
+        if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)) or tau_max < 1:
+            raise ValueError(f"tau_max must be an integer >= 1, got {tau_max!r}")
         _, n0, n1, ntau, _ = self.shape
         strides = (n0 * n1 * ntau, n1 * ntau, ntau, 1)
         corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)
@@ -164,21 +164,27 @@ class Grid:
         return row[..., ::-1, :, :][..., MIRROR_INDEX]
 
 
+# The reward at an NMAC, the unit of every other cost.  Advisory costs are
+# <= 0, COC costs 0 after any advisory, and successor values are convex
+# combinations, so holding COC is worth at least COLLISION_COST from any
+# state: every E a table stores lies in [COLLISION_COST, 0], up to rounding.
+COLLISION_COST = -1.0
+
+
 @dataclass(frozen=True)
 class RewardParams:
-    """Penalty magnitudes balancing safety against alerting (all <= 0)."""
+    """Advisory-change costs, in units of a collision's cost (all <= 0)."""
 
-    collision_cost: float = -1.0
     alert_cost: float = -0.01
     strengthen_cost: float = -0.005
     reversal_cost: float = -0.02
 
     def __post_init__(self) -> None:
-        for name in ("collision_cost", "alert_cost", "strengthen_cost", "reversal_cost"):
+        for name in ("alert_cost", "strengthen_cost", "reversal_cost"):
             if not getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be <= 0, got {getattr(self, name)!r}")
-        if self.collision_cost > self.alert_cost:
-            raise ValueError("collision_cost must not exceed alert_cost")
+        if self.alert_cost < COLLISION_COST:
+            raise ValueError(f"alert_cost must be >= {COLLISION_COST}, got {self.alert_cost!r}")
 
 
 @dataclass(frozen=True)
@@ -233,12 +239,12 @@ class LogicTable:
 # predicts that holding the current rate resolves a conflict, keeping an RA
 # and clearing it to COC have the same value (neither costs anything, and
 # both hold the rate), so they differ only by rounding: float32 storage,
-# interpolation and the QMDP average move a value by up to ~1e-7 of
-# |collision_cost|.  On 20,000 seeded random states of the default table,
+# interpolation and the QMDP average move a value by up to ~1e-7 of a
+# collision's cost.  On 20,000 seeded random states of the default table,
 # the float64 table and its float32 file picked different advisories in 47
 # by plain argmax, and in 13, 11, 1 and 0 under the rule below at a
-# tolerance of 0, 1e-12, 1e-9 and 1e-6 of |collision_cost|.
-TIE_TOL = 1e-6 * abs(RewardParams().collision_cost)
+# tolerance of 0, 1e-12, 1e-9 and 1e-6 of a collision's cost.
+TIE_TOL = 1e-6
 
 
 def select_advisories(values: np.ndarray, held) -> np.ndarray:
@@ -258,7 +264,7 @@ def reward(s: VerticalState, a: Advisory, params: RewardParams) -> float:
     """One-step reward: collision cost at tau=0 plus advisory-change costs."""
     r = 0.0
     if s.tau == 0 and abs(s.h) < NMAC_VERTICAL_FT:
-        r += params.collision_cost
+        r += COLLISION_COST
     if a is not Advisory.COC and s.a_prev is Advisory.COC:
         r += params.alert_cost
     if is_strengthening(s.a_prev, a):
@@ -507,7 +513,7 @@ def _solve(
 
     cost = _advisory_cost_matrix(params)
     collision = np.repeat(
-        (np.abs(h_cuts) < NMAC_VERTICAL_FT) * params.collision_cost, n0 * n1
+        (np.abs(h_cuts) < NMAC_VERTICAL_FT) * COLLISION_COST, n0 * n1
     )
 
     slots, unorder = _sweep_operator(grid, pilot, intruder)

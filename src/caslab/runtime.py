@@ -19,7 +19,10 @@ import numpy as np
 from .core import ADVISORIES, MIRROR_INDEX, Advisory, BeliefState, VerticalState
 from .optimizer import LogicTable, _locate_many, select_advisories
 
-DEFAULT_COST_MAGNITUDE = -1.0e6
+# What an online cost adds to each advisory it forbids.  COC is never
+# penalized and worth at least COLLISION_COST (-1), and no value exceeds 0,
+# so any constant below COLLISION_COST - TIE_TOL keeps one below COC.
+ONLINE_COST = -1.0e6
 DEFAULT_INHIBIT_ALTITUDE_FT = 1000.0
 
 DEFAULT_BELIEF_SIGMA_H_FT = 25.0
@@ -58,11 +61,8 @@ class OnlineContext:
     own_altitude_agl: float = math.inf
     coordination_constraint: Optional[CoordinationConstraint] = None
     inhibit_altitude: float = DEFAULT_INHIBIT_ALTITUDE_FT
-    cost_magnitude: float = DEFAULT_COST_MAGNITUDE
 
     def __post_init__(self) -> None:
-        if not self.cost_magnitude < 0:
-            raise ValueError("cost_magnitude must be negative (dominates table values)")
         # A NaN altitude would make `z < inhibit_altitude` false, so the
         # low-altitude inhibit would silently never apply; +-inf stays valid.
         for name in ("own_altitude_agl", "inhibit_altitude"):
@@ -188,7 +188,7 @@ def belief_action_values(table: LogicTable, belief: BeliefState) -> np.ndarray:
 
 
 def apply_online_costs(values: np.ndarray, ctx: OnlineContext) -> np.ndarray:
-    """Penalize inhibited and coordination-incompatible advisories.
+    """Penalize inhibited and coordination-incompatible advisories by ONLINE_COST.
 
     Down-sense advisories are inhibited below the low-altitude floor;
     DoNotClimb forbids up-sense and DoNotDescend forbids down-sense.  COC is
@@ -200,7 +200,6 @@ def apply_online_costs(values: np.ndarray, ctx: OnlineContext) -> np.ndarray:
         np.array([ctx.own_altitude_agl < ctx.inhibit_altitude]),
         np.array([constraint is CoordinationConstraint.DO_NOT_CLIMB]),
         np.array([constraint is CoordinationConstraint.DO_NOT_DESCEND]),
-        ctx.cost_magnitude,
     )[0]
 
 
@@ -209,7 +208,6 @@ def apply_online_costs_many(
     below_floor: np.ndarray,
     no_climb: np.ndarray,
     no_descend: np.ndarray,
-    cost_magnitude: float,
 ) -> np.ndarray:
     """Row-wise apply_online_costs over values of shape (B, n_advisories).
 
@@ -222,7 +220,7 @@ def apply_online_costs_many(
     for mask, sense in ((below_floor, -1), (no_climb, 1), (no_descend, -1)):
         if mask.any():
             cols = [i for i, a in enumerate(ADVISORIES) if a.sense == sense]
-            out[np.ix_(mask, cols)] += cost_magnitude
+            out[np.ix_(mask, cols)] += ONLINE_COST
     return out
 
 

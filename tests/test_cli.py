@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,6 +16,7 @@ from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
 from caslab.core import ADVISORIES, Advisory
 from caslab.encounters import (
+    default_correlated_model,
     default_structure,
     default_uncorrelated_model,
     model_to_dict,
@@ -76,23 +78,6 @@ class TestOptimizeAndSlice:
         names = {a.value for a in ADVISORIES}
         for row in rows[1:]:
             assert all(cell in names for cell in row[1:])
-
-    def test_zero_reward_slice_is_all_coc(self, tmp_path):
-        # frozen golden: a zero reward field makes every argmax COC
-        cfg = small_grid_config(
-            tmp_path,
-            rewards={
-                "collision_cost": 0.0, "alert_cost": 0.0,
-                "strengthen_cost": 0.0, "reversal_cost": 0.0,
-            },
-        )
-        out = tmp_path / "run"
-        main(["optimize", "--config", str(cfg), "--out", str(out)])
-        cfg2 = small_grid_config(tmp_path, paths={"table_file": str(out / "table.acxt")})
-        main(["slice", "--config", str(cfg2), "--out", str(out)])
-        with open(out / "slice.csv") as f:
-            rows = list(csv.reader(f))
-        assert all(cell == "COC" for row in rows[1:] for cell in row[1:])
 
     def test_optimize_deterministic_bytes(self, tmp_path):
         cfg = small_grid_config(tmp_path)
@@ -265,6 +250,54 @@ class TestErrors:
         assert err.startswith(f"E_MODEL_INVALID: {path}: ")
         assert err.count("\n") == 1
 
+    def test_unsupported_schema_version(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"schema_version": 2}))
+        assert main(["optimize", "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "E_CONFIG_INVALID: unsupported config schema version: 2\n"
+
+    @pytest.mark.parametrize("key", sorted(MODEL_READERS))
+    def test_missing_model_file(self, key, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        cfg = small_grid_config(tmp_path, paths={key: str(path)})
+        assert main(MODEL_READERS[key] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"E_MODEL_NOT_FOUND: {key.replace('_', ' ')} not found: {path}\n"
+
+    @pytest.mark.parametrize("change, fragment", [
+        ("bins", "proposal must share the nominal model bins"),
+        ("duration", "proposal must share the nominal mode and run geometry"),
+    ])
+    def test_proposal_must_share_bins_and_run_geometry(self, change, fragment, tmp_path, capsys):
+        # the config's nominal is the bundled correlated model at 50 s
+        proposal = default_correlated_model(duration=60.0)
+        if change == "bins":
+            proposal = default_correlated_model()
+            edges = (np.array([1000.0, 6000.0, 15000.0, 30000.0]),)
+            proposal = dataclasses.replace(proposal, **{
+                name: dataclasses.replace(net, bins=edges + net.bins[1:])
+                for name, net in (("initial_net", proposal.initial_net),
+                                  ("transition_net", proposal.transition_net))
+            })
+        path = tmp_path / "proposal.json"
+        write_model_file(proposal, path)
+        cfg = small_grid_config(tmp_path, paths={"proposal_file": str(path)})
+        assert main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"E_MODEL_INVALID: {path}: {fragment}\n"
+
+    @pytest.mark.parametrize("command", [["evaluate", "--seed", "1"], ["sample", "--seed", "1"],
+                                         ["simulate", "--seed", "1"], ["fit"]],
+                             ids=lambda command: command[0])
+    def test_misspelled_encounter_mode(self, command, tmp_path, capsys):
+        # evaluate and sample once flew the uncorrelated model and exited 0
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "encounter": {"mode": "correlatd"},
+                                   "evaluation": {"n": 64, "equipage": ["none", "none"]}}))
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "E_CONFIG_INVALID: encounter.mode must be correlated or uncorrelated, got 'correlatd'\n"
+        )
+
     def test_proposal_must_match_the_nominal(self, tmp_path, capsys):
         # a valid model file, but not the nominal's network: IS weights would be meaningless
         write_model_file(toy_two_bin_model(0.05), tmp_path / "nominal.json")
@@ -310,10 +343,22 @@ INVALID_CONFIGS = {
     "nan_intruder_sigma": ({"intruder": {"sigma_accel": math.nan}}, "intruder.sigma_accel"),
     "infinite_intruder_sigma": ({"intruder": {"sigma_accel": math.inf}}, "intruder.sigma_accel"),
     "nan_pilot_acceleration": ({"pilot": {"acceleration": math.nan}}, "pilot.acceleration"),
-    "infinite_collision_cost": (
-        {"rewards": {"collision_cost": -math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
-        "rewards.collision_cost",
+    "infinite_alert_cost": (
+        {"rewards": {"alert_cost": -math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "rewards.alert_cost",
     ),
+    # a collision costs exactly 1, the unit of every other cost
+    "collision_cost": (
+        {"rewards": {"collision_cost": -100.0}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
+        "unknown config key: rewards.collision_cost",
+    ),
+    # an online cost is a constant below any table value
+    "cost_magnitude": (
+        {"online": {"cost_magnitude": -1.0}, "evaluation": {"n": 5, "equipage": ["table", "none"]}},
+        "unknown config key: online.cost_magnitude",
+    ),
+    # one tau cut: every lookup divided 0 by 0
+    "tau_max_0": ({"grid": {"tau_max": 0}}, "grid.tau_max must be an integer >= 1"),
     "infinite_belief_sigma": (
         {"online": {"belief_sigma_h": math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
         "online.belief_sigma_h",
@@ -466,6 +511,15 @@ def _version_2(raw, grid):
     return header + (values[..., None, :] + cost).astype("<f4").tobytes()
 
 
+def _one_tau_cut(raw, grid):
+    """The same table cut to its tau = 0 layer: a tau axis of one cut."""
+    cost_at = acxt_header_bytes(grid)
+    tau_at = cost_at - len(_axis_block(ADVISORIES)) - 4 - 8 * (grid.tau_max + 1)
+    cost, values = _cost_and_values(raw, grid)
+    return (raw[:tau_at] + struct.pack("<Id", 1, 0.0) + _axis_block(ADVISORIES) + cost.tobytes()
+            + values[:, :, :, :1].tobytes())
+
+
 def _with_cost(raw, grid, a_prev, action, value):
     """The file with cost[a_prev, action] replaced by value."""
     at = acxt_header_bytes(grid) + 8 * (a_prev * len(ADVISORIES) + action)
@@ -501,6 +555,8 @@ MALFORMED_TABLES = {
         "increasing",
     ),
     "header_declares_more_values_than_file": (_oversized_header, "truncated table file"),
+    # a lookup on one tau cut divided 0 by 0
+    "one_tau_cut": (_one_tau_cut, "invalid grid: tau_max must be an integer >= 1, got 0"),
     "version_2_file": (_version_2, "unsupported table format version 2"),
     "truncated_cost_block": (
         lambda raw, grid: raw[:acxt_header_bytes(grid) + ACXT_COST_BYTES // 2],
@@ -625,23 +681,14 @@ class TestTableContract:
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "slice.csv").exists()
 
-    def test_optimize_refuses_values_beyond_float32(self, tmp_path):
-        # -1e39 is a finite float64 that ACXT's float32 values cannot hold
-        cfg = small_grid_config(tmp_path, rewards={"collision_cost": -1e39})
-        out = tmp_path / "out"
-        proc = run_python(["-m", "caslab", "optimize", "--config", str(cfg), "--out", str(out)])
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("E_TABLE_INVALID:")
-        assert proc.stderr.count("\n") == 1
-        assert "float32 range" in proc.stderr
-        assert not (out / "table.acxt").exists()
-
 
 
 # sha256 of dump_config(DEFAULT_CONFIG), re-pinned when the tree lost
-# encounter.use_default_model and rewards.nmac_vertical, and again when it
-# lost online.belief_particles.  A change here changes every default run.
-PINNED_DEFAULT_CONFIG_DIGEST = "be6cebc760b6963b567f1511d4be82985d7aa187e722ee3b26a12a7b66ec2ebe"
+# encounter.use_default_model and rewards.nmac_vertical, again when it
+# lost online.belief_particles, and again when it lost
+# rewards.collision_cost and online.cost_magnitude.  A change here changes
+# every default run.
+PINNED_DEFAULT_CONFIG_DIGEST = "1b8b5df9a73f22ccc8b0a280cb42c602047029bb99f244e70bba1b1dc33b438b"
 
 
 class TestConfigRoundTrip:
@@ -816,6 +863,17 @@ class TestFitAndSample:
         assert err.startswith(f"E_SAMPLES_INVALID: {paths['transition_samples_csv']}: ")
         assert err.count("\n") == 1
         assert fragment in err
+
+    def test_fit_takes_mode_and_run_geometry_from_the_structure_file(self, tmp_path):
+        # the config's encounter block says correlated, 50 s and 1 s
+        path = tmp_path / "structure.json"
+        write_model_file(default_uncorrelated_model(duration=30.0, dt=0.5), path)
+        paths = {k: str(v) for k, v in sample_csvs(tmp_path).items()}
+        cfg = small_grid_config(tmp_path, paths={"structure_file": str(path), **paths})
+        out = tmp_path / "fit"
+        assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
+        model = read_model_file(out / "model.json")
+        assert (model.mode, model.duration, model.dt) == ("uncorrelated", 30.0, 0.5)
 
     def test_fit_missing_samples(self, tmp_path, capsys):
         cfg = small_grid_config(tmp_path)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from caslab import evaluation
 from caslab.bayesnet import DiscreteBayesNet, ancestral_sample, ancestral_sample_many
 from caslab.core import horizontal_tau_xy
 from caslab.encounters import (
@@ -175,7 +176,8 @@ class TestBuildEncounter:
         enc2 = build_encounter(model, np.random.default_rng(99))
         np.testing.assert_array_equal(enc1.vrate, enc2.vrate)
         np.testing.assert_array_equal(enc1.int_pos0, enc2.int_pos0)
-        assert enc1.log_probability.tolist() == enc2.log_probability.tolist() == [0.0]
+        assert (trace_log_likelihoods(model, enc1).tolist()
+                == trace_log_likelihoods(model, enc2).tolist() == [0.0])
 
     def test_correlated_geometry_loses_separation_at_tau0(self):
         # degenerate model: closure 250 ft/s, tau0 10 s, threshold 500 ft
@@ -191,26 +193,7 @@ class TestBuildEncounter:
         enc1 = build_encounter(model, np.random.default_rng(7))
         enc2 = build_encounter(model, np.random.default_rng(7))
         np.testing.assert_array_equal(enc1.vrate, enc2.vrate)
-        np.testing.assert_array_equal(enc1.log_probability, enc2.log_probability)
-
-    def test_log_probability_matches_likelihood_correlated(self):
-        # self-consistency oracle: independent recomputation from the draws
-        model = default_correlated_model()
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            enc = build_encounter(model, rng)
-            assert trace_log_likelihood(model, enc) == pytest.approx(
-                enc.log_probability[0], abs=1e-9
-            )
-
-    def test_log_probability_matches_likelihood_uncorrelated(self):
-        model = default_uncorrelated_model()
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            enc = build_encounter(model, rng)
-            assert trace_log_likelihood(model, enc) == pytest.approx(
-                enc.log_probability[0], abs=1e-9
-            )
+        np.testing.assert_array_equal(enc1.transition_rows, enc2.transition_rows)
 
     def test_own_sample_probability_in_unit_interval(self):
         model = default_correlated_model()
@@ -283,10 +266,6 @@ MALFORMED = {
         default_uncorrelated_model(duration=30.0), enc)),
     "row_shape": ("transition rows", lambda enc: trace_log_likelihoods(
         MALFORMED_MODEL, dataclasses.replace(enc, transition_rows=enc.transition_rows[..., :-1]))),
-    "log_probability": ("log-probability", lambda enc: dataclasses.replace(
-        enc, log_probability=enc.log_probability + [0.0, math.inf, 0.0])),
-    "command_length": ("command series", lambda enc: dataclasses.replace(
-        enc, vrate=enc.vrate[..., :-1])),
     # The scalar scorer and the lone simulator take a batch of one.
     "scalar_score": ("batch of one", lambda enc: trace_log_likelihood(MALFORMED_MODEL, enc)),
     "lone_flight": ("simulation stream", lambda enc: simulate_encounter(
@@ -403,22 +382,24 @@ PINNED_MODELS = {
 }
 
 
-def encounter_digest(batches):
-    """sha256 over each encounter of each batch in turn.
+def encounter_digest(model, batches):
+    """sha256 over each encounter of each batch of model in turn.
 
     Each encounter feeds the bytes one record per encounter gave: the
     ownship's start (0, 0) and heading 0 and the intruder's heading pi are
-    the fixed frame, and the mode is named by the number of draw records;
-    the batch stores neither.
+    the fixed frame, the mode is named by the number of draw records, and
+    the log-likelihood is the sampling model's; the batch stores none of
+    them.
     """
     h = hashlib.sha256()
     for enc in batches:
+        log_probability = trace_log_likelihoods(model, enc)
         for b in range(len(enc)):
             h.update((CORRELATED if len(enc.initial_bins) == 1 else UNCORRELATED).encode())
             h.update(np.array([enc.dt, enc.n_steps], dtype=np.float64).tobytes())
             h.update(np.asarray(enc.vrate[b], dtype=np.float64).tobytes())
             h.update(np.array([*enc.speed[b], 0.0, 0.0, *enc.int_pos0[b], 0.0, math.pi,
-                               *enc.alt0[b], enc.log_probability[b]], dtype=np.float64).tobytes())
+                               *enc.alt0[b], log_probability[b]], dtype=np.float64).tobytes())
             for r in range(len(enc.initial_bins)):
                 h.update(np.asarray(enc.initial_bins[r, b], dtype=np.int64).tobytes())
                 h.update(np.asarray(enc.transition_rows[r, b], dtype=np.int64).tobytes())
@@ -439,7 +420,7 @@ class TestBatchedSampler:
     def test_seed_to_encounter_map_pinned(self, name):
         model = PINNED_MODELS[name]()
         enc = build_encounters(model, seeded_rngs(range(200)))
-        assert encounter_digest([enc]) == PINNED_DIGESTS[name]
+        assert encounter_digest(model, [enc]) == PINNED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CE_DIGESTS))
     def test_ce_refit_pinned(self, name):
@@ -451,7 +432,8 @@ class TestBatchedSampler:
                                       toy_two_bin_model])
     def test_chunk_invariance(self, make):
         model = make()
-        digests = {size: encounter_digest(build_in_chunks(model, 70, size)) for size in (1, 7, 64)}
+        digests = {size: encounter_digest(model, build_in_chunks(model, 70, size))
+                   for size in (1, 7, 64)}
         assert len(set(digests.values())) == 1
 
     @pytest.mark.parametrize("make", [default_correlated_model, toy_two_bin_model])
@@ -485,15 +467,14 @@ class TestBatchedSampler:
             assert list(zip(*enc.vrate[0].tolist())) == rates
 
     @pytest.mark.parametrize("name", sorted(PINNED_MODELS))
-    def test_log_probability_is_trace_log_likelihood(self, name):
+    def test_batched_likelihoods_are_trace_log_likelihood(self, name):
         model = PINNED_MODELS[name]()
         # trace_log_likelihood scores chunks of one, which test_chunk_invariance
         # ties to the chunk of 40.
         lone = [build_encounters(model, seeded_rngs([i], seed=5)) for i in range(40)]
         scalar = [trace_log_likelihood(model, e) for e in lone]
-        assert [e.log_probability[0] for e in lone] == scalar
+        assert [trace_log_likelihoods(model, e)[0] for e in lone] == scalar
         enc = build_encounters(model, seeded_rngs(range(40), seed=5))
-        assert enc.log_probability.tolist() == scalar
         assert trace_log_likelihoods(model, enc).tolist() == scalar
 
     def test_chunk_log_weights_match_scalar(self):
@@ -509,6 +490,16 @@ class TestBatchedSampler:
                             for e in lone]
             assert log_weight.tolist() == expected
             assert -math.inf in expected
+
+    def test_log_weight_needs_a_finite_sample_likelihood(self, monkeypatch):
+        # A draw its sampling model gives probability 0 would take an
+        # infinite IS weight.  The sampler never makes one, so the chunk is
+        # drawn from a model that puts mass where the sampling model has none.
+        half = toy_two_bin_model(p_conflict=0.5)
+        monkeypatch.setattr(evaluation, "build_encounters",
+                            lambda model, rngs: build_encounters(half, rngs))
+        with pytest.raises(ValueError, match="sample log-probability must be finite"):
+            _run_chunk(hard_zero_toy(), [Equipage()], 3, range(40), nominal=half)
 
     @pytest.mark.parametrize("duration,dt", [(50.0, 0.5), (50.0, 1.0), (50.0, 2.0), (80.0, 40.0)])
     @pytest.mark.parametrize("make", [default_uncorrelated_model, toy_two_bin_model])

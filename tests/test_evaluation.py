@@ -71,12 +71,10 @@ def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0,
     """A coaltitude head-on encounter with constant rates: a batch of one, without draw records."""
     return EncounterBatch(
         dt=dt,
-        n_steps=n_steps,
         vrate=np.array([[np.full(n_steps, own_vr), np.full(n_steps, int_vr)]]),
         speed=np.array([[closure / 2, closure / 2]]),
         int_pos0=np.array([[500.0 + closure * tau0, 0.0]]),
         alt0=np.array([[5000.0, 5000.0]]),
-        log_probability=np.array([0.0]),
         initial_bins=np.zeros((0, 1, 5), dtype=int),
         transition_rows=np.zeros((0, 1, n_steps - 1, 7), dtype=int),
     )
@@ -149,8 +147,7 @@ def reference_flight(enc, eq, rng):
                     eq.belief_sigma_h, eq.belief_sigma_rate,
                 )
                 values = belief_action_values(eq.table, belief)
-                inhibited = OnlineContext(own_altitude_agl=z[i], inhibit_altitude=eq.inhibit_altitude,
-                                          cost_magnitude=eq.cost_magnitude)
+                inhibited = OnlineContext(own_altitude_agl=z[i], inhibit_altitude=eq.inhibit_altitude)
                 message = coordinate(leader, (0, 1)) if i == 1 and kinds[0] == "table" else None
                 constraint = None if message is None else message.constraint
                 ctx = dataclasses.replace(inhibited, coordination_constraint=constraint)
@@ -500,15 +497,12 @@ CHECKED_FIELDS = [
     (TcasConfig, "ra_tau"),
     (TcasConfig, "alim"),
     (TcasConfig, "miss_distance_threshold"),
-    (RewardParams, "collision_cost"),
     (RewardParams, "alert_cost"),
     (RewardParams, "strengthen_cost"),
     (RewardParams, "reversal_cost"),
-    (Equipage, "cost_magnitude"),
     (Equipage, "belief_sigma_h"),
     (Equipage, "belief_sigma_rate"),
     (Equipage, "inhibit_altitude"),
-    (OnlineContext, "cost_magnitude"),
     (OnlineContext, "inhibit_altitude"),
     (OnlineContext, "own_altitude_agl"),
     (Grid, "tau_max"),

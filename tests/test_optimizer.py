@@ -8,6 +8,7 @@ import pytest
 from caslab.core import ADVISORIES, MIRROR_INDEX, Advisory, VerticalState
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.optimizer import (
+    COLLISION_COST,
     TIE_TOL,
     Grid,
     LogicTable,
@@ -110,7 +111,8 @@ class TestGridValidation:
         with pytest.raises(ValueError, match=f"{name} must be symmetric"):
             Grid(**{name: np.array([-25.0, 0.0, 30.0])})
 
-    @pytest.mark.parametrize("tau_max", [2.5, True, math.inf])
+    # tau_max 0 leaves one tau cut, and a lookup on it divided 0 by 0
+    @pytest.mark.parametrize("tau_max", [2.5, True, math.inf, 0])
     def test_tau_max_must_be_an_integer(self, tau_max):
         with pytest.raises(ValueError, match="tau_max"):
             Grid(tau_max=tau_max)
@@ -176,6 +178,11 @@ class TestReward:
     def test_weakening_free(self):
         s = VerticalState(500.0, 0.0, 0.0, Advisory.DES2500, 10.0)
         assert reward(s, Advisory.DES1500, self.params()) == 0.0
+
+    def test_alert_costs_no_more_than_a_collision(self):
+        assert RewardParams(alert_cost=COLLISION_COST).alert_cost == -1.0
+        with pytest.raises(ValueError, match="alert_cost must be >= -1.0"):
+            RewardParams(alert_cost=-1.5)
 
 
 class TestTransitionDistribution:
@@ -263,9 +270,7 @@ class TestBackwardInduction:
         )
         pilot = PilotModel(response_probability=1.0, acceleration=25.0)
         intr = IntruderModel(sigma_accel=0.0)
-        params = RewardParams(
-            collision_cost=-1.0, alert_cost=0.0, strengthen_cost=0.0, reversal_cost=0.0,
-        )
+        params = RewardParams(alert_cost=0.0, strengthen_cost=0.0, reversal_cost=0.0)
         values = full_values(backward_induction(grid, pilot, intr, params))
         ih = 4  # h = 95
         irate = 1  # level
@@ -278,13 +283,6 @@ class TestBackwardInduction:
         # the DP is checked to 1e-9; only a table read from a file is float32
         assert small_table.values.dtype == np.float64
 
-    def test_zero_rewards_give_zero_values(self):
-        params = RewardParams(
-            collision_cost=0.0, alert_cost=0.0, strengthen_cost=0.0, reversal_cost=0.0
-        )
-        table = backward_induction(micro_grid(), PilotModel(), IntruderModel(), params)
-        assert np.all(table.values == 0.0)
-
     def test_matches_expectimax_oracle(self):
         grid = micro_grid(tau_max=3)
         pilot = PilotModel(response_probability=0.4, acceleration=8.0)
@@ -293,14 +291,6 @@ class TestBackwardInduction:
         table = backward_induction(grid, pilot, intr, params)
         oracle = expectimax_table(grid, pilot, intr, params)
         np.testing.assert_allclose(full_values(table), oracle, atol=1e-9)
-
-    def test_values_monotone_in_collision_cost(self):
-        grid = micro_grid()
-        pilot = PilotModel(response_probability=0.5, acceleration=8.0)
-        intr = IntruderModel(sigma_accel=4.0)
-        mild = backward_induction(grid, pilot, intr, RewardParams(collision_cost=-1.0))
-        harsh = backward_induction(grid, pilot, intr, RewardParams(collision_cost=-2.0))
-        assert np.all(harsh.values <= mild.values + 1e-12)
 
     def test_vertical_mirror_symmetry(self):
         # the oracle solves every h row, and the rows below zero mirror the
@@ -349,10 +339,9 @@ class TestBackwardInduction:
         [
             Grid(h_cuts=np.array([-100.0, 0.0, 100.0]), hdot0_cuts=np.array([-25.0, 25.0]),
                  hdot1_cuts=np.array([-25.0, 25.0]), tau_max=3),
-            micro_grid(tau_max=0),
             micro_grid(tau_max=1),
         ],
-        ids=["smallest", "tau_max_0", "tau_max_1"],
+        ids=["smallest", "tau_max_1"],
     )
     def test_edge_grids_match_oracle(self, grid):
         pilot = PilotModel(response_probability=0.4, acceleration=8.0)
@@ -366,7 +355,7 @@ class TestBackwardInduction:
     def test_value_bounds(self, small_table):
         params = RewardParams()
         per_step_costs = [params.alert_cost, params.strengthen_cost, params.reversal_cost]
-        lower = params.collision_cost + small_table.grid.tau_max * min(per_step_costs)
+        lower = COLLISION_COST + small_table.grid.tau_max * min(per_step_costs)
         values = full_values(small_table)
         assert np.all(values >= lower - 1e-12)
         assert np.all(values <= 1e-12)
@@ -504,6 +493,18 @@ def test_default_grid_table_round_trips(name, pinned_table_files, tmp_path):
     path = pinned_table_files[name]
     write_table(read_table(path), tmp_path / "again.acxt")
     assert (tmp_path / "again.acxt").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TABLE_INPUTS) + ["costly_changes"])
+def test_stored_values_lie_between_a_collision_and_zero(name):
+    # Holding COC costs nothing after any advisory and every advisory cost is
+    # <= 0, so no state is worth less than a collision or more than nothing,
+    # however large the other costs.
+    pilot, params = PINNED_TABLE_INPUTS.get(
+        name, (PilotModel(), RewardParams(strengthen_cost=-1e30, reversal_cost=-1e30)))
+    values = backward_induction(Grid(), pilot, IntruderModel(), params).values
+    assert values.min() >= COLLISION_COST - 1e-12
+    assert values.max() <= 0.0
 
 
 def test_read_default_grid_table_holds_the_h_zero_up_half(pinned_table_files):

@@ -6,6 +6,7 @@ import pytest
 from caslab.core import ADVISORIES, COC_INDEX, Advisory, BeliefState, VerticalState
 from caslab.optimizer import TIE_TOL, LogicTable, _locate_many, policy_slice, select_advisories
 from caslab.runtime import (
+    ONLINE_COST,
     CoordinationConstraint,
     CoordinationMessage,
     OnlineContext,
@@ -209,7 +210,7 @@ class TestFloat32Table:
         masks[2] &= ~masks[1]  # one coordination constraint at a time
         chosen = []
         for table in (default_table, stored):
-            values = apply_online_costs_many(interpolate_many(table, *q), *masks, -1.0e6)
+            values = apply_online_costs_many(interpolate_many(table, *q), *masks)
             chosen.append(select_advisories(values, q[4]))
         assert np.array_equal(chosen[0], chosen[1])
 
@@ -283,7 +284,7 @@ class TestOnlineCosts:
         out = apply_online_costs(values, ctx)
         for i, a in enumerate(ADVISORIES):
             if a.sense > 0:
-                assert out[i] == ctx.cost_magnitude
+                assert out[i] == ONLINE_COST
             else:
                 assert out[i] == 0.0
 
@@ -293,7 +294,7 @@ class TestOnlineCosts:
         out = apply_online_costs(values, ctx)
         for i, a in enumerate(ADVISORIES):
             if a.sense < 0:
-                assert out[i] == ctx.cost_magnitude
+                assert out[i] == ONLINE_COST
             else:
                 assert out[i] == 0.0
 
@@ -310,6 +311,25 @@ class TestOnlineCosts:
         ctx = OnlineContext(coordination_constraint=CoordinationConstraint.DO_NOT_CLIMB)
         apply_online_costs(values, ctx)
         assert np.all(values == 0.0)
+
+    def test_penalized_advisory_never_selected_over_coc(self, default_table):
+        # Table values lie in [COLLISION_COST, 0] and COC is never penalized,
+        # so ONLINE_COST rules a penalized advisory out even when it is held.
+        grid = default_table.grid
+        rng = np.random.default_rng(2201)
+        n = 20_000
+        held = rng.integers(len(ADVISORIES), size=n)
+        values = interpolate_many(
+            default_table, rng.uniform(-1200.0, 1200.0, n), rng.uniform(-50.0, 50.0, n),
+            rng.uniform(-50.0, 50.0, n), rng.integers(grid.tau_max + 1, size=n).astype(float), held,
+        )
+        on, off = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+        rows = np.arange(n)
+        for masks in ((on, on, off), (on, off, on), (on, on, on)):
+            out = apply_online_costs_many(values, *masks)
+            picked = select_advisories(out, held)
+            assert np.array_equal(out[rows, picked], values[rows, picked])
+        assert np.all(picked == COC_INDEX)
 
 
 class TestSelectAction:

@@ -58,8 +58,9 @@ class IntruderModel:
     sigma_accel: float = DEFAULT_INTRUDER_SIGMA_FPS2
 
     def __post_init__(self) -> None:
-        if not self.sigma_accel >= 0:
-            raise ValueError(f"sigma_accel must be >= 0, got {self.sigma_accel!r}")
+        # An infinite spread gives the DP NaN branch weights, which it drops.
+        if not 0 <= self.sigma_accel < math.inf:
+            raise ValueError(f"sigma_accel must be finite and >= 0, got {self.sigma_accel!r}")
 
 
 def step_vertical(
@@ -127,16 +128,20 @@ def project_template_many(
     horizon: np.ndarray,
     dt: float = 1.0,
 ) -> np.ndarray:
-    """Array form of project_template over rows x template advisories, bit for bit.
+    """Array form of project_template over rows x template advisories, in closed form.
 
     own and intr hold each row's (altitude, vertical rate) arrays and
     horizon each row's horizon; returns the (rows, templates) projected
-    separations.  One loop steps every row on its own clock, as
-    project_template does; a row that is done steps by 0, which changes
-    nothing.  Rates run in the sense-normalized frame u = sense * vz, where
-    the band edge is a floor: u' = max(u, min(u + a * step, edge)).
-    Negation is exact and rounding symmetric, so the frame changes no bit;
-    COC's edge is -inf, so its rate holds.
+    separations.  The result equals project_template's stepped sum up to
+    rounding (~1e-11 ft), and bit for bit where the horizon ends inside
+    the delay.  Rates run in the sense-normalized frame u = sense * vz,
+    where the band edge e is a floor; a rate at or past its edge holds
+    (COC's edge is -inf), so e is raised to u.  Over the time `left` after
+    the delay, the stepped rate ramps from u at a, with knots every dt,
+    until it reaches e at s = (e - u) / a, and then holds.  Its trapezoid
+    steps integrate that ramp exactly, except on the one step [k, k_end]
+    that holds the kink s: its end rate is clamped at e, so the step falls
+    short of the ramp's integral by a/2 * (s - k) * (k_end - s).
     """
     if dt <= 0:
         raise ValueError("dt must be > 0")
@@ -147,17 +152,15 @@ def project_template_many(
     edge = np.array([-np.inf if a is Advisory.COC else a.sense * a.target_rate_fps
                      for a in templates])
     z0, vz0 = (np.asarray(v, dtype=float) for v in own)
+    a = pilot.acceleration
     t = np.minimum(pilot.deterministic_delay, horizon)
-    w = (z0 + vz0 * t)[:, None] * sense
+    left = (horizon - t)[:, None]
     u = vz0[:, None] * sense
-    stop = horizon - 1e-12
-    live = t < stop
-    while live.any():
-        step = np.where(live, np.minimum(dt, horizon - t), 0.0)
-        u_new = np.maximum(u, np.minimum(u + (pilot.acceleration * step)[:, None], edge))
-        w += 0.5 * (u + u_new) * step[:, None]
-        u, t = u_new, t + step
-        live = t < stop
+    edge = np.maximum(edge, u)
+    s = np.minimum((edge - u) / a, left)
+    k = np.floor(s / dt) * dt
+    w = ((z0 + vz0 * t)[:, None] * sense + (u + 0.5 * a * s) * s + edge * (left - s)
+         - 0.5 * a * (s - k) * (np.minimum(k + dt, left) - s))
     z1, vz1 = (np.asarray(v, dtype=float) for v in intr)
     return np.abs((z1 + vz1 * horizon)[:, None] - w * sense)
 
@@ -189,7 +192,8 @@ def project_template(
 
     The intruder holds constant velocity; the ownship holds constant
     velocity for pilot.deterministic_delay seconds and then complies with
-    the advisory via step_vertical until the horizon.
+    the advisory via step_vertical until the horizon.  This stepped sum is
+    the reference that project_template_many's closed form is held to.
     """
     if not horizon >= 0:
         raise ValueError("horizon must be >= 0")

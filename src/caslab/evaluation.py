@@ -146,10 +146,11 @@ _EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROS
 _BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
 
 # Encounters advanced together in one lockstep chunk.  A table lookup then
-# gathers chunk x 7 sigma points x 8 corners x 7 advisories x 8 bytes: 0.2 MB.
-CHUNK_ENCOUNTERS = 64
+# gathers chunk x 7 sigma points x 8 corners x 7 advisories x 8 bytes: 0.8 MB.
+CHUNK_ENCOUNTERS = 256
 
-# Lockstep state holds advisories as indices into ADVISORIES.
+# Lockstep state holds advisories as int8 indices into ADVISORIES, and
+# event bits as uint8.
 _SENSE = np.array([a.sense for a in ADVISORIES])
 _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 # Event bits a side scores when its advisory goes from index p to index q;
@@ -160,7 +161,7 @@ _CHANGE_BITS = np.array([
      | (_BIT[EVENT_REVERSAL] if is_reversal(a, b) else 0)
      for q, b in enumerate(ADVISORIES)]
     for p, a in enumerate(ADVISORIES)
-])
+], dtype=np.uint8)
 
 # Velocity components per unit speed of (ownship, intruder) in the encounter frame.
 _HEADING_COS = np.array([math.cos(heading) for heading in HEADINGS])
@@ -190,7 +191,7 @@ def _quantized_tau(px, py, vx, vy, tau_max: int) -> np.ndarray:
 def _fly(
     enc: EncounterBatch,
     eq: Equipage,
-    rngs: Sequence[np.random.Generator],
+    rngs: Sequence[Optional[np.random.Generator]],
 ) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """Fly B encounters together, one step at a time, under one equipage.
 
@@ -200,20 +201,20 @@ def _fly(
     (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
     (B, n+1, 2) and event bits (B, n+1).
 
-    rngs[b] is encounter b's simulation stream, whose first spawned child
-    draws the pilot delays exactly as for a lone encounter, so every
-    encounter's result is the same in any chunk.  Each step does three
-    things: the equipped sides decide, the sample is recorded, and both
-    aircraft move.  A side that
-    switches at step k to an advisory other than COC draws a geometric
-    pilot delay d and complies from step k + d for as long as it holds that
-    advisory; a switch while a delay runs draws a new one.  A complying
-    side moves toward its advisory's band, and every other side flies its
-    nominal command, so unequipped aircraft replay the nominal commands
-    exactly.  Each table-equipped side makes one lookup per step over the
-    sigma points of all B beliefs, and each TCAS side one
-    tracker_step_many.  Every event is scored once, from the record, after
-    the last step.
+    rngs[b] is encounter b's simulation stream, or None for an unequipped
+    pair, which draws nothing.  Its first spawned child draws the pilot
+    delays exactly as for a lone encounter, so every encounter's result is
+    the same in any chunk; the child is spawned when the encounter first
+    draws.  Each step does three things: the equipped sides decide, the
+    sample is recorded, and both aircraft move.  A side that switches at
+    step k to an advisory other than COC draws a geometric pilot delay d
+    and complies from step k + d for as long as it holds that advisory; a
+    switch while a delay runs draws a new one.  A complying side moves
+    toward its advisory's band, and every other side flies its nominal
+    command, so unequipped aircraft replay the nominal commands exactly.
+    Each table-equipped side makes one lookup per step over the sigma
+    points of all B beliefs, and each TCAS side one tracker_step_many.
+    Every event is scored once, from the record, after the last step.
     """
     n_enc, n, dt = len(enc), enc.n_steps, enc.dt
     if len(rngs) != n_enc:
@@ -223,7 +224,8 @@ def _fly(
     table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
     if table_sides and dt != 1.0:
         raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
-    pilot_rngs = [rng.spawn(1)[0] for rng in rngs]
+    # Spawned when the encounter first draws a delay; p = 1 draws none.
+    pilot_rngs = [None] * n_enc
 
     # Open-loop horizontal tracks, (B, aircraft, n+1), as the trace records
     # them: pos0 + v * (k * dt).  The TCAS threat, the table tau and the
@@ -241,14 +243,14 @@ def _fly(
     z = enc.alt0
     cmds = enc.vrate
     vz = cmds[:, :, 0].copy()
-    adv = np.full((n_enc, 2), COC_INDEX)
+    adv = np.full((n_enc, 2), COC_INDEX, dtype=np.int8)
     # The first step at which each side complies with its advisory.
     comply_at = np.zeros((n_enc, 2), dtype=int)
 
     zs = np.empty((n_enc, 2, n + 1))
     vzs = np.empty((n_enc, 2, n + 1))
-    adv_hist = np.empty((n_enc, n + 1, 2), dtype=int)
-    events = np.zeros((n_enc, n + 1), dtype=int)
+    adv_hist = np.empty((n_enc, n + 1, 2), dtype=np.int8)
+    events = np.zeros((n_enc, n + 1), dtype=np.uint8)
 
     if LOGIC_TCAS in logics:
         # Horizontal tracks are open-loop, so every step's threat is known up
@@ -304,6 +306,8 @@ def _fly(
                     leader_sense = _SENSE[selected]
 
             for b in np.flatnonzero((selected != adv[:, i]) & (selected != COC_INDEX)).tolist():
+                if pilot_rngs[b] is None and eq.pilot.response_probability < 1.0:
+                    pilot_rngs[b] = rngs[b].spawn(1)[0]
                 comply_at[b, i] = k + sample_response_delay(eq.pilot, pilot_rngs[b])
             adv[:, i] = selected
 
@@ -324,7 +328,7 @@ def _fly(
 
     # Advisory events from the recorded advisories: a side's advisory
     # before sample k is COC at k = 0 and adv_hist[:, k-1] after that.
-    before = np.concatenate([np.full((n_enc, 1, 2), COC_INDEX), adv_hist[:, :n]], axis=1)
+    before = np.concatenate([np.full((n_enc, 1, 2), COC_INDEX, np.int8), adv_hist[:, :n]], axis=1)
     events |= np.bitwise_or.reduce(_CHANGE_BITS[before, adv_hist], axis=2)
     # Separation events from the recorded altitudes: NMAC at any sample,
     # and a crossing over step k while an advisory is active.  sep is the
@@ -433,7 +437,12 @@ def _run_chunk(
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
-    flown = [_fly(enc, eq, _rngs(seed, sim_stream, indices))[:2] for eq in equipages]
+    flown = []
+    for eq in equipages:
+        # An unequipped pair draws no pilot delay, so it is given no streams.
+        equipped = eq.own != LOGIC_NONE or eq.intruder != LOGIC_NONE
+        rngs = _rngs(seed, sim_stream, indices) if equipped else [None] * len(enc)
+        flown.append(_fly(enc, eq, rngs)[:2])
     flags, severity = (np.array(a) for a in zip(*flown))
     return enc, flags, severity, log_weight
 

@@ -181,8 +181,8 @@ class RewardParams:
 
     def __post_init__(self) -> None:
         for name in ("alert_cost", "strengthen_cost", "reversal_cost"):
-            if not getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be <= 0, got {getattr(self, name)!r}")
+            if not -np.inf < getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be finite and <= 0, got {getattr(self, name)!r}")
         if self.alert_cost < COLLISION_COST:
             raise ValueError(f"alert_cost must be >= {COLLISION_COST}, got {self.alert_cost!r}")
 

@@ -432,8 +432,9 @@ class TestBatchedSampler:
                                       toy_two_bin_model])
     def test_chunk_invariance(self, make):
         model = make()
-        digests = {size: encounter_digest(model, build_in_chunks(model, 70, size))
-                   for size in (1, 7, 64)}
+        # More encounters than one chunk of CHUNK_ENCOUNTERS (256).
+        digests = {size: encounter_digest(model, build_in_chunks(model, 260, size))
+                   for size in (1, 64, 256)}
         assert len(set(digests.values())) == 1
 
     @pytest.mark.parametrize("make", [default_correlated_model, toy_two_bin_model])

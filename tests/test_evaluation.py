@@ -378,6 +378,20 @@ class TestLockstep:
                 chunked += zip(flags[0].tolist(), severity[0].tolist())
             assert chunked == traced, f"chunk size {size}"
 
+    @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "none")])
+    def test_chunk_invariance_past_one_chunk(self, default_table, sides):
+        # More encounters than one chunk of CHUNK_ENCOUNTERS (256), at p < 1,
+        # so pilot streams are spawned in every chunk layout.
+        eq = Equipage(own=sides[0], intruder=sides[1], table=default_table,
+                      pilot=PilotModel(response_probability=1.0 / 6.0))
+        model, n = default_correlated_model(), 260
+        outcomes = {}
+        for size in (1, 64, 256):
+            chunks = [_run_chunk(model, [eq], 63, range(start, min(start + size, n)))
+                      for start in range(0, n, size)]
+            outcomes[size] = [np.concatenate([c[k][0] for c in chunks]).tolist() for k in (1, 2)]
+        assert outcomes[1] == outcomes[64] == outcomes[256]
+
     def assert_matches_reference(self, model, eq, seed):
         """A chunk's traces against reference_flight; returns them and the summed cost bindings."""
         traces = run_indexed_traces(model, eq, seed, range(self.N))

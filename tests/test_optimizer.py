@@ -184,6 +184,12 @@ class TestReward:
         with pytest.raises(ValueError, match="alert_cost must be >= -1.0"):
             RewardParams(alert_cost=-1.5)
 
+    @pytest.mark.parametrize("name", ["alert_cost", "strengthen_cost", "reversal_cost"])
+    def test_infinite_cost_refused_before_a_solve(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            backward_induction(micro_grid(), PilotModel(), IntruderModel(),
+                               RewardParams(**{name: -math.inf}))
+
 
 class TestTransitionDistribution:
     def test_deterministic_level_coc_single_successor(self):
@@ -446,6 +452,12 @@ class TestSweepOperator:
         for _, w in slots:
             totals[: len(w)] += w
         np.testing.assert_allclose(totals[unorder], 1.0, rtol=0, atol=1e-12)
+
+    def test_infinite_intruder_sigma_refused(self):
+        # Its middle sigma point would weigh 0 x inf = NaN, which the
+        # operator drops, so every column would sum to 1/3.
+        with pytest.raises(ValueError, match="sigma_accel must be finite"):
+            _sweep_operator(micro_grid(), PilotModel(), IntruderModel(sigma_accel=math.inf))
 
 
 # sha256 of the ACXT file of the default-grid table.  The values were first

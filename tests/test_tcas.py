@@ -179,6 +179,21 @@ def relative(pairs):
                  for f in ("x", "y", "vx", "vy"))
 
 
+def select_both_ways(pairs, c):
+    """select_advisory_many over the pairs, and select_sense then select_strength per pair."""
+    t_cpa, _ = closest_approach_many(*relative(pairs))
+    own_z, own_vz, intr_z, intr_vz = (
+        np.array([getattr(s, f) for s in states])
+        for states in zip(*pairs) for f in ("z", "vz")
+    )
+    got = select_advisory_many((own_z, own_vz), (intr_z, intr_vz), t_cpa, c)
+    expected = [
+        ADVISORIES.index(select_strength(own, intr, select_sense(own, intr, c), c))
+        for own, intr in pairs
+    ]
+    return got.tolist(), expected
+
+
 class TestArrayTwins:
     """The *_many functions equal the scalar reference bit for bit."""
 
@@ -204,18 +219,25 @@ class TestArrayTwins:
             pairs.append((own, intr))
         # level pairs CPA inside the delay: every template projects exactly ALIM
         pairs += [head_on_pair(r=600.0, own_vz=0.0, intr_z=z, intr_vz=0.0) for z in (alim, -alim)]
-        c = cfg(alim=alim)
-        t_cpa, _ = closest_approach_many(*relative(pairs))
-        own_z, own_vz, intr_z, intr_vz = (
-            np.array([getattr(s, f) for s in states])
-            for states in zip(*pairs) for f in ("z", "vz")
-        )
-        got = select_advisory_many((own_z, own_vz), (intr_z, intr_vz), t_cpa, c)
-        expected = [
-            ADVISORIES.index(select_strength(own, intr, select_sense(own, intr, c), c))
-            for own, intr in pairs
-        ]
-        assert got.tolist() == expected
+        got, expected = select_both_ways(pairs, cfg(alim=alim))
+        assert got == expected
+        assert len(set(expected)) >= 4
+
+    def test_select_advisory_at_ties_and_band_edges(self):
+        # Level pairs co-altitude at 0 ft project CL1500 and DES1500 to the
+        # same separation, a tie select_sense breaks down.  (Away from 0 ft
+        # the two sums round differently, and rounding picks the sense.)
+        # Rates on each band edge put the closed-form projection's kink on
+        # a knot.
+        pairs = [head_on_pair(r=r, own_z=0.0, own_vz=0.0, intr_z=0.0, intr_vz=0.0)
+                 for r in (600.0, 1800.0, 3000.0, 4500.0, 6000.0, 7000.0)]
+        rng = np.random.default_rng(6)
+        edges = sorted({a.target_rate_fps for a in ADVISORIES[1:]})
+        pairs += [head_on_pair(r=rng.uniform(600, 7000), own_vz=v, intr_z=rng.uniform(-900, 900),
+                               intr_vz=w) for v in edges for w in edges for _ in range(4)]
+        got, expected = select_both_ways(pairs, cfg())
+        assert got == expected
+        assert all(ADVISORIES[a].sense == DOWN for a in expected[:6])
         assert len(set(expected)) >= 4
 
     def test_tracker_step(self):

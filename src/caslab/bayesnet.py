@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -31,18 +31,22 @@ class Assignment:
 class DiscreteBayesNet:
     """Bayesian network structure plus (optionally fitted) CPTs.
 
-    cpt[i] has shape (prod of parent bin counts, own bin count); an empty
-    tuple marks an unfitted structure.
+    The first ``given`` nodes are inputs (a dynamic net's t slice): bins, no
+    parents, no CPT.  cpt[k] has shape (prod of parent bin counts, own bin
+    count) for node given + k; an empty tuple marks an unfitted structure.
     """
 
     nodes: Tuple[str, ...]
     parents: Tuple[Tuple[int, ...], ...]
     bins: Tuple[np.ndarray, ...]
     cpt: Tuple[np.ndarray, ...] = ()
+    given: int = 0
 
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("network must contain at least one node")
+        if not (isinstance(self.given, int) and 0 <= self.given < len(self.nodes)):
+            raise ValueError(f"given must be an integer in [0, {len(self.nodes)}): {self.given!r}")
         if len(self.parents) != len(self.nodes) or len(self.bins) != len(self.nodes):
             raise ValueError("parents and bins must match nodes")
         edges = []
@@ -57,14 +61,16 @@ class DiscreteBayesNet:
             edges.append(e)
         object.__setattr__(self, "bins", tuple(edges))
         for i, ps in enumerate(self.parents):
+            if i < self.given and ps:
+                raise ValueError(f"given node {self.nodes[i]} must have no parents")
             for p in ps:
                 if not (0 <= p < i):
                     raise ValueError("parents must precede children in node order")
         if self.cpt:
-            if len(self.cpt) != len(self.nodes):
-                raise ValueError("cpt must cover every node")
+            if len(self.cpt) != len(self.nodes) - self.given:
+                raise ValueError("cpt must cover every node that is not given")
             tables = []
-            for i, table in enumerate(self.cpt):
+            for i, table in enumerate(self.cpt, self.given):
                 table = np.asarray(table, dtype=float)
                 expected = (self.parent_row_count(i), self.n_bins(i))
                 if table.shape != expected:
@@ -135,7 +141,7 @@ def fit_cpts(
     data: np.ndarray,
     prior_count: float = 1.0,
 ) -> DiscreteBayesNet:
-    """Fit CPTs from binned samples with a symmetric Dirichlet (Laplace) prior.
+    """Fit CPTs (none for given nodes) with a symmetric Dirichlet (Laplace) prior.
 
     data is an (n, num_nodes) integer array of bin indices.  Each CPT cell is
     (count + prior_count) / (row_total + prior_count * n_bins).  Rows with no
@@ -152,7 +158,7 @@ def fit_cpts(
         if data.shape[0] and (data[:, i].min() < 0 or data[:, i].max() >= structure.n_bins(i)):
             raise ValueError(f"bin index out of range for node {structure.nodes[i]}")
     tables = []
-    for i in range(len(structure.nodes)):
+    for i in range(structure.given, len(structure.nodes)):
         nb = structure.n_bins(i)
         rows = structure.parent_row_count(i)
         counts = np.zeros((rows, nb))
@@ -167,6 +173,7 @@ def fit_cpts(
         parents=structure.parents,
         bins=structure.bins,
         cpt=tuple(tables),
+        given=structure.given,
     )
 
 
@@ -179,26 +186,24 @@ def _draw_bin(probs: np.ndarray, rng: np.random.Generator) -> int:
 def ancestral_sample(
     net: DiscreteBayesNet,
     rng: np.random.Generator,
-    given_bins: Optional[Dict[int, int]] = None,
+    given: Sequence[int] = (),
 ) -> Assignment:
-    """Sample every node in topological order.
+    """Sample every node that is not given, in topological order.
 
-    Nodes listed in given_bins are clamped: no CPT draw occurs, the clamped
-    bin conditions downstream children, and the value slot is left NaN for
-    the caller to fill.
+    given holds the bins of the net's given nodes, which condition their
+    children; their value slots are left NaN for the caller to fill.
     """
     if not net.is_fitted:
         raise ValueError("network has no fitted CPTs")
-    given_bins = given_bins or {}
+    if len(given) != net.given:
+        raise ValueError(f"expected bins for {net.given} given nodes, got {len(given)}")
     n = len(net.nodes)
     bins = np.zeros(n, dtype=int)
+    bins[: net.given] = given
     values = np.full(n, np.nan)
-    for i in range(n):
-        if i in given_bins:
-            bins[i] = given_bins[i]
-            continue
+    for i, table in enumerate(net.cpt, net.given):
         row = net.parent_row_index(i, bins)
-        b = _draw_bin(net.cpt[i][row], rng)
+        b = _draw_bin(table[row], rng)
         bins[i] = b
         lo, hi = net.bins[i][b], net.bins[i][b + 1]
         values[i] = rng.uniform(lo, hi) if hi > lo else lo
@@ -211,7 +216,6 @@ def ancestral_sample_many(
     cursor: np.ndarray,
     bins: np.ndarray,
     values: np.ndarray,
-    nodes: Optional[Sequence[int]] = None,
 ) -> None:
     """ancestral_sample for a batch, one row per generator, drawing from blocks.
 
@@ -219,17 +223,17 @@ def ancestral_sample_many(
     one; like ancestral_sample, each node takes one uniform for its bin and
     one more for its value only if the bin has width, so row b reproduces
     ancestral_sample on a generator whose random() calls return u[b] in
-    order.  Only ``nodes`` are drawn (default: all); the other columns of
-    ``bins`` are clamped inputs.  Writes ``bins`` and ``values`` of shape
-    (B, nodes) in place and advances ``cursor``.
+    order.  The given nodes' columns of ``bins`` are inputs.  Writes the
+    other columns of ``bins`` and ``values``, of shape (B, nodes), in place
+    and advances ``cursor``.
     """
     if not net.is_fitted:
         raise ValueError("network has no fitted CPTs")
     flat, start = u.ravel(), np.arange(0, u.size, u.shape[1])
-    for i in range(len(net.nodes)) if nodes is None else nodes:
+    for i, cum_cpt in enumerate(net.cum_cpt, net.given):
         # The count of cumulative probabilities <= u is _draw_bin's
         # searchsorted(side="right"), clamped the same way.
-        cum = net.cum_cpt[i][net.parent_rows(i, bins)]
+        cum = cum_cpt[net.parent_rows(i, bins)]
         at = start + cursor
         b = np.minimum((cum <= flat[at, None]).sum(axis=1), net.n_bins(i) - 1)
         lo, hi = net.bins[i][b], net.bins[i][b + 1]
@@ -239,24 +243,18 @@ def ancestral_sample_many(
         bins[:, i] = b
 
 
-def log_prob_bins(
-    net: DiscreteBayesNet,
-    bins: Sequence[int],
-    nodes: Optional[Sequence[int]] = None,
-) -> float:
-    """Sum of log CPT probabilities of the given bin assignment.
+def log_prob_bins(net: DiscreteBayesNet, bins: Sequence[int]) -> float:
+    """Sum of log CPT probabilities of a full bin assignment.
 
-    Restricting ``nodes`` scores only those draws (used when part of the
-    assignment was clamped rather than sampled).  A zero-probability bin
+    Only the nodes that are not given are scored.  A zero-probability bin
     yields -inf.
     """
     if not net.is_fitted:
         raise ValueError("network has no fitted CPTs")
     total = 0.0
-    indices = range(len(net.nodes)) if nodes is None else nodes
-    for i in indices:
+    for i, table in enumerate(net.cpt, net.given):
         row = net.parent_row_index(i, bins)
-        p = net.cpt[i][row][int(bins[i])]
+        p = table[row][int(bins[i])]
         if p <= 0.0:
             return -math.inf
         total += math.log(p)
@@ -269,6 +267,7 @@ def net_to_dict(net: DiscreteBayesNet) -> dict:
         "parents": [list(p) for p in net.parents],
         "bins": [[float(v) for v in e] for e in net.bins],
         "cpt": [t.tolist() for t in net.cpt] if net.is_fitted else [],
+        "given": net.given,
     }
 
 
@@ -278,4 +277,5 @@ def net_from_dict(d: dict) -> DiscreteBayesNet:
         parents=tuple(tuple(p) for p in d["parents"]),
         bins=tuple(np.asarray(e, dtype=float) for e in d["bins"]),
         cpt=tuple(np.asarray(t, dtype=float) for t in d["cpt"]) if d.get("cpt") else (),
+        given=d["given"],
     )

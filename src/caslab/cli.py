@@ -81,6 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise CliError(E_CONFIG_INVALID, f"--workers must be an integer >= 1, got {args.workers}")
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,20 +131,24 @@ def _require_seed(seed) -> int:
 def _load_model(cfg: dict) -> EncounterModel:
     path = cfg["paths"]["model_file"]
     if path is not None:
-        return _read_model(path, "model file")
+        return _read_model(path, "model file", fitted=True)
     enc = cfg["encounter"]
     factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
     with _config_values():
         return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
 
 
-def _read_model(path: str, kind: str) -> EncounterModel:
+def _read_model(path: str, kind: str, fitted: bool) -> EncounterModel:
+    """The model file at path; fitted requires CPTs in both networks."""
     if not Path(path).exists():
         raise CliError(E_MODEL_NOT_FOUND, f"{kind} not found: {path}")
     try:
-        return read_model_file(path)
+        model = read_model_file(path)
     except ModelFormatError as err:
         raise CliError(E_MODEL_INVALID, str(err))
+    if fitted and not (model.initial_net.is_fitted and model.transition_net.is_fitted):
+        raise CliError(E_MODEL_INVALID, f"{path}: {kind} has networks without fitted CPTs")
+    return model
 
 
 def _load_proposal(cfg: dict, nominal: EncounterModel) -> Optional[EncounterModel]:
@@ -150,7 +156,7 @@ def _load_proposal(cfg: dict, nominal: EncounterModel) -> Optional[EncounterMode
     path = cfg["paths"]["proposal_file"]
     if path is None:
         return None
-    proposal = _read_model(path, "proposal file")
+    proposal = _read_model(path, "proposal file", fitted=True)
     try:
         _check_shared_structure(nominal, proposal)
     except ValueError as err:
@@ -234,7 +240,7 @@ def _cmd_fit(cfg: dict, out_dir: Path, seed, workers) -> None:
     structure_path = cfg["paths"]["structure_file"]
     enc = cfg["encounter"]
     if structure_path is not None:
-        skeleton = _read_model(structure_path, "structure file")
+        skeleton = _read_model(structure_path, "structure file", fitted=False)
         initial_s, transition_s = skeleton.initial_net, skeleton.transition_net
         mode, duration, dt = skeleton.mode, skeleton.duration, skeleton.dt
     else:

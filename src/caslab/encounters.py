@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -50,7 +50,8 @@ SEPARATION_THRESHOLD_FT = NMAC_HORIZONTAL_FT
 DEFAULT_DURATION_S = 50.0
 DEFAULT_DT_S = 1.0
 
-MODEL_SCHEMA_VERSION = 1
+# Version 2: the transition net's t slice is given (bins, no parents, no CPT).
+MODEL_SCHEMA_VERSION = 2
 
 # The frame every encounter is placed in: ownship start (ft) and the
 # headings (rad) of the ownship and the intruder.
@@ -87,9 +88,11 @@ class EncounterModel:
         steps = self.duration / self.dt
         if abs(steps - round(steps)) > 1e-9:
             raise ValueError("duration must be an integral number of steps")
+        if self.initial_net.given:
+            raise ValueError("initial net must draw every node; it has no given nodes")
         n = len(self.initial_net.nodes)
-        if self.transition_net.nodes[:n] != self.initial_net.nodes:
-            raise ValueError("transition net t-variables must mirror the initial net")
+        if self.transition_net.given != n or self.transition_net.nodes[:n] != self.initial_net.nodes:
+            raise ValueError("transition net's given t-variables must be the initial net's nodes")
         for i in range(n):
             if not np.array_equal(self.transition_net.bins[i], self.initial_net.bins[i]):
                 raise ValueError("transition net t-variable bins must match the initial net")
@@ -163,8 +166,7 @@ def sample_transition(
     model: EncounterModel, current: Assignment, rng: np.random.Generator
 ) -> Assignment:
     """Propagate an assignment one step through the dynamic network."""
-    n = len(model.initial_net.nodes)
-    asn = ancestral_sample(model.transition_net, rng, {i: int(current.bins[i]) for i in range(n)})
+    asn = ancestral_sample(model.transition_net, rng, current.bins)
     bins = current.bins.copy()
     values = current.values.copy()
     for j, base in model.next_node_map:
@@ -192,15 +194,14 @@ def _sample_trajectories(
     rates = [init_net.node_index(VAR_OWN_VRATE), init_net.node_index(VAR_INT_VRATE)]
     cmds = np.empty((batch, 2, n_steps))
     cmds[:, :, 0] = values[:, rates]
-    nxt = [j for j, _ in model.next_node_map]
     base = [i for _, i in model.next_node_map]
     next_values = np.full((batch, len(trans_net.nodes)), np.nan)
     for k in range(1, n_steps):
         row = rows[:, k - 1]
         row[:, :n] = bins
-        ancestral_sample_many(trans_net, u, cursor, row, next_values, nxt)
-        bins[:, base] = row[:, nxt]
-        values[:, base] = next_values[:, nxt]
+        ancestral_sample_many(trans_net, u, cursor, row, next_values)
+        bins[:, base] = row[:, n:]
+        values[:, base] = next_values[:, n:]
         cmds[:, :, k] = values[:, rates]
     return init_bins, init_values, cmds
 
@@ -298,14 +299,13 @@ def trace_log_likelihood(model: EncounterModel, enc: EncounterBatch) -> float:
     _check_records(model, enc)
     if len(enc) != 1:
         raise ValueError("trace_log_likelihood scores a batch of one encounter")
-    next_nodes = [j for j, _ in model.next_node_map]
     total = 0.0
     for initial_bins, transition_rows in zip(enc.initial_bins[:, 0], enc.transition_rows[:, 0]):
         lp = log_prob_bins(model.initial_net, initial_bins)
         for row in transition_rows:
             if not math.isfinite(lp):
                 break
-            lp += log_prob_bins(model.transition_net, row, nodes=next_nodes)
+            lp += log_prob_bins(model.transition_net, row)
         if not math.isfinite(lp):
             warnings.warn(
                 "encounter contains a zero-probability bin under the scoring model",
@@ -328,13 +328,12 @@ def trace_log_likelihoods(model: EncounterModel, enc: EncounterBatch) -> np.ndar
     initial_bins, transition_rows = enc.initial_bins, enc.transition_rows
     init_net, trans_net = model.initial_net, model.transition_net
     terms = [
-        init_net.log_cpt[i][init_net.parent_rows(i, initial_bins), initial_bins[..., i]]
-        for i in range(len(init_net.nodes))
+        log_cpt[init_net.parent_rows(i, initial_bins), initial_bins[..., i]]
+        for i, log_cpt in enumerate(init_net.log_cpt)
     ]
     step = np.zeros(transition_rows.shape[:-1])
-    for j, _ in model.next_node_map:
-        step = step + trans_net.log_cpt[j][trans_net.parent_rows(j, transition_rows),
-                                           transition_rows[..., j]]
+    for j, log_cpt in enumerate(trans_net.log_cpt, trans_net.given):
+        step = step + log_cpt[trans_net.parent_rows(j, transition_rows), transition_rows[..., j]]
     # cumsum adds left to right, as the scalar loops do; np.sum would not.
     records = np.cumsum(np.concatenate([np.stack(terms, axis=-1), step], axis=-1), axis=-1)
     total = 0.0
@@ -366,8 +365,8 @@ def default_structure() -> Tuple[DiscreteBayesNet, DiscreteBayesNet]:
 
     Initial net: altitude layer, both vertical rates (conditioned on the
     layer), horizontal closure speed (conditioned on the layer), and initial
-    tau.  Transition net: next-step vertical rates conditioned on the current
-    rates.
+    tau.  Transition net: the initial variables given (the t slice), and
+    next-step vertical rates conditioned on the current rates.
     """
     nodes = REQUIRED_VARS
     parents = ((), (0,), (0,), (0,), ())
@@ -380,9 +379,9 @@ def default_structure() -> Tuple[DiscreteBayesNet, DiscreteBayesNet]:
     )
     initial = DiscreteBayesNet(nodes=nodes, parents=parents, bins=bins)
     t_nodes = nodes + (VAR_OWN_VRATE + NEXT_SUFFIX, VAR_INT_VRATE + NEXT_SUFFIX)
-    t_parents = parents + ((1,), (2,))
+    t_parents = ((),) * len(nodes) + ((1,), (2,))
     t_bins = bins + (_VRATE_EDGES, _VRATE_EDGES)
-    transition = DiscreteBayesNet(nodes=t_nodes, parents=t_parents, bins=t_bins)
+    transition = DiscreteBayesNet(nodes=t_nodes, parents=t_parents, bins=t_bins, given=len(nodes))
     return initial, transition
 
 
@@ -415,15 +414,9 @@ def default_correlated_model(
             np.array([[0.30, 0.40, 0.30]]),
         ),
     )
-    transition = DiscreteBayesNet(
-        nodes=transition_s.nodes,
-        parents=transition_s.parents,
-        bins=transition_s.bins,
-        cpt=initial.cpt + (_VRATE_DRIFT, _VRATE_DRIFT),
-    )
     return EncounterModel(
         initial_net=initial,
-        transition_net=transition,
+        transition_net=replace(transition_s, cpt=(_VRATE_DRIFT, _VRATE_DRIFT)),
         mode=CORRELATED,
         duration=duration,
         dt=dt,
@@ -477,7 +470,8 @@ def toy_two_bin_model(
         nodes=t_nodes,
         parents=t_parents,
         bins=t_bins,
-        cpt=initial.cpt + (one, one),
+        cpt=(one, one),
+        given=len(nodes),
     )
     return EncounterModel(
         initial_net=initial,
@@ -507,7 +501,7 @@ def model_to_dict(model: EncounterModel) -> dict:
 def model_from_dict(d: dict) -> EncounterModel:
     version = d.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise ValueError(f"unsupported model schema version: {version}")
+        raise ValueError(f"unsupported model schema version: {version} (expected {MODEL_SCHEMA_VERSION})")
     return EncounterModel(
         initial_net=net_from_dict(d["initial_net"]),
         transition_net=net_from_dict(d["transition_net"]),

@@ -10,6 +10,7 @@ results bit-reproducible regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -201,8 +202,8 @@ def _fly(
     (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
     (B, n+1, 2) and event bits (B, n+1).
 
-    rngs[b] is encounter b's simulation stream, or None for an unequipped
-    pair, which draws nothing.  Its first spawned child draws the pilot
+    rngs[b] is encounter b's simulation stream, or None where no delay can
+    be drawn (_sim_rngs).  Its first spawned child draws the pilot
     delays exactly as for a lone encounter, so every encounter's result is
     the same in any chunk; the child is spawned when the encounter first
     draws.  Each step does three things: the equipped sides decide, the
@@ -399,6 +400,19 @@ def _rngs(seed: int, stream: int, indices: Sequence[int]) -> List[np.random.Gene
     return [np.random.default_rng([seed, stream, i]) for i in indices]
 
 
+def _sim_rngs(
+    eq: Equipage, seed: int, stream: int, indices: Sequence[int]
+) -> List[Optional[np.random.Generator]]:
+    """Simulation streams for eq, or Nones when _fly can draw no delay from them.
+
+    Only an equipped side whose pilot may respond late (p < 1) draws.
+    """
+    equipped = eq.own != LOGIC_NONE or eq.intruder != LOGIC_NONE
+    if equipped and eq.pilot.response_probability < 1.0:
+        return _rngs(seed, stream, indices)
+    return [None] * len(indices)
+
+
 def run_indexed_traces(
     model: EncounterModel,
     eq: Equipage,
@@ -410,7 +424,7 @@ def run_indexed_traces(
     Each trace is the same in any chunk, a chunk of one included.
     """
     enc = build_encounters(model, _rngs(seed, STREAM_ENCOUNTER, indices))
-    return simulate_encounters(enc, eq, _rngs(seed, STREAM_SIMULATE, indices))
+    return simulate_encounters(enc, eq, _sim_rngs(eq, seed, STREAM_SIMULATE, indices))
 
 
 def _run_chunk(
@@ -437,12 +451,7 @@ def _run_chunk(
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
-    flown = []
-    for eq in equipages:
-        # An unequipped pair draws no pilot delay, so it is given no streams.
-        equipped = eq.own != LOGIC_NONE or eq.intruder != LOGIC_NONE
-        rngs = _rngs(seed, sim_stream, indices) if equipped else [None] * len(enc)
-        flown.append(_fly(enc, eq, rngs)[:2])
+    flown = [_fly(enc, eq, _sim_rngs(eq, seed, sim_stream, indices))[:2] for eq in equipages]
     flags, severity = (np.array(a) for a in zip(*flown))
     return enc, flags, severity, log_weight
 
@@ -476,15 +485,20 @@ def _run_batch(
     Shapes as for _run_chunk, in index order.  Each encounter is built
     once and all equipages fly over it; with a nominal model, sampling runs
     under ``model`` as the IS proposal.  Workers take whole chunks, and the
-    result is the same for any count.
+    result is the same for any count.  A pool starts all its processes at
+    once, so it gets no more than there are chunks or CPUs.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     if nominal is not None:
         _check_shared_structure(nominal, model)
-    size = min(CHUNK_ENCOUNTERS, -(-n // max(workers, 1)))
+    workers = min(workers, os.cpu_count() or 1)
+    size = min(CHUNK_ENCOUNTERS, -(-n // workers))
     chunks = _chunks(0, n, size)
-    if workers <= 1:
+    workers = min(workers, len(chunks))
+    if workers == 1:
         results = [_run_chunk(model, equipages, seed, c, nominal)[1:] for c in chunks]
     else:
         # Imported here: the pool machinery costs every serial process import time.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -45,6 +46,13 @@ def three_node_net():
             ),
         ),
     )
+
+
+def given_prefix_net():
+    """three_node_net's z, with x and y given: z's CPT is the only one."""
+    net = three_node_net()
+    return DiscreteBayesNet(nodes=net.nodes, parents=((), (), (0, 1)), bins=net.bins,
+                            cpt=net.cpt[2:], given=2)
 
 
 class TestStructureValidation:
@@ -215,10 +223,45 @@ class TestLogProb:
         )
         assert log_prob_bins(net, [1]) == -math.inf
 
-    def test_node_subset_scoring(self):
+    def test_given_prefix_is_not_scored(self):
+        # z|(x=1, y=0) is 0.75; the given x and y add no term
+        assert log_prob_bins(given_prefix_net(), [1, 0, 1]) == math.log(0.75)
+
+
+class TestGivenPrefix:
+    @pytest.mark.parametrize("given, parents, cpt, match", [
+        (3, ((), (), (0, 1)), (), "given must be an integer in"),
+        (-1, ((), (), (0, 1)), (), "given must be an integer in"),
+        (2, ((), (0,), (0, 1)), (), "given node y must have no parents"),
+        (2, ((), (), (0, 1)), three_node_net().cpt, "every node that is not given"),
+    ])
+    def test_structure_refused(self, given, parents, cpt, match):
         net = three_node_net()
-        lp = log_prob_bins(net, [1, 0, 1], nodes=[2])
-        assert lp == pytest.approx(math.log(0.75))
+        with pytest.raises(ValueError, match=match):
+            DiscreteBayesNet(nodes=net.nodes, parents=parents, bins=net.bins, cpt=cpt, given=given)
+
+    def test_sample_draws_only_after_the_prefix(self):
+        net = given_prefix_net()
+        rng = np.random.default_rng(6)
+        hits = 0
+        for _ in range(20_000):
+            asn = ancestral_sample(net, rng, [2, 1])
+            assert asn.bins[:2].tolist() == [2, 1]
+            assert np.isnan(asn.values[:2]).all()
+            hits += asn.bins[2]
+        # z|(x=2, y=1) is row 5: P(z=1) = 0.65
+        assert hits / 20_000 == pytest.approx(0.65, abs=0.01)
+
+    def test_sample_needs_every_given_bin(self):
+        with pytest.raises(ValueError, match="2 given nodes"):
+            ancestral_sample(given_prefix_net(), np.random.default_rng(0), [1])
+
+    def test_fit_leaves_the_prefix_unfitted(self):
+        data = np.array([[1, 0, 1], [1, 0, 1], [1, 0, 0], [2, 1, 1]])
+        net = fit_cpts(dataclasses.replace(given_prefix_net(), cpt=()), data, prior_count=0.0)
+        assert net.given == 2 and len(net.cpt) == 1
+        full = fit_cpts(dataclasses.replace(three_node_net(), cpt=()), data, prior_count=0.0)
+        np.testing.assert_array_equal(net.cpt[0], full.cpt[2])
 
 
 class TestSerialization:
@@ -231,3 +274,8 @@ class TestSerialization:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(back.cpt, net.cpt):
             np.testing.assert_allclose(a, b)
+
+    def test_given_count_round_trips(self):
+        back = net_from_dict(net_to_dict(given_prefix_net()))
+        assert back.given == 2
+        assert len(back.cpt) == 1

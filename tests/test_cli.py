@@ -16,6 +16,7 @@ from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
 from caslab.core import ADVISORIES, Advisory
 from caslab.encounters import (
+    EncounterModel,
     default_correlated_model,
     default_structure,
     default_uncorrelated_model,
@@ -190,9 +191,34 @@ def model_without(name):
     doc = model_to_dict(toy_two_bin_model())
     for net in (doc["initial_net"], doc["transition_net"]):
         i = net["nodes"].index(name)
-        for key in ("nodes", "parents", "bins", "cpt"):
+        for key in ("nodes", "parents", "bins"):
             del net[key][i]
+        if i < net["given"]:
+            net["given"] -= 1
+        else:
+            del net["cpt"][i - net["given"]]
     return json.dumps(doc)
+
+
+def schema_1_text():
+    """The toy model as a schema 1 file: a CPT for every transition node."""
+    doc = model_to_dict(toy_two_bin_model())
+    initial, transition = doc["initial_net"], doc["transition_net"]
+    n = transition.pop("given")
+    del initial["given"]
+    transition["parents"][:n] = initial["parents"]
+    transition["cpt"][:0] = initial["cpt"]
+    return json.dumps({**doc, "schema_version": 1})
+
+
+def structure_text(fitted_initial=False):
+    """The default structure as a model file, with or without initial CPTs."""
+    initial, transition = default_structure()
+    if fitted_initial:
+        initial = default_correlated_model().initial_net
+    return json.dumps(model_to_dict(EncounterModel(
+        initial_net=initial, transition_net=transition, mode="correlated", duration=50.0, dt=1.0,
+    )))
 
 
 # the command that reads each model path, and model files it must refuse
@@ -203,7 +229,7 @@ MODEL_READERS = {
 }
 MALFORMED_MODELS = {
     "not_json": "not json",
-    "no_networks": '{"schema_version": 1}',
+    "no_networks": '{"schema_version": 2}',
     "not_an_object": "[1, 2]",
     "missing_required_variable": model_without("tau0"),
 }
@@ -249,6 +275,46 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"E_MODEL_INVALID: {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", sorted(MODEL_READERS))
+    def test_schema_1_model_file_refused(self, key, tmp_path, capsys):
+        # schema 1 stored CPTs for the transition net's t slice, which
+        # nothing draws or scores
+        path = tmp_path / "model.json"
+        path.write_text(schema_1_text())
+        cfg = small_grid_config(tmp_path, paths={key: str(path)})
+        assert main(MODEL_READERS[key] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"E_MODEL_INVALID: {path}: unsupported model schema version: 1 (expected 2)\n"
+        )
+
+    @pytest.mark.parametrize("fitted_initial", [False, True], ids=["structure", "transition"])
+    @pytest.mark.parametrize("key, command", [
+        ("model_file", ["sample", "--seed", "1"]),
+        ("model_file", ["simulate", "--seed", "1"]),
+        ("model_file", ["evaluate", "--seed", "1"]),
+        ("proposal_file", ["evaluate", "--seed", "1"]),
+    ], ids=lambda v: v if isinstance(v, str) else v[0])
+    def test_unfitted_model_file_refused(self, key, command, fitted_initial, tmp_path, capsys):
+        # these once exited E_RUN_FAILED: network has no fitted CPTs
+        path = tmp_path / "model.json"
+        path.write_text(structure_text(fitted_initial))
+        cfg = small_grid_config(tmp_path, paths={key: str(path)})
+        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        kind = key.replace("_", " ")
+        assert capsys.readouterr().err == (
+            f"E_MODEL_INVALID: {path}: {kind} has networks without fitted CPTs\n"
+        )
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_refused(self, workers, tmp_path, capsys):
+        # these once ran serially and exited 0
+        cfg = small_grid_config(tmp_path)
+        argv = ["evaluate", "--seed", "1", "--workers", workers, "--config", str(cfg)]
+        assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"E_CONFIG_INVALID: --workers must be an integer >= 1, got {workers}\n"
+        )
 
     def test_unsupported_schema_version(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -838,6 +904,9 @@ class TestFitAndSample:
         assert model.initial_net.is_fitted
         for t in model.initial_net.cpt:
             np.testing.assert_allclose(t.sum(axis=1), 1.0, atol=1e-9)
+        # every transition column was read, and only the next slice was fitted
+        assert model.transition_net.given == 5
+        assert [t.shape for t in model.transition_net.cpt] == [(5, 5), (5, 5)]
 
     @pytest.mark.parametrize("fault", sorted(MALFORMED_SAMPLE_ROWS))
     def test_fit_refuses_malformed_samples(self, fault, tmp_path, capsys):
@@ -874,6 +943,14 @@ class TestFitAndSample:
         assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 0
         model = read_model_file(out / "model.json")
         assert (model.mode, model.duration, model.dt) == ("uncorrelated", 30.0, 0.5)
+
+    def test_fit_takes_an_unfitted_structure_file(self, tmp_path):
+        path = tmp_path / "structure.json"
+        path.write_text(structure_text())
+        paths = {k: str(v) for k, v in sample_csvs(tmp_path).items()}
+        cfg = small_grid_config(tmp_path, paths={"structure_file": str(path), **paths})
+        assert main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fit")]) == 0
+        assert read_model_file(tmp_path / "fit" / "model.json").transition_net.is_fitted
 
     def test_fit_missing_samples(self, tmp_path, capsys):
         cfg = small_grid_config(tmp_path)

@@ -52,7 +52,7 @@ def degenerate_model(mode=CORRELATED, duration=20.0):
     t_nodes = nodes + ("own_vrate_next", "int_vrate_next")
     t_bins = bins + (np.array([0.0, 0.0]), np.array([0.0, 0.0]))
     transition = DiscreteBayesNet(
-        nodes=t_nodes, parents=parents + ((1,), (2,)), bins=t_bins, cpt=(ONE,) * 7
+        nodes=t_nodes, parents=parents + ((1,), (2,)), bins=t_bins, cpt=(ONE,) * 2, given=5
     )
     return EncounterModel(
         initial_net=initial, transition_net=transition, mode=mode,
@@ -63,15 +63,7 @@ def degenerate_model(mode=CORRELATED, duration=20.0):
 def drift_model(rows):
     """Default-structure model with a custom rate-transition CPT."""
     base = default_correlated_model()
-    cpt = list(base.transition_net.cpt)
-    cpt[5] = rows
-    cpt[6] = rows.copy()
-    transition = DiscreteBayesNet(
-        nodes=base.transition_net.nodes,
-        parents=base.transition_net.parents,
-        bins=base.transition_net.bins,
-        cpt=tuple(cpt),
-    )
+    transition = dataclasses.replace(base.transition_net, cpt=(rows, rows.copy()))
     return EncounterModel(
         initial_net=base.initial_net, transition_net=transition,
         mode=base.mode, duration=base.duration, dt=base.dt,
@@ -86,12 +78,30 @@ class TestModelValidation:
             nodes=bad_nodes + ("own_vrate_next",),
             parents=((), (), (), (), (), (0,)),
             bins=base.initial_net.bins[1:2] + base.initial_net.bins[1:] + base.initial_net.bins[1:2],
+            given=5,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be the initial net's nodes"):
             EncounterModel(
                 initial_net=base.initial_net, transition_net=bad,
                 mode=CORRELATED, duration=50.0, dt=1.0,
             )
+
+    def test_initial_net_has_no_given_nodes(self):
+        # its given columns would never be drawn, and every encounter's
+        # altitude would be NaN
+        base = default_correlated_model()
+        cpt = base.initial_net.cpt[1:]
+        given = dataclasses.replace(base.initial_net, given=1, cpt=cpt)
+        with pytest.raises(ValueError, match="initial net must draw every node"):
+            dataclasses.replace(base, initial_net=given)
+
+    def test_transition_t_slice_must_be_given(self):
+        # tau0 (node 4) drawn rather than given: a CPT nothing would read
+        base = default_correlated_model()
+        drawn = dataclasses.replace(base.transition_net, given=4,
+                                    cpt=(np.array([[0.3, 0.4, 0.3]]),) + base.transition_net.cpt)
+        with pytest.raises(ValueError, match="must be the initial net's nodes"):
+            dataclasses.replace(base, transition_net=drawn)
 
     def test_duration_must_be_integral_steps(self):
         base = default_correlated_model()
@@ -212,10 +222,9 @@ class TestUncorrelated:
         # fixing the rng stream, changing only the intruder-rate CPTs leaves
         # the ownship draws untouched
         base = default_uncorrelated_model()
-        cpt = list(base.transition_net.cpt)
         skew = np.zeros((5, 5))
         skew[:, 0] = 1.0
-        cpt[6] = skew  # int_vrate_next only
+        cpt = (base.transition_net.cpt[0], skew)  # int_vrate_next only
         init_cpt = list(base.initial_net.cpt)
         init_cpt[2] = np.array([[0.9, 0.05, 0.03, 0.01, 0.01]] * 3)  # int_vrate prior
         altered = EncounterModel(
@@ -223,10 +232,7 @@ class TestUncorrelated:
                 nodes=base.initial_net.nodes, parents=base.initial_net.parents,
                 bins=base.initial_net.bins, cpt=tuple(init_cpt),
             ),
-            transition_net=DiscreteBayesNet(
-                nodes=base.transition_net.nodes, parents=base.transition_net.parents,
-                bins=base.transition_net.bins, cpt=tuple(cpt),
-            ),
+            transition_net=dataclasses.replace(base.transition_net, cpt=cpt),
             mode=UNCORRELATED, duration=base.duration, dt=base.dt,
         )
         enc_a = build_encounter(base, np.random.default_rng(12))
@@ -329,8 +335,10 @@ class TestModelFile:
         assert back.mode == model.mode
         assert back.duration == model.duration
         assert back.initial_net.nodes == model.initial_net.nodes
-        for a, b in zip(back.initial_net.cpt, model.initial_net.cpt):
-            np.testing.assert_allclose(a, b)
+        assert (back.initial_net.given, back.transition_net.given) == (0, 5)
+        for a, b in zip(back.initial_net.cpt + back.transition_net.cpt,
+                        model.initial_net.cpt + model.transition_net.cpt):
+            np.testing.assert_array_equal(a, b)
         # sampling from the round-tripped model reproduces the original
         enc_a = build_encounter(model, np.random.default_rng(16))
         enc_b = build_encounter(back, np.random.default_rng(16))
@@ -365,10 +373,20 @@ def ce_proposal(make=default_uncorrelated_model):
 
 # sha256 of the sorted-key JSON of model_to_dict(ce_proposal(make)): the CE
 # refit itself, for one draw record per encounter (correlated) and for two
-# (uncorrelated).
+# (uncorrelated).  Re-pinned when model files went to schema 2 and the
+# transition net's t slice lost its CPTs; the CPTs that remain did not move
+# (PINNED_CE_NEXT_CPT_DIGESTS).
 PINNED_CE_DIGESTS = {
-    "correlated": "e943ac7c0353c3a096e34efa18569760eace66927d1d14d5b07da7e1db13068a",
-    "uncorrelated": "86858cf24155ddb0454f41ff31beb5207bd53116412ca28757fbc03f2a532ec2",
+    "correlated": "d0c8191ba55417f95719e040bf1e88bd1c45a3efa07c75a341c88bf5e032c738",
+    "uncorrelated": "3f87584cb63d5b19c0e86b91105eb2638142981d7084aa995777b6b013025249",
+}
+
+# sha256 of the float64 bytes of ce_proposal(make)'s own_vrate_next and
+# int_vrate_next CPTs, recorded while the transition net still refit a CPT
+# for every t-slice node.
+PINNED_CE_NEXT_CPT_DIGESTS = {
+    "correlated": "2cce2b2526fd46c8715ee4b25e16750bfeb11d4c82d6d857f02767ba9af9271a",
+    "uncorrelated": "1367046f759834079d3af6ed75c0bad8afb1725902abb6dca0b07ddb69fd9a4a",
 }
 
 
@@ -427,6 +445,16 @@ class TestBatchedSampler:
         model = ce_proposal(PINNED_MODELS[name])
         text = json.dumps(model_to_dict(model), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CE_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CE_NEXT_CPT_DIGESTS))
+    def test_ce_refits_only_the_next_slice(self, name):
+        net = ce_proposal(PINNED_MODELS[name]).transition_net
+        assert net.nodes[net.given:] == ("own_vrate_next", "int_vrate_next")
+        assert len(net.cpt) == 2
+        h = hashlib.sha256()
+        for table in net.cpt:
+            h.update(np.ascontiguousarray(table, dtype=np.float64).tobytes())
+        assert h.hexdigest() == PINNED_CE_NEXT_CPT_DIGESTS[name]
 
     @pytest.mark.parametrize("make", [default_correlated_model, default_uncorrelated_model,
                                       toy_two_bin_model])
@@ -530,12 +558,14 @@ class TestBatchedSampler:
         last = np.zeros((1, n))
         last[0, -1] = 1.0
 
-        def widen(net):
+        def widen(net, **cpt):
             return dataclasses.replace(net, bins=(np.linspace(0.0, 30000.0, n + 1),) + net.bins[1:],
-                                       cpt=(last,) + net.cpt[1:])
+                                       **cpt)
 
-        model = dataclasses.replace(base, initial_net=widen(base.initial_net),
-                                    transition_net=widen(base.transition_net))
+        # The transition net's altitude is given, so only the initial net draws it.
+        model = dataclasses.replace(
+            base, initial_net=widen(base.initial_net, cpt=(last,) + base.initial_net.cpt[1:]),
+            transition_net=widen(base.transition_net))
         enc = build_encounter(model, np.random.default_rng(16))
         assert enc.initial_bins[0, 0, 0] == n - 1
         assert np.all(enc.transition_rows[..., 0] == n - 1)

@@ -1,9 +1,12 @@
+import concurrent.futures
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
+from caslab import evaluation
 from caslab.core import (
     ADVISORIES,
     COC_INDEX,
@@ -39,7 +42,9 @@ from caslab.evaluation import (
     _fly,
     _quantized_tau,
     _rngs,
+    _run_batch,
     _run_chunk,
+    _sim_rngs,
     binomial_upper_bound,
     cross_entropy_adapt,
     estimate_metrics,
@@ -613,6 +618,78 @@ class TestEstimateMetrics:
             except OSError:
                 pytest.skip("process pool unavailable in sandbox")
             assert serial == parallel
+
+
+class _StandInPool:
+    """ProcessPoolExecutor's face, run in this process; records max_workers."""
+
+    started: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, chunks):
+        return map(fn, chunks)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _StandInPool)
+        monkeypatch.setattr(evaluation, "_POOL_CONTEXT", {})
+        monkeypatch.setattr(_StandInPool, "started", [])
+        return _StandInPool.started
+
+    @pytest.mark.parametrize("workers, cpus, n, expected", [
+        (8, 3, 600, [3]),  # the CPUs bound the pool
+        (8, 64, 3, [3]),  # the chunks bound the pool
+        (4, 64, 600, [4]),
+        (64, 1, 600, []),  # one CPU runs serially
+        (8, 8, 1, []),  # so does one chunk
+    ])
+    def test_pool_is_no_larger_than_chunks_or_cpus(self, started, monkeypatch,
+                                                    workers, cpus, n, expected):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        toy = toy_two_bin_model(p_conflict=0.3)
+        eq = Equipage(own="tcas")
+        result = _run_batch(toy, [eq], n, 5, workers, None)
+        assert started == expected
+        for got, serial in zip(result, _run_batch(toy, [eq], n, 5, 1, None)):
+            np.testing.assert_array_equal(got, serial)
+
+    def test_workers_below_one_refused(self):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            _run_batch(toy_two_bin_model(), [Equipage()], 10, 5, 0, None)
+
+
+class TestSimulationStreams:
+    @pytest.mark.parametrize("own, p, drawn", [
+        ("tcas", 0.5, True),
+        ("tcas", 1.0, False),  # complies at once: no delay to draw
+        ("none", 0.5, False),  # unequipped: no advisory
+    ])
+    def test_streams_only_where_a_delay_can_be_drawn(self, own, p, drawn):
+        eq = Equipage(own=own, pilot=PilotModel(response_probability=p))
+        rngs = _sim_rngs(eq, 7, STREAM_SIMULATE, range(4))
+        assert [rng is not None for rng in rngs] == [drawn] * 4
+
+    def test_no_stream_flies_as_the_stream_did(self):
+        model, idx = default_correlated_model(), range(40)
+        eq = Equipage(own="tcas", intruder="tcas", pilot=PilotModel(response_probability=1.0))
+        enc = build_encounters(model, _rngs(7, STREAM_ENCOUNTER, idx))
+        with_streams = _fly(enc, eq, _rngs(7, STREAM_SIMULATE, idx))
+        without = _fly(enc, eq, [None] * len(idx))
+        np.testing.assert_array_equal(with_streams[0], without[0])
+        assert (with_streams[0] != 0).any()
+        for a, b in zip(with_streams[2], without[2]):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestZeroEventReporting:

@@ -21,7 +21,7 @@ import numpy as np
 from . import config as configmod
 from .bayesnet import DiscreteBayesNet, fit_cpts
 from .config import ConfigError
-from .core import write_trace_csv
+from .core import SEED_LIMIT, write_trace_csv
 from .encounters import (
     CORRELATED,
     EncounterModel,
@@ -91,6 +91,8 @@ def main(argv: Optional[list] = None) -> int:
         seed = cfg["evaluation"]["seed"]
         if seed is not None:
             _config_int(cfg, "evaluation", "seed", 0)
+            if seed >= SEED_LIMIT:
+                raise CliError(E_CONFIG_INVALID, f"evaluation.seed must be below 2**64, got {seed}")
         handler = {
             "fit": _cmd_fit,
             "sample": _cmd_sample,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -250,6 +251,58 @@ class BeliefState:
             total += w
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"particle weights must sum to 1, got {total}")
+
+
+# ---------------------------------------------------------------------------
+# Counter-based random numbers
+# ---------------------------------------------------------------------------
+
+# A seed is a 64-bit key: every uniform hashes it as one uint64.
+SEED_LIMIT = 2**64
+
+# SplitMix64 (Steele, Lea & Flood, "Fast Splittable Pseudorandom Number
+# Generators", OOPSLA 2014): its golden-ratio increment and the two
+# multipliers of its output finalizer.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, in place on a uint64 array; returns z.
+
+    numpy wraps uint64 array products silently; only scalar np.uint64
+    arithmetic warns on overflow, so every operand here is an array.
+    """
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def uniforms(seed: int, stream: int, indices, width: int) -> np.ndarray:
+    """A chunk's block of uniforms in [0, 1): row b belongs to index indices[b].
+
+    Uniform k of (seed, stream, index) is a pure function of those four
+    numbers, so a row is the same in any chunk and any worker.  The row's
+    key is mix(mix(mix(seed) + stream) + index), with mix SplitMix64's
+    finalizer, and uniform k is the (k + 1)-th output of a SplitMix64
+    generator started at that key, mix(key + (k + 1) * golden), as
+    (z >> 11) * 2**-53.  Returns float64 of shape (len(indices), width).
+    A seed that is not an integer raises TypeError.
+    """
+    if not 0 <= operator.index(seed) < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    key = _mix64(_mix64(np.full(1, seed, dtype=np.uint64)) + np.uint64(stream))
+    keys = _mix64(np.asarray(indices, dtype=np.uint64) + key)
+    z = keys[:, None] + np.arange(1, width + 1, dtype=np.uint64) * _GOLDEN
+    _mix64(z)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def horizontal_tau_xy(

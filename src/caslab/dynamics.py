@@ -165,12 +165,11 @@ def project_template_many(
     return np.abs((z1 + vz1 * horizon)[:, None] - w * sense)
 
 
-def sample_response_delay(pilot: PilotModel, rng: np.random.Generator) -> int:
-    """Draw a geometric response delay in whole steps, support {0, 1, ...}."""
+def sample_response_delay(pilot: PilotModel, u: float) -> int:
+    """A geometric response delay in whole steps, support {0, 1, ...}, from u in [0, 1)."""
     p = pilot.response_probability
     if p >= 1.0:
         return 0
-    u = rng.random()
     # Inverse CDF of P(k) = (1-p)^k p.  Where 1 - p rounds to 1 the pilot
     # never complies: the delay exceeds every draw at a larger p (at most
     # 6.3e18 steps) and leaves room below the int64 limit for its start step.

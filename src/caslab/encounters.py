@@ -15,7 +15,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -112,6 +112,18 @@ class EncounterModel:
         return int(round(self.duration / self.dt))
 
     @property
+    def uniforms_per_encounter(self) -> int:
+        """Width of the block of uniforms build_encounters reads per encounter.
+
+        At most a bin and a value uniform per draw, plus two for an
+        uncorrelated placement.
+        """
+        n_init = len(self.initial_net.nodes)
+        n_next = len(self.transition_net.nodes) - n_init
+        per_trajectory = 2 * n_init + 2 * n_next * (self.n_steps - 1)
+        return per_trajectory if self.mode == CORRELATED else 2 * per_trajectory + 2
+
+    @property
     def next_node_map(self) -> Tuple[Tuple[int, int], ...]:
         """Pairs of (transition-net node index, initial-net base index)."""
         n = len(self.initial_net.nodes)
@@ -206,8 +218,8 @@ def _sample_trajectories(
     return init_bins, init_values, cmds
 
 
-def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator]) -> EncounterBatch:
-    """Sample one encounter from each generator, the whole chunk at once.
+def build_encounters(model: EncounterModel, u: np.ndarray) -> EncounterBatch:
+    """Sample one encounter from each row of u, the whole chunk at once.
 
     Correlated mode draws one joint trajectory pair on a head-on collision
     course whose separation is lost at the sampled tau0.  Uncorrelated mode
@@ -215,30 +227,26 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     straight relative track passes a uniformly drawn miss distance (< 500
     ft) from the ownship at a uniformly drawn time in the run.
 
-    Every draw is a random() for a bin and lo + (hi - lo) * random() for a
-    value in a bin with width, so each generator gives one block of the
-    most uniforms its encounter can use.  The encounter drawn from a
-    generator does not depend on the rest of the chunk.  The generators
-    must be distinct objects.
+    u is (B, model.uniforms_per_encounter) uniforms in [0, 1), one row per
+    encounter.  Every draw reads the row's next uniform for a bin and, for
+    a bin with width, one more for lo + (hi - lo) * u, so an encounter
+    depends only on its own row, never on the rest of the chunk.
     """
-    if len({id(rng) for rng in rngs}) != len(rngs):
-        raise ValueError("each encounter of a chunk needs its own generator")
     correlated = model.mode == CORRELATED
-    # At most a bin and a value uniform per draw, plus two for placement.
     n_init = len(model.initial_net.nodes)
     n_next = len(model.transition_net.nodes) - n_init
-    per_trajectory = 2 * n_init + 2 * n_next * (model.n_steps - 1)
-    width = per_trajectory if correlated else 2 * per_trajectory + 2
-    u = np.array([rng.random(width) for rng in rngs]).reshape(len(rngs), width)
-    cursor = np.zeros(len(rngs), dtype=int)
+    width = model.uniforms_per_encounter
+    if u.ndim != 2 or u.shape[1] != width:
+        raise ValueError(f"expected a (B, {width}) block of uniforms, got shape {u.shape}")
+    cursor = np.zeros(len(u), dtype=int)
     # One record of transition-net rows per trajectory sampled, in the
     # narrowest type that holds every bin index: most of a batch's bytes.
-    shape = (1 if correlated else 2, len(rngs), model.n_steps - 1, n_init + n_next)
+    shape = (1 if correlated else 2, len(u), model.n_steps - 1, n_init + n_next)
     n_bins = max(map(model.transition_net.n_bins, range(n_init + n_next)))
     transition_rows = np.zeros(shape, dtype=np.min_scalar_type(n_bins - 1))
     trajectories = [_sample_trajectories(model, u, cursor, rows) for rows in transition_rows]
     if not correlated:
-        batch = np.arange(len(rngs))
+        batch = np.arange(len(u))
         t_u, miss_u = u[batch, cursor], u[batch, cursor + 1]
 
     initial_bins = np.stack([bins for bins, _, _ in trajectories])
@@ -251,7 +259,7 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
     own_speed, int_speed = own[:, closure] / 2.0, intr[:, closure] / 2.0
     if correlated:
         int_pos0 = np.stack(
-            [SEPARATION_THRESHOLD_FT + own[:, closure] * own[:, tau0], np.zeros(len(rngs))], axis=1
+            [SEPARATION_THRESHOLD_FT + own[:, closure] * own[:, tau0], np.zeros(len(u))], axis=1
         )
     else:
         # The relative velocity is (vr, 0), so its unit vector is (+-1, 0)
@@ -276,8 +284,8 @@ def build_encounters(model: EncounterModel, rngs: Sequence[np.random.Generator])
 
 
 def build_encounter(model: EncounterModel, rng: np.random.Generator) -> EncounterBatch:
-    """Sample a complete encounter: build_encounters on a chunk of one."""
-    return build_encounters(model, [rng])
+    """Sample a complete encounter: build_encounters on a chunk of one, fed by rng."""
+    return build_encounters(model, rng.random((1, model.uniforms_per_encounter)))
 
 
 def _check_records(model: EncounterModel, enc: EncounterBatch) -> None:

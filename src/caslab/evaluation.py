@@ -1,10 +1,10 @@
 """Closed-loop encounter simulation and safety-metric estimation.
 
-RNG discipline: a root seed derives independent streams for encounter
-generation and for pilot response sampling, each advanced per encounter
-index, so paired-seed comparisons across equipages see identical nominal
-encounters.  Aggregation always runs in encounter-index order to keep
-results bit-reproducible regardless of worker count.
+Random numbers: every uniform is core.uniforms of (root seed, stream,
+encounter index, counter), with one stream for encounter generation and
+one for pilot response delays, so paired-seed comparisons across equipages
+see identical nominal encounters and an encounter's result does not depend
+on its chunk or worker.  Aggregation always runs in encounter-index order.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .core import (
     EncounterTrace,
     is_reversal,
     is_strengthening,
+    uniforms,
 )
 from .dynamics import PilotModel, sample_response_delay, step_complying_many
 from .encounters import (
@@ -60,7 +61,8 @@ LOGIC_TCAS = "tcas"
 LOGIC_TABLE = "table"
 LOGIC_KINDS = (LOGIC_NONE, LOGIC_TCAS, LOGIC_TABLE)
 
-# Stream tags under the root seed.
+# Stream numbers under the root seed: plain runs and CE adaptation each
+# have an encounter stream and a simulation (pilot delay) stream.
 STREAM_ENCOUNTER = 0
 STREAM_SIMULATE = 1
 STREAM_CE_ENCOUNTER = 2
@@ -192,7 +194,7 @@ def _quantized_tau(px, py, vx, vy, tau_max: int) -> np.ndarray:
 def _fly(
     enc: EncounterBatch,
     eq: Equipage,
-    rngs: Sequence[Optional[np.random.Generator]],
+    u_delay: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, tuple]:
     """Fly B encounters together, one step at a time, under one equipage.
 
@@ -202,31 +204,29 @@ def _fly(
     (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
     (B, n+1, 2) and event bits (B, n+1).
 
-    rngs[b] is encounter b's simulation stream, or None where no delay can
-    be drawn (_sim_rngs).  Its first spawned child draws the pilot
-    delays exactly as for a lone encounter, so every encounter's result is
-    the same in any chunk; the child is spawned when the encounter first
-    draws.  Each step does three things: the equipped sides decide, the
-    sample is recorded, and both aircraft move.  A side that switches at
-    step k to an advisory other than COC draws a geometric pilot delay d
-    and complies from step k + d for as long as it holds that advisory; a
-    switch while a delay runs draws a new one.  A complying side moves
-    toward its advisory's band, and every other side flies its nominal
-    command, so unequipped aircraft replay the nominal commands exactly.
+    u_delay (B, 2, n) holds the pilot-delay uniforms, or is None when eq
+    draws no delay (_draws_delays).  Each step does three things: the
+    equipped sides decide, the sample is recorded, and both aircraft move.
+    A side switches at most once per step; side i of encounter b that
+    switches at step k to an advisory other than COC draws a geometric
+    pilot delay d from u_delay[b, i, k] and complies from step k + d for
+    as long as it holds that advisory; a switch while a delay runs draws a
+    new one.  A complying side moves toward its advisory's band, and every
+    other side flies its nominal command, so unequipped aircraft replay
+    the nominal commands exactly.
     Each table-equipped side makes one lookup per step over the sigma
     points of all B beliefs, and each TCAS side one tracker_step_many.
     Every event is scored once, from the record, after the last step.
     """
     n_enc, n, dt = len(enc), enc.n_steps, enc.dt
-    if len(rngs) != n_enc:
-        raise ValueError("each encounter needs its own simulation stream")
     logics = (eq.own, eq.intruder)
     equipped = [i for i in (0, 1) if logics[i] != LOGIC_NONE]
+    delayed = _draws_delays(eq)
+    if delayed and (u_delay is None or u_delay.shape != (n_enc, 2, n)):
+        raise ValueError(f"pilot delays need a ({n_enc}, 2, {n}) block of simulation-stream uniforms")
     table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
     if table_sides and dt != 1.0:
         raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
-    # Spawned when the encounter first draws a delay; p = 1 draws none.
-    pilot_rngs = [None] * n_enc
 
     # Open-loop horizontal tracks, (B, aircraft, n+1), as the trace records
     # them: pos0 + v * (k * dt).  The TCAS threat, the table tau and the
@@ -306,10 +306,12 @@ def _fly(
                     # coordinate(): the leader's sense forbids the same sense.
                     leader_sense = _SENSE[selected]
 
-            for b in np.flatnonzero((selected != adv[:, i]) & (selected != COC_INDEX)).tolist():
-                if pilot_rngs[b] is None and eq.pilot.response_probability < 1.0:
-                    pilot_rngs[b] = rngs[b].spawn(1)[0]
-                comply_at[b, i] = k + sample_response_delay(eq.pilot, pilot_rngs[b])
+            switched = (selected != adv[:, i]) & (selected != COC_INDEX)
+            if delayed:
+                for b in np.flatnonzero(switched).tolist():
+                    comply_at[b, i] = k + sample_response_delay(eq.pilot, u_delay[b, i, k])
+            else:
+                comply_at[switched, i] = k
             adv[:, i] = selected
 
         # Record sample k, then advance kinematics over [k, k+1).
@@ -345,14 +347,14 @@ def _fly(
 
 
 def simulate_encounters(
-    enc: EncounterBatch, eq: Equipage, rngs: Sequence[np.random.Generator]
+    enc: EncounterBatch, eq: Equipage, u_delay: Optional[np.ndarray]
 ) -> List[EncounterTrace]:
     """Run a chunk of encounters in lockstep and build each one's trace.
 
-    rngs[b] is encounter b's simulation stream; each trace equals the one
-    simulate_encounter gives for encounter b built alone, under rngs[b].
+    u_delay is _fly's pilot-delay block; each trace equals the one the
+    chunk of encounter b alone gives under u_delay[b:b + 1].
     """
-    _, _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, rngs)
+    _, _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, u_delay)
     n = enc.n_steps + 1
     traces = []
     for b in range(len(enc)):
@@ -377,9 +379,11 @@ def simulate_encounter(
 ) -> EncounterTrace:
     """Run both aircraft of a one-encounter batch under their equipped logic.
 
-    This is the lockstep simulator at B=1.
+    This is the lockstep simulator at B=1, its delay uniforms drawn from rng.
     """
-    return simulate_encounters(enc, eq, [rng])[0]
+    if len(enc) != 1:
+        raise ValueError("simulate_encounter takes a batch of one; its simulation stream is rng")
+    return simulate_encounters(enc, eq, rng.random((1, 2, enc.n_steps)))[0]
 
 
 def trace_severity(trace: EncounterTrace) -> float:
@@ -395,22 +399,23 @@ def trace_severity(trace: EncounterTrace) -> float:
     return float(np.min(np.maximum(dz, dxy)))
 
 
-def _rngs(seed: int, stream: int, indices: Sequence[int]) -> List[np.random.Generator]:
-    """One generator per encounter index: default_rng([seed, stream, index])."""
-    return [np.random.default_rng([seed, stream, i]) for i in indices]
+def _draws_delays(eq: Equipage) -> bool:
+    """Whether _fly draws pilot delays for eq: it has an equipped side and p < 1."""
+    return (eq.own, eq.intruder) != (LOGIC_NONE, LOGIC_NONE) and eq.pilot.response_probability < 1.0
 
 
-def _sim_rngs(
-    eq: Equipage, seed: int, stream: int, indices: Sequence[int]
-) -> List[Optional[np.random.Generator]]:
-    """Simulation streams for eq, or Nones when _fly can draw no delay from them.
+def _delay_uniforms(
+    equipages: Sequence[Equipage], seed: int, stream: int, indices: Sequence[int], n_steps: int
+) -> Optional[np.ndarray]:
+    """_fly's (B, 2, n_steps) pilot-delay block, or None when no equipage draws a delay.
 
-    Only an equipped side whose pilot may respond late (p < 1) draws.
+    Side i's delay on a switch at step k reads counter 2k + i of the
+    encounter's simulation stream, so it does not depend on the run's
+    length.
     """
-    equipped = eq.own != LOGIC_NONE or eq.intruder != LOGIC_NONE
-    if equipped and eq.pilot.response_probability < 1.0:
-        return _rngs(seed, stream, indices)
-    return [None] * len(indices)
+    if not any(map(_draws_delays, equipages)):
+        return None
+    return uniforms(seed, stream, indices, 2 * n_steps).reshape(-1, n_steps, 2).transpose(0, 2, 1)
 
 
 def run_indexed_traces(
@@ -423,8 +428,9 @@ def run_indexed_traces(
 
     Each trace is the same in any chunk, a chunk of one included.
     """
-    enc = build_encounters(model, _rngs(seed, STREAM_ENCOUNTER, indices))
-    return simulate_encounters(enc, eq, _sim_rngs(eq, seed, STREAM_SIMULATE, indices))
+    enc = build_encounters(model, uniforms(seed, STREAM_ENCOUNTER, indices, model.uniforms_per_encounter))
+    u_delay = _delay_uniforms([eq], seed, STREAM_SIMULATE, indices, enc.n_steps)
+    return simulate_encounters(enc, eq, u_delay)
 
 
 def _run_chunk(
@@ -443,7 +449,7 @@ def _run_chunk(
     zeros without a nominal model, else the IS log-weight of the nominal
     model against model, which every equipage shares.
     """
-    enc = build_encounters(model, _rngs(seed, enc_stream, indices))
+    enc = build_encounters(model, uniforms(seed, enc_stream, indices, model.uniforms_per_encounter))
     if nominal is None:
         log_weight = np.zeros(len(enc))
     else:
@@ -451,7 +457,8 @@ def _run_chunk(
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
-    flown = [_fly(enc, eq, _sim_rngs(eq, seed, sim_stream, indices))[:2] for eq in equipages]
+    u_delay = _delay_uniforms(equipages, seed, sim_stream, indices, enc.n_steps)
+    flown = [_fly(enc, eq, u_delay)[:2] for eq in equipages]
     flags, severity = (np.array(a) for a in zip(*flown))
     return enc, flags, severity, log_weight
 

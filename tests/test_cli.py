@@ -493,6 +493,22 @@ class TestConfigContract:
         assert err.startswith("E_CONFIG_INVALID:") and err.count("\n") == 1
         assert "evaluation.seed" in err
 
+    @pytest.mark.parametrize("where", ["--seed", "config"])
+    def test_seed_beyond_64_bits_names_its_key(self, where, tmp_path, capsys):
+        # A seed is one uint64 key of the counter-based generator.
+        evaluation = {"n": 5, "equipage": ["none", "none"]}
+        if where == "config":
+            evaluation["seed"] = 2**64
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "evaluation": evaluation}))
+        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        code = main(argv + (["--seed", str(2**64)] if where == "--seed" else []))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "E_CONFIG_INVALID: evaluation.seed must be below 2**64, got 18446744073709551616\n"
+        assert main(["evaluate", "--config", str(cfg), "--seed", str(2**64 - 1),
+                     "--out", str(tmp_path / "top")]) == 0
+
     def test_every_null_default_declares_its_type(self):
         nulls = {f"{block}.{key}" for block, values in DEFAULT_CONFIG.items()
                  if isinstance(values, dict) for key, value in values.items() if value is None}
@@ -780,19 +796,20 @@ class TestConfigRoundTrip:
 # (table/*, simulate/trace.csv) were recorded again when the table began to
 # hold its advisory on a tie, every metrics.json again when plain runs
 # began to report an upper bound on P(NMAC), and table/* again when a
-# belief became seven sigma points.  A change here changes what
-# evaluate, simulate or sample write at a fixed seed.
+# belief became seven sigma points, and every file again when counter-based
+# uniforms replaced the per-encounter generators.  A change here changes
+# what evaluate, simulate or sample write at a fixed seed.
 PINNED_OUTPUT_DIGESTS = {
-    "is/metrics.json": "e0e390c608b94fe38ccad38b870dd688a7dcfbcaef68707d5eb062c6e08549c6",
-    "is/per_encounter.csv": "7ba2fe83f5be9e8e56193da042049a2a2da6fe6318eee518debf8a4588fc33d9",
-    "sample/encounter_0000.csv": "84cd1c64ccbd9e95259e2b325ba0f9c866536fe57219908c66540a63aef9875f",
-    "sample/encounter_0001.csv": "218597008f9b76e9dafd0ef5b0b50b8ef2425f2bf8b94f1ceb776e8aa8a52d52",
-    "sample/encounter_0002.csv": "db116690c5954be6f3c45d4bc245680d65a86637e444b7cdeb2b1151d9ffb884",
-    "simulate/trace.csv": "b2acfc1ae11f8adebad0da28193dcc6327483e8c74a7152e9cb33205e42e7c52",
-    "table/metrics.json": "3faa0b499f3abb4926026db057dfd263f0e9e5ea02dbc97e0aa8d9e869775bc3",
-    "table/per_encounter.csv": "6d465c84ced89e40cdc9fbc8355fe5ea39eb2e3510ec22b178c9f449f6056ab0",
-    "tcas_workers/metrics.json": "5aea4e86fe09c682db433161b4a5adcd1c715245d87a9e4ea139ea53b7a45c27",
-    "tcas_workers/per_encounter.csv": "59a8866311613414a4e7ef228689d4bbcd697ccde7b8baf1392b4129f11cc466",
+    "is/metrics.json": "e027407c01672819d0cac94824ab8eb96d3c2e48b619d830ae0fc547ae4fa924",
+    "is/per_encounter.csv": "9daf7d36c0fef71f2a982fe03abe10bbafff6af6e6392326a84b112ca74994f0",
+    "sample/encounter_0000.csv": "13ea796226f6f796927b4b9254cec482e2d25229cd44c92c45eb1af6503aa7a3",
+    "sample/encounter_0001.csv": "7d8efe757fdaa4e3b0c53e344a491960de690d4c0a1515b564caa8db0cc68487",
+    "sample/encounter_0002.csv": "18d6ccc159d725d08277e3de8112e9c417fab11bec42986d8aeb0fbc30ae4f06",
+    "simulate/trace.csv": "22efd495f7a97a76128996433abdc801016c849eb8d2498449752166375219a7",
+    "table/metrics.json": "20caef79b04bb6523ea4dfec5c7eab60b23a65963d52b352b041348cd2cedb3e",
+    "table/per_encounter.csv": "00afd56ddfa5a3e1baff36d15cf8321e497ad93dabec3a77995991ac6928a5f7",
+    "tcas_workers/metrics.json": "29e800e39e29876843aebec1a490e3ff08b4a1a3ad4b4c6c69d6addc40bf39ac",
+    "tcas_workers/per_encounter.csv": "8b180835e4d8c25a5bf1d14eed78033df3036f90ed4a28d6b1c8418d93a3a0eb",
 }
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, Advisory
+from caslab.core import ADVISORIES, Advisory, uniforms
 from caslab.dynamics import (
     IntruderModel,
     PilotModel,
@@ -101,34 +101,45 @@ class TestStepVertical:
 
 
 class TestSampleResponseDelay:
+    # The delay is a function of one uniform; these come from the simulation
+    # stream's counter-based generator.
+    U = uniforms(1, 1, [0], 100_000)[0]
+
     def test_p_one_always_zero(self):
-        rng = np.random.default_rng(0)
-        assert all(sample_response_delay(pilot(p=1.0), rng) == 0 for _ in range(100))
+        assert all(sample_response_delay(pilot(p=1.0), u) == 0 for u in self.U[:100].tolist())
 
     def test_mean_matches_geometric(self):
         # mean of Geometric(p) on {0,1,...} is (1-p)/p = 4 for p = 0.2
-        rng = np.random.default_rng(1)
-        draws = [sample_response_delay(pilot(p=0.2), rng) for _ in range(100_000)]
+        draws = [sample_response_delay(pilot(p=0.2), u) for u in self.U.tolist()]
         assert abs(np.mean(draws) - 4.0) <= 0.1
 
     def test_mass_at_zero(self):
-        rng = np.random.default_rng(2)
-        draws = [sample_response_delay(pilot(p=0.5), rng) for _ in range(100_000)]
+        draws = [sample_response_delay(pilot(p=0.5), u) for u in self.U.tolist()]
         assert abs(np.mean([d == 0 for d in draws]) - 0.5) <= 0.01
 
+    @pytest.mark.parametrize("p", [0.2, 1.0 / 6.0, 2.0**-53])
+    def test_extreme_uniforms(self, p):
+        # A uniform is (z >> 11) * 2^-53: 0 and 1 - 2^-53 are its extremes.
+        # u = 0 takes log(1e-300), a long but finite delay; the largest u
+        # is the shortest one: 0 steps, or 1 where log(1 - p) = log(u).
+        log_q = math.log(1.0 - p)
+        assert sample_response_delay(pilot(p=p), 0.0) == math.floor(math.log(1e-300) / log_q)
+        assert 0 < sample_response_delay(pilot(p=p), 0.0) < np.iinfo(np.int64).max - 2**40
+        last = 1.0 - 2.0**-53
+        assert sample_response_delay(pilot(p=p), last) == (1 if p == 2.0**-53 else 0)
 
     def test_delay_keeps_its_draw_down_to_the_smallest_representable_p(self):
         # At p = 2^-53, 1 - p is still below 1: the inverse CDF applies as is.
         p = 2.0**-53
-        u = np.random.default_rng(3).random()
+        u = float(self.U[3])
         expected = math.floor(math.log(u) / math.log(1.0 - p))
-        assert sample_response_delay(pilot(p=p), np.random.default_rng(3)) == expected
+        assert sample_response_delay(pilot(p=p), u) == expected
 
     @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
     def test_pilot_whose_one_minus_p_rounds_to_one_never_complies(self, p):
         # log(1 - p) is 0 there; the delay passes every draw at a larger p
         # and still fits an int64 step index.
-        delay = sample_response_delay(pilot(p=p), np.random.default_rng(4))
+        delay = sample_response_delay(pilot(p=p), float(self.U[4]))
         assert 6.3e18 < delay < np.iinfo(np.int64).max - 2**40
 
 

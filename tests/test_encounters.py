@@ -9,7 +9,7 @@ import pytest
 
 from caslab import evaluation
 from caslab.bayesnet import DiscreteBayesNet, ancestral_sample, ancestral_sample_many
-from caslab.core import horizontal_tau_xy
+from caslab.core import horizontal_tau_xy, uniforms
 from caslab.encounters import (
     CORRELATED,
     UNCORRELATED,
@@ -30,7 +30,13 @@ from caslab.encounters import (
     trace_log_likelihoods,
     write_model_file,
 )
-from caslab.evaluation import Equipage, _run_chunk, cross_entropy_adapt, simulate_encounter
+from caslab.evaluation import (
+    STREAM_ENCOUNTER,
+    Equipage,
+    _run_chunk,
+    cross_entropy_adapt,
+    simulate_encounter,
+)
 from conftest import nominal_tracks
 
 ONE = np.array([[1.0]])
@@ -321,7 +327,7 @@ class TestLikelihood:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_encounter_rejected(self, case):
         match, call = MALFORMED[case]
-        enc = build_encounters(MALFORMED_MODEL, seeded_rngs(range(3), seed=15))
+        enc = build_encounters(MALFORMED_MODEL, seeded_block(MALFORMED_MODEL, range(3), seed=15))
         with pytest.raises(ValueError, match=match):
             call(enc)
 
@@ -351,16 +357,17 @@ class TestModelFile:
             model_from_dict(d)
 
 
-# sha256 over every field of encounters 0..199 built from the generators
-# default_rng([11, 0, i]), recorded from the per-encounter sampler that
-# build_encounters replaced.  A change here changes every seeded result.
+# sha256 over every field of encounters 0..199 built from the encounter
+# stream's uniforms at seed 11, recorded when counter-based uniforms
+# replaced one generator per encounter.  A change here changes every
+# seeded result.
 PINNED_DIGESTS = {
-    "correlated": "1f72683fda2a19487d7c5c038fd015b09980f729995f78f11f76ae60a9ab4aaf",
-    "uncorrelated": "174c1791e34c3a4f3e04d395190c63e3cc20e5f5e6b901e581b24c8ddacf46ad",
-    "toy": "978ff6f100c80db55de7f7f51961f32c9105c59c564a0ae1785480bc7ef637c2",
-    "uncorrelated_dt05": "63a666662d7f54f759ed44bc5c35a4091ed33a16d8711ff20b752d24c8a3bcc4",
-    "uncorrelated_dt2": "b6258b39daa5d58fd36173aaaa51d77361c17fc0f4c294ac5a3ad310e49f2bc2",
-    "ce_proposal": "b112835afebffbe26683b1b4eb016373353f723755a67f26220dd6a461ef17ce",
+    "ce_proposal": "19f67bb1f172f97e6a042cb98e69c9f4122b2632a24f17af39c619c5039e9667",
+    "correlated": "55b4ffa0240910e091cd35fdd2f391257b732b595ea2e65ea655107facba1b4d",
+    "toy": "49f5ae3c646777363e67ff297bce3ea1135f34bdeee4978d1840510593d2e843",
+    "uncorrelated": "17d7bf064db0b25269f7b7cd27a498fa96fdda1197c9a41d421022a5953a1e30",
+    "uncorrelated_dt05": "38be054091d5151e1a6196b59bb58793c03fbbf9269336262d068e33e40539e1",
+    "uncorrelated_dt2": "1f684a9bd50b417fb8b65094ff2ee2a3b8cdff6ec87a493cfd7a04a85bf60df4",
 }
 
 
@@ -374,19 +381,19 @@ def ce_proposal(make=default_uncorrelated_model):
 # sha256 of the sorted-key JSON of model_to_dict(ce_proposal(make)): the CE
 # refit itself, for one draw record per encounter (correlated) and for two
 # (uncorrelated).  Re-pinned when model files went to schema 2 and the
-# transition net's t slice lost its CPTs; the CPTs that remain did not move
-# (PINNED_CE_NEXT_CPT_DIGESTS).
+# transition net's t slice lost its CPTs, and again, with every seeded
+# digest, when counter-based uniforms replaced the per-encounter generators.
 PINNED_CE_DIGESTS = {
-    "correlated": "d0c8191ba55417f95719e040bf1e88bd1c45a3efa07c75a341c88bf5e032c738",
-    "uncorrelated": "3f87584cb63d5b19c0e86b91105eb2638142981d7084aa995777b6b013025249",
+    "correlated": "c4fdeb1ec5c952afc4e5e415dbf834e61ee513d1a338f5acc3b7458b96c53e6f",
+    "uncorrelated": "bab1c696095820f7fbe1694e29e01a812d59610cb462321a5df38202ef34f6f2",
 }
 
 # sha256 of the float64 bytes of ce_proposal(make)'s own_vrate_next and
-# int_vrate_next CPTs, recorded while the transition net still refit a CPT
-# for every t-slice node.
+# int_vrate_next CPTs, the only CPTs the transition net refits; recorded
+# with counter-based uniforms.
 PINNED_CE_NEXT_CPT_DIGESTS = {
-    "correlated": "2cce2b2526fd46c8715ee4b25e16750bfeb11d4c82d6d857f02767ba9af9271a",
-    "uncorrelated": "1367046f759834079d3af6ed75c0bad8afb1725902abb6dca0b07ddb69fd9a4a",
+    "correlated": "ad2b825589fd24325929f4ce993f097c93d82e1ac4bbe1c6f37ff0f1764e595e",
+    "uncorrelated": "35283fe8fc91f6bfffa6e837f6bcfdd0bc1368217aeee6faf639ec04702afa90",
 }
 
 
@@ -424,12 +431,13 @@ def encounter_digest(model, batches):
     return h.hexdigest()
 
 
-def seeded_rngs(indices, seed=11):
-    return [np.random.default_rng([seed, 0, i]) for i in indices]
+def seeded_block(model, indices, seed=11):
+    """The encounter stream's uniforms for these indices, as evaluate draws them."""
+    return uniforms(seed, STREAM_ENCOUNTER, indices, model.uniforms_per_encounter)
 
 
 def build_in_chunks(model, n, size):
-    return [build_encounters(model, seeded_rngs(range(start, min(start + size, n))))
+    return [build_encounters(model, seeded_block(model, range(start, min(start + size, n))))
             for start in range(0, n, size)]
 
 
@@ -437,7 +445,7 @@ class TestBatchedSampler:
     @pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
     def test_seed_to_encounter_map_pinned(self, name):
         model = PINNED_MODELS[name]()
-        enc = build_encounters(model, seeded_rngs(range(200)))
+        enc = build_encounters(model, seeded_block(model, range(200)))
         assert encounter_digest(model, [enc]) == PINNED_DIGESTS[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED_CE_DIGESTS))
@@ -500,10 +508,10 @@ class TestBatchedSampler:
         model = PINNED_MODELS[name]()
         # trace_log_likelihood scores chunks of one, which test_chunk_invariance
         # ties to the chunk of 40.
-        lone = [build_encounters(model, seeded_rngs([i], seed=5)) for i in range(40)]
+        lone = [build_encounters(model, seeded_block(model, [i], seed=5)) for i in range(40)]
         scalar = [trace_log_likelihood(model, e) for e in lone]
         assert [trace_log_likelihoods(model, e)[0] for e in lone] == scalar
-        enc = build_encounters(model, seeded_rngs(range(40), seed=5))
+        enc = build_encounters(model, seeded_block(model, range(40), seed=5))
         assert trace_log_likelihoods(model, enc).tolist() == scalar
 
     def test_chunk_log_weights_match_scalar(self):
@@ -512,7 +520,7 @@ class TestBatchedSampler:
         for proposal, nom, n in ((ce_proposal(), nominal, 200),
                                  (toy_two_bin_model(p_conflict=0.5), hard_zero, 40)):
             _, _, _, log_weight = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)
-            lone = [build_encounters(proposal, seeded_rngs([i], seed=3)) for i in range(n)]
+            lone = [build_encounters(proposal, seeded_block(proposal, [i], seed=3)) for i in range(n)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LikelihoodSupportWarning)
                 expected = [trace_log_likelihood(nom, e) - trace_log_likelihood(proposal, e)
@@ -526,7 +534,7 @@ class TestBatchedSampler:
         # drawn from a model that puts mass where the sampling model has none.
         half = toy_two_bin_model(p_conflict=0.5)
         monkeypatch.setattr(evaluation, "build_encounters",
-                            lambda model, rngs: build_encounters(half, rngs))
+                            lambda model, u: build_encounters(half, u))
         with pytest.raises(ValueError, match="sample log-probability must be finite"):
             _run_chunk(hard_zero_toy(), [Equipage()], 3, range(40), nominal=half)
 
@@ -538,7 +546,7 @@ class TestBatchedSampler:
         # separation.  A placement with tau <= 40 s at some step was never
         # re-drawn, so up to dt = 40 s placement never needed a retry.
         model = dataclasses.replace(make(duration=duration, dt=dt), mode=UNCORRELATED)
-        enc = build_encounters(model, seeded_rngs(range(200), seed=21))
+        enc = build_encounters(model, seeded_block(model, range(200), seed=21))
         for (own_speed, int_speed), (x0, y0) in zip(enc.speed.tolist(), enc.int_pos0.tolist()):
             vr = (-int_speed - own_speed, 0.0)
             taus = [
@@ -547,10 +555,13 @@ class TestBatchedSampler:
             ]
             assert min(t for t in taus if t is not None) <= dt + 1e-9
 
-    def test_shared_generator_rejected(self):
-        rng = np.random.default_rng(1)
-        with pytest.raises(ValueError, match="own generator"):
-            build_encounters(default_correlated_model(), [rng, rng])
+    @pytest.mark.parametrize("shape", [(2, 205), (2, 207), (206,)])
+    def test_block_of_the_wrong_shape_rejected(self, shape):
+        # The correlated model reads 206 uniforms per encounter.
+        model = default_correlated_model()
+        assert model.uniforms_per_encounter == 206
+        with pytest.raises(ValueError, match=r"\(B, 206\) block of uniforms"):
+            build_encounters(model, np.full(shape, 0.5))
 
     def test_wide_bin_index_kept_in_draw_records(self):
         # 300 altitude bins, all mass on the last: its index needs 9 bits.

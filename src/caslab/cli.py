@@ -90,9 +90,7 @@ def main(argv: Optional[list] = None) -> int:
             cfg["evaluation"]["seed"] = args.seed
         seed = cfg["evaluation"]["seed"]
         if seed is not None:
-            _config_int(cfg, "evaluation", "seed", 0)
-            if seed >= SEED_LIMIT:
-                raise CliError(E_CONFIG_INVALID, f"evaluation.seed must be below 2**64, got {seed}")
+            _config_key(cfg, "evaluation", "seed")
         handler = {
             "fit": _cmd_fit,
             "sample": _cmd_sample,
@@ -214,6 +212,14 @@ def _config_int(cfg: dict, block: str, key: str, minimum: int) -> int:
     return value
 
 
+def _config_key(cfg: dict, block: str, key: str) -> int:
+    """A seed or an encounter index: one uint64 coordinate of the generator's key."""
+    value = _config_int(cfg, block, key, 0)
+    if value >= SEED_LIMIT:
+        raise CliError(E_CONFIG_INVALID, f"{block}.{key} must be below 2**64, got {value}")
+    return value
+
+
 def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> DiscreteBayesNet:
     """Fit structure's CPTs to a CSV of bin indices, one column per node."""
     if path is None or not Path(path).exists():
@@ -278,9 +284,9 @@ def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
 
 def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
+    index = _config_key(cfg, "simulate", "index")
     model = _load_model(cfg)
     eq = _equipage(cfg)
-    index = _config_int(cfg, "simulate", "index", 0)
     (trace,) = run_indexed_traces(model, eq, seed, [index])
     write_trace_csv(trace, out_dir / "trace.csv")
 

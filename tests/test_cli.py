@@ -509,6 +509,17 @@ class TestConfigContract:
         assert main(["evaluate", "--config", str(cfg), "--seed", str(2**64 - 1),
                      "--out", str(tmp_path / "top")]) == 0
 
+    def test_index_beyond_64_bits_names_its_key(self, tmp_path, capsys):
+        # An encounter index is a uint64 coordinate of the key, as a seed is.
+        cfg = tmp_path / "config.json"
+        for index, code in ((2**64, 2), (2**64 - 1, 0)):
+            cfg.write_text(json.dumps({"schema_version": 1, "simulate": {"index": index},
+                                       "evaluation": {"equipage": ["none", "none"]}}))
+            argv = ["simulate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")]
+            assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == "E_CONFIG_INVALID: simulate.index must be below 2**64, got 18446744073709551616\n"
+
     def test_every_null_default_declares_its_type(self):
         nulls = {f"{block}.{key}" for block, values in DEFAULT_CONFIG.items()
                  if isinstance(values, dict) for key, value in values.items() if value is None}

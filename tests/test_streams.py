@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from caslab.core import SEED_LIMIT, uniforms
-from caslab.dynamics import PilotModel
-from caslab.encounters import default_uncorrelated_model, toy_two_bin_model
+from caslab.encounters import toy_two_bin_model
 from caslab.evaluation import (
-    STREAM_CE_ENCOUNTER,
     STREAM_CE_SIMULATE,
     STREAM_ENCOUNTER,
     STREAM_SIMULATE,
     Equipage,
-    _run_batch,
     cross_entropy_adapt,
     estimate_metrics,
     is_estimate,
@@ -98,23 +95,6 @@ class TestStatistics:
             a, b = self.U, uniforms(2026, STREAM_SIMULATE, range(1000), 1000)
         r = np.corrcoef(a.ravel(), b.ravel())[0, 1]
         assert abs(r) < 4 / math.sqrt(a.size)
-
-
-class TestInvariance:
-    def test_outcomes_same_for_1_and_2_workers(self):
-        # The serial run takes chunks of 256 and 44, the pool two of 150:
-        # every encounter reads its own rows whatever the chunk.
-        nominal = default_uncorrelated_model()
-        proposal = toy_two_bin_model(p_conflict=0.5)
-        eq = Equipage(own="tcas", pilot=PilotModel(response_probability=1.0 / 6.0))
-        for model, nom in ((nominal, None), (proposal, toy_two_bin_model(p_conflict=0.05))):
-            serial = _run_batch(model, [eq, Equipage()], 300, 17, 1, nom)
-            try:
-                parallel = _run_batch(model, [eq, Equipage()], 300, 17, 2, nom)
-            except OSError:
-                pytest.skip("process pool unavailable in sandbox")
-            for a, b in zip(serial, parallel):
-                assert a.tobytes() == b.tobytes()
 
 
 class TestSeedRange:

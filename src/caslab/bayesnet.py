@@ -45,7 +45,9 @@ class DiscreteBayesNet:
     def __post_init__(self) -> None:
         if not self.nodes:
             raise ValueError("network must contain at least one node")
-        if not (isinstance(self.given, int) and 0 <= self.given < len(self.nodes)):
+        if not all(isinstance(name, str) for name in self.nodes):
+            raise ValueError(f"node names must be strings: {list(self.nodes)!r}")
+        if not (type(self.given) is int and 0 <= self.given < len(self.nodes)):
             raise ValueError(f"given must be an integer in [0, {len(self.nodes)}): {self.given!r}")
         if len(self.parents) != len(self.nodes) or len(self.bins) != len(self.nodes):
             raise ValueError("parents and bins must match nodes")
@@ -64,8 +66,9 @@ class DiscreteBayesNet:
             if i < self.given and ps:
                 raise ValueError(f"given node {self.nodes[i]} must have no parents")
             for p in ps:
-                if not (0 <= p < i):
-                    raise ValueError("parents must precede children in node order")
+                if type(p) is not int or not 0 <= p < i:
+                    raise ValueError(f"parents must precede children in node order, "
+                                     f"got {p!r} for {self.nodes[i]}")
         if self.cpt:
             if len(self.cpt) != len(self.nodes) - self.given:
                 raise ValueError("cpt must cover every node that is not given")

@@ -39,7 +39,6 @@ from .evaluation import (
     _chunks,
     _report,
     _run_batch,
-    outcome_columns,
     risk_ratio,
     run_indexed_traces,
 )
@@ -298,38 +297,52 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     n = _config_int(cfg, "evaluation", "n", 1)
     proposal = _load_proposal(cfg, model)
     equipages = [eq]
-    compare = cfg["evaluation"]["compare_unequipped"] and proposal is None
-    if compare:
+    if cfg["evaluation"]["compare_unequipped"] and proposal is None:
         equipages.append(Equipage(pilot=eq.pilot))
     # Every encounter is built once; the equipped logic and the unequipped
     # baseline fly over the same built encounter.
     sampler, nominal = (model, None) if proposal is None else (proposal, model)
-    flags, severity, log_weight = _run_batch(sampler, equipages, n, seed, workers, nominal)
-    report = _report(flags[0], log_weight, weighted=proposal is not None)
+    outcome = _run_batch(sampler, equipages, n, seed, workers, nominal)
+    metrics = _metrics_json(outcome, cfg["evaluation"]["equipage"], weighted=proposal is not None)
+    (out_dir / "metrics.json").write_text(metrics)
+    if cfg["evaluation"]["per_encounter_csv"]:
+        _write_outcomes(out_dir / "per_encounter.csv", outcome)
+
+
+def _metrics_json(outcome: np.ndarray, equipage: list, weighted: bool) -> str:
+    """metrics.json's text from the OUTCOME records alone: the equipage's, then any baseline's."""
+    report = _report(outcome[0], weighted)
     payload = asdict(report)
     del payload["weighted"]
-    payload.update(schema_version=1, equipage=list(cfg["evaluation"]["equipage"]))
-    if compare:
-        baseline = _report(flags[1], log_weight, weighted=False)
-        payload["baseline_p_nmac"] = baseline.p_nmac
-        payload["baseline_p_nmac_se"] = baseline.p_nmac_se
-        payload["baseline_p_nmac_upper95"] = baseline.p_nmac_upper95
+    payload.update(schema_version=1, equipage=list(equipage))
+    if len(outcome) > 1:
+        baseline = _report(outcome[1], weighted)
+        for key in ("p_nmac", "p_nmac_se", "p_nmac_upper95"):
+            payload["baseline_" + key] = getattr(baseline, key)
         if baseline.p_nmac > 0:
             ratio = risk_ratio(report, baseline)
-            payload["risk_ratio"] = ratio.value
-            payload["risk_ratio_se"] = ratio.se
+            payload.update(risk_ratio=ratio.value, risk_ratio_se=ratio.se)
         else:
             payload["risk_ratio_omitted"] = "the unequipped baseline saw no NMAC"
-    (out_dir / "metrics.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    if cfg["evaluation"]["per_encounter_csv"]:
-        with open(out_dir / "per_encounter.csv", "w", newline="") as f:
-            writer = csv.writer(f)
-            columns = outcome_columns(flags[0])
-            writer.writerow(["index", *columns, "severity", "log_weight"])
-            rows = zip(*(c.tolist() for c in columns.values()), severity[0].tolist(), log_weight.tolist())
-            for i, (*bits, sev, w) in enumerate(rows):
-                # repr of a Python float, not of an np.float64
-                writer.writerow([i, *bits, repr(sev), repr(w)])
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_outcomes(path: Path, outcome: np.ndarray) -> None:
+    """per_encounter.csv: index, the equipage's OUTCOME fields, then any baseline's.
+
+    A baseline's fields carry a baseline_ prefix; the log_weight both share is written once.
+    """
+    header, columns = ["index"], [range(outcome.shape[1])]
+    for prefix, records in zip(("", "baseline_"), outcome):
+        for name in records.dtype.names:
+            if not (prefix and name == "log_weight"):
+                header.append(prefix + name)
+                columns.append(records[name].tolist())
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        # tolist() gives Python ints and floats, which csv writes as their repr.
+        writer.writerows(zip(*columns))
 
 
 def _cmd_slice(cfg: dict, out_dir: Path, seed, workers) -> None:

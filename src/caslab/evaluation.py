@@ -148,6 +148,15 @@ class RiskRatio:
 _EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROSSING, EVENT_NMAC)
 _BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
 
+# One encounter's outcome under one equipage, the one record every report
+# and per_encounter.csv read: each event indicator (0/1) over its steps, its
+# severity (minimum NMAC-scaled separation, < 1 exactly when nmac) and its
+# IS log-weight (0 without a nominal model), which every equipage shares.
+OUTCOME = np.dtype([
+    ("nmac", np.uint8), ("alert", np.uint8), ("strengthen", np.uint8), ("reversal", np.uint8),
+    ("crossing", np.uint8), ("severity", np.float64), ("log_weight", np.float64),
+])
+
 # Encounters advanced together in one lockstep chunk.  A table lookup then
 # gathers chunk x 7 sigma points x 8 corners x 7 advisories x 8 bytes: 0.8 MB.
 CHUNK_ENCOUNTERS = 256
@@ -195,13 +204,12 @@ def _fly(
     enc: EncounterBatch,
     eq: Equipage,
     u_delay: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, tuple]:
+) -> Tuple[np.ndarray, tuple]:
     """Fly B encounters together, one step at a time, under one equipage.
 
-    Returns each encounter's event bits ORed over its steps, its severity
-    (minimum NMAC-scaled separation over its steps) and the per-step
-    record an EncounterTrace is built from: x, y, z and vz of shape
-    (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
+    Returns the B encounters' OUTCOME records, log_weight left 0, and the
+    per-step arrays an EncounterTrace is built from: x, y, z and vz of
+    shape (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
     (B, n+1, 2) and event bits (B, n+1).
 
     u_delay (B, 2, n) holds the pilot-delay uniforms, or is None when eq
@@ -343,7 +351,12 @@ def _fly(
     ra_active = (adv_hist[:, :n] != COC_INDEX).any(axis=2)
     events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= _BIT[EVENT_CROSSING]
     flags = np.bitwise_or.reduce(events, axis=1)
-    return flags, sep.min(axis=1), (x, y, vel, zs, vzs, adv_hist, events)
+    outcome = np.zeros(n_enc, OUTCOME)
+    for name, event in (("nmac", EVENT_NMAC), ("alert", EVENT_RA), ("strengthen", EVENT_STRENGTHEN),
+                        ("reversal", EVENT_REVERSAL), ("crossing", EVENT_CROSSING)):
+        outcome[name] = (flags & _BIT[event]) != 0
+    outcome["severity"] = sep.min(axis=1)
+    return outcome, (x, y, vel, zs, vzs, adv_hist, events)
 
 
 def simulate_encounters(
@@ -354,7 +367,7 @@ def simulate_encounters(
     u_delay is _fly's pilot-delay block; each trace equals the one the
     chunk of encounter b alone gives under u_delay[b:b + 1].
     """
-    _, _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, u_delay)
+    _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, u_delay)
     n = enc.n_steps + 1
     traces = []
     for b in range(len(enc)):
@@ -384,19 +397,6 @@ def simulate_encounter(
     if len(enc) != 1:
         raise ValueError("simulate_encounter takes a batch of one; its simulation stream is rng")
     return simulate_encounters(enc, eq, rng.random((1, 2, enc.n_steps)))[0]
-
-
-def trace_severity(trace: EncounterTrace) -> float:
-    """Minimum 3-D separation scaled by the NMAC thresholds (< 1 iff NMAC)."""
-    dz = np.abs(trace.intruder.z - trace.ownship.z) / NMAC_VERTICAL_FT
-    dxy = (
-        np.hypot(
-            trace.intruder.x - trace.ownship.x,
-            trace.intruder.y - trace.ownship.y,
-        )
-        / NMAC_HORIZONTAL_FT
-    )
-    return float(np.min(np.maximum(dz, dxy)))
 
 
 def _draws_delays(eq: Equipage) -> bool:
@@ -441,26 +441,24 @@ def _run_chunk(
     nominal: Optional[EncounterModel] = None,
     enc_stream: int = STREAM_ENCOUNTER,
     sim_stream: int = STREAM_SIMULATE,
-) -> Tuple[EncounterBatch, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[EncounterBatch, np.ndarray]:
     """Build each indexed encounter once and fly every equipage over it.
 
-    Returns the encounters, their event bits and severities of shape
-    (equipages, encounters), and their log-weights of shape (encounters,):
-    zeros without a nominal model, else the IS log-weight of the nominal
-    model against model, which every equipage shares.
+    Returns the encounters and their OUTCOME records of shape (equipages,
+    encounters).  Without a nominal model every log_weight is 0; with one,
+    it is the IS log-weight of the nominal model against model.
     """
     enc = build_encounters(model, uniforms(seed, enc_stream, indices, model.uniforms_per_encounter))
-    if nominal is None:
-        log_weight = np.zeros(len(enc))
-    else:
+    log_weight = 0.0
+    if nominal is not None:
         sampled = trace_log_likelihoods(model, enc)
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
     u_delay = _delay_uniforms(equipages, seed, sim_stream, indices, enc.n_steps)
-    flown = [_fly(enc, eq, u_delay)[:2] for eq in equipages]
-    flags, severity = (np.array(a) for a in zip(*flown))
-    return enc, flags, severity, log_weight
+    outcome = np.stack([_fly(enc, eq, u_delay)[0] for eq in equipages])
+    outcome["log_weight"] = log_weight
+    return enc, outcome
 
 
 def _chunks(start: int, stop: int, size: int) -> List[range]:
@@ -474,9 +472,9 @@ def _pool_init(model, equipages, seed, nominal):
     _POOL_CONTEXT["args"] = (model, equipages, seed, nominal)
 
 
-def _pool_run(indices: range) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pool_run(indices: range) -> np.ndarray:
     model, equipages, seed, nominal = _POOL_CONTEXT["args"]
-    return _run_chunk(model, equipages, seed, indices, nominal)[1:]
+    return _run_chunk(model, equipages, seed, indices, nominal)[1]
 
 
 def _run_batch(
@@ -486,10 +484,10 @@ def _run_batch(
     seed: int,
     workers: int,
     nominal: Optional[EncounterModel],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Event bits, severities and log-weights of encounters 0..n-1.
+) -> np.ndarray:
+    """OUTCOME records of encounters 0..n-1, of shape (equipages, n).
 
-    Shapes as for _run_chunk, in index order.  Each encounter is built
+    Records as for _run_chunk, in index order.  Each encounter is built
     once and all equipages fly over it; with a nominal model, sampling runs
     under ``model`` as the IS proposal.  Workers take whole chunks, and the
     result is the same for any count.  A pool starts all its processes at
@@ -506,7 +504,7 @@ def _run_batch(
     chunks = _chunks(0, n, size)
     workers = min(workers, len(chunks))
     if workers == 1:
-        results = [_run_chunk(model, equipages, seed, c, nominal)[1:] for c in chunks]
+        results = [_run_chunk(model, equipages, seed, c, nominal)[1] for c in chunks]
     else:
         # Imported here: the pool machinery costs every serial process import time.
         from concurrent.futures import ProcessPoolExecutor
@@ -516,22 +514,7 @@ def _run_batch(
             initargs=(model, equipages, seed, nominal),
         ) as pool:
             results = list(pool.map(_pool_run, chunks))
-    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*results))
-
-
-# Outcomes a report rates and per_encounter.csv lists, with the event each counts.
-_OUTCOME_EVENTS = {
-    "nmac": EVENT_NMAC,
-    "alert": EVENT_RA,
-    "strengthen": EVENT_STRENGTHEN,
-    "reversal": EVENT_REVERSAL,
-    "crossing": EVENT_CROSSING,
-}
-
-
-def outcome_columns(flags: np.ndarray) -> dict:
-    """Each outcome's 0/1 indicator over one equipage's event bits."""
-    return {name: ((flags & _BIT[event]) != 0).astype(int) for name, event in _OUTCOME_EVENTS.items()}
+    return np.concatenate(results, axis=1)
 
 
 def _weights(log_weight: np.ndarray) -> np.ndarray:
@@ -539,32 +522,32 @@ def _weights(log_weight: np.ndarray) -> np.ndarray:
     return np.array([math.exp(lw) for lw in log_weight.tolist()])
 
 
-def _report(flags: np.ndarray, log_weight: np.ndarray, weighted: bool) -> MetricsReport:
-    """Rates over one equipage's event bits, weighted by exp(log_weight) if weighted."""
-    n = len(flags)
-    columns = {k: v.astype(float) for k, v in outcome_columns(flags).items()}
+def _report(outcome: np.ndarray, weighted: bool) -> MetricsReport:
+    """Rates over one equipage's OUTCOME records, weighted by exp(log_weight) if weighted."""
+    n = len(outcome)
+    w = _weights(outcome["log_weight"]) if weighted else None
+
+    def rate(name: str) -> float:
+        # A weighted rate is the unnormalized IS estimator (divide by n, not sum w).
+        return float(np.sum(w * outcome[name]) / n) if weighted else float(np.mean(outcome[name]))
+
     if weighted:
-        w = _weights(log_weight)
-        # Unnormalized importance-sampling estimator (divide by n, not sum w).
-        est = {k: float(np.sum(w * v) / n) for k, v in columns.items()}
-        wi = w * columns["nmac"]
-        se = float(np.std(wi, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        se = float(np.std(w * outcome["nmac"], ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         sw2 = float(np.sum(w * w))
         ess = float(np.sum(w) ** 2 / sw2) if sw2 > 0 else 0.0
     else:
-        est = {k: float(np.mean(v)) for k, v in columns.items()}
-        p = est["nmac"]
-        events = int(columns["nmac"].sum())
+        events = int(outcome["nmac"].sum())
+        p = events / n
         se = math.sqrt(p * (1.0 - p) / n) if events else None
         ess = float(n)
     return MetricsReport(
         n=n,
-        p_nmac=est["nmac"],
+        p_nmac=rate("nmac"),
         p_nmac_se=se,
-        alert_rate=est["alert"],
-        strengthen_rate=est["strengthen"],
-        reversal_rate=est["reversal"],
-        crossing_rate=est["crossing"],
+        alert_rate=rate("alert"),
+        strengthen_rate=rate("strengthen"),
+        reversal_rate=rate("reversal"),
+        crossing_rate=rate("crossing"),
         effective_sample_size=ess,
         p_nmac_upper95=None if weighted else binomial_upper_bound(events, n),
         weighted=weighted,
@@ -605,8 +588,7 @@ def estimate_metrics(
     model: EncounterModel, eq: Equipage, n: int, seed: int, workers: int = 1
 ) -> MetricsReport:
     """Plain Monte Carlo estimate over n independent encounters."""
-    flags, _, log_weight = _run_batch(model, [eq], n, seed, workers, nominal=None)
-    return _report(flags[0], log_weight, weighted=False)
+    return _report(_run_batch(model, [eq], n, seed, workers, nominal=None)[0], weighted=False)
 
 
 def risk_ratio(equipped: MetricsReport, unequipped: MetricsReport) -> RiskRatio:
@@ -646,8 +628,7 @@ def is_estimate(
     Requires the proposal to share bins and structure with the nominal model
     so bin-level likelihood ratios are exact.
     """
-    flags, _, log_weight = _run_batch(proposal, [eq], n, seed, workers, nominal=nominal)
-    return _report(flags[0], log_weight, weighted=True)
+    return _report(_run_batch(proposal, [eq], n, seed, workers, nominal=nominal)[0], weighted=True)
 
 
 def _check_shared_structure(nominal: EncounterModel, proposal: EncounterModel) -> None:
@@ -687,17 +668,18 @@ def cross_entropy_adapt(
         raise ValueError("elite set is empty; raise elite_fraction or n_per_iter")
     current = proposal
     for it in range(iterations):
-        encs, flags, severity, log_weight = zip(*[
+        encs, outcomes = zip(*[
             _run_chunk(
                 current, [eq], seed, indices, nominal=nominal,
                 enc_stream=STREAM_CE_ENCOUNTER, sim_stream=STREAM_CE_SIMULATE,
             )
             for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS)
         ])
-        nmac = (np.concatenate(flags, axis=1)[0] & _BIT[EVENT_NMAC]) != 0
+        outcome = np.concatenate(outcomes, axis=1)[0]
+        nmac = outcome["nmac"] != 0
         # NMACs first, the heaviest nominal weight first, then the nearest
         # misses; lexsort is stable, so ties keep index order.
-        key = np.where(nmac, -_weights(np.concatenate(log_weight)), np.concatenate(severity, axis=1)[0])
+        key = np.where(nmac, -_weights(outcome["log_weight"]), outcome["severity"])
         elite = np.lexsort((key, ~nmac))[:n_elite]
         # One data row per draw: elite encounter by encounter, records in order.
         initial_data, transition_data = (

@@ -222,7 +222,8 @@ class LogicTable:
         expected = self.grid.table_shape
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} != grid shape {expected}")
-        if not np.isfinite(self.values).all():
+        # NaN propagates through min and max: no table-sized temporary is made.
+        if not (np.isfinite(self.values.min()) and np.isfinite(self.values.max())):
             raise ValueError("table values must be finite")
         # h = 0 is its own mirror, so a lookup from either side reads one set
         # of values there only if the row equals its mirror bit for bit.

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, MIRROR_INDEX, AircraftTrack
+from caslab.core import ADVISORIES, MIRROR_INDEX, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT, AircraftTrack
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.encounters import HEADINGS, OWN_POS0
 from caslab.optimizer import Grid, RewardParams, backward_induction
@@ -83,6 +83,22 @@ def _integrate_track(n, dt, pos0, heading, speed, alt0, vrate):
         vy=np.full(n + 1, vy),
         vz=vz,
     )
+
+
+def trace_severity(trace):
+    """Minimum 3-D separation scaled by the NMAC thresholds (< 1 iff NMAC).
+
+    The scalar twin of the severity field _fly reduces from its arrays.
+    """
+    dz = np.abs(trace.intruder.z - trace.ownship.z) / NMAC_VERTICAL_FT
+    dxy = (
+        np.hypot(
+            trace.intruder.x - trace.ownship.x,
+            trace.intruder.y - trace.ownship.y,
+        )
+        / NMAC_HORIZONTAL_FT
+    )
+    return float(np.min(np.maximum(dz, dxy)))
 
 
 @pytest.fixture(scope="session")

@@ -64,6 +64,19 @@ class TestStructureValidation:
                 bins=(np.array([0.0, 1.0]), np.array([0.0, 1.0])),
             )
 
+    @pytest.mark.parametrize("nodes, parents, match", [
+        # A model file's JSON can hold any type where a name or index
+        # stands; each once surfaced a raw AttributeError or broadcast error.
+        (("a", {"b": 1}), ((), (0,)), "node names must be strings"),
+        (("a", None), ((), (0,)), "node names must be strings"),
+        (("a", "b"), ((), (False,)), "parents must precede children in node order, got False for b"),
+        (("a", "b"), ((), (0.0,)), "parents must precede children in node order, got 0.0 for b"),
+    ])
+    def test_names_and_parent_indices_typed(self, nodes, parents, match):
+        with pytest.raises(ValueError, match=match):
+            DiscreteBayesNet(nodes=nodes, parents=parents,
+                             bins=(np.array([0.0, 1.0]), np.array([0.0, 1.0])))
+
     def test_cpt_rows_must_normalize(self):
         with pytest.raises(ValueError):
             DiscreteBayesNet(

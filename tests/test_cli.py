@@ -1,9 +1,12 @@
+import copy
 import csv
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import random
+import re
 import struct
 import subprocess
 import sys
@@ -12,7 +15,6 @@ from pathlib import Path
 import caslab
 import numpy as np
 import pytest
-from caslab.cli import main
 from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
 from caslab.core import ADVISORIES, Advisory
 from caslab.encounters import (
@@ -25,7 +27,8 @@ from caslab.encounters import (
     toy_two_bin_model,
     write_model_file,
 )
-from caslab.evaluation import Equipage, cross_entropy_adapt
+from caslab.cli import _metrics_json, _write_outcomes, main
+from caslab.evaluation import OUTCOME, Equipage, cross_entropy_adapt
 from caslab.tablefile import FORMAT_VERSION, MAGIC, read_table, write_table
 from conftest import ACXT_COST_BYTES, acxt_header_bytes, full_values
 from test_tablefile import MIRROR_BREAKS
@@ -102,23 +105,34 @@ class TestEvaluate:
         assert code == 2
         assert capsys.readouterr().err.startswith("E_SEED_REQUIRED:")
 
-    def test_per_encounter_csv(self, tmp_path):
-        cfg = small_grid_config(
-            tmp_path,
-            evaluation={
-                "n": 20, "equipage": ["none", "none"],
-                "compare_unequipped": False, "per_encounter_csv": True,
-            },
-        )
-        out = tmp_path / "pe"
-        assert main(["evaluate", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
-        with open(out / "per_encounter.csv") as f:
-            rows = list(csv.reader(f))
-        assert len(rows) == 21
-        assert rows[0][0] == "index"
-        # the rows are the outcomes metrics.json was computed from
-        p_nmac = json.loads((out / "metrics.json").read_text())["p_nmac"]
-        assert sum(int(r[1]) for r in rows[1:]) / 20 == p_nmac
+    def test_per_encounter_csv(self, small_table, tmp_path):
+        # Each file is read as the benchmark's eval check reads it: a
+        # csv.DictReader over a header on line 1, indicators parsed by int().
+        table = tmp_path / "table.acxt"
+        write_table(small_table, table)
+        runs = {
+            "none": ({"equipage": ["none", "none"], "compare_unequipped": False}, ["nmac"]),
+            "table": ({"equipage": ["table", "none"]}, ["nmac", "baseline_nmac"]),
+        }
+        for name, (evaluation, indicators) in runs.items():
+            cfg = small_grid_config(tmp_path, paths={"table_file": str(table)},
+                                    evaluation={"n": 20, "per_encounter_csv": True, **evaluation})
+            out = tmp_path / name
+            assert main(["evaluate", "--config", str(cfg), "--seed", "4", "--out", str(out)]) == 0
+            text = (out / "per_encounter.csv").read_text()
+            assert text.startswith("index,nmac,alert,strengthen,reversal,crossing,severity,log_weight")
+            with open(out / "per_encounter.csv", newline="") as f:
+                rows = list(csv.DictReader(f))
+            assert len(rows) == 20
+            assert [r["index"] for r in rows] == [str(i) for i in range(20)]
+            assert ("baseline_nmac" in rows[0]) == (name == "table")
+            for key in indicators:
+                assert {r[key] for r in rows} <= {"0", "1"}, (name, key)
+            # the rows are the outcomes metrics.json was computed from
+            m = json.loads((out / "metrics.json").read_text())
+            assert sum(int(r["nmac"]) for r in rows) / 20 == m["p_nmac"]
+            if name == "table":
+                assert sum(int(r["baseline_nmac"]) for r in rows) / 20 == m["baseline_p_nmac"]
 
     def test_zero_nmac_runs_report_bounds(self, tmp_path):
         # a toy model with no conflict: neither side sees an NMAC, so each
@@ -775,6 +789,96 @@ class TestTableContract:
         assert (tmp_path / "out" / "slice.csv").exists()
 
 
+# Values a fuzzed document puts where a valid one stood: another JSON type,
+# a number out of range, or a list of the wrong length or contents.  No
+# value is a large count or a tiny step, so a fuzzed run stays as cheap as
+# the valid one.
+FUZZ_VALUES = (
+    "x", None, True, False, {}, {"a": 1}, 1.5, 7,
+    -1, 0, -0.5, -1e308,
+    [], [1.0], ["a", "b"], [[0.0, 1.0]], [1.0, -1.0], [-100.0, 0.0, 100.0, 100.0], [None, None],
+)
+
+
+def exits_by_contract(argv, capsys, codes=r"E_[A-Z_]+"):
+    """None if main(argv) exits 0, or 2 with one E_* line on stderr; else what it did.
+
+    codes narrows the E_* codes accepted.  E_RUN_FAILED, which carries a
+    raw exception's text, is never accepted for a malformed input.
+    """
+    code = main(argv)
+    err = capsys.readouterr().err
+    if code == 0 or (code == 2 and re.fullmatch(rf"(?!E_RUN_FAILED)({codes}): [^\n]*\n", err)
+                     and "Traceback" not in err):
+        return None
+    return code, err
+
+
+class TestFuzzedInputs:
+    """Seeded malformed configs and model files: exit 0, or exit 2 with one E_* line."""
+
+    def test_fuzzed_configs(self, tmp_path, capsys):
+        grid = {"h_cuts": [-100.0, 0.0, 100.0], "hdot_cuts": [-25.0, 0.0, 25.0], "tau_max": 3}
+        base = {"schema_version": 1, "grid": grid,
+                "paths": {"table_file": str(tmp_path / "table.acxt")},
+                "sample": {"count": 2}, "simulate": {"index": 1},
+                "evaluation": {"n": 4, "seed": 1, "equipage": ["table", "none"],
+                               "per_encounter_csv": True}}
+        (tmp_path / "base.json").write_text(json.dumps(base))
+        assert main(["optimize", "--config", str(tmp_path / "base.json"), "--out", str(tmp_path)]) == 0
+        leaves = [(block, key) for block, values in DEFAULT_CONFIG.items()
+                  if isinstance(values, dict) for key in values]
+        rng = random.Random(27)
+        cfg, failures = tmp_path / "config.json", []
+        for k in range(60):
+            doc = copy.deepcopy(base)
+            for block, key in rng.sample(leaves, rng.choice((1, 2))):
+                doc.setdefault(block, {})[key] = rng.choice(FUZZ_VALUES)
+            cfg.write_text(json.dumps(doc))
+            for command in ("optimize", "slice", "evaluate", "sample", "simulate"):
+                outcome = exits_by_contract([command, "--config", str(cfg), "--out",
+                                             str(tmp_path / "out" / command)], capsys)
+                if outcome is not None:
+                    failures.append((k, command, doc, outcome))
+        assert failures == []
+
+    def test_fuzzed_model_files(self, tmp_path, capsys):
+        valid = model_to_dict(toy_two_bin_model())
+        (tmp_path / "valid.json").write_text(json.dumps(valid))
+        rng = random.Random(27)
+        path, failures = tmp_path / "model.json", []
+        for k in range(200):
+            doc = copy.deepcopy(valid)
+            while doc == valid:
+                # Walk down to one entry, a network's given count every
+                # eighth time, and delete it or replace it.
+                if k % 8 == 0:
+                    parent, key = doc[rng.choice(("initial_net", "transition_net"))], "given"
+                else:
+                    parent = doc
+                    while True:
+                        keys = list(parent) if isinstance(parent, dict) else range(len(parent))
+                        key = rng.choice(keys)
+                        child = parent[key]
+                        if not (isinstance(child, (dict, list)) and child and rng.random() < 0.75):
+                            break
+                        parent = child
+                if rng.random() < 0.25:
+                    del parent[key]
+                else:
+                    parent[key] = rng.choice(FUZZ_VALUES)
+            path.write_text(json.dumps(doc))
+            # The mutant as the nominal model, or as the proposal beside a valid one.
+            paths = ({"model_file": str(path)} if k % 2 else
+                     {"model_file": str(tmp_path / "valid.json"), "proposal_file": str(path)})
+            cfg = small_grid_config(tmp_path, paths=paths, evaluation={
+                "n": 4, "equipage": ["tcas", "none"], "per_encounter_csv": True})
+            outcome = exits_by_contract(["evaluate", "--config", str(cfg), "--seed", "1",
+                                         "--out", str(tmp_path / "out")], capsys, "E_MODEL_INVALID")
+            if outcome is not None:
+                failures.append((k, doc, outcome))
+        assert failures == []
+
 
 # sha256 of dump_config(DEFAULT_CONFIG), re-pinned when the tree lost
 # encounter.use_default_model and rewards.nmac_vertical, again when it
@@ -808,8 +912,11 @@ class TestConfigRoundTrip:
 # hold its advisory on a tie, every metrics.json again when plain runs
 # began to report an upper bound on P(NMAC), and table/* again when a
 # belief became seven sigma points, and every file again when counter-based
-# uniforms replaced the per-encounter generators.  A change here changes
-# what evaluate, simulate or sample write at a fixed seed.
+# uniforms replaced the per-encounter generators, and the two
+# per_encounter.csv files of runs with a baseline again when they began to
+# list the baseline's outcome columns after the equipped side's unchanged
+# ones.  A change here changes what evaluate, simulate or sample write at a
+# fixed seed.
 PINNED_OUTPUT_DIGESTS = {
     "is/metrics.json": "e027407c01672819d0cac94824ab8eb96d3c2e48b619d830ae0fc547ae4fa924",
     "is/per_encounter.csv": "9daf7d36c0fef71f2a982fe03abe10bbafff6af6e6392326a84b112ca74994f0",
@@ -818,9 +925,9 @@ PINNED_OUTPUT_DIGESTS = {
     "sample/encounter_0002.csv": "18d6ccc159d725d08277e3de8112e9c417fab11bec42986d8aeb0fbc30ae4f06",
     "simulate/trace.csv": "22efd495f7a97a76128996433abdc801016c849eb8d2498449752166375219a7",
     "table/metrics.json": "20caef79b04bb6523ea4dfec5c7eab60b23a65963d52b352b041348cd2cedb3e",
-    "table/per_encounter.csv": "00afd56ddfa5a3e1baff36d15cf8321e497ad93dabec3a77995991ac6928a5f7",
+    "table/per_encounter.csv": "aa9c4a06a46bb40140a8800c58495aa33c1ca391abb0a9c506c513aa3bc40ab6",
     "tcas_workers/metrics.json": "29e800e39e29876843aebec1a490e3ff08b4a1a3ad4b4c6c69d6addc40bf39ac",
-    "tcas_workers/per_encounter.csv": "8b180835e4d8c25a5bf1d14eed78033df3036f90ed4a28d6b1c8418d93a3a0eb",
+    "tcas_workers/per_encounter.csv": "6f2506d5ccc6fda46d2c230ef691abdb5bc78ecffdc1ed39baf0fd50d6dd5dd7",
 }
 
 
@@ -832,7 +939,7 @@ def command_outputs(tmp_path_factory):
     write_model_file(toy_two_bin_model(0.05), tmp / "nominal.json")
     write_model_file(toy_two_bin_model(0.5), tmp / "proposal.json")
     runs = {
-        # table vs unequipped over two chunks, so risk_ratio is present
+        # table vs unequipped in one chunk, so risk_ratio is present
         "table": (["evaluate", "--seed", "1"], {
             "paths": {"table_file": str(table)},
             "evaluation": {"n": 100, "equipage": ["table", "none"], "per_encounter_csv": True},
@@ -1021,6 +1128,76 @@ class TestImportanceSampledEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["effective_sample_size"] < 400.0
         assert abs(metrics["p_nmac"] - 0.05) <= 4 * metrics["p_nmac_se"]
+
+
+def outcome_from_csv(path):
+    """The OUTCOME records of an evaluate run, rebuilt from its per_encounter.csv alone."""
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert [r["index"] for r in rows] == [str(i) for i in range(len(rows))]
+    prefixes = ("", "baseline_") if "baseline_nmac" in rows[0] else ("",)
+    outcome = np.zeros((len(prefixes), len(rows)), OUTCOME)
+    for records, prefix in zip(outcome, prefixes):
+        for name in OUTCOME.names:
+            column = name if name == "log_weight" else prefix + name
+            records[name] = [float(r[column]) for r in rows]
+    return outcome
+
+
+class TestOutcomeRecords:
+    """metrics.json is a function of per_encounter.csv.
+
+    Given the equipage and whether a proposal was sampled, both read from
+    the run's effective config, the records rebuilt from the CSV give
+    metrics.json byte for byte through the function evaluate writes it with.
+    """
+
+    @pytest.fixture(scope="class")
+    def runs(self, small_table, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("records")
+        write_table(small_table, tmp / "table.acxt")
+        write_model_file(toy_two_bin_model(0.05), tmp / "nominal.json")
+        write_model_file(toy_two_bin_model(0.5), tmp / "proposal.json")
+        # 300 encounters: chunks of 256 and 44 serially, two of 150 in the pool
+        table = {"paths": {"table_file": str(tmp / "table.acxt")},
+                 "evaluation": {"n": 300, "equipage": ["table", "none"], "per_encounter_csv": True}}
+        cases = {
+            "table": (["--seed", "1"], table),
+            "table_workers": (["--seed", "1", "--workers", "2"], table),
+            "is": (["--seed", "3"], {
+                "paths": {"model_file": str(tmp / "nominal.json"),
+                          "proposal_file": str(tmp / "proposal.json")},
+                "evaluation": {"n": 40, "equipage": ["tcas", "none"], "per_encounter_csv": True},
+            }),
+        }
+        for name, (argv, doc) in cases.items():
+            cfg = small_grid_config(tmp, **doc)
+            assert main(["evaluate", *argv, "--config", str(cfg), "--out", str(tmp / name)]) == 0
+        return tmp
+
+    @pytest.mark.parametrize("name", ["table", "table_workers", "is"])
+    def test_metrics_rebuilt_from_per_encounter_csv(self, runs, name, tmp_path):
+        out = runs / name
+        outcome = outcome_from_csv(out / "per_encounter.csv")
+        cfg = json.loads((out / "effective_config.json").read_text())
+        weighted = cfg["paths"]["proposal_file"] is not None
+        metrics = (out / "metrics.json").read_text()
+        assert _metrics_json(outcome, cfg["evaluation"]["equipage"], weighted) == metrics
+        # The CSV holds each field exactly: the rebuilt records write it again.
+        _write_outcomes(tmp_path / "again.csv", outcome)
+        assert (tmp_path / "again.csv").read_bytes() == (out / "per_encounter.csv").read_bytes()
+        m = json.loads(metrics)
+        if name == "is":
+            assert len(outcome) == 1 and outcome["log_weight"].any()
+        else:
+            assert len(outcome) == 2 and not outcome["log_weight"].any()
+            assert {"risk_ratio", "risk_ratio_se", "baseline_p_nmac", "baseline_p_nmac_se",
+                    "baseline_p_nmac_upper95"} <= set(m)
+
+    def test_workers_write_the_serial_files(self, runs):
+        for file in ("metrics.json", "per_encounter.csv"):
+            serial, pool = (runs / name / file for name in ("table", "table_workers"))
+            assert serial.read_bytes() == pool.read_bytes()
 
 
 class TestFullPipeline:

@@ -10,6 +10,7 @@ from caslab import evaluation
 from caslab.core import (
     ADVISORIES,
     COC_INDEX,
+    EVENT_CROSSING,
     EVENT_NMAC,
     EVENT_RA,
     EVENT_REVERSAL,
@@ -39,7 +40,6 @@ from caslab.evaluation import (
     STREAM_SIMULATE,
     Equipage,
     MetricsReport,
-    _BIT,
     _delay_uniforms,
     _fly,
     _quantized_tau,
@@ -52,7 +52,6 @@ from caslab.evaluation import (
     risk_ratio,
     run_indexed_traces,
     simulate_encounter,
-    trace_severity,
 )
 from caslab.optimizer import TIE_TOL, Grid, RewardParams, select_advisories
 from caslab.runtime import (
@@ -69,7 +68,7 @@ from caslab.runtime import (
     weighted_particle_values,
 )
 from caslab.tcas import TcasConfig, TcasTracker, Threat
-from conftest import nominal_tracks
+from conftest import nominal_tracks, trace_severity
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
@@ -90,8 +89,11 @@ def det_pilot():
 
 
 def trace_outcome(trace):
-    """A trace's event bits ORed over its steps, and its severity."""
-    return sum(_BIT[f] for f in frozenset().union(*trace.events)), trace_severity(trace)
+    """A trace's OUTCOME record as a tuple: its event indicators, its severity and log-weight 0."""
+    seen = frozenset().union(*trace.events)
+    indicators = (int(event in seen) for event in (EVENT_NMAC, EVENT_RA, EVENT_STRENGTHEN,
+                                                    EVENT_REVERSAL, EVENT_CROSSING))
+    return (*indicators, trace_severity(trace), 0.0)
 
 
 ADVISORY_EVENTS = frozenset({EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL})
@@ -280,10 +282,10 @@ class TestSimulateEncounter:
                             gaps.append(back - k)
             return gaps
 
-        held = _fly(enc, eq, None)[2][5][:, :, 0]
+        held = _fly(enc, eq, None)[1][5][:, :, 0]
         monkeypatch.setattr(evaluation, "select_advisories",
                             lambda values, adv: select_advisories(values, COC_INDEX))
-        first_maximum = _fly(enc, eq, None)[2][5][:, :, 0]
+        first_maximum = _fly(enc, eq, None)[1][5][:, :, 0]
         assert drops(first_maximum).sum() >= 100 and (drops(first_maximum) >= 2).sum() >= 32
         assert steps_clear(first_maximum).count(1) >= 27
         assert drops(held).max() <= 2 and drops(held).sum() <= 10
@@ -403,9 +405,8 @@ class TestLockstep:
             chunked = []
             for start in range(0, self.N, size):
                 indices = range(start, min(start + size, self.N))
-                _, flags, severity, log_weight = _run_chunk(model, [eq], 61, indices)
-                assert not log_weight.any()
-                chunked += zip(flags[0].tolist(), severity[0].tolist())
+                _, outcome = _run_chunk(model, [eq], 61, indices)
+                chunked += outcome[0].tolist()
             assert chunked == traced, f"chunk size {size}"
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "none")])
@@ -419,7 +420,7 @@ class TestLockstep:
         for size in (1, 7, 64, 256):
             chunks = [_run_chunk(model, [eq], 63, range(start, min(start + size, n)))
                       for start in range(0, n, size)]
-            outcomes[size] = [np.concatenate([c[k][0] for c in chunks]).tolist() for k in (1, 2)]
+            outcomes[size] = np.concatenate([outcome[0] for _, outcome in chunks]).tolist()
         assert outcomes[1] == outcomes[7] == outcomes[64] == outcomes[256]
 
     def assert_matches_reference(self, model, eq, seed):
@@ -503,12 +504,12 @@ class TestLockstep:
         model = default_correlated_model()
         eqs = [Equipage(own="table", pilot=det_pilot(), table=default_table),
                Equipage(pilot=det_pilot())]
-        encs, flags, severity, log_weight = _run_chunk(model, eqs, 8, range(5))
+        encs, outcome = _run_chunk(model, eqs, 8, range(5))
         assert len(encs) == 5
-        assert flags.shape == severity.shape == (2, 5) and log_weight.shape == (5,)
+        assert outcome.shape == (2, 5)
         for j, eq in enumerate(eqs):
             lone = [trace_outcome(run_indexed_traces(model, eq, 8, [i])[0]) for i in range(5)]
-            assert list(zip(flags[j].tolist(), severity[j].tolist())) == lone
+            assert outcome[j].tolist() == lone
 
     def test_particle_average_is_per_belief_matmul(self, default_table):
         # the batched belief average must equal each belief's own
@@ -652,8 +653,7 @@ class TestEstimateMetrics:
                 parallel = _run_batch(model, equipages, n, 13, 2, nominal)
             except OSError:
                 pytest.skip("process pool unavailable in sandbox")
-            for a, b in zip(serial, parallel):
-                assert a.tobytes() == b.tobytes()
+            assert serial.tobytes() == parallel.tobytes()
 
 
 class _StandInPool:
@@ -697,8 +697,7 @@ class TestWorkerCap:
         eq = Equipage(own="tcas")
         result = _run_batch(toy, [eq], n, 5, workers, None)
         assert started == expected
-        for got, serial in zip(result, _run_batch(toy, [eq], n, 5, 1, None)):
-            np.testing.assert_array_equal(got, serial)
+        assert result.tobytes() == _run_batch(toy, [eq], n, 5, 1, None).tobytes()
 
     def test_workers_below_one_refused(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
@@ -891,12 +890,12 @@ class TestSeverity:
     def test_nmac_boundary_at_zero_range(self, h, nmac):
         # Horizontal range closes to zero at t = tau0 + 500 / closure = 22 s.
         enc = dataclasses.replace(hand_encounter(), alt0=np.array([[0.0, h]]))
-        flags, severity, _ = _fly(enc, Equipage(), None)
-        assert bool(flags[0] & _BIT[EVENT_NMAC]) == nmac == (severity[0] < 1.0)
+        (outcome,), _ = _fly(enc, Equipage(), None)
+        assert bool(outcome["nmac"]) == nmac == (outcome["severity"] < 1.0)
         if not nmac:
-            assert severity[0] == 1.0
+            assert outcome["severity"] == 1.0
         trace = simulate_encounter(enc, Equipage(), np.random.default_rng(0))
-        assert trace_severity(trace) == severity[0]
+        assert trace_severity(trace) == outcome["severity"]
 
     def test_nmac_iff_severity_below_one(self):
         model = default_correlated_model()

@@ -4,11 +4,9 @@ from .core import (
     ADVISORIES,
     Advisory,
     AircraftState,
-    AircraftTrack,
     BeliefState,
-    EncounterTrace,
+    Trace,
     VerticalState,
-    read_trace_csv,
     write_trace_csv,
 )
 from .bayesnet import DiscreteBayesNet, fit_cpts

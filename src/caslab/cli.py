@@ -84,7 +84,10 @@ def main(argv: Optional[list] = None) -> int:
             raise CliError(E_CONFIG_INVALID, f"--workers must be an integer >= 1, got {args.workers}")
         cfg = _load_config(args.config)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise CliError(E_CONFIG_INVALID, f"--out must name a directory, got {args.out} ({err.strerror})")
         if args.seed is not None:
             cfg["evaluation"]["seed"] = args.seed
         seed = cfg["evaluation"]["seed"]
@@ -110,11 +113,19 @@ def main(argv: Optional[list] = None) -> int:
     return 0
 
 
+def _require_file(path: Optional[str], code: str, kind: str) -> str:
+    """path, if it names a regular file; otherwise CliError(code)."""
+    if path is None or not Path(path).exists():
+        raise CliError(code, f"{kind} not found: {path}")
+    if not Path(path).is_file():
+        raise CliError(code, f"{kind} is not a file: {path}")
+    return path
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return configmod.load_config(None)
-    if not Path(path).exists():
-        raise CliError(E_CONFIG_NOT_FOUND, f"config file not found: {path}")
+    _require_file(path, E_CONFIG_NOT_FOUND, "config file")
     try:
         return configmod.load_config(path)
     except (ConfigError, json.JSONDecodeError) as err:
@@ -139,8 +150,7 @@ def _load_model(cfg: dict) -> EncounterModel:
 
 def _read_model(path: str, kind: str, fitted: bool) -> EncounterModel:
     """The model file at path; fitted requires CPTs in both networks."""
-    if not Path(path).exists():
-        raise CliError(E_MODEL_NOT_FOUND, f"{kind} not found: {path}")
+    _require_file(path, E_MODEL_NOT_FOUND, kind)
     try:
         model = read_model_file(path)
     except ModelFormatError as err:
@@ -164,9 +174,7 @@ def _load_proposal(cfg: dict, nominal: EncounterModel) -> Optional[EncounterMode
 
 
 def _load_table(cfg: dict):
-    path = cfg["paths"]["table_file"]
-    if path is None or not Path(path).exists():
-        raise CliError(E_TABLE_NOT_FOUND, f"table file not found: {path}")
+    path = _require_file(cfg["paths"]["table_file"], E_TABLE_NOT_FOUND, "table file")
     try:
         return read_table(path)
     except TableFormatError as err:
@@ -221,22 +229,24 @@ def _config_key(cfg: dict, block: str, key: str) -> int:
 
 def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> DiscreteBayesNet:
     """Fit structure's CPTs to a CSV of bin indices, one column per node."""
-    if path is None or not Path(path).exists():
-        raise CliError(E_SAMPLES_NOT_FOUND, f"binned-sample CSV not found: {path}")
+    _require_file(path, E_SAMPLES_NOT_FOUND, "binned-sample CSV")
     nodes = list(structure.nodes)
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        if header != nodes:
-            raise CliError(E_SAMPLES_INVALID, f"{path}: columns {header} != nodes {nodes}")
-        rows = []
-        for row in reader:
-            try:
-                if len(row) != len(nodes):
-                    raise ValueError(f"{len(row)} cells, expected {len(nodes)}")
-                rows.append([int(v) for v in row])
-            except ValueError as err:
-                raise CliError(E_SAMPLES_INVALID, f"{path} line {reader.line_num}: {err}")
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(reader, [])
+            if header != nodes:
+                raise CliError(E_SAMPLES_INVALID, f"{path}: columns {header} != nodes {nodes}")
+            rows = []
+            for row in reader:
+                try:
+                    if len(row) != len(nodes):
+                        raise ValueError(f"{len(row)} cells, expected {len(nodes)}")
+                    rows.append([int(v) for v in row])
+                except ValueError as err:
+                    raise CliError(E_SAMPLES_INVALID, f"{path} line {reader.line_num}: {err}")
+    except UnicodeDecodeError:
+        raise CliError(E_SAMPLES_INVALID, f"{path}: not UTF-8 text") from None
     try:
         return fit_cpts(structure, rows)
     except (OverflowError, ValueError) as err:  # a bin index outside its node's bins
@@ -268,8 +278,9 @@ def _cmd_sample(cfg: dict, out_dir: Path, seed, workers) -> None:
     model = _load_model(cfg)
     eq = Equipage()
     for indices in _chunks(0, _config_int(cfg, "sample", "count", 0), CHUNK_ENCOUNTERS):
-        for i, trace in zip(indices, run_indexed_traces(model, eq, seed, indices)):
-            write_trace_csv(trace, out_dir / f"encounter_{i:04d}.csv")
+        trace = run_indexed_traces(model, eq, seed, indices)
+        for b, i in enumerate(indices):
+            write_trace_csv(trace, b, out_dir / f"encounter_{i:04d}.csv")
 
 
 def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
@@ -286,8 +297,7 @@ def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     index = _config_key(cfg, "simulate", "index")
     model = _load_model(cfg)
     eq = _equipage(cfg)
-    (trace,) = run_indexed_traces(model, eq, seed, [index])
-    write_trace_csv(trace, out_dir / "trace.csv")
+    write_trace_csv(run_indexed_traces(model, eq, seed, [index]), 0, out_dir / "trace.csv")
 
 
 def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:

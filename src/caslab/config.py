@@ -125,8 +125,13 @@ def load_config(path: Optional[str] = None) -> dict:
     """Parse and normalize a config file (or return pure defaults)."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
-    with open(path) as f:
-        user = json.load(f)
+    try:
+        with open(path, encoding="utf-8") as f:
+            user = json.load(f)
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config is not UTF-8 text: byte {err.start} cannot be decoded") from None
+    if not isinstance(user, dict):
+        raise ConfigError(f"config must be a JSON object, got {_json_type(user) or 'null'}")
     version = user.get("schema_version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema version: {version!r}")

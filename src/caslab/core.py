@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,13 +26,15 @@ FT_PER_NMI = 6076.115
 UP = +1
 DOWN = -1
 
-# Event flag labels used in EncounterTrace.events.
+# Event flag labels, and each one's bit in a trace's per-sample event flags.
 EVENT_TA = "TA"
 EVENT_RA = "RA"
 EVENT_STRENGTHEN = "STRENGTHEN"
 EVENT_REVERSAL = "REVERSAL"
 EVENT_CROSSING = "CROSSING"
 EVENT_NMAC = "NMAC"
+EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROSSING, EVENT_NMAC)
+EVENT_BIT = {flag: 1 << j for j, flag in enumerate(EVENT_FLAGS)}
 
 
 class Advisory(Enum):
@@ -175,67 +177,6 @@ class AircraftState:
 
 
 @dataclass(frozen=True)
-class AircraftTrack:
-    """Point-mass kinematic time series sampled at a fixed step dt."""
-
-    dt: float
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-    vx: np.ndarray
-    vy: np.ndarray
-    vz: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        n = len(self.x)
-        for name in ("x", "y", "z", "vx", "vy", "vz"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (n,):
-                raise ValueError("track series must share one length")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"track series {name} contains non-finite values")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-
-@dataclass(frozen=True)
-class EncounterTrace:
-    """Simulated pairwise encounter: kinematics plus advisory/event annotations.
-
-    advisories[i] holds the (ownship, intruder) advisories active at step i;
-    events[i] is a frozenset of EVENT_* labels raised at step i.
-    """
-
-    ownship: AircraftTrack
-    intruder: AircraftTrack
-    advisories: Tuple[Tuple[Advisory, Advisory], ...]
-    events: Tuple[frozenset, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.ownship)
-        if len(self.intruder) != n or len(self.advisories) != n or len(self.events) != n:
-            raise ValueError("trace series must share one length")
-        if self.ownship.dt != self.intruder.dt:
-            raise ValueError("tracks must share one dt")
-
-    @property
-    def dt(self) -> float:
-        return self.ownship.dt
-
-    def __len__(self) -> int:
-        return len(self.ownship)
-
-    def has_event(self, flag: str) -> bool:
-        return any(flag in ev for ev in self.events)
-
-
-@dataclass(frozen=True)
 class BeliefState:
     """Finite set of weighted state samples representing state uncertainty."""
 
@@ -337,8 +278,32 @@ def horizontal_tau_xy(
 
 
 # ---------------------------------------------------------------------------
-# EncounterTrace CSV interchange
+# Simulated traces and their CSV interchange
 # ---------------------------------------------------------------------------
+
+
+class Trace(NamedTuple):
+    """A chunk of B simulated encounters, as the lockstep simulator records them.
+
+    outcome holds each encounter's evaluation.OUTCOME record.  x, y, z and
+    vz (ft, ft/s) have shape (B, 2, n+1): axis 1 is (ownship, intruder),
+    axis 2 the sample at time k * dt.  vel (B, 2, 2) holds each aircraft's
+    constant horizontal velocity (vx, vy).  adv (B, n+1, 2) holds the
+    (ownship, intruder) advisories active at each sample as int8 indices
+    into ADVISORIES, and events (B, n+1) each sample's EVENT_BIT flags as
+    uint8.
+    """
+
+    outcome: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    z: np.ndarray
+    vz: np.ndarray
+    vel: np.ndarray
+    adv: np.ndarray
+    events: np.ndarray
+    dt: float
+
 
 TRACE_CSV_HEADER = [
     "t",
@@ -347,51 +312,33 @@ TRACE_CSV_HEADER = [
     "adv0", "adv1", "events",
 ]
 
+# The events cell of each bit pattern: its labels, sorted, joined by "|".
+_EVENT_CELLS = [
+    "|".join(sorted(f for f in EVENT_FLAGS if bits & EVENT_BIT[f]))
+    for bits in range(1 << len(EVENT_FLAGS))
+]
 
-def write_trace_csv(trace: EncounterTrace, path) -> None:
-    """Write a trace as CSV with a leading ``# dt=<seconds>`` comment line."""
+
+def write_trace_csv(trace: Trace, b: int, path) -> None:
+    """Write encounter b of trace as CSV with a leading ``# dt=<seconds>`` comment line.
+
+    Every kinematic value must be finite; otherwise ValueError, and no file.
+    """
+    n = trace.z.shape[2]
+    kinematics = np.stack([
+        column
+        for i in (0, 1)
+        for column in (trace.x[b, i], trace.y[b, i], trace.z[b, i],
+                       np.full(n, trace.vel[b, i, 0]), np.full(n, trace.vel[b, i, 1]), trace.vz[b, i])
+    ])
+    if not np.all(np.isfinite(kinematics)):
+        raise ValueError(f"trace of encounter {b} holds non-finite kinematics")
+    columns = [[k * trace.dt for k in range(n)], *kinematics.tolist()]
+    columns += [[ADVISORIES[a].value for a in trace.adv[b, :, i].tolist()] for i in (0, 1)]
+    columns.append([_EVENT_CELLS[bits] for bits in trace.events[b].tolist()])
     with open(path, "w", newline="") as f:
         f.write(f"# dt={trace.dt}\n")
         writer = csv.writer(f)
         writer.writerow(TRACE_CSV_HEADER)
-        for i in range(len(trace)):
-            own = trace.ownship
-            intr = trace.intruder
-            a0, a1 = trace.advisories[i]
-            writer.writerow(
-                [repr(i * trace.dt)]
-                + [repr(float(v[i])) for v in (own.x, own.y, own.z, own.vx, own.vy, own.vz)]
-                + [repr(float(v[i])) for v in (intr.x, intr.y, intr.z, intr.vx, intr.vy, intr.vz)]
-                + [a0.value, a1.value, "|".join(sorted(trace.events[i]))]
-            )
-
-
-def read_trace_csv(path) -> EncounterTrace:
-    with open(path, "r", newline="") as f:
-        first = f.readline().strip()
-        if not first.startswith("# dt="):
-            raise ValueError("trace CSV must begin with a '# dt=<seconds>' line")
-        dt = float(first.split("=", 1)[1])
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != TRACE_CSV_HEADER:
-            raise ValueError("unexpected trace CSV header")
-        cols: list = [[] for _ in TRACE_CSV_HEADER]
-        for row in reader:
-            for c, v in zip(cols, row):
-                c.append(v)
-    own = AircraftTrack(
-        dt,
-        *(np.array([float(v) for v in cols[i]]) for i in range(1, 7)),
-    )
-    intr = AircraftTrack(
-        dt,
-        *(np.array([float(v) for v in cols[i]]) for i in range(7, 13)),
-    )
-    advisories = tuple(
-        (Advisory(a0), Advisory(a1)) for a0, a1 in zip(cols[13], cols[14])
-    )
-    events = tuple(
-        frozenset(e.split("|")) if e else frozenset() for e in cols[15]
-    )
-    return EncounterTrace(ownship=own, intruder=intr, advisories=advisories, events=events)
+        # tolist() gives Python floats, which csv writes as their repr.
+        writer.writerows(zip(*columns))

@@ -20,6 +20,7 @@ from .bayesnet import fit_cpts
 from .core import (
     ADVISORIES,
     COC_INDEX,
+    EVENT_BIT,
     EVENT_CROSSING,
     EVENT_NMAC,
     EVENT_RA,
@@ -28,8 +29,7 @@ from .core import (
     EVENT_TA,
     NMAC_HORIZONTAL_FT,
     NMAC_VERTICAL_FT,
-    AircraftTrack,
-    EncounterTrace,
+    Trace,
     is_reversal,
     is_strengthening,
     uniforms,
@@ -144,10 +144,6 @@ class RiskRatio:
     se: Optional[float]
 
 
-# Per-step event bits of the lockstep simulator, in EncounterTrace label terms.
-_EVENT_FLAGS = (EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROSSING, EVENT_NMAC)
-_BIT = {flag: 1 << j for j, flag in enumerate(_EVENT_FLAGS)}
-
 # One encounter's outcome under one equipage, the one record every report
 # and per_encounter.csv read: each event indicator (0/1) over its steps, its
 # severity (minimum NMAC-scaled separation, < 1 exactly when nmac) and its
@@ -162,15 +158,15 @@ OUTCOME = np.dtype([
 CHUNK_ENCOUNTERS = 256
 
 # Lockstep state holds advisories as int8 indices into ADVISORIES, and
-# event bits as uint8.
+# EVENT_BIT flags as uint8.
 _SENSE = np.array([a.sense for a in ADVISORIES])
 _TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 # Event bits a side scores when its advisory goes from index p to index q;
 # 0 on the diagonal, so a held advisory scores nothing.
 _CHANGE_BITS = np.array([
-    [(_BIT[EVENT_RA] if p == COC_INDEX != q else 0)
-     | (_BIT[EVENT_STRENGTHEN] if is_strengthening(a, b) else 0)
-     | (_BIT[EVENT_REVERSAL] if is_reversal(a, b) else 0)
+    [(EVENT_BIT[EVENT_RA] if p == COC_INDEX != q else 0)
+     | (EVENT_BIT[EVENT_STRENGTHEN] if is_strengthening(a, b) else 0)
+     | (EVENT_BIT[EVENT_REVERSAL] if is_reversal(a, b) else 0)
      for q, b in enumerate(ADVISORIES)]
     for p, a in enumerate(ADVISORIES)
 ], dtype=np.uint8)
@@ -204,13 +200,11 @@ def _fly(
     enc: EncounterBatch,
     eq: Equipage,
     u_delay: Optional[np.ndarray],
-) -> Tuple[np.ndarray, tuple]:
+) -> Trace:
     """Fly B encounters together, one step at a time, under one equipage.
 
-    Returns the B encounters' OUTCOME records, log_weight left 0, and the
-    per-step arrays an EncounterTrace is built from: x, y, z and vz of
-    shape (B, 2, n+1), horizontal velocities (B, 2, 2), advisory indices
-    (B, n+1, 2) and event bits (B, n+1).
+    Returns their Trace: the B encounters' OUTCOME records, log_weight
+    left 0, and the per-step arrays of both aircraft.
 
     u_delay (B, 2, n) holds the pilot-delay uniforms, or is None when eq
     draws no delay (_draws_delays).  Each step does three things: the
@@ -267,7 +261,7 @@ def _fly(
         # is invariant under swapping own and intruder.
         t_cpa, miss = closest_approach_many(dx[:, :n], dy[:, :n], dvx[:, None], dvy[:, None])
         ta, ra = assess_threat_many(t_cpa, miss, eq.tcas)
-        events[:, :n][ta] |= _BIT[EVENT_TA]
+        events[:, :n][ta] |= EVENT_BIT[EVENT_TA]
         streak = np.zeros((n_enc, 2), dtype=int)
 
     table = eq.table
@@ -347,56 +341,28 @@ def _fly(
     # c > 0, d < c exactly when fl(d / c) < 1) and severity is its minimum.
     h = zs[:, 1] - zs[:, 0]
     sep = np.maximum(np.abs(h) / NMAC_VERTICAL_FT, np.hypot(dx, dy) / NMAC_HORIZONTAL_FT)
-    events[sep < 1.0] |= _BIT[EVENT_NMAC]
+    events[sep < 1.0] |= EVENT_BIT[EVENT_NMAC]
     ra_active = (adv_hist[:, :n] != COC_INDEX).any(axis=2)
-    events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= _BIT[EVENT_CROSSING]
+    events[:, :n][ra_active & (h[:, :n] * h[:, 1:] < 0)] |= EVENT_BIT[EVENT_CROSSING]
     flags = np.bitwise_or.reduce(events, axis=1)
     outcome = np.zeros(n_enc, OUTCOME)
     for name, event in (("nmac", EVENT_NMAC), ("alert", EVENT_RA), ("strengthen", EVENT_STRENGTHEN),
                         ("reversal", EVENT_REVERSAL), ("crossing", EVENT_CROSSING)):
-        outcome[name] = (flags & _BIT[event]) != 0
+        outcome[name] = (flags & EVENT_BIT[event]) != 0
     outcome["severity"] = sep.min(axis=1)
-    return outcome, (x, y, vel, zs, vzs, adv_hist, events)
-
-
-def simulate_encounters(
-    enc: EncounterBatch, eq: Equipage, u_delay: Optional[np.ndarray]
-) -> List[EncounterTrace]:
-    """Run a chunk of encounters in lockstep and build each one's trace.
-
-    u_delay is _fly's pilot-delay block; each trace equals the one the
-    chunk of encounter b alone gives under u_delay[b:b + 1].
-    """
-    _, (x, y, vel, z, vz, adv, events) = _fly(enc, eq, u_delay)
-    n = enc.n_steps + 1
-    traces = []
-    for b in range(len(enc)):
-        tracks = [
-            AircraftTrack(dt=enc.dt, x=x[b, i], y=y[b, i], z=z[b, i],
-                          vx=np.full(n, vel[b, i, 0]), vy=np.full(n, vel[b, i, 1]), vz=vz[b, i])
-            for i in (0, 1)
-        ]
-        traces.append(EncounterTrace(
-            ownship=tracks[0],
-            intruder=tracks[1],
-            advisories=tuple((ADVISORIES[a0], ADVISORIES[a1]) for a0, a1 in adv[b].tolist()),
-            events=tuple(
-                frozenset(f for f in _EVENT_FLAGS if bits & _BIT[f]) for bits in events[b].tolist()
-            ),
-        ))
-    return traces
+    return Trace(outcome, x, y, zs, vzs, vel, adv_hist, events, dt)
 
 
 def simulate_encounter(
     enc: EncounterBatch, eq: Equipage, rng: np.random.Generator
-) -> EncounterTrace:
+) -> Trace:
     """Run both aircraft of a one-encounter batch under their equipped logic.
 
     This is the lockstep simulator at B=1, its delay uniforms drawn from rng.
     """
     if len(enc) != 1:
         raise ValueError("simulate_encounter takes a batch of one; its simulation stream is rng")
-    return simulate_encounters(enc, eq, rng.random((1, 2, enc.n_steps)))[0]
+    return _fly(enc, eq, rng.random((1, 2, enc.n_steps)))
 
 
 def _draws_delays(eq: Equipage) -> bool:
@@ -423,14 +389,14 @@ def run_indexed_traces(
     eq: Equipage,
     seed: int,
     indices: Sequence[int],
-) -> List[EncounterTrace]:
-    """Traces of the indexed encounters, built and flown as one chunk.
+) -> Trace:
+    """The Trace of the indexed encounters, built and flown as one chunk.
 
-    Each trace is the same in any chunk, a chunk of one included.
+    Each encounter's row is the same in any chunk, a chunk of one included.
     """
     enc = build_encounters(model, uniforms(seed, STREAM_ENCOUNTER, indices, model.uniforms_per_encounter))
     u_delay = _delay_uniforms([eq], seed, STREAM_SIMULATE, indices, enc.n_steps)
-    return simulate_encounters(enc, eq, u_delay)
+    return _fly(enc, eq, u_delay)
 
 
 def _run_chunk(
@@ -456,7 +422,7 @@ def _run_chunk(
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
     u_delay = _delay_uniforms(equipages, seed, sim_stream, indices, enc.n_steps)
-    outcome = np.stack([_fly(enc, eq, u_delay)[0] for eq in equipages])
+    outcome = np.stack([_fly(enc, eq, u_delay).outcome for eq in equipages])
     outcome["log_weight"] = log_weight
     return enc, outcome
 

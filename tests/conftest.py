@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, MIRROR_INDEX, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT, AircraftTrack
+from caslab.core import ADVISORIES, EVENT_BIT, EVENT_FLAGS, MIRROR_INDEX, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.encounters import HEADINGS, OWN_POS0
 from caslab.optimizer import Grid, RewardParams, backward_induction
@@ -54,51 +54,39 @@ def acxt_header_bytes(grid):
 
 
 def nominal_tracks(enc):
-    """Integrate the nominal (logic-free) kinematics of both aircraft of a batch of one."""
-    (speed,), (int_pos0,), (alt0,), (vrate,) = enc.speed, enc.int_pos0, enc.alt0, enc.vrate
-    starts = (OWN_POS0, tuple(int_pos0.tolist()))
-    return tuple(
-        _integrate_track(enc.n_steps, enc.dt, starts[i], HEADINGS[i], float(speed[i]),
-                         float(alt0[i]), vrate[i])
-        for i in (0, 1)
-    )
+    """Integrate the nominal (logic-free) kinematics of a batch of one encounter.
 
-
-def _integrate_track(n, dt, pos0, heading, speed, alt0, vrate):
-    t = np.arange(n + 1) * dt
-    vx = speed * math.cos(heading)
-    vy = speed * math.sin(heading)
-    z = np.empty(n + 1)
-    z[0] = alt0
-    z[1:] = alt0 + np.cumsum(vrate * dt)
-    vz = np.empty(n + 1)
-    vz[:n] = vrate
-    vz[n] = vrate[-1]
-    return AircraftTrack(
-        dt=dt,
-        x=pos0[0] + vx * t,
-        y=pos0[1] + vy * t,
-        z=z,
-        vx=np.full(n + 1, vx),
-        vy=np.full(n + 1, vy),
-        vz=vz,
-    )
-
-
-def trace_severity(trace):
-    """Minimum 3-D separation scaled by the NMAC thresholds (< 1 iff NMAC).
-
-    The scalar twin of the severity field _fly reduces from its arrays.
+    Returns x, y, z and vz, each of shape (2, n+1) with axis 0 (ownship,
+    intruder), as a Trace holds them for that encounter.
     """
-    dz = np.abs(trace.intruder.z - trace.ownship.z) / NMAC_VERTICAL_FT
-    dxy = (
-        np.hypot(
-            trace.intruder.x - trace.ownship.x,
-            trace.intruder.y - trace.ownship.y,
-        )
-        / NMAC_HORIZONTAL_FT
-    )
+    (speed,), (int_pos0,), (alt0,), (vrate,) = enc.speed, enc.int_pos0, enc.alt0, enc.vrate
+    n, dt = enc.n_steps, enc.dt
+    t = np.arange(n + 1) * dt
+    x, y, z, vz = (np.empty((2, n + 1)) for _ in range(4))
+    for i, pos0 in enumerate((OWN_POS0, tuple(int_pos0.tolist()))):
+        x[i] = pos0[0] + float(speed[i]) * math.cos(HEADINGS[i]) * t
+        y[i] = pos0[1] + float(speed[i]) * math.sin(HEADINGS[i]) * t
+        z[i, 0] = alt0[i]
+        z[i, 1:] = alt0[i] + np.cumsum(vrate[i] * dt)
+        vz[i, :n] = vrate[i]
+        vz[i, n] = vrate[i, -1]
+    return x, y, z, vz
+
+
+def trace_severity(x, y, z):
+    """Minimum 3-D separation of one encounter's (2, n+1) tracks, scaled by the NMAC thresholds.
+
+    Below 1 exactly when the encounter has an NMAC: the scalar twin of the
+    severity field _fly reduces from its arrays.
+    """
+    dz = np.abs(z[1] - z[0]) / NMAC_VERTICAL_FT
+    dxy = np.hypot(x[1] - x[0], y[1] - y[0]) / NMAC_HORIZONTAL_FT
     return float(np.min(np.maximum(dz, dxy)))
+
+
+def event_labels(bits):
+    """The EVENT_* labels of one sample's event bits."""
+    return frozenset(f for f in EVENT_FLAGS if bits & EVENT_BIT[f])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import caslab
 import numpy as np
 import pytest
 from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
-from caslab.core import ADVISORIES, Advisory
+from caslab.core import ADVISORIES, TRACE_CSV_HEADER, Advisory
 from caslab.encounters import (
     EncounterModel,
     default_correlated_model,
@@ -28,9 +28,9 @@ from caslab.encounters import (
     write_model_file,
 )
 from caslab.cli import _metrics_json, _write_outcomes, main
-from caslab.evaluation import OUTCOME, Equipage, cross_entropy_adapt
+from caslab.evaluation import OUTCOME, Equipage, _draws_delays, cross_entropy_adapt, run_indexed_traces
 from caslab.tablefile import FORMAT_VERSION, MAGIC, read_table, write_table
-from conftest import ACXT_COST_BYTES, acxt_header_bytes, full_values
+from conftest import ACXT_COST_BYTES, acxt_header_bytes, event_labels, full_values
 from test_tablefile import MIRROR_BREAKS
 
 
@@ -249,7 +249,52 @@ MALFORMED_MODELS = {
 }
 
 
+def paths_config(**paths):
+    return json.dumps({"schema_version": 1, "paths": paths}).encode()
+
+
+# Inputs that once exited E_RUN_FAILED with Python's exception text: the
+# code and a fragment of the one line each exits with now, and a function
+# of a directory d and a file f of the bytes ff fe (not UTF-8) that gives
+# the command's arguments and the bytes of its --config file, if any.
+LEAKED_INPUTS = {
+    "config_is_a_directory": ("E_CONFIG_NOT_FOUND", "config file is not a file",
+                              lambda d, f: (["optimize", "--config", d], None)),
+    "config_is_an_array": ("E_CONFIG_INVALID", "must be a JSON object, got an array",
+                           lambda d, f: (["optimize"], b"[1, 2]")),
+    "config_is_a_string": ("E_CONFIG_INVALID", "must be a JSON object, got a string",
+                           lambda d, f: (["optimize"], b'"x"')),
+    "config_is_not_utf8": ("E_CONFIG_INVALID", "config is not UTF-8 text",
+                           lambda d, f: (["optimize", "--config", f], None)),
+    "table_is_a_directory": ("E_TABLE_NOT_FOUND", "table file is not a file",
+                             lambda d, f: (["slice"], paths_config(table_file=d))),
+    "samples_are_a_directory": ("E_SAMPLES_NOT_FOUND", "binned-sample CSV is not a file",
+                                lambda d, f: (["fit"], paths_config(initial_samples_csv=d))),
+    "samples_are_not_utf8": ("E_SAMPLES_INVALID", "not UTF-8 text",
+                             lambda d, f: (["fit"], paths_config(initial_samples_csv=f))),
+    "out_is_a_file": ("E_CONFIG_INVALID", "--out must name a directory",
+                      lambda d, f: (["slice", "--out", f], None)),
+    "out_below_a_file": ("E_CONFIG_INVALID", "--out must name a directory",
+                         lambda d, f: (["slice", "--out", os.path.join(f, "sub")], None)),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("case", sorted(LEAKED_INPUTS))
+    def test_input_exits_with_one_error_line(self, case, tmp_path, capsys):
+        code, fragment, make = LEAKED_INPUTS[case]
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_bytes(b"\xff\xfe")
+        args, config = make(str(tmp_path / "d"), str(tmp_path / "f"))
+        argv = ["--out", str(tmp_path / "out")] + args
+        if config is not None:
+            (tmp_path / "config.json").write_bytes(config)
+            argv += ["--config", str(tmp_path / "config.json")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert re.match(r"E_[A-Z_]+: ", err) and err.count("\n") == 1
+        assert err.startswith(f"{code}: ") and fragment in err and "Traceback" not in err
+
     def test_missing_table_path(self, tmp_path, capsys):
         cfg = small_grid_config(tmp_path)
         code = main(["slice", "--config", str(cfg), "--out", str(tmp_path / "x")])
@@ -343,6 +388,13 @@ class TestErrors:
         assert main(MODEL_READERS[key] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err == f"E_MODEL_NOT_FOUND: {key.replace('_', ' ')} not found: {path}\n"
+
+    @pytest.mark.parametrize("key", sorted(MODEL_READERS))
+    def test_model_path_names_a_directory(self, key, tmp_path, capsys):
+        cfg = small_grid_config(tmp_path, paths={key: str(tmp_path)})
+        assert main(MODEL_READERS[key] + ["--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"E_MODEL_NOT_FOUND: {key.replace('_', ' ')} is not a file: {tmp_path}\n"
 
     @pytest.mark.parametrize("change, fragment", [
         ("bins", "proposal must share the nominal model bins"),
@@ -1093,21 +1145,50 @@ class TestFitAndSample:
         assert code == 2
         assert capsys.readouterr().err.startswith("E_SAMPLES_NOT_FOUND:")
 
-    def test_sample_writes_traces(self, tmp_path):
-        cfg = small_grid_config(tmp_path, sample={"count": 3})
+    @pytest.mark.parametrize("mode", ["correlated", "uncorrelated"])
+    def test_sample_writes_traces(self, mode, tmp_path):
+        cfg = small_grid_config(tmp_path, sample={"count": 3}, encounter={"mode": mode})
         out = tmp_path / "samples"
         assert main(["sample", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
-        files = sorted(out.glob("encounter_*.csv"))
-        assert len(files) == 3
-        from caslab.core import read_trace_csv
-        trace = read_trace_csv(files[0])
-        assert len(trace) == 51  # 50 steps + terminal sample
+        names = sorted(path.name for path in out.glob("encounter_*.csv"))
+        assert names == ["encounter_0000.csv", "encounter_0001.csv", "encounter_0002.csv"]
+        model = default_correlated_model() if mode == "correlated" else default_uncorrelated_model()
+        trace = run_indexed_traces(model, Equipage(), 2, range(3))
+        for b, name in enumerate(names):
+            assert_trace_file(out / name, trace, b)
 
-    def test_simulate_writes_trace(self, tmp_path):
-        cfg = small_grid_config(tmp_path)
+    def test_simulate_writes_trace(self, small_table, tmp_path):
+        table = tmp_path / "table.acxt"
+        write_table(small_table, table)
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(table)}, simulate={"index": 3},
+                                evaluation={"equipage": ["table", "tcas"]})
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--seed", "8", "--out", str(out)]) == 0
-        assert (out / "trace.csv").exists()
+        # The default pilot responds with p = 1/6, so response delays are drawn.
+        eq = Equipage(own="table", intruder="tcas", table=read_table(table))
+        assert _draws_delays(eq)
+        trace = run_indexed_traces(default_correlated_model(), eq, 8, [3])
+        assert trace.outcome["alert"][0]
+        assert_trace_file(out / "trace.csv", trace, 0)
+
+
+def assert_trace_file(path, trace, b):
+    """The trace CSV at path holds encounter b of the record trace, cell for cell."""
+    with open(path, newline="") as f:
+        assert f.readline() == f"# dt={trace.dt}\n"
+        header, *rows = csv.reader(f)
+    assert header == TRACE_CSV_HEADER
+    n = trace.z.shape[2]
+    assert n == 51  # 50 steps + terminal sample
+    assert len(rows) == n
+    for k, row in enumerate(rows):
+        kinematics = [k * trace.dt]
+        for i in (0, 1):
+            kinematics += [trace.x[b, i, k], trace.y[b, i, k], trace.z[b, i, k],
+                           trace.vel[b, i, 0], trace.vel[b, i, 1], trace.vz[b, i, k]]
+        assert [float(cell) for cell in row[:13]] == kinematics, k
+        assert row[13:15] == [ADVISORIES[a].value for a in trace.adv[b, k].tolist()], k
+        assert frozenset(filter(None, row[15].split("|"))) == event_labels(int(trace.events[b, k])), k
 
 
 class TestImportanceSampledEvaluate:

@@ -3,17 +3,20 @@ import pytest
 
 from caslab.core import (
     ADVISORIES,
+    COC_INDEX,
+    EVENT_BIT,
+    EVENT_NMAC,
+    EVENT_RA,
     Advisory,
-    AircraftTrack,
     BeliefState,
-    EncounterTrace,
+    Trace,
     VerticalState,
     horizontal_tau_xy,
     is_reversal,
     is_strengthening,
-    read_trace_csv,
     write_trace_csv,
 )
+from caslab.evaluation import OUTCOME
 
 
 class TestAdvisory:
@@ -91,21 +94,21 @@ class TestHorizontalTau:
             horizontal_tau_xy((1000.0, 0.0), (-100.0, 0.0), -1.0)
 
 
-def level_pair_trace(h=0.0, vz1=0.0, diverging=False):
-    n = 10
+def level_pair_trace(h=250.0, n=10):
+    """A Trace of one encounter: a level intruder h ft above closes head-on at 100 ft/s from 5000 ft."""
     t = np.arange(n + 1, dtype=float)
-    sign = 1.0 if diverging else -1.0
-    own = AircraftTrack(
-        dt=1.0, x=0 * t, y=0 * t, z=0 * t, vx=np.full(n + 1, 0.0),
-        vy=np.full(n + 1, 0.0), vz=np.full(n + 1, 0.0),
+    zeros = np.zeros((1, 2, n + 1))
+    return Trace(
+        outcome=np.zeros(1, OUTCOME),
+        x=np.stack([0.0 * t, 5000.0 - 100.0 * t])[None],
+        y=zeros,
+        z=np.stack([0.0 * t, h + 0.0 * t])[None],
+        vz=zeros,
+        vel=np.array([[[0.0, 0.0], [-100.0, 0.0]]]),
+        adv=np.full((1, n + 1, 2), COC_INDEX, dtype=np.int8),
+        events=np.zeros((1, n + 1), dtype=np.uint8),
+        dt=1.0,
     )
-    intr = AircraftTrack(
-        dt=1.0, x=5000.0 + sign * 100.0 * t, y=0 * t, z=h + vz1 * t,
-        vx=np.full(n + 1, sign * 100.0), vy=np.full(n + 1, 0.0), vz=np.full(n + 1, vz1),
-    )
-    advisories = tuple((Advisory.COC, Advisory.COC) for _ in range(n + 1))
-    events = tuple(frozenset() for _ in range(n + 1))
-    return EncounterTrace(ownship=own, intruder=intr, advisories=advisories, events=events)
 
 
 class TestBeliefState:
@@ -135,30 +138,32 @@ class TestVerticalState:
 
 
 class TestTraceCsv:
-    def test_round_trip(self, tmp_path):
-        trace = level_pair_trace(h=250.0, vz1=-4.0)
-        events = list(trace.events)
-        events[3] = frozenset({"RA", "NMAC"})
-        trace = EncounterTrace(
-            ownship=trace.ownship,
-            intruder=trace.intruder,
-            advisories=trace.advisories[:3]
-            + ((Advisory.DES1500, Advisory.COC),)
-            + trace.advisories[4:],
-            events=tuple(events),
-        )
-        path = tmp_path / "trace.csv"
-        write_trace_csv(trace, path)
-        back = read_trace_csv(path)
-        assert back.dt == trace.dt
-        np.testing.assert_array_equal(back.ownship.z, trace.ownship.z)
-        np.testing.assert_array_equal(back.intruder.x, trace.intruder.x)
-        assert back.advisories == trace.advisories
-        assert back.events == trace.events
+    # Every cell of the files sample and simulate write is checked against
+    # the record in tests/test_cli.py::TestFitAndSample.
 
     def test_header_and_dt_line(self, tmp_path):
         path = tmp_path / "trace.csv"
-        write_trace_csv(level_pair_trace(), path)
+        write_trace_csv(level_pair_trace(), 0, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# dt=1.0"
         assert lines[1].startswith("t,x0,y0,z0,")
+        assert len(lines) == 2 + 11
+
+    def test_row_from_a_hand_record(self, tmp_path):
+        trace = level_pair_trace()
+        trace.adv[0, 3, 0] = ADVISORIES.index(Advisory.DES1500)
+        trace.events[0, 3] = EVENT_BIT[EVENT_RA] | EVENT_BIT[EVENT_NMAC]
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, 0, path)
+        assert path.read_text().splitlines()[5] == (
+            "3.0,0.0,0.0,0.0,0.0,0.0,0.0,4700.0,0.0,250.0,-100.0,0.0,0.0,DES1500,COC,NMAC|RA"
+        )
+
+    @pytest.mark.parametrize("field, index", [("z", (0, 1, 4)), ("vel", (0, 0, 1))])
+    def test_non_finite_kinematics_refused(self, field, index, tmp_path):
+        trace = level_pair_trace()
+        getattr(trace, field)[index] = np.nan
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="non-finite"):
+            write_trace_csv(trace, 0, path)
+        assert not path.exists()

@@ -174,9 +174,9 @@ class TestSampleTransition:
         rows[:, 4] = 1.0  # always jump to the strongest climb bin
         model = drift_model(rows)
         enc = build_encounter(model, np.random.default_rng(3))
-        own, _ = nominal_tracks(enc)
+        _, _, z, _ = nominal_tracks(enc)
         assert np.all(enc.vrate[0, 0, 1:] >= 1000.0 / 60.0)
-        assert np.all(np.diff(own.z[1:]) > 0)
+        assert np.all(np.diff(z[0, 1:]) > 0)
 
 
 class TestBuildEncounter:
@@ -199,8 +199,8 @@ class TestBuildEncounter:
         # degenerate model: closure 250 ft/s, tau0 10 s, threshold 500 ft
         enc = build_encounter(degenerate_model(), np.random.default_rng(6))
         assert enc.int_pos0[0, 0] == pytest.approx(500.0 + 250.0 * 10.0)
-        own, intr = nominal_tracks(enc)
-        rng_at = lambda k: math.hypot(intr.x[k] - own.x[k], intr.y[k] - own.y[k])
+        x, y, _, _ = nominal_tracks(enc)
+        rng_at = lambda k: math.hypot(x[1, k] - x[0, k], y[1, k] - y[0, k])
         assert rng_at(10) == pytest.approx(500.0)
         assert rng_at(9) > 500.0 and rng_at(11) < 500.0
 

@@ -10,6 +10,7 @@ from caslab import evaluation
 from caslab.core import (
     ADVISORIES,
     COC_INDEX,
+    EVENT_BIT,
     EVENT_CROSSING,
     EVENT_NMAC,
     EVENT_RA,
@@ -68,7 +69,7 @@ from caslab.runtime import (
     weighted_particle_values,
 )
 from caslab.tcas import TcasConfig, TcasTracker, Threat
-from conftest import nominal_tracks, trace_severity
+from conftest import event_labels, nominal_tracks, trace_severity
 
 
 def hand_encounter(n_steps=30, closure=250.0, tau0=20.0, own_vr=0.0, int_vr=0.0, dt=1.0):
@@ -88,12 +89,20 @@ def det_pilot():
     return PilotModel(response_probability=1.0)
 
 
-def trace_outcome(trace):
-    """A trace's OUTCOME record as a tuple: its event indicators, its severity and log-weight 0."""
-    seen = frozenset().union(*trace.events)
-    indicators = (int(event in seen) for event in (EVENT_NMAC, EVENT_RA, EVENT_STRENGTHEN,
-                                                    EVENT_REVERSAL, EVENT_CROSSING))
-    return (*indicators, trace_severity(trace), 0.0)
+def trace_outcome(trace, b=0):
+    """Encounter b's OUTCOME record as a tuple, rebuilt from its per-step arrays.
+
+    Its event indicators over the samples, its severity and log-weight 0.
+    """
+    seen = int(np.bitwise_or.reduce(trace.events[b]))
+    indicators = (int(bool(seen & EVENT_BIT[event])) for event in (
+        EVENT_NMAC, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL, EVENT_CROSSING))
+    return (*indicators, trace_severity(trace.x[b], trace.y[b], trace.z[b]), 0.0)
+
+
+def advisory_pairs(trace, b=0):
+    """Encounter b's (ownship, intruder) advisories at each sample."""
+    return [(ADVISORIES[a0], ADVISORIES[a1]) for a0, a1 in trace.adv[b].tolist()]
 
 
 ADVISORY_EVENTS = frozenset({EVENT_TA, EVENT_RA, EVENT_STRENGTHEN, EVENT_REVERSAL})
@@ -200,32 +209,30 @@ class TestSimulateEncounter:
     def test_unequipped_matches_nominal(self):
         enc = hand_encounter(own_vr=3.0, int_vr=-2.0)
         trace = simulate_encounter(enc, Equipage(), np.random.default_rng(0))
-        own_n, intr_n = nominal_tracks(enc)
-        np.testing.assert_array_equal(trace.ownship.z, own_n.z)
-        np.testing.assert_array_equal(trace.ownship.vz, own_n.vz)
-        np.testing.assert_array_equal(trace.intruder.z, intr_n.z)
-        np.testing.assert_array_equal(trace.intruder.x, intr_n.x)
+        x, _, z, vz = nominal_tracks(enc)
+        np.testing.assert_array_equal(trace.z[0], z)
+        np.testing.assert_array_equal(trace.vz[0], vz)
+        np.testing.assert_array_equal(trace.x[0], x)
 
     def test_same_seed_bit_identical(self, default_table):
         enc = hand_encounter()
         eq = Equipage(own="table", pilot=PilotModel(), table=default_table)
         t1 = simulate_encounter(enc, eq, np.random.default_rng(42))
         t2 = simulate_encounter(enc, eq, np.random.default_rng(42))
-        np.testing.assert_array_equal(t1.ownship.z, t2.ownship.z)
-        assert t1.advisories == t2.advisories
-        assert t1.events == t2.events
+        for field in ("z", "adv", "events"):
+            np.testing.assert_array_equal(getattr(t1, field), getattr(t2, field))
 
     def test_coaltitude_head_on_unequipped_is_nmac(self):
         trace = simulate_encounter(hand_encounter(), Equipage(), np.random.default_rng(0))
-        assert trace.has_event(EVENT_NMAC)
+        assert trace.outcome["nmac"][0]
 
     def test_coaltitude_head_on_table_resolves(self, default_table):
         # single-scenario regression pinned after the first table build
         enc = hand_encounter()
         eq = Equipage(own="table", pilot=det_pilot(), table=default_table)
         trace = simulate_encounter(enc, eq, np.random.default_rng(1))
-        assert trace.has_event(EVENT_RA)
-        assert not trace.has_event(EVENT_NMAC)
+        assert trace.outcome["alert"][0]
+        assert not trace.outcome["nmac"][0]
 
     def test_ra_held_while_its_band_is_met(self, default_table):
         # Coaltitude head-on, both aircraft level, exact state.  Once the
@@ -236,17 +243,17 @@ class TestSimulateEncounter:
         eq = Equipage(own="table", pilot=det_pilot(), table=default_table,
                       belief_sigma_h=0.0, belief_sigma_rate=0.0)
         trace = simulate_encounter(enc, eq, np.random.default_rng(1))
-        own = [a for a, _ in trace.advisories]
+        own = [a for a, _ in advisory_pairs(trace)]
         ra = own[0]
         assert ra.sense != 0
         assert own[:21] == [ra] * 21  # held through CPA at step 20
-        assert not trace.has_event(EVENT_NMAC)
+        assert not trace.outcome["nmac"][0]
         # The hold decided it: on this flight COC ties the RA within TIE_TOL
         # at some step, where the first maximum alone would clear the RA.
         ties = []
         for k in range(1, 20):
-            s = VerticalState(float(trace.intruder.z[k] - trace.ownship.z[k]),
-                              float(trace.ownship.vz[k]), float(trace.intruder.vz[k]), ra, 20.0 - k)
+            (z0, z1), (vz0, vz1) = trace.z[0, :, k].tolist(), trace.vz[0, :, k].tolist()
+            s = VerticalState(z1 - z0, vz0, vz1, ra, 20.0 - k)
             values = interpolate(default_table, s)
             if select_action(values) is Advisory.COC:
                 ties.append(k)
@@ -282,10 +289,10 @@ class TestSimulateEncounter:
                             gaps.append(back - k)
             return gaps
 
-        held = _fly(enc, eq, None)[1][5][:, :, 0]
+        held = _fly(enc, eq, None).adv[:, :, 0]
         monkeypatch.setattr(evaluation, "select_advisories",
                             lambda values, adv: select_advisories(values, COC_INDEX))
-        first_maximum = _fly(enc, eq, None)[1][5][:, :, 0]
+        first_maximum = _fly(enc, eq, None).adv[:, :, 0]
         assert drops(first_maximum).sum() >= 100 and (drops(first_maximum) >= 2).sum() >= 32
         assert steps_clear(first_maximum).count(1) >= 27
         assert drops(held).max() <= 2 and drops(held).sum() <= 10
@@ -295,18 +302,16 @@ class TestSimulateEncounter:
         # Both TCAS sides alert, but neither pilot leaves the nominal track.
         model = default_correlated_model()
         eq = Equipage(own="tcas", intruder="tcas", pilot=PilotModel(response_probability=1e-17))
-        for trace, nominal in zip(run_indexed_traces(model, eq, 5, range(8)),
-                                  run_indexed_traces(model, Equipage(), 5, range(8))):
-            assert trace.has_event(EVENT_RA)
-            for side in ("ownship", "intruder"):
-                assert np.array_equal(getattr(trace, side).z, getattr(nominal, side).z)
+        trace = run_indexed_traces(model, eq, 5, range(8))
+        assert trace.outcome["alert"].all()
+        assert np.array_equal(trace.z, run_indexed_traces(model, Equipage(), 5, range(8)).z)
 
     def test_coaltitude_head_on_tcas_resolves(self):
         enc = hand_encounter()
         eq = Equipage(own="tcas", pilot=det_pilot())
         trace = simulate_encounter(enc, eq, np.random.default_rng(2))
-        assert trace.has_event(EVENT_RA)
-        assert not trace.has_event(EVENT_NMAC)
+        assert trace.outcome["alert"][0]
+        assert not trace.outcome["nmac"][0]
 
     def test_dt_mismatch_rejected(self, default_table):
         enc = hand_encounter(n_steps=60, dt=0.5)
@@ -400,7 +405,7 @@ class TestLockstep:
             belief_sigma_rate=2.0 if sigma_h else 0.0,
         )
         # The reference is each encounter's lone trace, reduced to its outcome.
-        traced = [trace_outcome(run_indexed_traces(model, eq, 61, [i])[0]) for i in range(self.N)]
+        traced = [trace_outcome(run_indexed_traces(model, eq, 61, [i])) for i in range(self.N)]
         for size in (1, 7, self.N):
             chunked = []
             for start in range(0, self.N, size):
@@ -424,22 +429,22 @@ class TestLockstep:
         assert outcomes[1] == outcomes[7] == outcomes[64] == outcomes[256]
 
     def assert_matches_reference(self, model, eq, seed):
-        """A chunk's traces against reference_flight; returns them and the summed cost bindings."""
-        traces = run_indexed_traces(model, eq, seed, range(self.N))
+        """A chunk's trace against reference_flight; returns it and the summed cost bindings."""
+        trace = run_indexed_traces(model, eq, seed, range(self.N))
         # reference_flight flies chunks of one, which build as in any chunk.
         width = model.uniforms_per_encounter
         encs = [build_encounters(model, uniforms(seed, STREAM_ENCOUNTER, [b], width))
                 for b in range(self.N)]
         u_sim = uniforms(seed, STREAM_SIMULATE, range(self.N), 2 * model.n_steps).tolist()
         bound = {"inhibit": 0, "coordination": 0, "restart": 0}
-        for b, (trace, enc, u) in enumerate(zip(traces, encs, u_sim)):
+        for b, (enc, u) in enumerate(zip(encs, u_sim)):
             advisories, labels, altitudes, binding = reference_flight(enc, eq, u)
-            assert list(trace.advisories) == advisories, b
-            assert [e & ADVISORY_EVENTS for e in trace.events] == labels, b
-            assert list(zip(trace.ownship.z.tolist(), trace.intruder.z.tolist())) == altitudes, b
+            assert advisory_pairs(trace, b) == advisories, b
+            assert [event_labels(e) & ADVISORY_EVENTS for e in trace.events[b].tolist()] == labels, b
+            assert list(zip(*trace.z[b].tolist())) == altitudes, b
             for key in bound:
                 bound[key] += binding[key]
-        return traces, bound
+        return trace, bound
 
     @pytest.mark.parametrize("factory", [default_correlated_model, default_uncorrelated_model])
     @pytest.mark.parametrize("sides", [("tcas", "none"), ("none", "tcas"), ("tcas", "tcas")])
@@ -450,8 +455,8 @@ class TestLockstep:
         # per encounter and side; dt != 1 makes every time to CPA fractional.
         model = factory(dt=dt)
         eq = Equipage(own=sides[0], intruder=sides[1], pilot=PilotModel(response_probability=p))
-        traces, _ = self.assert_matches_reference(model, eq, 71)
-        assert all(any(EVENT_RA in e for e in trace.events) for trace in traces)
+        trace, _ = self.assert_matches_reference(model, eq, 71)
+        assert trace.outcome["alert"].all()
 
     @pytest.mark.parametrize("sides", [("table", "none"), ("table", "table")])
     @pytest.mark.parametrize("sigma_h", [0.0, 25.0])
@@ -492,13 +497,11 @@ class TestLockstep:
         eq = Equipage(own=sides[0], intruder=sides[1], table=default_table,
                       belief_sigma_h=25.0, belief_sigma_rate=2.0)
         chunked = run_indexed_traces(model, eq, 62, range(self.N))
-        for i, trace in enumerate(chunked):
-            (lone,) = run_indexed_traces(model, eq, 62, [i])
-            for a, b in ((trace.ownship, lone.ownship), (trace.intruder, lone.intruder)):
-                for field in ("x", "y", "z", "vx", "vy", "vz"):
-                    assert np.array_equal(getattr(a, field), getattr(b, field)), (i, field)
-            assert trace.advisories == lone.advisories
-            assert trace.events == lone.events
+        for i in range(self.N):
+            lone = run_indexed_traces(model, eq, 62, [i])
+            assert lone.dt == chunked.dt
+            for field in ("outcome", "x", "y", "z", "vz", "vel", "adv", "events"):
+                assert getattr(chunked, field)[i].tolist() == getattr(lone, field)[0].tolist(), (i, field)
 
     def test_equipages_share_one_build(self, default_table):
         model = default_correlated_model()
@@ -508,7 +511,7 @@ class TestLockstep:
         assert len(encs) == 5
         assert outcome.shape == (2, 5)
         for j, eq in enumerate(eqs):
-            lone = [trace_outcome(run_indexed_traces(model, eq, 8, [i])[0]) for i in range(5)]
+            lone = [trace_outcome(run_indexed_traces(model, eq, 8, [i])) for i in range(5)]
             assert outcome[j].tolist() == lone
 
     def test_particle_average_is_per_belief_matmul(self, default_table):
@@ -573,14 +576,10 @@ class TestPairedSeeds:
         eq_none = Equipage(pilot=det_pilot())
         eq_table = Equipage(own="table", pilot=det_pilot(), table=default_table)
         for idx in range(5):
-            (trace_none,) = run_indexed_traces(model, eq_none, 99, [idx])
-            (trace_tab,) = run_indexed_traces(model, eq_table, 99, [idx])
-            np.testing.assert_array_equal(
-                trace_none.intruder.z, trace_tab.intruder.z
-            )
-            np.testing.assert_array_equal(
-                trace_none.intruder.vz, trace_tab.intruder.vz
-            )
+            trace_none = run_indexed_traces(model, eq_none, 99, [idx])
+            trace_tab = run_indexed_traces(model, eq_table, 99, [idx])
+            np.testing.assert_array_equal(trace_none.z[0, 1], trace_tab.z[0, 1])
+            np.testing.assert_array_equal(trace_none.vz[0, 1], trace_tab.vz[0, 1])
 
     def test_equipping_reduces_nmacs_paired(self, default_table):
         model = default_correlated_model()
@@ -619,8 +618,7 @@ class TestEstimateMetrics:
         # bootstrap the binomial SE from the indicator draws themselves
         rng = np.random.default_rng(0)
         flags = np.array(
-            [run_indexed_traces(toy, Equipage(), 11, [i])[0].has_event(EVENT_NMAC)
-             for i in range(200)],
+            [run_indexed_traces(toy, Equipage(), 11, [i]).outcome["nmac"][0] for i in range(200)],
             dtype=float,
         )
         assert np.mean(flags) == rep.p_nmac
@@ -890,15 +888,16 @@ class TestSeverity:
     def test_nmac_boundary_at_zero_range(self, h, nmac):
         # Horizontal range closes to zero at t = tau0 + 500 / closure = 22 s.
         enc = dataclasses.replace(hand_encounter(), alt0=np.array([[0.0, h]]))
-        (outcome,), _ = _fly(enc, Equipage(), None)
+        (outcome,) = _fly(enc, Equipage(), None).outcome
         assert bool(outcome["nmac"]) == nmac == (outcome["severity"] < 1.0)
         if not nmac:
             assert outcome["severity"] == 1.0
         trace = simulate_encounter(enc, Equipage(), np.random.default_rng(0))
-        assert trace_severity(trace) == outcome["severity"]
+        assert trace_severity(trace.x[0], trace.y[0], trace.z[0]) == outcome["severity"]
 
     def test_nmac_iff_severity_below_one(self):
         model = default_correlated_model()
         for idx in range(30):
-            (trace,) = run_indexed_traces(model, Equipage(), 31, [idx])
-            assert trace.has_event(EVENT_NMAC) == (trace_severity(trace) < 1.0)
+            trace = run_indexed_traces(model, Equipage(), 31, [idx])
+            nmac = bool(np.bitwise_or.reduce(trace.events[0]) & EVENT_BIT[EVENT_NMAC])
+            assert nmac == (trace_severity(trace.x[0], trace.y[0], trace.z[0]) < 1.0)

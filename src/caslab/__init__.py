@@ -10,7 +10,7 @@ from .core import (
     write_trace_csv,
 )
 from .bayesnet import DiscreteBayesNet, fit_cpts
-from .dynamics import IntruderModel, PilotModel, project_template, sample_response_delay, step_vertical
+from .dynamics import IntruderModel, PilotModel, project_template, step_vertical
 from .encounters import (
     EncounterBatch,
     EncounterModel,

@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -27,13 +27,13 @@ from .encounters import (
     EncounterModel,
     ModelFormatError,
     default_correlated_model,
-    default_structure,
     default_uncorrelated_model,
     read_model_file,
     write_model_file,
 )
 from .evaluation import (
     CHUNK_ENCOUNTERS,
+    LOGIC_TABLE,
     Equipage,
     _check_shared_structure,
     _chunks,
@@ -142,6 +142,11 @@ def _load_model(cfg: dict) -> EncounterModel:
     path = cfg["paths"]["model_file"]
     if path is not None:
         return _read_model(path, "model file", fitted=True)
+    return _bundled_model(cfg)
+
+
+def _bundled_model(cfg: dict) -> EncounterModel:
+    """The bundled model of the config's encounter block."""
     enc = cfg["encounter"]
     factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
     with _config_values():
@@ -254,21 +259,16 @@ def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> Discret
 
 
 def _cmd_fit(cfg: dict, out_dir: Path, seed, workers) -> None:
+    # The fitted model keeps the skeleton's structure, mode and run geometry.
     structure_path = cfg["paths"]["structure_file"]
-    enc = cfg["encounter"]
     if structure_path is not None:
         skeleton = _read_model(structure_path, "structure file", fitted=False)
-        initial_s, transition_s = skeleton.initial_net, skeleton.transition_net
-        mode, duration, dt = skeleton.mode, skeleton.duration, skeleton.dt
     else:
-        initial_s, transition_s = default_structure()
-        mode, duration, dt = enc["mode"], float(enc["duration"]), float(enc["dt"])
-    model = EncounterModel(
-        initial_net=_fit_binned_csv(cfg["paths"]["initial_samples_csv"], initial_s),
-        transition_net=_fit_binned_csv(cfg["paths"]["transition_samples_csv"], transition_s),
-        mode=mode,
-        duration=duration,
-        dt=dt,
+        skeleton = _bundled_model(cfg)
+    model = replace(
+        skeleton,
+        initial_net=_fit_binned_csv(cfg["paths"]["initial_samples_csv"], skeleton.initial_net),
+        transition_net=_fit_binned_csv(cfg["paths"]["transition_samples_csv"], skeleton.transition_net),
     )
     write_model_file(model, out_dir / "model.json")
 
@@ -292,18 +292,28 @@ def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
     write_table(backward_induction(grid, pilot, intruder, rewards), out_dir / "table.acxt")
 
 
+def _model_and_equipage(cfg: dict) -> Tuple[EncounterModel, Equipage]:
+    """The configured model and equipage; a table side needs the table's 1 s step."""
+    model = _load_model(cfg)
+    eq = _equipage(cfg)
+    if LOGIC_TABLE in (eq.own, eq.intruder) and model.dt != 1.0:
+        path = cfg["paths"]["model_file"]
+        if path is not None:
+            raise CliError(E_MODEL_INVALID, f"{path}: dt is {model.dt}, but table logic assumes a 1 s step")
+        raise CliError(E_CONFIG_INVALID, f"encounter.dt must be 1 with a table side, got {model.dt}")
+    return model, eq
+
+
 def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     index = _config_key(cfg, "simulate", "index")
-    model = _load_model(cfg)
-    eq = _equipage(cfg)
+    model, eq = _model_and_equipage(cfg)
     write_trace_csv(run_indexed_traces(model, eq, seed, [index]), 0, out_dir / "trace.csv")
 
 
 def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
-    model = _load_model(cfg)
-    eq = _equipage(cfg)
+    model, eq = _model_and_equipage(cfg)
     n = _config_int(cfg, "evaluation", "n", 1)
     proposal = _load_proposal(cfg, model)
     equipages = [eq]

@@ -165,20 +165,6 @@ def project_template_many(
     return np.abs((z1 + vz1 * horizon)[:, None] - w * sense)
 
 
-def sample_response_delay(pilot: PilotModel, u: float) -> int:
-    """A geometric response delay in whole steps, support {0, 1, ...}, from u in [0, 1)."""
-    p = pilot.response_probability
-    if p >= 1.0:
-        return 0
-    # Inverse CDF of P(k) = (1-p)^k p.  Where 1 - p rounds to 1 the pilot
-    # never complies: the delay exceeds every draw at a larger p (at most
-    # 6.3e18 steps) and leaves room below the int64 limit for its start step.
-    log_q = math.log(1.0 - p)
-    if log_q == 0.0:
-        return 2**63 - 2**48
-    return int(math.floor(math.log(max(u, 1e-300)) / log_q))
-
-
 def project_template(
     own: Tuple[float, float],
     intr: Tuple[float, float],

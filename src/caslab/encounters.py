@@ -520,19 +520,21 @@ def model_from_dict(d: dict) -> EncounterModel:
 
 
 def write_model_file(model: EncounterModel, path) -> None:
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         json.dump(model_to_dict(model), f, indent=2)
         f.write("\n")
 
 
 def read_model_file(path) -> EncounterModel:
     """Read a model file; any fault in its contents is a ModelFormatError naming path."""
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
             if not isinstance(doc, dict):
                 raise ValueError("expected a JSON object")
             return model_from_dict(doc)
+        except UnicodeDecodeError:
+            raise ModelFormatError(f"{path}: not UTF-8 text") from None
         except KeyError as err:
             raise ModelFormatError(f"{path}: missing key {err}") from None
         except (TypeError, ValueError) as err:

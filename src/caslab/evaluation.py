@@ -2,7 +2,7 @@
 
 Random numbers: every uniform is core.uniforms of (root seed, stream,
 encounter index, counter), with one stream for encounter generation and
-one for pilot response delays, so paired-seed comparisons across equipages
+one for pilot response, so paired-seed comparisons across equipages
 see identical nominal encounters and an encounter's result does not depend
 on its chunk or worker.  Aggregation always runs in encounter-index order.
 """
@@ -34,7 +34,7 @@ from .core import (
     is_strengthening,
     uniforms,
 )
-from .dynamics import PilotModel, sample_response_delay, step_complying_many
+from .dynamics import PilotModel, step_complying_many
 from .encounters import (
     HEADINGS,
     OWN_POS0,
@@ -62,7 +62,7 @@ LOGIC_TABLE = "table"
 LOGIC_KINDS = (LOGIC_NONE, LOGIC_TCAS, LOGIC_TABLE)
 
 # Stream numbers under the root seed: plain runs and CE adaptation each
-# have an encounter stream and a simulation (pilot delay) stream.
+# have an encounter stream and a simulation (pilot response) stream.
 STREAM_ENCOUNTER = 0
 STREAM_SIMULATE = 1
 STREAM_CE_ENCOUNTER = 2
@@ -199,23 +199,25 @@ def _quantized_tau(px, py, vx, vy, tau_max: int) -> np.ndarray:
 def _fly(
     enc: EncounterBatch,
     eq: Equipage,
-    u_delay: Optional[np.ndarray],
+    u_delay: np.ndarray,
 ) -> Trace:
     """Fly B encounters together, one step at a time, under one equipage.
 
     Returns their Trace: the B encounters' OUTCOME records, log_weight
     left 0, and the per-step arrays of both aircraft.
 
-    u_delay (B, 2, n) holds the pilot-delay uniforms, or is None when eq
-    draws no delay (_draws_delays).  Each step does three things: the
-    equipped sides decide, the sample is recorded, and both aircraft move.
-    A side switches at most once per step; side i of encounter b that
-    switches at step k to an advisory other than COC draws a geometric
-    pilot delay d from u_delay[b, i, k] and complies from step k + d for
-    as long as it holds that advisory; a switch while a delay runs draws a
-    new one.  A complying side moves toward its advisory's band, and every
-    other side flies its nominal command, so unequipped aircraft replay
-    the nominal commands exactly.
+    u_delay (B, 2, n) holds the pilot-response uniforms.  Each step does
+    three things: the equipped sides decide, the sample is recorded, and
+    both aircraft move.  A side switches at most once per step.  After the
+    sides decide at step k, the pilot of side i of encounter b, if not yet
+    complying, begins where u_delay[b, i, k] < p (the response
+    probability) and keeps complying from then on.  A switch to an
+    advisory other than COC first stops the pilot complying, so each such
+    switch, one while a delay runs included, starts a geometric delay
+    with mass p at 0.  A side that holds an advisory other than COC and
+    complies moves toward that advisory's band; every other side flies
+    its nominal command, so unequipped aircraft replay the nominal
+    commands exactly.
     Each table-equipped side makes one lookup per step over the sigma
     points of all B beliefs, and each TCAS side one tracker_step_many.
     Every event is scored once, from the record, after the last step.
@@ -223,9 +225,8 @@ def _fly(
     n_enc, n, dt = len(enc), enc.n_steps, enc.dt
     logics = (eq.own, eq.intruder)
     equipped = [i for i in (0, 1) if logics[i] != LOGIC_NONE]
-    delayed = _draws_delays(eq)
-    if delayed and (u_delay is None or u_delay.shape != (n_enc, 2, n)):
-        raise ValueError(f"pilot delays need a ({n_enc}, 2, {n}) block of simulation-stream uniforms")
+    if u_delay.shape != (n_enc, 2, n):
+        raise ValueError(f"pilot responses need a ({n_enc}, 2, {n}) block of simulation-stream uniforms")
     table_sides = [i for i in (0, 1) if logics[i] == LOGIC_TABLE]
     if table_sides and dt != 1.0:
         raise ValueError("table logic assumes a 1 s step; encounter dt mismatch")
@@ -247,8 +248,7 @@ def _fly(
     cmds = enc.vrate
     vz = cmds[:, :, 0].copy()
     adv = np.full((n_enc, 2), COC_INDEX, dtype=np.int8)
-    # The first step at which each side complies with its advisory.
-    comply_at = np.zeros((n_enc, 2), dtype=int)
+    complying = np.zeros((n_enc, 2), dtype=bool)
 
     zs = np.empty((n_enc, 2, n + 1))
     vzs = np.empty((n_enc, 2, n + 1))
@@ -308,16 +308,12 @@ def _fly(
                     # coordinate(): the leader's sense forbids the same sense.
                     leader_sense = _SENSE[selected]
 
-            switched = (selected != adv[:, i]) & (selected != COC_INDEX)
-            if delayed:
-                for b in np.flatnonzero(switched).tolist():
-                    comply_at[b, i] = k + sample_response_delay(eq.pilot, u_delay[b, i, k])
-            else:
-                comply_at[switched, i] = k
+            complying[(selected != adv[:, i]) & (selected != COC_INDEX), i] = False
             adv[:, i] = selected
+        complying |= u_delay[:, :, k] < eq.pilot.response_probability
 
         # Record sample k, then advance kinematics over [k, k+1).
-        active = (adv != COC_INDEX) & (comply_at <= k)
+        active = (adv != COC_INDEX) & complying
         cmd = cmds[:, :, k]
         zs[:, :, k] = z
         vzs[:, :, k] = np.where(active, vz, cmd)
@@ -358,29 +354,19 @@ def simulate_encounter(
 ) -> Trace:
     """Run both aircraft of a one-encounter batch under their equipped logic.
 
-    This is the lockstep simulator at B=1, its delay uniforms drawn from rng.
+    This is the lockstep simulator at B=1, its pilot-response uniforms drawn from rng.
     """
     if len(enc) != 1:
         raise ValueError("simulate_encounter takes a batch of one; its simulation stream is rng")
     return _fly(enc, eq, rng.random((1, 2, enc.n_steps)))
 
 
-def _draws_delays(eq: Equipage) -> bool:
-    """Whether _fly draws pilot delays for eq: it has an equipped side and p < 1."""
-    return (eq.own, eq.intruder) != (LOGIC_NONE, LOGIC_NONE) and eq.pilot.response_probability < 1.0
+def _delay_uniforms(seed: int, stream: int, indices: Sequence[int], n_steps: int) -> np.ndarray:
+    """_fly's (B, 2, n_steps) pilot-response block.
 
-
-def _delay_uniforms(
-    equipages: Sequence[Equipage], seed: int, stream: int, indices: Sequence[int], n_steps: int
-) -> Optional[np.ndarray]:
-    """_fly's (B, 2, n_steps) pilot-delay block, or None when no equipage draws a delay.
-
-    Side i's delay on a switch at step k reads counter 2k + i of the
-    encounter's simulation stream, so it does not depend on the run's
-    length.
+    Side i's response at step k reads counter 2k + i of the encounter's
+    simulation stream, so it does not depend on the run's length.
     """
-    if not any(map(_draws_delays, equipages)):
-        return None
     return uniforms(seed, stream, indices, 2 * n_steps).reshape(-1, n_steps, 2).transpose(0, 2, 1)
 
 
@@ -395,7 +381,7 @@ def run_indexed_traces(
     Each encounter's row is the same in any chunk, a chunk of one included.
     """
     enc = build_encounters(model, uniforms(seed, STREAM_ENCOUNTER, indices, model.uniforms_per_encounter))
-    u_delay = _delay_uniforms([eq], seed, STREAM_SIMULATE, indices, enc.n_steps)
+    u_delay = _delay_uniforms(seed, STREAM_SIMULATE, indices, enc.n_steps)
     return _fly(enc, eq, u_delay)
 
 
@@ -421,7 +407,7 @@ def _run_chunk(
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
-    u_delay = _delay_uniforms(equipages, seed, sim_stream, indices, enc.n_steps)
+    u_delay = _delay_uniforms(seed, sim_stream, indices, enc.n_steps)
     outcome = np.stack([_fly(enc, eq, u_delay).outcome for eq in equipages])
     outcome["log_weight"] = log_weight
     return enc, outcome

@@ -28,7 +28,7 @@ from caslab.encounters import (
     write_model_file,
 )
 from caslab.cli import _metrics_json, _write_outcomes, main
-from caslab.evaluation import OUTCOME, Equipage, _draws_delays, cross_entropy_adapt, run_indexed_traces
+from caslab.evaluation import OUTCOME, Equipage, cross_entropy_adapt, run_indexed_traces
 from caslab.tablefile import FORMAT_VERSION, MAGIC, read_table, write_table
 from conftest import ACXT_COST_BYTES, acxt_header_bytes, event_labels, full_values
 from test_tablefile import MIRROR_BREAKS
@@ -272,6 +272,10 @@ LEAKED_INPUTS = {
                                 lambda d, f: (["fit"], paths_config(initial_samples_csv=d))),
     "samples_are_not_utf8": ("E_SAMPLES_INVALID", "not UTF-8 text",
                              lambda d, f: (["fit"], paths_config(initial_samples_csv=f))),
+    "model_is_not_utf8": ("E_MODEL_INVALID", "/f: not UTF-8 text",
+                          lambda d, f: (["sample", "--seed", "1"], paths_config(model_file=f))),
+    "structure_is_not_utf8": ("E_MODEL_INVALID", "/f: not UTF-8 text",
+                              lambda d, f: (["fit"], paths_config(structure_file=f))),
     "out_is_a_file": ("E_CONFIG_INVALID", "--out must name a directory",
                       lambda d, f: (["slice", "--out", f], None)),
     "out_below_a_file": ("E_CONFIG_INVALID", "--out must name a directory",
@@ -421,14 +425,40 @@ class TestErrors:
                                          ["simulate", "--seed", "1"], ["fit"]],
                              ids=lambda command: command[0])
     def test_misspelled_encounter_mode(self, command, tmp_path, capsys):
-        # evaluate and sample once flew the uncorrelated model and exited 0
+        # evaluate and sample once flew the uncorrelated model and exited 0;
+        # fit, given valid sample CSVs, once exited E_RUN_FAILED on a run
+        # geometry that sample refused
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "encounter": {"mode": "correlatd"},
-                                   "evaluation": {"n": 64, "equipage": ["none", "none"]}}))
-        assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            "E_CONFIG_INVALID: encounter.mode must be correlated or uncorrelated, got 'correlatd'\n"
-        )
+        paths = {key: str(path) for key, path in sample_csvs(tmp_path).items()}
+        for encounter, detail in [
+            ({"mode": "correlatd"}, "encounter.mode must be correlated or uncorrelated, got 'correlatd'"),
+            ({"duration": 0.5}, "duration must be an integral number of steps"),
+            ({"dt": -1}, "duration and dt must be > 0"),
+        ]:
+            cfg.write_text(json.dumps({"schema_version": 1, "encounter": encounter, "paths": paths,
+                                       "evaluation": {"n": 64, "equipage": ["none", "none"]}}))
+            assert main(command + ["--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+            assert capsys.readouterr().err == f"E_CONFIG_INVALID: {detail}\n"
+
+    @pytest.mark.parametrize("source", ["config_dt_0.5", "config_dt_2.0", "model_dt_0.5"])
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_table_side_needs_a_one_second_step(self, command, source, small_table, tmp_path, capsys):
+        # these once exited E_RUN_FAILED from the closed loop's own check
+        table = tmp_path / "table.acxt"
+        write_table(small_table, table)
+        paths, dt = {"table_file": str(table)}, float(source.rsplit("_", 1)[1])
+        encounter = {}
+        if source.startswith("model"):
+            model = paths["model_file"] = str(tmp_path / "model.json")
+            write_model_file(default_correlated_model(dt=dt), model)
+            expected = f"E_MODEL_INVALID: {model}: dt is {dt}, but table logic assumes a 1 s step\n"
+        else:
+            encounter["dt"] = dt
+            expected = f"E_CONFIG_INVALID: encounter.dt must be 1 with a table side, got {dt}\n"
+        cfg = small_grid_config(tmp_path, paths=paths, encounter=encounter,
+                                evaluation={"n": 4, "equipage": ["none", "table"]})
+        assert main([command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == expected
 
     def test_proposal_must_match_the_nominal(self, tmp_path, capsys):
         # a valid model file, but not the nominal's network: IS weights would be meaningless
@@ -967,19 +997,25 @@ class TestConfigRoundTrip:
 # uniforms replaced the per-encounter generators, and the two
 # per_encounter.csv files of runs with a baseline again when they began to
 # list the baseline's outcome columns after the equipped side's unchanged
-# ones.  A change here changes what evaluate, simulate or sample write at a
-# fixed seed.
+# ones, and every run at the default p < 1 again when the pilot began to
+# comply at a per-step draw; the p = 1 runs (table_p1, tcas_p1) held.  A
+# change here changes what evaluate, simulate or sample write at a fixed
+# seed.
 PINNED_OUTPUT_DIGESTS = {
-    "is/metrics.json": "e027407c01672819d0cac94824ab8eb96d3c2e48b619d830ae0fc547ae4fa924",
-    "is/per_encounter.csv": "9daf7d36c0fef71f2a982fe03abe10bbafff6af6e6392326a84b112ca74994f0",
+    "is/metrics.json": "42e920289cf470044fa4f8f0ee1abcbd97b480b9f431636dd2420e6e375e1089",
+    "is/per_encounter.csv": "2c600f06718843626e72c23d9381a7bc76093428aa4812fed5bc5b502668c986",
     "sample/encounter_0000.csv": "13ea796226f6f796927b4b9254cec482e2d25229cd44c92c45eb1af6503aa7a3",
     "sample/encounter_0001.csv": "7d8efe757fdaa4e3b0c53e344a491960de690d4c0a1515b564caa8db0cc68487",
     "sample/encounter_0002.csv": "18d6ccc159d725d08277e3de8112e9c417fab11bec42986d8aeb0fbc30ae4f06",
-    "simulate/trace.csv": "22efd495f7a97a76128996433abdc801016c849eb8d2498449752166375219a7",
-    "table/metrics.json": "20caef79b04bb6523ea4dfec5c7eab60b23a65963d52b352b041348cd2cedb3e",
-    "table/per_encounter.csv": "aa9c4a06a46bb40140a8800c58495aa33c1ca391abb0a9c506c513aa3bc40ab6",
+    "simulate/trace.csv": "632ff1009efad54cc32ced89ffd1edb989f0496e921073f34ac3861957c1d0b5",
+    "table/metrics.json": "70a2b59584ad9abf1ac9d12022815c2ba5f25efee89eca10009c9e77acd094ed",
+    "table/per_encounter.csv": "3e85400636f72bd4824b697bdbc186765aa89a2e07241debf04044b58752c529",
+    "table_p1/metrics.json": "5ea2aec8ab02697f2d2e122b4a075194b8a5d755326b2b420a6a24c966004187",
+    "table_p1/per_encounter.csv": "9851c87745c9578847ca4dc6336cb486c58f236dca13a270f63dd30e2adee5b0",
+    "tcas_p1/metrics.json": "29e800e39e29876843aebec1a490e3ff08b4a1a3ad4b4c6c69d6addc40bf39ac",
+    "tcas_p1/per_encounter.csv": "7a931d4a4c973a319fbc2bc5a9f8242114fa78e31840fce1791f556644bebda6",
     "tcas_workers/metrics.json": "29e800e39e29876843aebec1a490e3ff08b4a1a3ad4b4c6c69d6addc40bf39ac",
-    "tcas_workers/per_encounter.csv": "6f2506d5ccc6fda46d2c230ef691abdb5bc78ecffdc1ed39baf0fd50d6dd5dd7",
+    "tcas_workers/per_encounter.csv": "e2597db45dbfcd865d843fe37b48ce5b8cdb634bacfe6c953411121757981aff",
 }
 
 
@@ -999,6 +1035,17 @@ def command_outputs(tmp_path_factory):
         "tcas_workers": (["evaluate", "--seed", "2", "--workers", "2"], {
             "encounter": {"mode": "uncorrelated"},
             "evaluation": {"n": 50, "equipage": ["tcas", "none"], "per_encounter_csv": True},
+        }),
+        # the same two pairs with a pilot who complies at the switch step
+        "table_p1": (["evaluate", "--seed", "1"], {
+            "paths": {"table_file": str(table)},
+            "evaluation": {"n": 100, "equipage": ["table", "none"], "per_encounter_csv": True,
+                           "pilot_response_probability": 1.0},
+        }),
+        "tcas_p1": (["evaluate", "--seed", "2"], {
+            "encounter": {"mode": "uncorrelated"},
+            "evaluation": {"n": 50, "equipage": ["tcas", "none"], "per_encounter_csv": True,
+                           "pilot_response_probability": 1.0},
         }),
         "is": (["evaluate", "--seed", "3"], {
             "paths": {"model_file": str(tmp / "nominal.json"),
@@ -1164,9 +1211,9 @@ class TestFitAndSample:
                                 evaluation={"equipage": ["table", "tcas"]})
         out = tmp_path / "sim"
         assert main(["simulate", "--config", str(cfg), "--seed", "8", "--out", str(out)]) == 0
-        # The default pilot responds with p = 1/6, so response delays are drawn.
+        # The default pilot begins to comply with p = 1/6 at each step, not at once.
         eq = Equipage(own="table", intruder="tcas", table=read_table(table))
-        assert _draws_delays(eq)
+        assert eq.pilot.response_probability < 1.0
         trace = run_indexed_traces(default_correlated_model(), eq, 8, [3])
         assert trace.outcome["alert"][0]
         assert_trace_file(out / "trace.csv", trace, 0)

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from caslab.core import ADVISORIES, Advisory, uniforms
+from caslab.core import ADVISORIES, Advisory
 from caslab.dynamics import (
     IntruderModel,
     PilotModel,
     project_template,
     project_template_many,
-    sample_response_delay,
     step_complying_many,
     step_vertical,
 )
@@ -98,49 +97,6 @@ class TestStepVertical:
                 z, vz, np.full(vz.size, a.target_rate_fps), np.full(vz.size, a.sense), pilot(), 1.0,
             )
             assert zs.tolist() == za.tolist() and vzs.tolist() == vza.tolist()
-
-
-class TestSampleResponseDelay:
-    # The delay is a function of one uniform; these come from the simulation
-    # stream's counter-based generator.
-    U = uniforms(1, 1, [0], 100_000)[0]
-
-    def test_p_one_always_zero(self):
-        assert all(sample_response_delay(pilot(p=1.0), u) == 0 for u in self.U[:100].tolist())
-
-    def test_mean_matches_geometric(self):
-        # mean of Geometric(p) on {0,1,...} is (1-p)/p = 4 for p = 0.2
-        draws = [sample_response_delay(pilot(p=0.2), u) for u in self.U.tolist()]
-        assert abs(np.mean(draws) - 4.0) <= 0.1
-
-    def test_mass_at_zero(self):
-        draws = [sample_response_delay(pilot(p=0.5), u) for u in self.U.tolist()]
-        assert abs(np.mean([d == 0 for d in draws]) - 0.5) <= 0.01
-
-    @pytest.mark.parametrize("p", [0.2, 1.0 / 6.0, 2.0**-53])
-    def test_extreme_uniforms(self, p):
-        # A uniform is (z >> 11) * 2^-53: 0 and 1 - 2^-53 are its extremes.
-        # u = 0 takes log(1e-300), a long but finite delay; the largest u
-        # is the shortest one: 0 steps, or 1 where log(1 - p) = log(u).
-        log_q = math.log(1.0 - p)
-        assert sample_response_delay(pilot(p=p), 0.0) == math.floor(math.log(1e-300) / log_q)
-        assert 0 < sample_response_delay(pilot(p=p), 0.0) < np.iinfo(np.int64).max - 2**40
-        last = 1.0 - 2.0**-53
-        assert sample_response_delay(pilot(p=p), last) == (1 if p == 2.0**-53 else 0)
-
-    def test_delay_keeps_its_draw_down_to_the_smallest_representable_p(self):
-        # At p = 2^-53, 1 - p is still below 1: the inverse CDF applies as is.
-        p = 2.0**-53
-        u = float(self.U[3])
-        expected = math.floor(math.log(u) / math.log(1.0 - p))
-        assert sample_response_delay(pilot(p=p), u) == expected
-
-    @pytest.mark.parametrize("p", [1e-17, 2.0**-54, 5e-324])
-    def test_pilot_whose_one_minus_p_rounds_to_one_never_complies(self, p):
-        # log(1 - p) is 0 there; the delay passes every draw at a larger p
-        # and still fits an int64 step index.
-        delay = sample_response_delay(pilot(p=p), float(self.U[4]))
-        assert 6.3e18 < delay < np.iinfo(np.int64).max - 2**40
 
 
 class TestProjectTemplate:

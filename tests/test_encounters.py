@@ -362,7 +362,7 @@ class TestModelFile:
 # replaced one generator per encounter.  A change here changes every
 # seeded result.
 PINNED_DIGESTS = {
-    "ce_proposal": "19f67bb1f172f97e6a042cb98e69c9f4122b2632a24f17af39c619c5039e9667",
+    "ce_proposal": "e1776ead5da5252e323f0d76a248ea0f45641f7e685ddd7beac72062d20b5a49",
     "correlated": "55b4ffa0240910e091cd35fdd2f391257b732b595ea2e65ea655107facba1b4d",
     "toy": "49f5ae3c646777363e67ff297bce3ea1135f34bdeee4978d1840510593d2e843",
     "uncorrelated": "17d7bf064db0b25269f7b7cd27a498fa96fdda1197c9a41d421022a5953a1e30",
@@ -382,18 +382,19 @@ def ce_proposal(make=default_uncorrelated_model):
 # refit itself, for one draw record per encounter (correlated) and for two
 # (uncorrelated).  Re-pinned when model files went to schema 2 and the
 # transition net's t slice lost its CPTs, and again, with every seeded
-# digest, when counter-based uniforms replaced the per-encounter generators.
+# digest, when counter-based uniforms replaced the per-encounter generators,
+# and again when the TCAS pilot began to comply at a per-step draw.
 PINNED_CE_DIGESTS = {
-    "correlated": "c4fdeb1ec5c952afc4e5e415dbf834e61ee513d1a338f5acc3b7458b96c53e6f",
-    "uncorrelated": "bab1c696095820f7fbe1694e29e01a812d59610cb462321a5df38202ef34f6f2",
+    "correlated": "28b2a832cbd3bfb322115498f8a062dcfae31e7f0ddf093dea734f432c103531",
+    "uncorrelated": "7a76edec850d4c879b7fffbbc889d0d12a16817dec7e437e6cc7cb2b73bed7bf",
 }
 
 # sha256 of the float64 bytes of ce_proposal(make)'s own_vrate_next and
 # int_vrate_next CPTs, the only CPTs the transition net refits; recorded
-# with counter-based uniforms.
+# with counter-based uniforms and the per-step pilot-response draw.
 PINNED_CE_NEXT_CPT_DIGESTS = {
-    "correlated": "ad2b825589fd24325929f4ce993f097c93d82e1ac4bbe1c6f37ff0f1764e595e",
-    "uncorrelated": "35283fe8fc91f6bfffa6e837f6bcfdd0bc1368217aeee6faf639ec04702afa90",
+    "correlated": "97b802ea59d9f4258fb8caf67336a9f7b17baeb1ade02b0be44aaa1b420bbe5c",
+    "uncorrelated": "fd60c981ccb1261c8a1c989c683a4138dc29664e9c3fe4c9a5a0b65ffab17e12",
 }
 
 

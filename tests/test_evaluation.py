@@ -25,7 +25,7 @@ from caslab.core import (
     is_strengthening,
     uniforms,
 )
-from caslab.dynamics import IntruderModel, PilotModel, sample_response_delay, step_vertical
+from caslab.dynamics import IntruderModel, PilotModel, step_vertical
 from caslab.encounters import (
     HEADINGS,
     OWN_POS0,
@@ -112,16 +112,17 @@ def reference_flight(enc, eq, u):
     """Reference closed loop: scalar kinematics and each side's scalar logic.
 
     Flies a batch of one encounter with the simulator's conventions (pilot
-    delay uniforms, response delays, nominal commands when not complying).
-    u is the encounter's simulation stream, 2 uniforms per step: side i
-    switching at step k reads u_delay[b, i, k], counter 2k + i.  A TCAS
+    response uniforms, nominal commands when not complying).  u is the
+    encounter's simulation stream, 2 uniforms per step: side i at step k
+    reads u_delay[b, i, k], counter 2k + i.  A TCAS
     side steps one TcasTracker.  A table side looks up the sigma-point
     belief of the true state, adds its online costs (the low-altitude
     inhibit at its own altitude; for the follower of two table sides, the
     constraint coordinate() derives from the leader's advisory of the same
-    step) and selects, holding its advisory on a tie.  A side
-    that switches to an advisory other than COC draws a new delay and
-    counts it down from that step, even while an earlier delay runs.
+    step) and selects, holding its advisory on a tie.  Once both sides
+    have decided at step k, a pilot not yet complying begins where
+    u[2k + i] < p and keeps complying; a switch to an advisory other than
+    COC stops the pilot first, even while an earlier delay runs.
     Returns each sample's (own, intruder) advisories, its
     TA/RA/strengthen/reversal labels and both altitudes, how many table
     selections each online cost changed, and how many switches restarted
@@ -136,7 +137,7 @@ def reference_flight(enc, eq, u):
     z, vz = alt0, [cmds[0][0], cmds[1][0]]
     kinds = (eq.own, eq.intruder)
     trackers = [TcasTracker(eq.tcas) if kind == "tcas" else None for kind in kinds]
-    adv, complying, delay = [Advisory.COC] * 2, [False] * 2, [0, 0]
+    adv, complying = [Advisory.COC] * 2, [False] * 2
     advisories, labels, altitudes = [], [], []
     binding = {"inhibit": 0, "coordination": 0, "restart": 0}
     for k in range(n):
@@ -184,13 +185,10 @@ def reference_flight(enc, eq, u):
                     step_labels.add(EVENT_REVERSAL)
                 if a is not Advisory.COC:
                     binding["restart"] += adv[i] is not Advisory.COC and not complying[i]
-                    delay[i] = sample_response_delay(eq.pilot, u[2 * k + i])
-                adv[i], complying[i] = a, False
-            if adv[i] is not Advisory.COC and not complying[i]:
-                if delay[i] == 0:
-                    complying[i] = True
-                else:
-                    delay[i] -= 1
+                    complying[i] = False
+                adv[i] = a
+        for i in (0, 1):
+            complying[i] = complying[i] or u[2 * k + i] < eq.pilot.response_probability
         advisories.append(tuple(adv))
         labels.append(frozenset(step_labels))
         altitudes.append(tuple(z))
@@ -289,10 +287,10 @@ class TestSimulateEncounter:
                             gaps.append(back - k)
             return gaps
 
-        held = _fly(enc, eq, None).adv[:, :, 0]
+        held = _fly(enc, eq, np.zeros((len(enc), 2, enc.n_steps))).adv[:, :, 0]
         monkeypatch.setattr(evaluation, "select_advisories",
                             lambda values, adv: select_advisories(values, COC_INDEX))
-        first_maximum = _fly(enc, eq, None).adv[:, :, 0]
+        first_maximum = _fly(enc, eq, np.zeros((len(enc), 2, enc.n_steps))).adv[:, :, 0]
         assert drops(first_maximum).sum() >= 100 and (drops(first_maximum) >= 2).sum() >= 32
         assert steps_clear(first_maximum).count(1) >= 27
         assert drops(held).max() <= 2 and drops(held).sum() <= 10
@@ -484,11 +482,13 @@ class TestLockstep:
     def test_switch_restarts_a_running_delay(self, default_table, sides):
         # At p = 1/6 the mean delay is 5 steps, so a side can switch to a new
         # advisory before its pilot has begun to comply with the last one.
-        # The switch draws a new delay counted from its own step, as the
-        # reference does; these seeded encounters must contain such switches.
+        # The switch starts a new delay from its own step, as the reference
+        # does; these seeded encounters must contain such switches.  Seed 73
+        # has 25 under TCAS and 5 under the table (seed 71's table
+        # encounters had none once the pilot began at a per-step draw).
         eq = Equipage(own=sides[0], intruder=sides[1], table=default_table,
                       pilot=PilotModel(response_probability=1.0 / 6.0))
-        _, bound = self.assert_matches_reference(default_correlated_model(), eq, 71)
+        _, bound = self.assert_matches_reference(default_correlated_model(), eq, 73)
         assert bound["restart"] > 0
 
     @pytest.mark.parametrize("sides", [("none", "none"), ("tcas", "none"), ("table", "table")])
@@ -703,27 +703,48 @@ class TestWorkerCap:
 
 
 class TestSimulationStreams:
-    @pytest.mark.parametrize("own, p, drawn", [
-        ("tcas", 0.5, True),
-        ("tcas", 1.0, False),  # complies at once: no delay to draw
-        ("none", 0.5, False),  # unequipped: no advisory
-    ])
-    def test_streams_only_where_a_delay_can_be_drawn(self, own, p, drawn):
-        eq = Equipage(own=own, pilot=PilotModel(response_probability=p))
-        u_delay = _delay_uniforms([eq], 7, STREAM_SIMULATE, range(4), 50)
-        assert (u_delay is not None) == drawn
-        if drawn:
-            # Side i's delay at step k is counter 2k + i of the stream.
-            u = uniforms(7, STREAM_SIMULATE, range(4), 100)
-            assert u_delay.shape == (4, 2, 50)
-            assert np.array_equal(u_delay[:, 0], u[:, 0::2]) and np.array_equal(u_delay[:, 1], u[:, 1::2])
+    def test_side_i_at_step_k_reads_counter_2k_plus_i(self):
+        u_delay = _delay_uniforms(7, STREAM_SIMULATE, range(4), 50)
+        u = uniforms(7, STREAM_SIMULATE, range(4), 100)
+        assert u_delay.shape == (4, 2, 50)
+        assert np.array_equal(u_delay[:, 0], u[:, 0::2]) and np.array_equal(u_delay[:, 1], u[:, 1::2])
 
-    def test_delayed_pilot_needs_the_block(self):
+    def test_fly_needs_the_whole_block(self):
         enc = hand_encounter()
         eq = Equipage(own="tcas", pilot=PilotModel(response_probability=0.5))
-        for u_delay in (None, np.full((1, 2, 29), 0.5)):
-            with pytest.raises(ValueError, match="simulation-stream uniforms"):
-                _fly(enc, eq, u_delay)
+        with pytest.raises(ValueError, match="simulation-stream uniforms"):
+            _fly(enc, eq, np.full((1, 2, 29), 0.5))
+
+
+class TestPilotResponse:
+    """A pilot not yet complying begins with probability p at each step."""
+
+    def onsets(self, p, copies):
+        # Copies of one head-on encounter under TCAS, which issues a descent
+        # at step 23 (ra_tau 40 s) and keeps one while the pilot holds level
+        # flight; only their simulation-stream uniforms differ.  A pilot who
+        # begins at step j moves off the commanded rate of 0 at sample j + 1.
+        one = hand_encounter(n_steps=70, tau0=60.0)
+        enc = dataclasses.replace(one, **{name: np.repeat(getattr(one, name), copies, axis=0)
+                                        for name in ("vrate", "speed", "int_pos0", "alt0")})
+        eq = Equipage(own="tcas", pilot=PilotModel(response_probability=p), tcas=TcasConfig(ra_tau=40.0))
+        trace = _fly(enc, eq, _delay_uniforms(5, STREAM_SIMULATE, range(copies), enc.n_steps))
+        switch = (trace.adv[:, :, 0] != COC_INDEX).argmax(axis=1)
+        left = trace.vz[:, 0] != 0.0
+        # Every copy switches at the same step and complies within the run.
+        assert np.all(switch == 23) and left.any(axis=1).all()
+        return left.argmax(axis=1) - 1 - switch
+
+    def test_onset_is_geometric(self):
+        # Geometric on {0, 1, ...}: mean (1 - p) / p = 4 (se 0.03 over
+        # 20000 copies) and mass p at 0 (se 0.003).
+        p = 0.2
+        onset = self.onsets(p, 20_000)
+        assert abs(onset.mean() - (1 - p) / p) <= 0.1
+        assert abs(np.mean(onset == 0) - p) <= 0.01
+
+    def test_p_one_complies_at_the_switch(self):
+        assert not self.onsets(1.0, 16).any()
 
 
 class TestZeroEventReporting:
@@ -888,7 +909,7 @@ class TestSeverity:
     def test_nmac_boundary_at_zero_range(self, h, nmac):
         # Horizontal range closes to zero at t = tau0 + 500 / closure = 22 s.
         enc = dataclasses.replace(hand_encounter(), alt0=np.array([[0.0, h]]))
-        (outcome,) = _fly(enc, Equipage(), None).outcome
+        (outcome,) = _fly(enc, Equipage(), np.zeros((1, 2, enc.n_steps))).outcome
         assert bool(outcome["nmac"]) == nmac == (outcome["severity"] < 1.0)
         if not nmac:
             assert outcome["severity"] == 1.0

@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Tuple
@@ -21,18 +20,11 @@ import numpy as np
 from . import config as configmod
 from .bayesnet import DiscreteBayesNet, fit_cpts
 from .config import ConfigError
-from .core import SEED_LIMIT, write_trace_csv
-from .encounters import (
-    CORRELATED,
-    EncounterModel,
-    ModelFormatError,
-    default_correlated_model,
-    default_uncorrelated_model,
-    read_model_file,
-    write_model_file,
-)
+from .core import write_trace_csv
+from .encounters import EncounterModel, ModelFormatError, read_model_file, write_model_file
 from .evaluation import (
     CHUNK_ENCOUNTERS,
+    LOGIC_NONE,
     LOGIC_TABLE,
     Equipage,
     _check_shared_structure,
@@ -82,17 +74,13 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.workers < 1:
             raise CliError(E_CONFIG_INVALID, f"--workers must be an integer >= 1, got {args.workers}")
-        cfg = _load_config(args.config)
+        cfg = _load_config(args.config, args.seed)
         out_dir = Path(args.out)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as err:
             raise CliError(E_CONFIG_INVALID, f"--out must name a directory, got {args.out} ({err.strerror})")
-        if args.seed is not None:
-            cfg["evaluation"]["seed"] = args.seed
         seed = cfg["evaluation"]["seed"]
-        if seed is not None:
-            _config_key(cfg, "evaluation", "seed")
         handler = {
             "fit": _cmd_fit,
             "sample": _cmd_sample,
@@ -122,14 +110,18 @@ def _require_file(path: Optional[str], code: str, kind: str) -> str:
     return path
 
 
-def _load_config(path: Optional[str]) -> dict:
-    if path is None:
-        return configmod.load_config(None)
-    _require_file(path, E_CONFIG_NOT_FOUND, "config file")
+def _load_config(path: Optional[str], seed: Optional[int]) -> dict:
+    """The checked config; seed, if given, replaces evaluation.seed and is checked too."""
+    if path is not None:
+        _require_file(path, E_CONFIG_NOT_FOUND, "config file")
     try:
-        return configmod.load_config(path)
+        cfg = configmod.load_config(path)
+        if seed is not None:
+            cfg["evaluation"]["seed"] = seed
+            configmod.check_config(cfg)
     except (ConfigError, json.JSONDecodeError) as err:
         raise CliError(E_CONFIG_INVALID, str(err))
+    return cfg
 
 
 def _require_seed(seed) -> int:
@@ -142,15 +134,7 @@ def _load_model(cfg: dict) -> EncounterModel:
     path = cfg["paths"]["model_file"]
     if path is not None:
         return _read_model(path, "model file", fitted=True)
-    return _bundled_model(cfg)
-
-
-def _bundled_model(cfg: dict) -> EncounterModel:
-    """The bundled model of the config's encounter block."""
-    enc = cfg["encounter"]
-    factory = default_correlated_model if enc["mode"] == CORRELATED else default_uncorrelated_model
-    with _config_values():
-        return factory(duration=float(enc["duration"]), dt=float(enc["dt"]))
+    return configmod.encounter_model_from_config(cfg)
 
 
 def _read_model(path: str, kind: str, fitted: bool) -> EncounterModel:
@@ -186,52 +170,6 @@ def _load_table(cfg: dict):
         raise CliError(E_TABLE_INVALID, str(err))
 
 
-def _equipage(cfg: dict) -> Equipage:
-    kinds = cfg["evaluation"]["equipage"]
-    if not isinstance(kinds, list) or len(kinds) != 2:
-        raise CliError(E_CONFIG_INVALID, f"evaluation.equipage must list two logic kinds, got {kinds!r}")
-    own, intruder = kinds
-    table = _load_table(cfg) if "table" in kinds else None
-    with _config_values():
-        pilot = configmod.pilot_from_config(cfg)
-        p_override = cfg["evaluation"]["pilot_response_probability"]
-        if p_override is not None:
-            pilot = replace(pilot, response_probability=float(p_override))
-        return Equipage(
-            own=own,
-            intruder=intruder,
-            pilot=pilot,
-            table=table,
-            tcas=configmod.tcas_from_config(cfg, pilot),
-            **cfg["online"],
-        )
-
-
-@contextmanager
-def _config_values():
-    """Report a value a config object rejects as E_CONFIG_INVALID."""
-    try:
-        yield
-    except ValueError as err:
-        raise CliError(E_CONFIG_INVALID, str(err)) from None
-
-
-def _config_int(cfg: dict, block: str, key: str, minimum: int) -> int:
-    """A count from the config; load_config already made it an integer."""
-    value = cfg[block][key]
-    if value < minimum:
-        raise CliError(E_CONFIG_INVALID, f"{block}.{key} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
-def _config_key(cfg: dict, block: str, key: str) -> int:
-    """A seed or an encounter index: one uint64 coordinate of the generator's key."""
-    value = _config_int(cfg, block, key, 0)
-    if value >= SEED_LIMIT:
-        raise CliError(E_CONFIG_INVALID, f"{block}.{key} must be below 2**64, got {value}")
-    return value
-
-
 def _fit_binned_csv(path: Optional[str], structure: DiscreteBayesNet) -> DiscreteBayesNet:
     """Fit structure's CPTs to a CSV of bin indices, one column per node."""
     _require_file(path, E_SAMPLES_NOT_FOUND, "binned-sample CSV")
@@ -264,7 +202,7 @@ def _cmd_fit(cfg: dict, out_dir: Path, seed, workers) -> None:
     if structure_path is not None:
         skeleton = _read_model(structure_path, "structure file", fitted=False)
     else:
-        skeleton = _bundled_model(cfg)
+        skeleton = configmod.encounter_model_from_config(cfg)
     model = replace(
         skeleton,
         initial_net=_fit_binned_csv(cfg["paths"]["initial_samples_csv"], skeleton.initial_net),
@@ -277,26 +215,29 @@ def _cmd_sample(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = Equipage()
-    for indices in _chunks(0, _config_int(cfg, "sample", "count", 0), CHUNK_ENCOUNTERS):
+    for indices in _chunks(0, cfg["sample"]["count"], CHUNK_ENCOUNTERS):
         trace = run_indexed_traces(model, eq, seed, indices)
         for b, i in enumerate(indices):
             write_trace_csv(trace, b, out_dir / f"encounter_{i:04d}.csv")
 
 
 def _cmd_optimize(cfg: dict, out_dir: Path, seed, workers) -> None:
-    with _config_values():
-        grid = configmod.grid_from_config(cfg)
-        pilot = configmod.pilot_from_config(cfg)
-        intruder = configmod.intruder_from_config(cfg)
-        rewards = configmod.rewards_from_config(cfg)
+    grid = configmod.grid_from_config(cfg)
+    pilot = configmod.pilot_from_config(cfg)
+    intruder = configmod.intruder_from_config(cfg)
+    rewards = configmod.rewards_from_config(cfg)
     write_table(backward_induction(grid, pilot, intruder, rewards), out_dir / "table.acxt")
 
 
 def _model_and_equipage(cfg: dict) -> Tuple[EncounterModel, Equipage]:
     """The configured model and equipage; a table side needs the table's 1 s step."""
     model = _load_model(cfg)
-    eq = _equipage(cfg)
-    if LOGIC_TABLE in (eq.own, eq.intruder) and model.dt != 1.0:
+    own, intruder = cfg["evaluation"]["equipage"]
+    table = _load_table(cfg) if LOGIC_TABLE in (own, intruder) else None
+    pilot = configmod.evaluation_pilot_from_config(cfg)
+    eq = Equipage(own=own, intruder=intruder, pilot=pilot, table=table,
+                  tcas=configmod.tcas_from_config(cfg, pilot), **cfg["online"])
+    if table is not None and model.dt != 1.0:
         path = cfg["paths"]["model_file"]
         if path is not None:
             raise CliError(E_MODEL_INVALID, f"{path}: dt is {model.dt}, but table logic assumes a 1 s step")
@@ -306,23 +247,22 @@ def _model_and_equipage(cfg: dict) -> Tuple[EncounterModel, Equipage]:
 
 def _cmd_simulate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
-    index = _config_key(cfg, "simulate", "index")
     model, eq = _model_and_equipage(cfg)
-    write_trace_csv(run_indexed_traces(model, eq, seed, [index]), 0, out_dir / "trace.csv")
+    trace = run_indexed_traces(model, eq, seed, [cfg["simulate"]["index"]])
+    write_trace_csv(trace, 0, out_dir / "trace.csv")
 
 
 def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model, eq = _model_and_equipage(cfg)
-    n = _config_int(cfg, "evaluation", "n", 1)
     proposal = _load_proposal(cfg, model)
     equipages = [eq]
-    if cfg["evaluation"]["compare_unequipped"] and proposal is None:
+    if proposal is None and (eq.own, eq.intruder) != (LOGIC_NONE, LOGIC_NONE):
         equipages.append(Equipage(pilot=eq.pilot))
     # Every encounter is built once; the equipped logic and the unequipped
     # baseline fly over the same built encounter.
     sampler, nominal = (model, None) if proposal is None else (proposal, model)
-    outcome = _run_batch(sampler, equipages, n, seed, workers, nominal)
+    outcome = _run_batch(sampler, equipages, cfg["evaluation"]["n"], seed, workers, nominal)
     metrics = _metrics_json(outcome, cfg["evaluation"]["equipage"], weighted=proposal is not None)
     (out_dir / "metrics.json").write_text(metrics)
     if cfg["evaluation"]["per_encounter_csv"]:
@@ -367,8 +307,11 @@ def _write_outcomes(path: Path, outcome: np.ndarray) -> None:
 
 def _cmd_slice(cfg: dict, out_dir: Path, seed, workers) -> None:
     table = _load_table(cfg)
-    with _config_values():
-        matrix = policy_slice(table, configmod.slice_fixed_from_config(cfg))
+    fixed = configmod.slice_fixed_from_config(cfg)
+    try:
+        matrix = policy_slice(table, fixed)
+    except ValueError as err:  # a slice rate that is not one of the table's cuts
+        raise CliError(E_CONFIG_INVALID, f"slice.{err}") from None
     grid = table.grid
     with open(out_dir / "slice.csv", "w", newline="") as f:
         writer = csv.writer(f)

@@ -2,7 +2,9 @@
 
 A run config is one JSON document with an explicit schema version.  Loading
 deep-merges the user document over the defaults (normalization), so every
-run can write back its full effective config for reproducibility audits.
+run can write back its full effective config for reproducibility audits,
+and checks every block by building the object that uses it, so every
+command reaches the same verdict on a document.
 """
 
 from __future__ import annotations
@@ -10,17 +12,22 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .core import Advisory
+from .core import ADVISORIES, SEED_LIMIT, Advisory
 from .dynamics import IntruderModel, PilotModel
-from .encounters import CORRELATED, DEFAULT_DT_S, DEFAULT_DURATION_S, UNCORRELATED
-from .evaluation import Equipage
-from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams, checked_cuts
+from .encounters import (
+    CORRELATED,
+    DEFAULT_DT_S,
+    DEFAULT_DURATION_S,
+    EncounterModel,
+    default_correlated_model,
+)
+from .evaluation import Equipage, check_logic_kinds
+from .optimizer import DEFAULT_H_CUTS, DEFAULT_RATE_CUTS, Grid, RewardParams
 from .tcas import TcasConfig
 
 CONFIG_SCHEMA_VERSION = 1
@@ -67,7 +74,6 @@ DEFAULT_CONFIG = {
         "n": 1000,
         "seed": None,
         "equipage": ["table", "none"],
-        "compare_unequipped": True,
         "per_encounter_csv": False,
         "pilot_response_probability": None,
     },
@@ -79,6 +85,15 @@ NULLABLE_TYPES = {
     **{f"paths.{key}": "a string" for key in DEFAULT_CONFIG["paths"]},
     "evaluation.seed": "an integer",
     "evaluation.pilot_response_probability": "a number",
+}
+
+# The range of each integer setting that no object owns.  A seed and an
+# encounter index are each one uint64 coordinate of the generator's key.
+INTEGER_RANGES = {
+    "evaluation.n": (1, math.inf),
+    "evaluation.seed": (0, SEED_LIMIT),
+    "sample.count": (0, math.inf),
+    "simulate.index": (0, SEED_LIMIT),
 }
 
 
@@ -98,8 +113,9 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     """Merge override over base; each value must have its default's JSON type.
 
     An integer passes where the default is a number, and a number must be
-    finite: json.load accepts NaN and Infinity.  Where the default is null,
-    the value is null or of the type NULLABLE_TYPES declares.
+    finite: json.load accepts NaN and Infinity, and integers no float holds.
+    Where the default is null, the value is null or of the type
+    NULLABLE_TYPES declares.
     """
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -112,7 +128,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
         if not (nullable and value is None) and _json_type(value) not in accepted:
             or_null = " or null" if nullable else ""
             raise ConfigError(f"{where} must be {expected}{or_null}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
+        if expected == "a number" and value is not None and not abs(value) <= sys.float_info.max:
             raise ConfigError(f"{where} must be finite, got {value!r}")
         if isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
@@ -122,7 +138,7 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 
 def load_config(path: Optional[str] = None) -> dict:
-    """Parse and normalize a config file (or return pure defaults)."""
+    """Parse, normalize and check a config file (or return pure defaults)."""
     if path is None:
         return copy.deepcopy(DEFAULT_CONFIG)
     try:
@@ -136,25 +152,45 @@ def load_config(path: Optional[str] = None) -> dict:
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config schema version: {version!r}")
     cfg = _deep_merge(DEFAULT_CONFIG, user)
-    _check_grid(cfg["grid"])
-    mode = cfg["encounter"]["mode"]
-    if mode not in (CORRELATED, UNCORRELATED):
-        raise ConfigError(f"encounter.mode must be {CORRELATED} or {UNCORRELATED}, got {mode!r}")
+    check_config(cfg)
     return cfg
 
 
-def _check_grid(g: dict) -> None:
-    """Check the grid block at load, as Grid will, under its config keys.
+def check_config(cfg: dict) -> None:
+    """Refuse what any command would refuse, by building the object each block configures.
 
-    A bad grid is a malformed config for every command, not only optimize.
+    Checks that need a command's other inputs (a table's cuts, a table
+    side's 1 s step, the files the config names) stay with that command.
+    """
+    for key, (low, limit) in INTEGER_RANGES.items():
+        block, name = key.split(".")
+        value = cfg[block][name]  # null only for a seed left to --seed
+        if value is not None and not low <= value < limit:
+            bound = f"an integer >= {low}" if value < low else "below 2**64"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
+    _checked("grid", grid_from_config, cfg, hdot0_cuts="grid.hdot_cuts", hdot1_cuts="grid.hdot_cuts")
+    _checked("rewards", rewards_from_config, cfg)
+    _checked("pilot", pilot_from_config, cfg)
+    pilot = _checked("evaluation", evaluation_pilot_from_config, cfg,
+                     response_probability="evaluation.pilot_response_probability")
+    _checked("intruder", intruder_from_config, cfg)
+    tcas = _checked("tcas", lambda c: tcas_from_config(c, pilot), cfg)
+    _checked("online", lambda c: Equipage(pilot=pilot, tcas=tcas, **c["online"]), cfg)
+    _checked("encounter", encounter_model_from_config, cfg)
+    _checked("slice", slice_fixed_from_config, cfg)
+    _checked("evaluation", lambda c: check_logic_kinds(c["evaluation"]["equipage"]), cfg)
+
+
+def _checked(block: str, build, cfg: dict, **keys):
+    """build(cfg), with a ValueError it raises as a ConfigError that names the key.
+
+    The error begins with the field it refuses; keys maps a field to a key outside block.
     """
     try:
-        checked_cuts("grid.h_cuts", g["h_cuts"], zero=True)
-        checked_cuts("grid.hdot_cuts", g["hdot_cuts"])
+        return build(cfg)
     except ValueError as err:
-        raise ConfigError(str(err)) from None
-    if g["tau_max"] < 1:
-        raise ConfigError(f"grid.tau_max must be an integer >= 1, got {g['tau_max']!r}")
+        name, _, rest = str(err).partition(" ")
+        raise ConfigError(f"{keys.get(name, f'{block}.{name}')} {rest}") from None
 
 
 def dump_config(cfg: dict) -> str:
@@ -169,12 +205,8 @@ def write_effective_config(cfg: dict, out_dir) -> Path:
 
 def grid_from_config(cfg: dict) -> Grid:
     g = cfg["grid"]
-    return Grid(
-        h_cuts=np.asarray(g["h_cuts"], dtype=float),
-        hdot0_cuts=np.asarray(g["hdot_cuts"], dtype=float),
-        hdot1_cuts=np.asarray(g["hdot_cuts"], dtype=float),
-        tau_max=g["tau_max"],
-    )
+    return Grid(h_cuts=g["h_cuts"], hdot0_cuts=g["hdot_cuts"], hdot1_cuts=g["hdot_cuts"],
+                tau_max=g["tau_max"])
 
 
 def rewards_from_config(cfg: dict) -> RewardParams:
@@ -185,6 +217,13 @@ def pilot_from_config(cfg: dict) -> PilotModel:
     return PilotModel(**cfg["pilot"])
 
 
+def evaluation_pilot_from_config(cfg: dict) -> PilotModel:
+    """The pilot evaluate and simulate fly, with evaluation.pilot_response_probability if set."""
+    pilot = pilot_from_config(cfg)
+    p = cfg["evaluation"]["pilot_response_probability"]
+    return pilot if p is None else replace(pilot, response_probability=float(p))
+
+
 def intruder_from_config(cfg: dict) -> IntruderModel:
     return IntruderModel(**cfg["intruder"])
 
@@ -193,10 +232,18 @@ def tcas_from_config(cfg: dict, pilot: PilotModel) -> TcasConfig:
     return TcasConfig(pilot=pilot, **cfg["tcas"])
 
 
+def encounter_model_from_config(cfg: dict) -> EncounterModel:
+    """The bundled model of the encounter block: its mode, duration and dt."""
+    enc = cfg["encounter"]
+    model = default_correlated_model(duration=float(enc["duration"]), dt=float(enc["dt"]))
+    return replace(model, mode=enc["mode"])
+
+
 def slice_fixed_from_config(cfg: dict) -> dict:
     s = cfg["slice"]
-    return {
-        "hdot0": float(s["hdot0"]),
-        "hdot1": float(s["hdot1"]),
-        "a_prev": Advisory(s["a_prev"]),
-    }
+    try:
+        a_prev = Advisory(s["a_prev"])
+    except ValueError:
+        names = ", ".join(a.value for a in ADVISORIES)
+        raise ValueError(f"a_prev must name an advisory ({names}), got {s['a_prev']!r}") from None
+    return {"hdot0": float(s["hdot0"]), "hdot1": float(s["hdot1"]), "a_prev": a_prev}

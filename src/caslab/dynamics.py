@@ -44,7 +44,8 @@ class PilotModel:
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
         if not (0.0 < self.response_probability <= 1.0):
-            raise ValueError("response_probability must be in (0, 1]")
+            p = self.response_probability
+            raise ValueError(f"response_probability must be in (0, 1], got {p!r}")
         if not self.acceleration > 0:
             raise ValueError(f"acceleration must be > 0, got {self.acceleration!r}")
         if not self.deterministic_delay >= 0:

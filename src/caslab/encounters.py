@@ -80,14 +80,16 @@ class EncounterModel:
     def __post_init__(self) -> None:
         if self.mode not in (CORRELATED, UNCORRELATED):
             raise ValueError(f"mode must be correlated or uncorrelated, got {self.mode!r}")
-        if self.dt <= 0 or self.duration <= 0:
-            raise ValueError("duration and dt must be > 0")
+        for name in ("duration", "dt"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         for name in REQUIRED_VARS:
             if name not in self.initial_net.nodes:
                 raise ValueError(f"model is missing required variable {name!r}")
         steps = self.duration / self.dt
-        if abs(steps - round(steps)) > 1e-9:
-            raise ValueError("duration must be an integral number of steps")
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
+            raise ValueError(
+                f"duration must be a whole number of {self.dt!r} s steps, got {self.duration!r}")
         if self.initial_net.given:
             raise ValueError("initial net must draw every node; it has no given nodes")
         n = len(self.initial_net.nodes)
@@ -434,14 +436,8 @@ def default_correlated_model(
 def default_uncorrelated_model(
     duration: float = DEFAULT_DURATION_S, dt: float = DEFAULT_DT_S
 ) -> EncounterModel:
-    base = default_correlated_model(duration=duration, dt=dt)
-    return EncounterModel(
-        initial_net=base.initial_net,
-        transition_net=base.transition_net,
-        mode=UNCORRELATED,
-        duration=duration,
-        dt=dt,
-    )
+    """The correlated model's networks, flown in uncorrelated mode."""
+    return replace(default_correlated_model(duration=duration, dt=dt), mode=UNCORRELATED)
 
 
 def toy_two_bin_model(

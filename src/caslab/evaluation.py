@@ -69,6 +69,12 @@ STREAM_CE_ENCOUNTER = 2
 STREAM_CE_SIMULATE = 3
 
 
+def check_logic_kinds(kinds: list) -> None:
+    """Refuse anything but a list of two LOGIC_KINDS: the ownship's, then the intruder's."""
+    if len(kinds) != 2 or not all(kind in LOGIC_KINDS for kind in kinds):
+        raise ValueError(f"equipage must list two of {', '.join(LOGIC_KINDS)}, got {kinds!r}")
+
+
 @dataclass(frozen=True)
 class Equipage:
     """Per-aircraft logic selection plus the shared response/runtime models.
@@ -87,9 +93,7 @@ class Equipage:
     belief_sigma_rate: float = DEFAULT_BELIEF_SIGMA_RATE_FPS
 
     def __post_init__(self) -> None:
-        for side in (self.own, self.intruder):
-            if side not in LOGIC_KINDS:
-                raise ValueError(f"unknown logic kind {side!r}")
+        check_logic_kinds([self.own, self.intruder])
         if LOGIC_TABLE in (self.own, self.intruder) and self.table is None:
             raise ValueError("table equipage requires a LogicTable")
         if math.isnan(self.inhibit_altitude):

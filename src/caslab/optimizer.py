@@ -556,8 +556,8 @@ def policy_slice(
     """
     grid = table.grid
     try:
-        i0 = _exact_cut_index(grid.hdot0_cuts, float(fixed["hdot0"]))
-        i1 = _exact_cut_index(grid.hdot1_cuts, float(fixed["hdot1"]))
+        i0 = _exact_cut_index("hdot0", grid.hdot0_cuts, float(fixed["hdot0"]))
+        i1 = _exact_cut_index("hdot1", grid.hdot1_cuts, float(fixed["hdot1"]))
     except KeyError as exc:
         raise KeyError(f"policy_slice requires fixed value for {exc}") from exc
     a_prev = fixed["a_prev"]
@@ -574,8 +574,8 @@ def policy_slice(
     return np.array(ADVISORIES, dtype=object)[best.T]
 
 
-def _exact_cut_index(cuts: np.ndarray, value: float) -> int:
+def _exact_cut_index(name: str, cuts: np.ndarray, value: float) -> int:
     idx = np.nonzero(cuts == value)[0]
     if len(idx) == 0:
-        raise ValueError(f"value {value} is not a grid cut point")
+        raise ValueError(f"{name} must be a cut of the table's rate axis, got {value}")
     return int(idx[0])

@@ -53,7 +53,7 @@ class TcasConfig:
     def __post_init__(self) -> None:
         # Each check is written so that NaN fails it.
         if not (self.ta_tau >= self.ra_tau > 0):
-            raise ValueError("thresholds must satisfy ta_tau >= ra_tau > 0")
+            raise ValueError(f"ra_tau must be > 0 and <= ta_tau ({self.ta_tau!r}), got {self.ra_tau!r}")
         for name in ("alim", "miss_distance_threshold"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")

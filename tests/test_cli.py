@@ -42,7 +42,7 @@ def small_grid_config(tmp_path, **overrides):
             "hdot_cuts": [-25.0, 0.0, 25.0],
             "tau_max": 4,
         },
-        "evaluation": {"n": 40, "equipage": ["none", "none"], "compare_unequipped": False},
+        "evaluation": {"n": 40, "equipage": ["none", "none"]},
     }
     cfg.update(overrides)
     path = tmp_path / "config.json"
@@ -111,7 +111,7 @@ class TestEvaluate:
         table = tmp_path / "table.acxt"
         write_table(small_table, table)
         runs = {
-            "none": ({"equipage": ["none", "none"], "compare_unequipped": False}, ["nmac"]),
+            "none": ({"equipage": ["none", "none"]}, ["nmac"]),
             "table": ({"equipage": ["table", "none"]}, ["nmac", "baseline_nmac"]),
         }
         for name, (evaluation, indicators) in runs.items():
@@ -135,13 +135,13 @@ class TestEvaluate:
                 assert sum(int(r["baseline_nmac"]) for r in rows) / 20 == m["baseline_p_nmac"]
 
     def test_zero_nmac_runs_report_bounds(self, tmp_path):
-        # a toy model with no conflict: neither side sees an NMAC, so each
-        # reports its one-sided bound instead of an SE, and the omitted risk
-        # ratio says why
+        # a toy model with no conflict: neither TCAS nor the unequipped
+        # baseline sees an NMAC, so each reports its one-sided bound instead
+        # of an SE, and the omitted risk ratio says why
         write_model_file(toy_two_bin_model(1e-6), tmp_path / "model.json")
         cfg = small_grid_config(
             tmp_path, paths={"model_file": str(tmp_path / "model.json")},
-            evaluation={"n": 60, "equipage": ["none", "none"], "compare_unequipped": True},
+            evaluation={"n": 60, "equipage": ["tcas", "none"]},
         )
         out = tmp_path / "zero"
         assert main(["evaluate", "--config", str(cfg), "--seed", "2", "--out", str(out)]) == 0
@@ -322,7 +322,7 @@ class TestErrors:
     def test_table_equipage_without_table(self, tmp_path, capsys):
         cfg = small_grid_config(
             tmp_path,
-            evaluation={"n": 5, "equipage": ["table", "none"], "compare_unequipped": False},
+            evaluation={"n": 5, "equipage": ["table", "none"]},
         )
         code = main(["evaluate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x")])
         assert code == 2
@@ -432,8 +432,11 @@ class TestErrors:
         paths = {key: str(path) for key, path in sample_csvs(tmp_path).items()}
         for encounter, detail in [
             ({"mode": "correlatd"}, "encounter.mode must be correlated or uncorrelated, got 'correlatd'"),
-            ({"duration": 0.5}, "duration must be an integral number of steps"),
-            ({"dt": -1}, "duration and dt must be > 0"),
+            ({"duration": 0.5}, "encounter.duration must be a whole number of 1.0 s steps, got 0.5"),
+            ({"dt": -1}, "encounter.dt must be > 0, got -1.0"),
+            # an infinite step count once exited E_RUN_FAILED from round(inf)
+            ({"duration": 1e308, "dt": 1e-10},
+             "encounter.duration must be a whole number of 1e-10 s steps, got 1e+308"),
         ]:
             cfg.write_text(json.dumps({"schema_version": 1, "encounter": encounter, "paths": paths,
                                        "evaluation": {"n": 64, "equipage": ["none", "none"]}}))
@@ -460,6 +463,18 @@ class TestErrors:
         assert main([command, "--seed", "1", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == expected
 
+    @pytest.mark.parametrize("key", ["hdot0", "hdot1"])
+    def test_slice_rate_off_the_table_names_its_key(self, key, small_table, tmp_path, capsys):
+        # this once exited E_CONFIG_INVALID: value 1.0 is not a grid cut point
+        table = tmp_path / "table.acxt"
+        write_table(small_table, table)
+        assert 1.0 not in small_table.grid.hdot0_cuts
+        cfg = small_grid_config(tmp_path, paths={"table_file": str(table)}, slice={key: 1.0})
+        assert main(["slice", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"E_CONFIG_INVALID: slice.{key} must be a cut of the table's rate axis, got 1.0\n"
+        )
+
     def test_proposal_must_match_the_nominal(self, tmp_path, capsys):
         # a valid model file, but not the nominal's network: IS weights would be meaningless
         write_model_file(toy_two_bin_model(0.05), tmp_path / "nominal.json")
@@ -482,7 +497,12 @@ INVALID_CONFIGS = {
     "one_element_equipage": ({"evaluation": {"n": 5, "equipage": ["none"]}}, "evaluation.equipage"),
     "negative_sigma": (
         {"online": {"belief_sigma_h": -5}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
-        "belief_sigma_h",
+        "online.belief_sigma_h",
+    ),
+    # evaluate flies the unequipped baseline whenever a side is equipped and no proposal is set
+    "compare_unequipped": (
+        {"evaluation": {"n": 5, "equipage": ["tcas", "none"], "compare_unequipped": False}},
+        "unknown config key: evaluation.compare_unequipped",
     ),
     "non_integer_n": ({"evaluation": {"n": 5.5, "equipage": ["none", "none"]}}, "evaluation.n"),
     "string_sigma": (
@@ -505,6 +525,8 @@ INVALID_CONFIGS = {
     "nan_intruder_sigma": ({"intruder": {"sigma_accel": math.nan}}, "intruder.sigma_accel"),
     "infinite_intruder_sigma": ({"intruder": {"sigma_accel": math.inf}}, "intruder.sigma_accel"),
     "nan_pilot_acceleration": ({"pilot": {"acceleration": math.nan}}, "pilot.acceleration"),
+    # an integer beyond float range once exited E_RUN_FAILED: int too large to convert to float
+    "huge_integer_duration": ({"encounter": {"duration": 10**400}}, "encounter.duration must be finite"),
     "infinite_alert_cost": (
         {"rewards": {"alert_cost": -math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
         "rewards.alert_cost",
@@ -535,6 +557,79 @@ INVALID_CONFIGS = {
         "grid.h_cuts",
     ),
 }
+
+
+# One malformed value per config block, on a document otherwise valid for
+# every command, and the one line each command must exit with.  Before the
+# load check built every block, each was refused only by the commands that
+# use its block, and accepted (and recorded) by the rest.
+MALFORMED_VALUES = {
+    "grid": ({"grid": {"hdot_cuts": [-25.0, 0.0, 30.0]}}, "grid.hdot_cuts must be symmetric about 0"),
+    "rewards": ({"rewards": {"alert_cost": 5}}, "rewards.alert_cost must be finite and <= 0, got 5"),
+    "pilot": ({"pilot": {"response_probability": 0}},
+              "pilot.response_probability must be in (0, 1], got 0"),
+    "evaluation_pilot": ({"evaluation": {"pilot_response_probability": 0}},
+                         "evaluation.pilot_response_probability must be in (0, 1], got 0.0"),
+    "intruder": ({"intruder": {"sigma_accel": -1}},
+                 "intruder.sigma_accel must be finite and >= 0, got -1"),
+    "tcas": ({"tcas": {"alim": -1}}, "tcas.alim must be > 0, got -1"),
+    "online": ({"online": {"belief_sigma_h": -5}}, "online.belief_sigma_h must be >= 0, got -5"),
+    "encounter": ({"encounter": {"duration": 0.5}},
+                  "encounter.duration must be a whole number of 1.0 s steps, got 0.5"),
+    "slice": ({"slice": {"a_prev": "XYZ"}},
+              "slice.a_prev must name an advisory (COC, DNC, DND, DES1500, CL1500, DES2500, CL2500), "
+              "got 'XYZ'"),
+    "sample": ({"sample": {"count": -1}}, "sample.count must be an integer >= 0, got -1"),
+}
+COMMANDS = ("fit", "sample", "optimize", "simulate", "evaluate", "slice")
+
+
+def merged(base, doc):
+    """base with each block of doc merged over its own."""
+    out = copy.deepcopy(base)
+    for block, values in doc.items():
+        out.setdefault(block, {}).update(values)
+    return out
+
+
+class TestOneVerdict:
+    @pytest.fixture(scope="class")
+    def base(self, small_table, tmp_path_factory):
+        """A document every command accepts: a table, sample CSVs, a seed."""
+        tmp = tmp_path_factory.mktemp("verdict")
+        write_table(small_table, tmp / "table.acxt")
+        paths = {key: str(path) for key, path in sample_csvs(tmp).items()}
+        return {"schema_version": 1, "paths": {"table_file": str(tmp / "table.acxt"), **paths},
+                "grid": {"h_cuts": [-100.0, 0.0, 100.0], "hdot_cuts": [-25.0, 0.0, 25.0], "tau_max": 3},
+                "sample": {"count": 1},
+                "evaluation": {"n": 4, "seed": 1, "equipage": ["table", "tcas"]}}
+
+    def test_base_document_is_valid_for_every_command(self, base, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps(base))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+            assert (out / "effective_config.json").exists()
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", sorted(MALFORMED_VALUES))
+    def test_every_command_refuses_with_one_line(self, case, command, base, tmp_path, capsys):
+        doc, detail = MALFORMED_VALUES[case]
+        (tmp_path / "config.json").write_text(json.dumps(merged(base, doc)))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(tmp_path / "config.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"E_CONFIG_INVALID: {detail}\n"
+        assert not out.exists()  # no effective_config.json, no other output
+
+    def test_seed_override_is_checked_as_the_document_is(self, base, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--seed", "-1", "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err == "E_CONFIG_INVALID: evaluation.seed must be an integer >= 0, got -1\n"
+            assert not out.exists()
 
 
 class TestConfigContract:
@@ -592,18 +687,16 @@ class TestConfigContract:
     @pytest.mark.parametrize("where", ["--seed", "config"])
     def test_seed_beyond_64_bits_names_its_key(self, where, tmp_path, capsys):
         # A seed is one uint64 key of the counter-based generator.
-        evaluation = {"n": 5, "equipage": ["none", "none"]}
-        if where == "config":
-            evaluation["seed"] = 2**64
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "evaluation": evaluation}))
-        argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")]
-        code = main(argv + (["--seed", str(2**64)] if where == "--seed" else []))
-        assert code == 2
+        for seed, code in ((2**64, 2), (2**64 - 1, 0)):
+            evaluation = {"n": 5, "equipage": ["none", "none"]}
+            if where == "config":
+                evaluation["seed"] = seed
+            cfg.write_text(json.dumps({"schema_version": 1, "evaluation": evaluation}))
+            argv = ["evaluate", "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert main(argv + (["--seed", str(seed)] if where == "--seed" else [])) == code
         err = capsys.readouterr().err
         assert err == "E_CONFIG_INVALID: evaluation.seed must be below 2**64, got 18446744073709551616\n"
-        assert main(["evaluate", "--config", str(cfg), "--seed", str(2**64 - 1),
-                     "--out", str(tmp_path / "top")]) == 0
 
     def test_index_beyond_64_bits_names_its_key(self, tmp_path, capsys):
         # An encounter index is a uint64 coordinate of the key, as a seed is.
@@ -883,7 +976,7 @@ FUZZ_VALUES = (
 
 
 def exits_by_contract(argv, capsys, codes=r"E_[A-Z_]+"):
-    """None if main(argv) exits 0, or 2 with one E_* line on stderr; else what it did.
+    """main(argv)'s stderr, and None if it exits 0, or 2 with one E_* line there; else what it did.
 
     codes narrows the E_* codes accepted.  E_RUN_FAILED, which carries a
     raw exception's text, is never accepted for a malformed input.
@@ -892,12 +985,15 @@ def exits_by_contract(argv, capsys, codes=r"E_[A-Z_]+"):
     err = capsys.readouterr().err
     if code == 0 or (code == 2 and re.fullmatch(rf"(?!E_RUN_FAILED)({codes}): [^\n]*\n", err)
                      and "Traceback" not in err):
-        return None
-    return code, err
+        return err, None
+    return err, (code, err)
 
 
 class TestFuzzedInputs:
-    """Seeded malformed configs and model files: exit 0, or exit 2 with one E_* line."""
+    """Seeded malformed configs and model files: exit 0, or exit 2 with one E_* line.
+
+    The commands reach one verdict on each config document.
+    """
 
     def test_fuzzed_configs(self, tmp_path, capsys):
         grid = {"h_cuts": [-100.0, 0.0, 100.0], "hdot_cuts": [-25.0, 0.0, 25.0], "tau_max": 3}
@@ -911,18 +1007,29 @@ class TestFuzzedInputs:
         leaves = [(block, key) for block, values in DEFAULT_CONFIG.items()
                   if isinstance(values, dict) for key in values]
         rng = random.Random(27)
-        cfg, failures = tmp_path / "config.json", []
+        cfg, failures, refused = tmp_path / "config.json", [], 0
         for k in range(60):
             doc = copy.deepcopy(base)
             for block, key in rng.sample(leaves, rng.choice((1, 2))):
                 doc.setdefault(block, {})[key] = rng.choice(FUZZ_VALUES)
             cfg.write_text(json.dumps(doc))
+            verdicts = {}
             for command in ("optimize", "slice", "evaluate", "sample", "simulate"):
-                outcome = exits_by_contract([command, "--config", str(cfg), "--out",
-                                             str(tmp_path / "out" / command)], capsys)
+                argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out" / command)]
+                verdicts[command], outcome = exits_by_contract(argv, capsys)
                 if outcome is not None:
                     failures.append((k, command, doc, outcome))
+            # One verdict on the document: every command refuses it with the
+            # same line, or none does.  slice alone checks its rates against
+            # the table's cuts, which the others never read.
+            table_cut = r"E_CONFIG_INVALID: slice\.hdot[01] must be a cut of the table's rate axis, .*\n"
+            lines = {command: err for command, err in verdicts.items()
+                     if err.startswith("E_CONFIG_INVALID: ") and not re.fullmatch(table_cut, err)}
+            if lines and (len(lines) != 5 or len(set(lines.values())) != 1):
+                failures.append((k, "verdicts", doc, lines))
+            refused += len(lines) == 5
         assert failures == []
+        assert refused >= 50  # 58 of the 60 at this seed: agreement is tested on refusals
 
     def test_fuzzed_model_files(self, tmp_path, capsys):
         valid = model_to_dict(toy_two_bin_model())
@@ -955,8 +1062,8 @@ class TestFuzzedInputs:
                      {"model_file": str(tmp_path / "valid.json"), "proposal_file": str(path)})
             cfg = small_grid_config(tmp_path, paths=paths, evaluation={
                 "n": 4, "equipage": ["tcas", "none"], "per_encounter_csv": True})
-            outcome = exits_by_contract(["evaluate", "--config", str(cfg), "--seed", "1",
-                                         "--out", str(tmp_path / "out")], capsys, "E_MODEL_INVALID")
+            _, outcome = exits_by_contract(["evaluate", "--config", str(cfg), "--seed", "1",
+                                            "--out", str(tmp_path / "out")], capsys, "E_MODEL_INVALID")
             if outcome is not None:
                 failures.append((k, doc, outcome))
         assert failures == []
@@ -964,10 +1071,10 @@ class TestFuzzedInputs:
 
 # sha256 of dump_config(DEFAULT_CONFIG), re-pinned when the tree lost
 # encounter.use_default_model and rewards.nmac_vertical, again when it
-# lost online.belief_particles, and again when it lost
-# rewards.collision_cost and online.cost_magnitude.  A change here changes
-# every default run.
-PINNED_DEFAULT_CONFIG_DIGEST = "1b8b5df9a73f22ccc8b0a280cb42c602047029bb99f244e70bba1b1dc33b438b"
+# lost online.belief_particles, again when it lost
+# rewards.collision_cost and online.cost_magnitude, and again when it lost
+# evaluation.compare_unequipped.  A change here changes every default run.
+PINNED_DEFAULT_CONFIG_DIGEST = "612070900042b6098486f8f849bed98b34e6d65fa3a3c42f5dabd108bd61a0e5"
 
 
 class TestConfigRoundTrip:
@@ -1249,7 +1356,7 @@ class TestImportanceSampledEvaluate:
         cfg = small_grid_config(
             tmp_path,
             paths={"model_file": str(nominal_path), "proposal_file": str(proposal_path)},
-            evaluation={"n": 400, "equipage": ["none", "none"], "compare_unequipped": False},
+            evaluation={"n": 400, "equipage": ["none", "none"]},
         )
         out = tmp_path / "is"
         assert main(["evaluate", "--config", str(cfg), "--seed", "6", "--out", str(out)]) == 0
@@ -1359,7 +1466,7 @@ class TestFullPipeline:
                 "model_file": str(out / "model.json"),
                 "table_file": str(out / "table.acxt"),
             },
-            evaluation={"n": 30, "equipage": ["table", "none"], "compare_unequipped": True},
+            evaluation={"n": 30, "equipage": ["table", "none"]},
         )
         assert main(["sample", "--config", str(cfg_run), "--seed", "3", "--out", str(out)]) == 0
         assert main(["simulate", "--config", str(cfg_run), "--seed", "3", "--out", str(out)]) == 0

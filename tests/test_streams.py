@@ -143,12 +143,10 @@ class TestNoNumpyRandom:
         write_table(small_table, table)
         doc = {
             "evaluate_table": {"evaluation": {"n": 20, "equipage": ["table", "none"],
-                                              "pilot_response_probability": 1.0,
-                                              "compare_unequipped": True}},
+                                              "pilot_response_probability": 1.0}},
             "evaluate_tcas": {"encounter": {"mode": "uncorrelated"},
                               "evaluation": {"n": 20, "equipage": ["tcas", "none"],
-                                             "pilot_response_probability": 1.0 / 6.0,
-                                             "compare_unequipped": True}},
+                                             "pilot_response_probability": 1.0 / 6.0}},
             "sample": {"sample": {"count": 2}},
             "simulate": {"evaluation": {"equipage": ["table", "tcas"],
                                         "pilot_response_probability": 1.0 / 6.0}},

@@ -40,7 +40,6 @@ from .optimizer import (
     LogicTable,
     RewardParams,
     backward_induction,
-    policy_slice,
     reward,
     transition_distribution,
 )
@@ -53,6 +52,7 @@ from .runtime import (
     coordinate,
     fuse_multithreat,
     interpolate,
+    policy_slice,
     select_action,
     synthesize_belief,
 )

@@ -28,13 +28,13 @@ from .evaluation import (
     LOGIC_TABLE,
     Equipage,
     _check_shared_structure,
-    _chunks,
     _report,
     _run_batch,
     risk_ratio,
     run_indexed_traces,
 )
-from .optimizer import backward_induction, policy_slice
+from .optimizer import backward_induction
+from .runtime import policy_slice
 from .tablefile import TableFormatError, read_table, write_table
 
 E_CONFIG_NOT_FOUND = "E_CONFIG_NOT_FOUND"
@@ -215,7 +215,8 @@ def _cmd_sample(cfg: dict, out_dir: Path, seed, workers) -> None:
     seed = _require_seed(seed)
     model = _load_model(cfg)
     eq = Equipage()
-    for indices in _chunks(0, cfg["sample"]["count"], CHUNK_ENCOUNTERS):
+    for start in range(0, cfg["sample"]["count"], CHUNK_ENCOUNTERS):
+        indices = range(cfg["sample"]["count"])[start:start + CHUNK_ENCOUNTERS]
         trace = run_indexed_traces(model, eq, seed, indices)
         for b, i in enumerate(indices):
             write_trace_csv(trace, b, out_dir / f"encounter_{i:04d}.csv")
@@ -262,7 +263,7 @@ def _cmd_evaluate(cfg: dict, out_dir: Path, seed, workers) -> None:
     # Every encounter is built once; the equipped logic and the unequipped
     # baseline fly over the same built encounter.
     sampler, nominal = (model, None) if proposal is None else (proposal, model)
-    outcome = _run_batch(sampler, equipages, cfg["evaluation"]["n"], seed, workers, nominal)
+    outcome = _run_batch(sampler, equipages, range(cfg["evaluation"]["n"]), seed, workers, nominal)
     metrics = _metrics_json(outcome, cfg["evaluation"]["equipage"], weighted=proposal is not None)
     (out_dir / "metrics.json").write_text(metrics)
     if cfg["evaluation"]["per_encounter_csv"]:

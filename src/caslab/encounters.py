@@ -90,6 +90,8 @@ class EncounterModel:
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9):
             raise ValueError(
                 f"duration must be a whole number of {self.dt!r} s steps, got {self.duration!r}")
+        if round(steps) < 1:
+            raise ValueError(f"duration must hold at least one {self.dt!r} s step, got {self.duration!r}")
         if self.initial_net.given:
             raise ValueError("initial net must draw every node; it has no given nodes")
         n = len(self.initial_net.nodes)
@@ -506,6 +508,10 @@ def model_from_dict(d: dict) -> EncounterModel:
     version = d.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema version: {version} (expected {MODEL_SCHEMA_VERSION})")
+    for key in ("duration", "dt"):
+        # float() would also take a bool or a numeric string.
+        if isinstance(d[key], bool) or not isinstance(d[key], (int, float)):
+            raise ValueError(f"{key} must be a number, got {d[key]!r}")
     return EncounterModel(
         initial_net=net_from_dict(d["initial_net"]),
         transition_net=net_from_dict(d["transition_net"]),

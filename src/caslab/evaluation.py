@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +67,8 @@ STREAM_ENCOUNTER = 0
 STREAM_SIMULATE = 1
 STREAM_CE_ENCOUNTER = 2
 STREAM_CE_SIMULATE = 3
+PLAIN_STREAMS = (STREAM_ENCOUNTER, STREAM_SIMULATE)
+CE_STREAMS = (STREAM_CE_ENCOUNTER, STREAM_CE_SIMULATE)
 
 
 def check_logic_kinds(kinds: list) -> None:
@@ -374,6 +376,11 @@ def _delay_uniforms(seed: int, stream: int, indices: Sequence[int], n_steps: int
     return uniforms(seed, stream, indices, 2 * n_steps).reshape(-1, n_steps, 2).transpose(0, 2, 1)
 
 
+def _indexed_encounters(model: EncounterModel, seed: int, stream: int, indices) -> EncounterBatch:
+    """The indexed encounters of one encounter stream, built as one chunk, in the order of indices."""
+    return build_encounters(model, uniforms(seed, stream, indices, model.uniforms_per_encounter))
+
+
 def run_indexed_traces(
     model: EncounterModel,
     eq: Equipage,
@@ -384,9 +391,8 @@ def run_indexed_traces(
 
     Each encounter's row is the same in any chunk, a chunk of one included.
     """
-    enc = build_encounters(model, uniforms(seed, STREAM_ENCOUNTER, indices, model.uniforms_per_encounter))
-    u_delay = _delay_uniforms(seed, STREAM_SIMULATE, indices, enc.n_steps)
-    return _fly(enc, eq, u_delay)
+    enc = _indexed_encounters(model, seed, STREAM_ENCOUNTER, indices)
+    return _fly(enc, eq, _delay_uniforms(seed, STREAM_SIMULATE, indices, enc.n_steps))
 
 
 def _run_chunk(
@@ -395,53 +401,50 @@ def _run_chunk(
     seed: int,
     indices: Sequence[int],
     nominal: Optional[EncounterModel] = None,
-    enc_stream: int = STREAM_ENCOUNTER,
-    sim_stream: int = STREAM_SIMULATE,
-) -> Tuple[EncounterBatch, np.ndarray]:
+    streams: Tuple[int, int] = PLAIN_STREAMS,
+) -> np.ndarray:
     """Build each indexed encounter once and fly every equipage over it.
 
-    Returns the encounters and their OUTCOME records of shape (equipages,
-    encounters).  Without a nominal model every log_weight is 0; with one,
-    it is the IS log-weight of the nominal model against model.
+    Returns their OUTCOME records, of shape (equipages, encounters), from
+    the (encounter, simulation) stream pair streams.  Without a nominal
+    model every log_weight is 0; with one, it is the IS log-weight of the
+    nominal model against model.
     """
-    enc = build_encounters(model, uniforms(seed, enc_stream, indices, model.uniforms_per_encounter))
+    enc = _indexed_encounters(model, seed, streams[0], indices)
     log_weight = 0.0
     if nominal is not None:
         sampled = trace_log_likelihoods(model, enc)
         if not np.all(np.isfinite(sampled)):
             raise ValueError("sample log-probability must be finite")
         log_weight = trace_log_likelihoods(nominal, enc) - sampled
-    u_delay = _delay_uniforms(seed, sim_stream, indices, enc.n_steps)
+    u_delay = _delay_uniforms(seed, streams[1], indices, enc.n_steps)
     outcome = np.stack([_fly(enc, eq, u_delay).outcome for eq in equipages])
     outcome["log_weight"] = log_weight
-    return enc, outcome
-
-
-def _chunks(start: int, stop: int, size: int) -> List[range]:
-    return [range(i, min(i + size, stop)) for i in range(start, stop, size)]
+    return outcome
 
 
 _POOL_CONTEXT: dict = {}
 
 
-def _pool_init(model, equipages, seed, nominal):
-    _POOL_CONTEXT["args"] = (model, equipages, seed, nominal)
+def _pool_init(model, equipages, seed, nominal, streams):
+    _POOL_CONTEXT["args"] = (model, equipages, seed, nominal, streams)
 
 
 def _pool_run(indices: range) -> np.ndarray:
-    model, equipages, seed, nominal = _POOL_CONTEXT["args"]
-    return _run_chunk(model, equipages, seed, indices, nominal)[1]
+    model, equipages, seed, nominal, streams = _POOL_CONTEXT["args"]
+    return _run_chunk(model, equipages, seed, indices, nominal, streams)
 
 
 def _run_batch(
     model: EncounterModel,
     equipages: Sequence[Equipage],
-    n: int,
+    indices: range,
     seed: int,
     workers: int,
     nominal: Optional[EncounterModel],
+    streams: Tuple[int, int] = PLAIN_STREAMS,
 ) -> np.ndarray:
-    """OUTCOME records of encounters 0..n-1, of shape (equipages, n).
+    """OUTCOME records of the indexed encounters, of shape (equipages, len(indices)).
 
     Records as for _run_chunk, in index order.  Each encounter is built
     once and all equipages fly over it; with a nominal model, sampling runs
@@ -449,25 +452,25 @@ def _run_batch(
     result is the same for any count.  A pool starts all its processes at
     once, so it gets no more than there are chunks or CPUs.
     """
-    if n < 1:
+    if not indices:
         raise ValueError("n must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if nominal is not None:
         _check_shared_structure(nominal, model)
     workers = min(workers, os.cpu_count() or 1)
-    size = min(CHUNK_ENCOUNTERS, -(-n // workers))
-    chunks = _chunks(0, n, size)
+    size = min(CHUNK_ENCOUNTERS, -(-len(indices) // workers))
+    chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
     workers = min(workers, len(chunks))
     if workers == 1:
-        results = [_run_chunk(model, equipages, seed, c, nominal)[1] for c in chunks]
+        results = [_run_chunk(model, equipages, seed, c, nominal, streams) for c in chunks]
     else:
         # Imported here: the pool machinery costs every serial process import time.
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_pool_init,
-            initargs=(model, equipages, seed, nominal),
+            initargs=(model, equipages, seed, nominal, streams),
         ) as pool:
             results = list(pool.map(_pool_run, chunks))
     return np.concatenate(results, axis=1)
@@ -544,7 +547,7 @@ def estimate_metrics(
     model: EncounterModel, eq: Equipage, n: int, seed: int, workers: int = 1
 ) -> MetricsReport:
     """Plain Monte Carlo estimate over n independent encounters."""
-    return _report(_run_batch(model, [eq], n, seed, workers, nominal=None)[0], weighted=False)
+    return _report(_run_batch(model, [eq], range(n), seed, workers, None)[0], weighted=False)
 
 
 def risk_ratio(equipped: MetricsReport, unequipped: MetricsReport) -> RiskRatio:
@@ -584,7 +587,7 @@ def is_estimate(
     Requires the proposal to share bins and structure with the nominal model
     so bin-level likelihood ratios are exact.
     """
-    return _report(_run_batch(proposal, [eq], n, seed, workers, nominal=nominal)[0], weighted=True)
+    return _report(_run_batch(proposal, [eq], range(n), seed, workers, nominal)[0], weighted=True)
 
 
 def _check_shared_structure(nominal: EncounterModel, proposal: EncounterModel) -> None:
@@ -612,9 +615,12 @@ def cross_entropy_adapt(
 ) -> EncounterModel:
     """Adapt the proposal toward failure-heavy regions by elite refitting.
 
-    Each iteration samples the current proposal, ranks encounters by
-    severity (NMACs first, ordered by nominal weight, then nearest misses),
-    and refits every CPT on the elite set with the Laplace prior.
+    Each iteration flies the current proposal on the CE streams, keeping
+    only the outcome records, ranks encounters by severity (NMACs first,
+    ordered by nominal weight, then nearest misses), builds the elite again
+    from their stream rows, and refits every CPT on their draws with the
+    Laplace prior.  So an iteration never holds more than one chunk of
+    encounters.
     """
     _check_shared_structure(nominal, proposal)
     if not (0.0 < elite_fraction <= 1.0):
@@ -624,31 +630,23 @@ def cross_entropy_adapt(
         raise ValueError("elite set is empty; raise elite_fraction or n_per_iter")
     current = proposal
     for it in range(iterations):
-        encs, outcomes = zip(*[
-            _run_chunk(
-                current, [eq], seed, indices, nominal=nominal,
-                enc_stream=STREAM_CE_ENCOUNTER, sim_stream=STREAM_CE_SIMULATE,
-            )
-            for indices in _chunks(it * n_per_iter, (it + 1) * n_per_iter, CHUNK_ENCOUNTERS)
-        ])
-        outcome = np.concatenate(outcomes, axis=1)[0]
+        indices = range(it * n_per_iter, (it + 1) * n_per_iter)
+        outcome = _run_batch(current, [eq], indices, seed, 1, nominal, CE_STREAMS)[0]
         nmac = outcome["nmac"] != 0
         # NMACs first, the heaviest nominal weight first, then the nearest
         # misses; lexsort is stable, so ties keep index order.
         key = np.where(nmac, -_weights(outcome["log_weight"]), outcome["severity"])
-        elite = np.lexsort((key, ~nmac))[:n_elite]
+        elite = indices[0] + np.lexsort((key, ~nmac))[:n_elite]
         # One data row per draw: elite encounter by encounter, records in order.
-        initial_data, transition_data = (
-            np.concatenate([d.swapaxes(0, 1) for d in draws])[elite].reshape(-1, draws[0].shape[-1])
-            for draws in ([e.initial_bins for e in encs], [e.transition_rows for e in encs])
-        )
-        # Free this iteration's chunks before the next one samples its own.
-        del encs
-        current = EncounterModel(
-            initial_net=fit_cpts(current.initial_net, initial_data, prior_count=1.0),
-            transition_net=fit_cpts(current.transition_net, transition_data, prior_count=1.0),
-            mode=current.mode,
-            duration=current.duration,
-            dt=current.dt,
+        rows = ([], [])
+        for start in range(0, n_elite, CHUNK_ENCOUNTERS):
+            enc = _indexed_encounters(
+                current, seed, STREAM_CE_ENCOUNTER, elite[start:start + CHUNK_ENCOUNTERS])
+            for data, draws in zip(rows, (enc.initial_bins, enc.transition_rows)):
+                data.append(draws.swapaxes(0, 1).reshape(-1, draws.shape[-1]))
+        current = replace(
+            current,
+            initial_net=fit_cpts(current.initial_net, np.concatenate(rows[0]), prior_count=1.0),
+            transition_net=fit_cpts(current.transition_net, np.concatenate(rows[1]), prior_count=1.0),
         )
     return current

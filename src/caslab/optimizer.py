@@ -543,39 +543,3 @@ def _solve(
 
     return values.reshape(grid.table_shape)
 
-
-def policy_slice(
-    table: LogicTable, fixed: Dict[str, object]
-) -> np.ndarray:
-    """Selected advisory over (tau, h) at fixed rates and previous advisory.
-
-    fixed maps 'hdot0'/'hdot1' to on-grid rates and 'a_prev' to an Advisory.
-    Each cell selects by select_advisories with a_prev as the held
-    advisory, as the closed loop would at that state.  Returns an object
-    array [itau, ih].
-    """
-    grid = table.grid
-    try:
-        i0 = _exact_cut_index("hdot0", grid.hdot0_cuts, float(fixed["hdot0"]))
-        i1 = _exact_cut_index("hdot1", grid.hdot1_cuts, float(fixed["hdot1"]))
-    except KeyError as exc:
-        raise KeyError(f"policy_slice requires fixed value for {exc}") from exc
-    a_prev = fixed["a_prev"]
-    if not isinstance(a_prev, Advisory):
-        raise TypeError("a_prev must be an Advisory")
-    ia = ADVISORIES.index(a_prev)
-    # A row below h = 0 is the mirror of a stored row above it (farthest from
-    # zero first), with its action columns put back in canonical order.  The
-    # slice is taken before mirroring, so no mirrored slab is built.  cost is
-    # its own mirror, so both halves add the row of a_prev.
-    below = table.values[:0:-1, -1 - i0, -1 - i1][..., MIRROR_INDEX]
-    vals = np.concatenate([below, table.values[:, i0, i1]]) + table.cost[ia]  # (h, tau, action)
-    best = select_advisories(vals.reshape(-1, len(ADVISORIES)), ia).reshape(vals.shape[:2])
-    return np.array(ADVISORIES, dtype=object)[best.T]
-
-
-def _exact_cut_index(name: str, cuts: np.ndarray, value: float) -> int:
-    idx = np.nonzero(cuts == value)[0]
-    if len(idx) == 0:
-        raise ValueError(f"{name} must be a cut of the table's rate axis, got {value}")
-    return int(idx[0])

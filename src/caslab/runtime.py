@@ -4,7 +4,8 @@ Lookups run multilinear interpolation over the continuous axes (off-hull
 queries clamp to the hull), QMDP averages the interpolated action values
 under the belief, and online costs implement low-altitude descend inhibits
 and pairwise coordination constraints before the selection rule
-(optimizer.select_advisories) picks an advisory.
+(optimizer.select_advisories) picks an advisory.  A policy slice reads the
+table through the same lookup.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,6 +148,34 @@ def interpolate_many(
         w = w * np.stack([1.0 - ft, ft], axis=1)[:, None, None, None, :]
     out = np.einsum("nc,nca->na", w.reshape(n, -1), vals)
     return np.where(below[:, None], out[:, MIRROR_INDEX], out) + table.cost[ia_prev]
+
+
+def policy_slice(table: LogicTable, fixed: Dict[str, object]) -> np.ndarray:
+    """Selected advisory over (tau, h) at fixed rates and previous advisory.
+
+    fixed maps 'hdot0'/'hdot1' to on-grid rates and 'a_prev' to an Advisory.
+    Each cell is select_advisories over interpolate_many at that grid
+    vertex, with a_prev as the held advisory: what the closed loop would
+    select there.  Returns an object array [itau, ih].
+    """
+    grid = table.grid
+    try:
+        hdot0, hdot1 = float(fixed["hdot0"]), float(fixed["hdot1"])
+    except KeyError as exc:
+        raise KeyError(f"policy_slice requires fixed value for {exc}") from exc
+    for name, rate, cuts in (("hdot0", hdot0, grid.hdot0_cuts), ("hdot1", hdot1, grid.hdot1_cuts)):
+        if rate not in cuts:
+            raise ValueError(f"{name} must be a cut of the table's rate axis, got {rate}")
+    a_prev = fixed["a_prev"]
+    if not isinstance(a_prev, Advisory):
+        raise TypeError("a_prev must be an Advisory")
+    ia = ADVISORIES.index(a_prev)
+    tau, h = np.meshgrid(grid.tau_cuts, grid.h_cuts, indexing="ij")
+    n = h.size
+    values = interpolate_many(table, h.ravel(), np.full(n, hdot0), np.full(n, hdot1),
+                              tau.ravel(), np.full(n, ia))
+    best = select_advisories(values, ia).reshape(h.shape)
+    return np.array(ADVISORIES, dtype=object)[best]
 
 
 def weighted_particle_values(

@@ -241,11 +241,21 @@ MODEL_READERS = {
     "proposal_file": ["evaluate", "--seed", "1"],
     "structure_file": ["fit"],
 }
+def model_with(**fields):
+    """A toy model file's text with fields replaced."""
+    return json.dumps({**model_to_dict(toy_two_bin_model()), **fields})
+
+
 MALFORMED_MODELS = {
     "not_json": "not json",
     "no_networks": '{"schema_version": 2}',
     "not_an_object": "[1, 2]",
     "missing_required_variable": model_without("tau0"),
+    # float() once read each of these: inf as a zero-step run (E_RUN_FAILED
+    # in evaluate and sample), true as a 1 s step, "30" as 30 s
+    "dt_is_a_string": model_with(dt="inf"),
+    "dt_is_a_bool": model_with(dt=True),
+    "duration_is_a_string": model_with(duration="30"),
 }
 
 
@@ -576,6 +586,10 @@ MALFORMED_VALUES = {
     "online": ({"online": {"belief_sigma_h": -5}}, "online.belief_sigma_h must be >= 0, got -5"),
     "encounter": ({"encounter": {"duration": 0.5}},
                   "encounter.duration must be a whole number of 1.0 s steps, got 0.5"),
+    # 50 / 1e12 lies within the whole-number tolerance of 0 steps; evaluate
+    # and sample once exited E_RUN_FAILED with numpy's text
+    "encounter_zero_steps": ({"encounter": {"dt": 1e12}},
+                             "encounter.duration must hold at least one 1000000000000.0 s step, got 50.0"),
     "slice": ({"slice": {"a_prev": "XYZ"}},
               "slice.a_prev must name an advisory (COC, DNC, DND, DES1500, CL1500, DES2500, CL2500), "
               "got 'XYZ'"),
@@ -1105,9 +1119,11 @@ class TestConfigRoundTrip:
 # per_encounter.csv files of runs with a baseline again when they began to
 # list the baseline's outcome columns after the equipped side's unchanged
 # ones, and every run at the default p < 1 again when the pilot began to
-# comply at a per-step draw; the p = 1 runs (table_p1, tcas_p1) held.  A
-# change here changes what evaluate, simulate or sample write at a fixed
-# seed.
+# comply at a per-step draw; the p = 1 runs (table_p1, tcas_p1) held.
+# slice/slice.csv was recorded while policy_slice still read the stored
+# values directly, and held when it began to read them through
+# interpolate_many.  A change here changes what evaluate, simulate, sample
+# or slice write at a fixed seed.
 PINNED_OUTPUT_DIGESTS = {
     "is/metrics.json": "42e920289cf470044fa4f8f0ee1abcbd97b480b9f431636dd2420e6e375e1089",
     "is/per_encounter.csv": "2c600f06718843626e72c23d9381a7bc76093428aa4812fed5bc5b502668c986",
@@ -1115,6 +1131,7 @@ PINNED_OUTPUT_DIGESTS = {
     "sample/encounter_0001.csv": "7d8efe757fdaa4e3b0c53e344a491960de690d4c0a1515b564caa8db0cc68487",
     "sample/encounter_0002.csv": "18d6ccc159d725d08277e3de8112e9c417fab11bec42986d8aeb0fbc30ae4f06",
     "simulate/trace.csv": "632ff1009efad54cc32ced89ffd1edb989f0496e921073f34ac3861957c1d0b5",
+    "slice/slice.csv": "ec5d940dd922534cb9d72b454c37105aae2eadf9fb234986a2f3b27307cc637b",
     "table/metrics.json": "70a2b59584ad9abf1ac9d12022815c2ba5f25efee89eca10009c9e77acd094ed",
     "table/per_encounter.csv": "3e85400636f72bd4824b697bdbc186765aa89a2e07241debf04044b58752c529",
     "table_p1/metrics.json": "5ea2aec8ab02697f2d2e122b4a075194b8a5d755326b2b420a6a24c966004187",
@@ -1165,6 +1182,12 @@ def command_outputs(tmp_path_factory):
             "evaluation": {"equipage": ["table", "tcas"]},
         }),
         "sample": (["sample", "--seed", "5"], {"sample": {"count": 3}}),
+        # off-zero rates and a held advisory, so the rows below h = 0 read
+        # mirrored states with their own action columns
+        "slice": (["slice"], {
+            "paths": {"table_file": str(table)},
+            "slice": {"hdot0": 25.0, "hdot1": -25.0, "a_prev": "DES1500"},
+        }),
     }
     assert main(["optimize", "--config", str(small_grid_config(tmp)), "--out", str(tmp / "opt")]) == 0
     digests = {}

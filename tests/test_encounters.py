@@ -520,7 +520,7 @@ class TestBatchedSampler:
         hard_zero = hard_zero_toy()
         for proposal, nom, n in ((ce_proposal(), nominal, 200),
                                  (toy_two_bin_model(p_conflict=0.5), hard_zero, 40)):
-            log_weight = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)[1][0]["log_weight"]
+            log_weight = _run_chunk(proposal, [Equipage()], 3, range(n), nominal=nom)[0]["log_weight"]
             lone = [build_encounters(proposal, seeded_block(proposal, [i], seed=3)) for i in range(n)]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LikelihoodSupportWarning)

@@ -17,11 +17,11 @@ from caslab.optimizer import (
     _solve,
     _sweep_operator,
     backward_induction,
-    policy_slice,
     reward,
     select_advisories,
     transition_distribution,
 )
+from caslab.runtime import policy_slice
 from caslab.tablefile import read_table, write_table
 from conftest import full_values, micro_grid
 

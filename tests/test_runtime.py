@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from caslab.core import ADVISORIES, COC_INDEX, Advisory, BeliefState, VerticalState
-from caslab.optimizer import TIE_TOL, LogicTable, _locate_many, policy_slice, select_advisories
+from caslab.optimizer import TIE_TOL, LogicTable, _locate_many, select_advisories
 from caslab.runtime import (
     ONLINE_COST,
     CoordinationConstraint,
@@ -17,6 +17,7 @@ from caslab.runtime import (
     fuse_multithreat,
     interpolate,
     interpolate_many,
+    policy_slice,
     select_action,
     synthesize_belief,
     weighted_particle_values,

@@ -19,8 +19,6 @@ from .encounters import (
     default_correlated_model,
     default_uncorrelated_model,
     read_model_file,
-    sample_initial,
-    sample_transition,
     toy_two_bin_model,
     trace_log_likelihood,
     write_model_file,
@@ -45,7 +43,6 @@ from .optimizer import (
 )
 from .runtime import (
     CoordinationConstraint,
-    CoordinationMessage,
     OnlineContext,
     apply_online_costs,
     belief_action_values,

@@ -127,7 +127,6 @@ def project_template_many(
     templates: Sequence[Advisory],
     pilot: PilotModel,
     horizon: np.ndarray,
-    dt: float = 1.0,
 ) -> np.ndarray:
     """Array form of project_template over rows x template advisories, in closed form.
 
@@ -138,14 +137,12 @@ def project_template_many(
     the delay.  Rates run in the sense-normalized frame u = sense * vz,
     where the band edge e is a floor; a rate at or past its edge holds
     (COC's edge is -inf), so e is raised to u.  Over the time `left` after
-    the delay, the stepped rate ramps from u at a, with knots every dt,
+    the delay, the stepped rate ramps from u at a, with knots every second,
     until it reaches e at s = (e - u) / a, and then holds.  Its trapezoid
     steps integrate that ramp exactly, except on the one step [k, k_end]
     that holds the kink s: its end rate is clamped at e, so the step falls
     short of the ramp's integral by a/2 * (s - k) * (k_end - s).
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     horizon = np.asarray(horizon, dtype=float)
     if not np.all(horizon >= 0):
         raise ValueError("horizon must be >= 0")
@@ -159,9 +156,9 @@ def project_template_many(
     u = vz0[:, None] * sense
     edge = np.maximum(edge, u)
     s = np.minimum((edge - u) / a, left)
-    k = np.floor(s / dt) * dt
+    k = np.floor(s)
     w = ((z0 + vz0 * t)[:, None] * sense + (u + 0.5 * a * s) * s + edge * (left - s)
-         - 0.5 * a * (s - k) * (np.minimum(k + dt, left) - s))
+         - 0.5 * a * (s - k) * (np.minimum(k + 1.0, left) - s))
     z1, vz1 = (np.asarray(v, dtype=float) for v in intr)
     return np.abs((z1 + vz1 * horizon)[:, None] - w * sense)
 
@@ -172,14 +169,14 @@ def project_template(
     advisory: Advisory,
     pilot: PilotModel,
     horizon: float,
-    dt: float = 1.0,
 ) -> float:
     """Deterministic projected vertical separation at the horizon (ft).
 
     The intruder holds constant velocity; the ownship holds constant
     velocity for pilot.deterministic_delay seconds and then complies with
-    the advisory via step_vertical until the horizon.  This stepped sum is
-    the reference that project_template_many's closed form is held to.
+    the advisory via step_vertical, in 1 s steps, until the horizon.  This
+    stepped sum is the reference that project_template_many's closed form
+    is held to.
     """
     if not horizon >= 0:
         raise ValueError("horizon must be >= 0")
@@ -189,7 +186,7 @@ def project_template(
     z0 += vz0 * delay
     t = delay
     while t < horizon - 1e-12:
-        step = min(dt, horizon - t)
+        step = min(1.0, horizon - t)
         z0, vz0 = step_vertical(z0, vz0, advisory, True, pilot, step)
         t += step
     return abs((z1 + vz1 * horizon) - z0)

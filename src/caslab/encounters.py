@@ -20,9 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from .bayesnet import (
-    Assignment,
     DiscreteBayesNet,
-    ancestral_sample,
     ancestral_sample_many,
     log_prob_bins,
     net_from_dict,
@@ -173,33 +171,14 @@ class EncounterBatch:
         return len(self.vrate)
 
 
-def sample_initial(model: EncounterModel, rng: np.random.Generator) -> Assignment:
-    """Ancestral draw of the initial-state network."""
-    return ancestral_sample(model.initial_net, rng)
-
-
-def sample_transition(
-    model: EncounterModel, current: Assignment, rng: np.random.Generator
-) -> Assignment:
-    """Propagate an assignment one step through the dynamic network."""
-    asn = ancestral_sample(model.transition_net, rng, current.bins)
-    bins = current.bins.copy()
-    values = current.values.copy()
-    for j, base in model.next_node_map:
-        bins[base] = asn.bins[j]
-        values[base] = asn.values[j]
-    return Assignment(bins=bins, values=values)
-
-
 def _sample_trajectories(
     model: EncounterModel, u: np.ndarray, cursor: np.ndarray, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One trajectory (initial state plus command chain) per row of u.
 
-    Each step is sample_transition over the batch, and its transition-net
-    bins go to rows (B, n_steps - 1, n_transition).  Returns the initial
-    bins and values (B, n) and the own and intruder rate commands (B, 2,
-    n_steps).
+    Each step draws the transition net over the batch, and its bins go to
+    rows (B, n_steps - 1, n_transition).  Returns the initial bins and
+    values (B, n) and the own and intruder rate commands (B, 2, n_steps).
     """
     init_net, trans_net = model.initial_net, model.transition_net
     batch, n, n_steps = len(u), len(init_net.nodes), model.n_steps

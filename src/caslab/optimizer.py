@@ -446,8 +446,7 @@ def _sweep_operator(
         key, folded, w = (np.concatenate(part) for part in zip(*raw))
         key += np.where(folded, MIRROR_INDEX[ia] * m, ia * m)
         keys, inverse = np.unique(key, return_inverse=True)
-        summed = np.zeros(len(keys))
-        np.add.at(summed, inverse, w)  # sequential, in arrival order
+        summed = np.bincount(inverse, weights=w)  # sequential, in arrival order
         col, tgt = np.divmod(keys, na * m)
         merged.append((np.bincount(col, minlength=m), tgt, summed))
     counts = np.concatenate([count for count, _, _ in merged])
@@ -480,17 +479,18 @@ def backward_induction(
     so that row takes the mean of each value and its mirror: exact where
     they agree, and never past either of them.
     """
-    values = _solve(grid, pilot, intruder, params)
+    cost = _advisory_cost_matrix(params)
+    values = _solve(grid, pilot, intruder, cost)
     zero = values[0]
     zero[...] = 0.5 * (zero + grid.mirror_row(zero[::-1]))
-    return LogicTable(grid=grid, values=values, cost=_advisory_cost_matrix(params))
+    return LogicTable(grid=grid, values=values, cost=cost)
 
 
 def _solve(
     grid: Grid,
     pilot: PilotModel,
     intruder: IntruderModel,
-    params: RewardParams,
+    cost: np.ndarray,
 ) -> np.ndarray:
     """E, the expected value of each action at h >= 0, shape grid.table_shape.
 
@@ -512,7 +512,6 @@ def _solve(
     m = len(h_cuts) * n0 * n1
     ntau = grid.tau_max + 1
 
-    cost = _advisory_cost_matrix(params)
     collision = np.repeat(
         (np.abs(h_cuts) < NMAC_VERTICAL_FT) * COLLISION_COST, n0 * n1
     )

@@ -43,19 +43,6 @@ class CoordinationConstraint(Enum):
 
 
 @dataclass(frozen=True)
-class CoordinationMessage:
-    """Constraint sent from the designated leader to the follower."""
-
-    constraint: CoordinationConstraint
-    leader_id: int
-    follower_id: int
-
-    def __post_init__(self) -> None:
-        if not self.leader_id < self.follower_id:
-            raise ValueError("leader_id must order below follower_id")
-
-
-@dataclass(frozen=True)
 class OnlineContext:
     """One lookup's online costs for the scalar API; the closed loop derives its own."""
 
@@ -279,8 +266,8 @@ def fuse_multithreat(per_intruder_values: Sequence[np.ndarray]) -> np.ndarray:
 
 def coordinate(
     leader_action: Advisory, ids: Tuple[int, int]
-) -> Optional[CoordinationMessage]:
-    """Coordination message implied by the leader's selected action.
+) -> Optional[CoordinationConstraint]:
+    """The constraint the leader's selected action sends the follower.
 
     The lower identifier is the designated leader; calling this on the
     follower is an error.  A non-COC action constrains the follower to the
@@ -294,14 +281,9 @@ def coordinate(
         raise ValueError("coordinate() may only be called on the leader (lower id)")
     if leader_action is Advisory.COC:
         return None
-    constraint = (
-        CoordinationConstraint.DO_NOT_CLIMB
-        if leader_action.sense > 0
-        else CoordinationConstraint.DO_NOT_DESCEND
-    )
-    return CoordinationMessage(
-        constraint=constraint, leader_id=own_id, follower_id=intruder_id
-    )
+    if leader_action.sense > 0:
+        return CoordinationConstraint.DO_NOT_CLIMB
+    return CoordinationConstraint.DO_NOT_DESCEND
 
 
 def synthesize_belief(

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from caslab.bayesnet import Assignment, ancestral_sample
 from caslab.core import ADVISORIES, EVENT_BIT, EVENT_FLAGS, MIRROR_INDEX, NMAC_HORIZONTAL_FT, NMAC_VERTICAL_FT
 from caslab.dynamics import IntruderModel, PilotModel
 from caslab.encounters import HEADINGS, OWN_POS0
@@ -71,6 +72,28 @@ def nominal_tracks(enc):
         vz[i, :n] = vrate[i]
         vz[i, n] = vrate[i, -1]
     return x, y, z, vz
+
+
+def sample_initial(model, rng):
+    """Ancestral draw of a model's initial-state network.
+
+    The scalar twin of the batched sampler's initial draw.
+    """
+    return ancestral_sample(model.initial_net, rng)
+
+
+def sample_transition(model, current, rng):
+    """Propagate an assignment one step through a model's dynamic network.
+
+    The scalar twin of one step of the batched sampler.
+    """
+    asn = ancestral_sample(model.transition_net, rng, current.bins)
+    bins = current.bins.copy()
+    values = current.values.copy()
+    for j, base in model.next_node_map:
+        bins[base] = asn.bins[j]
+        values[base] = asn.values[j]
+    return Assignment(bins=bins, values=values)
 
 
 def trace_severity(x, y, z):

@@ -302,16 +302,15 @@ def test_criterion_10_coordination_safety():
         leader_vals = rng.normal(size=7)
         follower_vals = rng.normal(size=7)
         leader_action = select_action(leader_vals)
-        msg = coordinate(leader_action, (0, 1))
-        ctx = OnlineContext(coordination_constraint=msg.constraint if msg else None)
+        constraint = coordinate(leader_action, (0, 1))
+        ctx = OnlineContext(coordination_constraint=constraint)
         follower_action = select_action(apply_online_costs(follower_vals, ctx))
         if leader_action.sense != 0 and follower_action.sense == leader_action.sense:
             same_sense += 1
-        if msg is not None:
-            if msg.constraint is CoordinationConstraint.DO_NOT_CLIMB and follower_action.sense > 0:
-                constraint_broken += 1
-            if msg.constraint is CoordinationConstraint.DO_NOT_DESCEND and follower_action.sense < 0:
-                constraint_broken += 1
+        if constraint is CoordinationConstraint.DO_NOT_CLIMB and follower_action.sense > 0:
+            constraint_broken += 1
+        if constraint is CoordinationConstraint.DO_NOT_DESCEND and follower_action.sense < 0:
+            constraint_broken += 1
     criterion(
         10, "no same-sense pairs over 1e5 coordinated selections",
         same_sense == 0 and constraint_broken == 0,

@@ -145,8 +145,7 @@ class TestProjectTemplate:
             project_template((0.0, 0.0), (100.0, 0.0), Advisory.COC, pilot(), horizon)
 
     @pytest.mark.parametrize("model", [pilot(), PilotModel()])
-    @pytest.mark.parametrize("dt", [1.0, 0.5])
-    def test_closed_form_matches_stepped_scalar(self, model, dt):
+    def test_closed_form_matches_stepped_scalar(self, model):
         # Horizons: zero, inside the 5 s delay, exactly at it, past it by less
         # than the scalar's 1e-12 loop guard, whole, with a final partial
         # step, just under 25 s, and two long ones (a config may raise
@@ -162,10 +161,10 @@ class TestProjectTemplate:
         z0 = rng.uniform(-600.0, 600.0, len(rows))
         z1, vz1 = rng.uniform(-600.0, 600.0, len(rows)), rng.uniform(-40.0, 40.0, len(rows))
         horizon, vz0 = (np.array(c) for c in zip(*rows))
-        got = project_template_many((z0, vz0), (z1, vz1), ADVISORIES, model, horizon, dt)
+        got = project_template_many((z0, vz0), (z1, vz1), ADVISORIES, model, horizon)
         columns = (c.tolist() for c in (z0, vz0, z1, vz1, horizon))
         expected = np.array([
-            [project_template((a, b), (c, d), adv, model, h, dt) for adv in ADVISORIES]
+            [project_template((a, b), (c, d), adv, model, h) for adv in ADVISORIES]
             for a, b, c, d, h in zip(*columns)
         ])
         # The closed form sums in another order than the stepped scalar; its

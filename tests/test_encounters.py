@@ -23,8 +23,6 @@ from caslab.encounters import (
     model_from_dict,
     model_to_dict,
     read_model_file,
-    sample_initial,
-    sample_transition,
     toy_two_bin_model,
     trace_log_likelihood,
     trace_log_likelihoods,
@@ -37,7 +35,7 @@ from caslab.evaluation import (
     cross_entropy_adapt,
     simulate_encounter,
 )
-from conftest import nominal_tracks
+from conftest import nominal_tracks, sample_initial, sample_transition
 
 ONE = np.array([[1.0]])
 

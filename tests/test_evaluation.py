@@ -167,8 +167,7 @@ def reference_flight(enc, eq, u):
                 )
                 values = belief_action_values(eq.table, belief)
                 inhibited = OnlineContext(own_altitude_agl=z[i], inhibit_altitude=eq.inhibit_altitude)
-                message = coordinate(leader, (0, 1)) if i == 1 and kinds[0] == "table" else None
-                constraint = None if message is None else message.constraint
+                constraint = coordinate(leader, (0, 1)) if i == 1 and kinds[0] == "table" else None
                 ctx = dataclasses.replace(inhibited, coordination_constraint=constraint)
                 plain, floor, a = (select_action(v, held=adv[i]) for v in (
                     values, apply_online_costs(values, inhibited), apply_online_costs(values, ctx)))

@@ -315,9 +315,10 @@ class TestBackwardInduction:
 
     def test_table_is_the_h_zero_up_half_of_the_sweep(self, small_table):
         grid = small_table.grid
+        cost = _advisory_cost_matrix(RewardParams())
         values = _solve(
             grid, PilotModel(response_probability=0.5, acceleration=8.0),
-            IntruderModel(sigma_accel=4.0), RewardParams(),
+            IntruderModel(sigma_accel=4.0), cost,
         )
         assert values.shape == small_table.values.shape == grid.table_shape == (3, 3, 3, 5, 7)
         assert np.array_equal(small_table.values[1:], values[1:])
@@ -326,11 +327,10 @@ class TestBackwardInduction:
         # the half sweep reads successors below zero at their mirror states,
         # and every a_prev adds its cost row to the same expected values
         micro = micro_grid(tau_max=3)
-        cost = _advisory_cost_matrix(RewardParams())
         for p, sigma in FOLD_CASES:
             half = _solve(
                 micro, PilotModel(response_probability=p, acceleration=8.0),
-                IntruderModel(sigma_accel=sigma), RewardParams(),
+                IntruderModel(sigma_accel=sigma), cost,
             )
             np.testing.assert_allclose(half[..., None, :] + cost, micro_oracle(p, sigma)[micro.h_zero:],
                                        rtol=0, atol=1e-9)

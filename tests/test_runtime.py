@@ -8,7 +8,6 @@ from caslab.optimizer import TIE_TOL, LogicTable, _locate_many, select_advisorie
 from caslab.runtime import (
     ONLINE_COST,
     CoordinationConstraint,
-    CoordinationMessage,
     OnlineContext,
     apply_online_costs,
     apply_online_costs_many,
@@ -429,24 +428,19 @@ class TestFuseMultithreat:
 
 class TestCoordinate:
     def test_leader_descend_sends_do_not_descend(self):
-        msg = coordinate(Advisory.DES1500, (3, 9))
-        assert msg.constraint is CoordinationConstraint.DO_NOT_DESCEND
-        assert msg.leader_id == 3 and msg.follower_id == 9
+        assert coordinate(Advisory.DES1500, (3, 9)) is CoordinationConstraint.DO_NOT_DESCEND
 
     def test_leader_climb_sends_do_not_climb(self):
-        msg = coordinate(Advisory.CL2500, (1, 2))
-        assert msg.constraint is CoordinationConstraint.DO_NOT_CLIMB
+        assert coordinate(Advisory.CL2500, (1, 2)) is CoordinationConstraint.DO_NOT_CLIMB
 
     def test_coc_sends_nothing(self):
         assert coordinate(Advisory.COC, (1, 2)) is None
 
-    def test_follower_cannot_coordinate(self):
+    @pytest.mark.parametrize("ids", [(9, 3), (3, 3)])
+    def test_follower_cannot_coordinate(self, ids):
+        # Only the leader, the strictly lower id, sends a constraint.
         with pytest.raises(ValueError):
-            coordinate(Advisory.DES1500, (9, 3))
-
-    def test_message_orders_ids(self):
-        with pytest.raises(ValueError):
-            CoordinationMessage(CoordinationConstraint.DO_NOT_CLIMB, 5, 2)
+            coordinate(Advisory.DES1500, ids)
 
     def test_follower_never_matches_leader_sense(self):
         rng = np.random.default_rng(6)
@@ -454,10 +448,7 @@ class TestCoordinate:
             leader_vals = rng.normal(size=7)
             follower_vals = rng.normal(size=7)
             leader_action = select_action(leader_vals)
-            msg = coordinate(leader_action, (0, 1))
-            ctx = OnlineContext(
-                coordination_constraint=msg.constraint if msg else None
-            )
+            ctx = OnlineContext(coordination_constraint=coordinate(leader_action, (0, 1)))
             follower_action = select_action(apply_online_costs(follower_vals, ctx))
             if leader_action.sense != 0 and follower_action.sense != 0:
                 assert follower_action.sense == -leader_action.sense

@@ -38,97 +38,52 @@ EVENT_BIT = {flag: 1 << j for j, flag in enumerate(EVENT_FLAGS)}
 
 
 class Advisory(Enum):
-    """Vertical resolution advisories.
+    """Vertical resolution advisories, one row each: (value, sense, strength, target_rate_fpm).
 
+    sense is +1 (up), -1 (down) or 0 (COC); strength 0 for DNC/DND, 1 for
+    1500 and 2 for 2500 (-1 for COC); target_rate_fpm is the signed band
+    edge (None for COC): up-sense needs vertical rate >= it, down-sense <= it.
     Members are declared in selection tie-break order: no advisory first,
-    then weaker before stronger, down before up at equal strength.  Each
-    non-COC member carries a sense (up/down) and a one-sided target
-    vertical-rate band expressed in ft/min.
+    then weaker before stronger, down before up at equal strength.
     """
 
-    COC = "COC"
-    DNC = "DNC"
-    DND = "DND"
-    DES1500 = "DES1500"
-    CL1500 = "CL1500"
-    DES2500 = "DES2500"
-    CL2500 = "CL2500"
+    COC = ("COC", 0, -1, None)
+    DNC = ("DNC", DOWN, 0, 0.0)
+    DND = ("DND", UP, 0, 0.0)
+    DES1500 = ("DES1500", DOWN, 1, -1500.0)
+    CL1500 = ("CL1500", UP, 1, 1500.0)
+    DES2500 = ("DES2500", DOWN, 2, -2500.0)
+    CL2500 = ("CL2500", UP, 2, 2500.0)
 
-    @property
-    def sense(self) -> int:
-        """+1 for up-sense, -1 for down-sense, 0 for COC."""
-        return _SENSE[self]
-
-    @property
-    def strength(self) -> int:
-        """0 for rate-limit advisories (DNC/DND), 1 for 1500, 2 for 2500."""
-        return _STRENGTH[self]
+    def __new__(cls, value: str, sense: int, strength: int, target_rate_fpm: Optional[float]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.sense = sense
+        member.strength = strength
+        member.target_rate_fpm = target_rate_fpm
+        member.target_rate_fps = None if target_rate_fpm is None else target_rate_fpm / 60.0
+        return member
 
     @property
     def mirror(self) -> "Advisory":
         """The advisory of equal strength and opposite sense; COC mirrors to itself."""
-        return _MIRROR[self]
+        return next(b for b in Advisory if b.strength == self.strength and b.sense == -self.sense)
 
-    @property
-    def target_rate_fpm(self) -> Optional[float]:
-        """Signed band edge in ft/min; None for COC.
-
-        Up-sense advisories require vertical rate >= target; down-sense
-        require rate <= target.
-        """
-        return _TARGET_FPM[self]
-
-    @property
-    def target_rate_fps(self) -> Optional[float]:
-        t = _TARGET_FPM[self]
-        return None if t is None else t / 60.0
-
-
-_SENSE = {
-    Advisory.COC: 0,
-    Advisory.DNC: DOWN,
-    Advisory.DND: UP,
-    Advisory.DES1500: DOWN,
-    Advisory.CL1500: UP,
-    Advisory.DES2500: DOWN,
-    Advisory.CL2500: UP,
-}
-
-_STRENGTH = {
-    Advisory.COC: -1,
-    Advisory.DNC: 0,
-    Advisory.DND: 0,
-    Advisory.DES1500: 1,
-    Advisory.CL1500: 1,
-    Advisory.DES2500: 2,
-    Advisory.CL2500: 2,
-}
-
-_MIRROR = {
-    a: next(b for b in Advisory if b.strength == a.strength and b.sense == -a.sense)
-    for a in Advisory
-}
-
-_TARGET_FPM = {
-    Advisory.COC: None,
-    Advisory.DNC: 0.0,
-    Advisory.DND: 0.0,
-    Advisory.DES1500: -1500.0,
-    Advisory.CL1500: 1500.0,
-    Advisory.DES2500: -2500.0,
-    Advisory.CL2500: 2500.0,
-}
 
 # Canonical advisory axis order (also the argmax tie-break order): the one
 # axis of every table, lookup and lockstep simulator, which hold advisories
-# as indices into it.  MIRROR_INDEX[i] is the index of ADVISORIES[i].mirror.
+# as indices into it.  The read-only arrays along it hold each row's sense,
+# band edge in ft/s (0 for COC) and the index of its mirror.
 ADVISORIES: Tuple[Advisory, ...] = tuple(Advisory)
 COC_INDEX = ADVISORIES.index(Advisory.COC)
+SENSES = np.array([a.sense for a in ADVISORIES])
+TARGETS_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 MIRROR_INDEX = np.array([ADVISORIES.index(a.mirror) for a in ADVISORIES])
-MIRROR_INDEX.setflags(write=False)
+for _axis_array in (SENSES, TARGETS_FPS, MIRROR_INDEX):
+    _axis_array.setflags(write=False)
 
-UP_ADVISORIES: Tuple[Advisory, ...] = (Advisory.DND, Advisory.CL1500, Advisory.CL2500)
-DOWN_ADVISORIES: Tuple[Advisory, ...] = (Advisory.DNC, Advisory.DES1500, Advisory.DES2500)
+UP_ADVISORIES: Tuple[Advisory, ...] = tuple(a for a in ADVISORIES if a.sense == UP)
+DOWN_ADVISORIES: Tuple[Advisory, ...] = tuple(a for a in ADVISORIES if a.sense == DOWN)
 
 
 def is_strengthening(prev: Advisory, new: Advisory) -> bool:

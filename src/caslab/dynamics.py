@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import Advisory
+from .core import SENSES, TARGETS_FPS, Advisory
 
 # Default pilot parameters: ~g/4 vertical acceleration, 5 s deterministic
 # projection delay, and a geometric per-step response probability whose mean
@@ -121,20 +121,26 @@ def step_complying_many(
     return z + 0.5 * (vz + vz_new) * dt, vz_new
 
 
+# Each advisory's sense and band edge in project_template_many's
+# sense-normalized frame, along ADVISORIES: COC projects up-sense with no
+# band (edge -inf).
+_FRAME_SENSE = np.where(SENSES == 0, 1, SENSES).astype(float)
+_FRAME_EDGE = np.where(SENSES == 0, -np.inf, SENSES * TARGETS_FPS)
+
+
 def project_template_many(
     own: Tuple[np.ndarray, np.ndarray],
     intr: Tuple[np.ndarray, np.ndarray],
-    templates: Sequence[Advisory],
     pilot: PilotModel,
     horizon: np.ndarray,
 ) -> np.ndarray:
-    """Array form of project_template over rows x template advisories, in closed form.
+    """Array form of project_template over rows x the advisory axis, in closed form.
 
     own and intr hold each row's (altitude, vertical rate) arrays and
-    horizon each row's horizon; returns the (rows, templates) projected
-    separations.  The result equals project_template's stepped sum up to
-    rounding (~1e-11 ft), and bit for bit where the horizon ends inside
-    the delay.  Rates run in the sense-normalized frame u = sense * vz,
+    horizon each row's horizon; returns the (rows, len(ADVISORIES))
+    projected separations.  The result equals project_template's stepped
+    sum up to rounding (~1e-11 ft), and bit for bit where the horizon ends
+    inside the delay.  Rates run in the sense-normalized frame u = sense * vz,
     where the band edge e is a floor; a rate at or past its edge holds
     (COC's edge is -inf), so e is raised to u.  Over the time `left` after
     the delay, the stepped rate ramps from u at a, with knots every second,
@@ -146,21 +152,18 @@ def project_template_many(
     horizon = np.asarray(horizon, dtype=float)
     if not np.all(horizon >= 0):
         raise ValueError("horizon must be >= 0")
-    sense = np.array([a.sense or 1 for a in templates], dtype=float)
-    edge = np.array([-np.inf if a is Advisory.COC else a.sense * a.target_rate_fps
-                     for a in templates])
     z0, vz0 = (np.asarray(v, dtype=float) for v in own)
     a = pilot.acceleration
     t = np.minimum(pilot.deterministic_delay, horizon)
     left = (horizon - t)[:, None]
-    u = vz0[:, None] * sense
-    edge = np.maximum(edge, u)
+    u = vz0[:, None] * _FRAME_SENSE
+    edge = np.maximum(_FRAME_EDGE, u)
     s = np.minimum((edge - u) / a, left)
     k = np.floor(s)
-    w = ((z0 + vz0 * t)[:, None] * sense + (u + 0.5 * a * s) * s + edge * (left - s)
+    w = ((z0 + vz0 * t)[:, None] * _FRAME_SENSE + (u + 0.5 * a * s) * s + edge * (left - s)
          - 0.5 * a * (s - k) * (np.minimum(k + 1.0, left) - s))
     z1, vz1 = (np.asarray(v, dtype=float) for v in intr)
-    return np.abs((z1 + vz1 * horizon)[:, None] - w * sense)
+    return np.abs((z1 + vz1 * horizon)[:, None] - w * _FRAME_SENSE)
 
 
 def project_template(

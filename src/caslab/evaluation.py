@@ -29,6 +29,8 @@ from .core import (
     EVENT_TA,
     NMAC_HORIZONTAL_FT,
     NMAC_VERTICAL_FT,
+    SENSES,
+    TARGETS_FPS,
     Trace,
     is_reversal,
     is_strengthening,
@@ -165,8 +167,6 @@ CHUNK_ENCOUNTERS = 256
 
 # Lockstep state holds advisories as int8 indices into ADVISORIES, and
 # EVENT_BIT flags as uint8.
-_SENSE = np.array([a.sense for a in ADVISORIES])
-_TARGET_FPS = np.array([a.target_rate_fps or 0.0 for a in ADVISORIES])
 # Event bits a side scores when its advisory goes from index p to index q;
 # 0 on the diagonal, so a held advisory scores nothing.
 _CHANGE_BITS = np.array([
@@ -312,7 +312,7 @@ def _fly(
                 selected = select_advisories(values, adv[:, i])
                 if both_table and i == 0:
                     # coordinate(): the leader's sense forbids the same sense.
-                    leader_sense = _SENSE[selected]
+                    leader_sense = SENSES[selected]
 
             complying[(selected != adv[:, i]) & (selected != COC_INDEX), i] = False
             adv[:, i] = selected
@@ -324,7 +324,7 @@ def _fly(
         zs[:, :, k] = z
         vzs[:, :, k] = np.where(active, vz, cmd)
         adv_hist[:, k] = adv
-        z_comply, vz_comply = step_complying_many(z, vz, _TARGET_FPS[adv], _SENSE[adv], eq.pilot, dt)
+        z_comply, vz_comply = step_complying_many(z, vz, TARGETS_FPS[adv], SENSES[adv], eq.pilot, dt)
         z = np.where(active, z_comply, z + cmd * dt)
         vz = np.where(active, vz_comply, cmd)
 

@@ -24,6 +24,7 @@ table stores E and the 7 x 7 cost matrix instead of the values themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import ClassVar, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -115,8 +116,10 @@ class Grid:
             cuts = checked_cuts(name, getattr(self, name), zero=name == "h_cuts")
             object.__setattr__(self, name, cuts)
         tau_max = self.tau_max
-        if isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer)) or tau_max < 1:
-            raise ValueError(f"tau_max must be an integer >= 1, got {tau_max!r}")
+        # An ACXT file packs the tau axis's cut count as "<I".
+        if (isinstance(tau_max, bool) or not isinstance(tau_max, (int, np.integer))
+                or not 1 <= tau_max <= 2**32 - 2):
+            raise ValueError(f"tau_max must be an integer in [1, {2**32 - 2}], got {tau_max!r}")
         _, n0, n1, ntau, _ = self.shape
         strides = (n0 * n1 * ntau, n1 * ntau, ntau, 1)
         corners = np.array([(bh, b0, b1, bt) for bh in (0, 1) for b0 in (0, 1)
@@ -124,7 +127,6 @@ class Grid:
         flip = np.array([-1, -1, -1, 1])  # a mirrored cell steps down in h and both rates
         constants = {
             "h_zero": len(self.h_cuts) // 2,
-            "tau_cuts": np.arange(ntau, dtype=float),
             "strides": strides,
             "corner_offsets": np.stack([corners @ strides, (corners * flip) @ strides]),
         }
@@ -132,6 +134,13 @@ class Grid:
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def tau_cuts(self) -> np.ndarray:
+        """The tau axis 0..tau_max, built on first use: checking a config builds none."""
+        cuts = np.arange(self.tau_max + 1, dtype=float)
+        cuts.setflags(write=False)
+        return cuts
 
     @property
     def shape(self) -> Tuple[int, int, int, int, int]:

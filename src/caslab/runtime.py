@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ADVISORIES, MIRROR_INDEX, Advisory, BeliefState, VerticalState
+from .core import ADVISORIES, DOWN, MIRROR_INDEX, SENSES, UP, Advisory, BeliefState, VerticalState
 from .optimizer import LogicTable, _locate_many, select_advisories
 
 # What an online cost adds to each advisory it forbids.  COC is never
@@ -233,10 +233,9 @@ def apply_online_costs_many(
     equals its own single-row result bit for bit.
     """
     out = np.array(values, dtype=float)
-    for mask, sense in ((below_floor, -1), (no_climb, 1), (no_descend, -1)):
+    for mask, sense in ((below_floor, DOWN), (no_climb, UP), (no_descend, DOWN)):
         if mask.any():
-            cols = [i for i, a in enumerate(ADVISORIES) if a.sense == sense]
-            out[np.ix_(mask, cols)] += ONLINE_COST
+            out[np.ix_(mask, SENSES == sense)] += ONLINE_COST
     return out
 
 

@@ -26,6 +26,7 @@ from .core import (
     DOWN,
     DOWN_ADVISORIES,
     FT_PER_NMI,
+    SENSES,
     UP,
     UP_ADVISORIES,
     Advisory,
@@ -164,14 +165,12 @@ class TcasTracker:
         return self.current, threat
 
 
-# The array twins hold advisories as indices into ADVISORIES and project the
-# six advisories with a band, in axis order, as one block of templates.
-_TEMPLATES = tuple(a for a in ADVISORIES if a is not Advisory.COC)
-_TEMPLATE_ADVISORY = np.array([ADVISORIES.index(a) for a in _TEMPLATES])
-_UP_COLUMNS = np.array([_TEMPLATES.index(a) for a in UP_ADVISORIES])
-_DOWN_COLUMNS = np.array([_TEMPLATES.index(a) for a in DOWN_ADVISORIES])
-_CL1500 = _TEMPLATES.index(Advisory.CL1500)
-_DES1500 = _TEMPLATES.index(Advisory.DES1500)
+# The array twins hold advisories as indices into ADVISORIES and project
+# the whole advisory axis at once; the COC column goes unread.
+_UP_COLUMNS = np.flatnonzero(SENSES == UP)
+_DOWN_COLUMNS = np.flatnonzero(SENSES == DOWN)
+_CL1500 = ADVISORIES.index(Advisory.CL1500)
+_DES1500 = ADVISORIES.index(Advisory.DES1500)
 
 
 def closest_approach_many(px, py, vx, vy) -> Tuple[np.ndarray, np.ndarray]:
@@ -201,16 +200,16 @@ def select_advisory_many(own, intr, horizon: np.ndarray, cfg: TcasConfig) -> np.
     """select_sense then select_strength per row, as indices into ADVISORIES.
 
     own and intr hold each row's (altitude, vertical rate) arrays and
-    horizon its time to CPA.  One projection of the six templates serves
+    horizon its time to CPA.  One projection of the advisory axis serves
     both steps.
     """
-    sep = project_template_many(own, intr, _TEMPLATES, cfg.pilot, horizon)
+    sep = project_template_many(own, intr, cfg.pilot, horizon)
     up = sep[:, _CL1500] > sep[:, _DES1500]
     columns = np.where(up[:, None], _UP_COLUMNS, _DOWN_COLUMNS)
     achieves = np.take_along_axis(sep, columns, axis=1) >= cfg.alim
     # pick_min_strength: the first achieving candidate, else the strongest.
     pick = np.where(achieves.any(axis=1), achieves.argmax(axis=1), columns.shape[1] - 1)
-    return _TEMPLATE_ADVISORY[columns[np.arange(len(columns)), pick]]
+    return columns[np.arange(len(columns)), pick]
 
 
 def tracker_step_many(

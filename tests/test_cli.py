@@ -10,12 +10,15 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import caslab
 import numpy as np
 import pytest
-from caslab.config import DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, dump_config, load_config
+from caslab.config import (
+    DEFAULT_CONFIG, NULLABLE_TYPES, ConfigError, check_config, dump_config, load_config,
+)
 from caslab.core import ADVISORIES, TRACE_CSV_HEADER, Advisory
 from caslab.encounters import (
     EncounterModel,
@@ -552,7 +555,7 @@ INVALID_CONFIGS = {
         "unknown config key: online.cost_magnitude",
     ),
     # one tau cut: every lookup divided 0 by 0
-    "tau_max_0": ({"grid": {"tau_max": 0}}, "grid.tau_max must be an integer >= 1"),
+    "tau_max_0": ({"grid": {"tau_max": 0}}, "grid.tau_max must be an integer in [1, 4294967294]"),
     "infinite_belief_sigma": (
         {"online": {"belief_sigma_h": math.inf}, "evaluation": {"n": 5, "equipage": ["none", "none"]}},
         "online.belief_sigma_h",
@@ -594,6 +597,12 @@ MALFORMED_VALUES = {
               "slice.a_prev must name an advisory (COC, DNC, DND, DES1500, CL1500, DES2500, CL2500), "
               "got 'XYZ'"),
     "sample": ({"sample": {"count": -1}}, "sample.count must be an integer >= 0, got -1"),
+    # an ACXT file stores at most 2**32 - 1 tau cuts; checking 10**10 once
+    # exited E_RUN_FAILED on a 74.5 GiB tau axis, and 5 * 10**21 named no key
+    "tau_max_1e10": ({"grid": {"tau_max": 10**10}},
+                     "grid.tau_max must be an integer in [1, 4294967294], got 10000000000"),
+    "tau_max_5e21": ({"grid": {"tau_max": 5 * 10**21}},
+                     "grid.tau_max must be an integer in [1, 4294967294], got 5000000000000000000000"),
 }
 COMMANDS = ("fit", "sample", "optimize", "simulate", "evaluate", "slice")
 
@@ -647,6 +656,18 @@ class TestOneVerdict:
 
 
 class TestConfigContract:
+    def test_check_builds_no_tau_axis(self):
+        # Every command checks the grid, and sample never reads it: the tau
+        # axis of the largest tau_max would take 34 GB.
+        cfg = merged(DEFAULT_CONFIG, {"grid": {"tau_max": 2**32 - 2}})
+        tracemalloc.start()
+        try:
+            check_config(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_vanishing_response_probability_runs(self, tmp_path, capsys):
         # 1 - 1e-17 rounds to 1; the delay draw once divided by log(1) = 0.
         cfg = tmp_path / "config.json"
@@ -852,7 +873,7 @@ MALFORMED_TABLES = {
     ),
     "header_declares_more_values_than_file": (_oversized_header, "truncated table file"),
     # a lookup on one tau cut divided 0 by 0
-    "one_tau_cut": (_one_tau_cut, "invalid grid: tau_max must be an integer >= 1, got 0"),
+    "one_tau_cut": (_one_tau_cut, "invalid grid: tau_max must be an integer in [1, 4294967294], got 0"),
     "version_2_file": (_version_2, "unsupported table format version 2"),
     "truncated_cost_block": (
         lambda raw, grid: raw[:acxt_header_bytes(grid) + ACXT_COST_BYTES // 2],

@@ -1,12 +1,22 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
 from caslab.core import (
     ADVISORIES,
     COC_INDEX,
+    DOWN,
+    DOWN_ADVISORIES,
     EVENT_BIT,
     EVENT_NMAC,
     EVENT_RA,
+    MIRROR_INDEX,
+    SENSES,
+    TARGETS_FPS,
+    UP,
+    UP_ADVISORIES,
     Advisory,
     BeliefState,
     Trace,
@@ -19,7 +29,42 @@ from caslab.core import (
 from caslab.evaluation import OUTCOME
 
 
+# Each advisory's (value, sense, strength, target_rate_fpm, target_rate_fps,
+# mirror), in axis order.
+ADVISORY_ROWS = {
+    Advisory.COC: ("COC", 0, -1, None, None, Advisory.COC),
+    Advisory.DNC: ("DNC", -1, 0, 0.0, 0.0, Advisory.DND),
+    Advisory.DND: ("DND", 1, 0, 0.0, 0.0, Advisory.DNC),
+    Advisory.DES1500: ("DES1500", -1, 1, -1500.0, -25.0, Advisory.CL1500),
+    Advisory.CL1500: ("CL1500", 1, 1, 1500.0, 25.0, Advisory.DES1500),
+    Advisory.DES2500: ("DES2500", -1, 2, -2500.0, -41.666666666666664, Advisory.CL2500),
+    Advisory.CL2500: ("CL2500", 1, 2, 2500.0, 41.666666666666664, Advisory.DES2500),
+}
+
+
 class TestAdvisory:
+    @pytest.mark.parametrize("member", ADVISORY_ROWS, ids=lambda a: a.value)
+    def test_row(self, member):
+        assert ADVISORIES == tuple(ADVISORY_ROWS)
+        assert (member.value, member.sense, member.strength, member.target_rate_fpm,
+                member.target_rate_fps, member.mirror) == ADVISORY_ROWS[member]
+        # The --workers pool pickles advisories; each must come back as itself.
+        assert Advisory(member.value) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert copy.deepcopy(member) is member
+        i = ADVISORIES.index(member)
+        assert SENSES[i] == member.sense
+        assert TARGETS_FPS[i] == (0.0 if member is Advisory.COC else member.target_rate_fps)
+        assert ADVISORIES[MIRROR_INDEX[i]] is member.mirror
+        assert UP_ADVISORIES == (Advisory.DND, Advisory.CL1500, Advisory.CL2500)
+        assert DOWN_ADVISORIES == (Advisory.DNC, Advisory.DES1500, Advisory.DES2500)
+        assert (member in UP_ADVISORIES) == (member.sense == UP)
+        assert (member in DOWN_ADVISORIES) == (member.sense == DOWN)
+        for array in (SENSES, TARGETS_FPS, MIRROR_INDEX):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[i] = 0
+
     def test_exactly_one_coc(self):
         assert sum(a is Advisory.COC for a in ADVISORIES) == 1
 

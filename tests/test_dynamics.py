@@ -161,7 +161,7 @@ class TestProjectTemplate:
         z0 = rng.uniform(-600.0, 600.0, len(rows))
         z1, vz1 = rng.uniform(-600.0, 600.0, len(rows)), rng.uniform(-40.0, 40.0, len(rows))
         horizon, vz0 = (np.array(c) for c in zip(*rows))
-        got = project_template_many((z0, vz0), (z1, vz1), ADVISORIES, model, horizon)
+        got = project_template_many((z0, vz0), (z1, vz1), model, horizon)
         columns = (c.tolist() for c in (z0, vz0, z1, vz1, horizon))
         expected = np.array([
             [project_template((a, b), (c, d), adv, model, h) for adv in ADVISORIES]
@@ -177,7 +177,7 @@ class TestProjectTemplate:
     @pytest.mark.parametrize("horizon", [-1.0, math.nan])
     def test_many_rejects_negative_horizon(self, horizon):
         with pytest.raises(ValueError):
-            project_template_many(([0.0], [0.0]), ([100.0], [0.0]), ADVISORIES, pilot(), [horizon])
+            project_template_many(([0.0], [0.0]), ([100.0], [0.0]), pilot(), [horizon])
 
 
 class TestModelValidation:
